@@ -11,7 +11,7 @@ The bundled benchmark table assumes a ten-level working substance, so all
 evaluations here pass levels=10 to land on the same locus.
 """
 
-from fracstirling import CycleParams, evaluate, solve_alpha1, trace_curve
+from fracstirling import CycleParams, evaluate, solve_regeneration, trace_curve
 from fracstirling.reference import BENCH_LEVELS, BENCH_ROWS
 
 print("Regenerator heat at alpha_1 = alpha_2 = 2 for the benchmark widths:")
@@ -24,7 +24,9 @@ print("  regeneration, leaving efficiency below Carnot")
 
 print("\nSolving q_r = 0 in alpha_1 at fixed alpha_2 (widths 1.0 / 1.4):")
 base = CycleParams(1.0, 1.4, 1.5, 1.579, t_hot=4.0, t_cold=3.0)
-point = solve_alpha1(base, 1.579, 1.47, 1.56, tol=1e-10, levels=BENCH_LEVELS)
+point = solve_regeneration(
+    base, "alpha_1", 1.47, 1.56, tol=1e-10, levels=BENCH_LEVELS
+)
 report = evaluate(point.params, levels=BENCH_LEVELS)
 print(f"  alpha_1 = {point.params.alpha_1:.6f}  (residual {point.residual:.1e})")
 print(f"  efficiency there = {report.efficiency:.6f} vs carnot {report.carnot}")

@@ -26,7 +26,6 @@ from .solver import (
     SweepAxis,
     SweepGrid,
     find_brackets,
-    solve_alpha1,
     solve_regeneration,
     sweep,
     trace_curve,
@@ -38,8 +37,6 @@ from .thermo import (
     MAX_LEVELS,
     ThermalState,
     TruncationLimitError,
-    entropy,
-    internal_energy,
     summarize,
 )
 
@@ -67,13 +64,10 @@ __all__ = [
     "corners",
     "energy_level",
     "energy_levels",
-    "entropy",
     "evaluate",
     "find_brackets",
-    "internal_energy",
     "regenerator_heat",
     "scale_coefficient",
-    "solve_alpha1",
     "solve_regeneration",
     "summarize",
     "sweep",

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 
-from .cycle import CycleParams, CycleReport, DegenerateCycleError, evaluate
+from .cycle import CycleParams, CycleReport, evaluate
 from .reference import (
     BENCH_LEVELS,
     BENCH_ROWS,
@@ -19,25 +20,20 @@ from .reference import (
     QR_QUADRATIC_TOL,
 )
 from .solver import (
+    COMPUTATIONAL_FAILURES,
     NodeError,
-    NoRootError,
-    SolverError,
     SweepAxis,
-    solve_regeneration,
     sweep,
     trace_curve,
 )
-from .thermo import DEFAULT_REL_TOL, TruncationLimitError
+from .thermo import DEFAULT_REL_TOL
 
-_CYCLE_COLUMNS = (
-    "la", "lb", "alpha1", "alpha2", "th", "tc", "m",
-    "q_ab", "q_bc", "q_cd", "q_da", "w", "q_r", "q_h",
-    "eta", "eta_carnot", "regime",
-)
 _REPORT_COLUMNS = (
     "q_ab", "q_bc", "q_cd", "q_da", "w", "q_r", "q_h", "eta", "eta_carnot",
     "regime", "s_a", "s_b", "s_c", "s_d", "u_a", "u_b", "u_c", "u_d",
 )
+# `cycle` prints the parameters and the report up to the regime
+_CYCLE_COLUMNS = ("la", "lb", "alpha1", "alpha2", "th", "tc", "m") + _REPORT_COLUMNS[:10]
 
 _AXIS_FLAGS = {"la": "width_a", "lb": "width_b", "alpha1": "alpha_1", "alpha2": "alpha_2"}
 
@@ -114,16 +110,7 @@ def cmd_cycle(args, parser) -> int:
     _warn_convention(args)
     params = _params_from_args(args)
     report = evaluate(params, args.rtol, args.levels)
-    row = [
-        _fmt(v)
-        for v in (
-            params.width_a, params.width_b, params.alpha_1, params.alpha_2,
-            params.t_hot, params.t_cold, params.mass,
-            report.q_ab, report.q_bc, report.q_cd, report.q_da,
-            report.work, report.q_r, report.q_h,
-            report.efficiency, report.carnot,
-        )
-    ] + [report.regime]
+    row = [_fmt(v) for v in astuple(params)] + _report_fields(report)[:10]
     _write([",".join(_CYCLE_COLUMNS), ",".join(row)], args.out)
     return 0
 
@@ -265,13 +252,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, parser)
-    except (
-        TruncationLimitError,
-        DegenerateCycleError,
-        NoRootError,
-        SolverError,
-        ValueError,
-    ) as exc:
+    except COMPUTATIONAL_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,8 +9,8 @@ leaves the bracket or fails to shrink it.
 
 from __future__ import annotations
 
+import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .cycle import (
@@ -20,7 +20,7 @@ from .cycle import (
     evaluate,
     regenerator_heat,
 )
-from .thermo import DEFAULT_REL_TOL, TruncationLimitError
+from .thermo import DEFAULT_REL_TOL, TruncationLimitError, check_truncation
 
 SWEEPABLE = ("width_a", "width_b", "alpha_1", "alpha_2")
 
@@ -48,6 +48,13 @@ class NoRootError(SolverError):
         super().__init__(message)
         self.residual_lo = residual_lo
         self.residual_hi = residual_hi
+
+
+# What counts as a computational failure: `sweep` records it as a NodeError,
+# `trace_curve` as a gap, and the CLI as exit code 1.
+COMPUTATIONAL_FAILURES = (
+    TruncationLimitError, DegenerateCycleError, SolverError, ValueError,
+)
 
 
 @dataclass(frozen=True)
@@ -110,16 +117,8 @@ def _eval_node(
 ) -> CycleReport | NodeError:
     try:
         return evaluate(replace(base, **overrides), rel_tol, levels)
-    except (TruncationLimitError, DegenerateCycleError, ValueError) as exc:
+    except COMPUTATIONAL_FAILURES as exc:
         return NodeError(str(exc))
-
-
-def _eval_column(args) -> tuple[CycleReport | NodeError, ...]:
-    base, x_param, x_val, y_param, y_vals, rel_tol, levels = args
-    return tuple(
-        _eval_node(base, {x_param: x_val, y_param: y}, rel_tol, levels)
-        for y in y_vals
-    )
 
 
 def sweep(
@@ -128,27 +127,24 @@ def sweep(
     axis_y: SweepAxis,
     rel_tol: float = DEFAULT_REL_TOL,
     levels: int | None = None,
-    workers: int | None = None,
 ) -> SweepGrid:
     """Evaluate the cycle on the full axis_x times axis_y grid.
 
-    Nodes are independent; per-node failures are recorded in place rather
-    than aborting the grid.  The result is a pure function of the inputs:
-    serial and parallel runs produce identical grids.
+    Nodes are evaluated one after another in a single process.  A node whose
+    evaluation fails computationally is recorded as a NodeError in place
+    rather than aborting the grid; a usage error raises before the first
+    node.  The result is a pure function of the inputs.
     """
-    if axis_x.parameter == axis_y.parameter:
-        raise ValueError(f"axes must name distinct parameters, both are {axis_x.parameter!r}")
-    xs, ys = axis_x.values(), axis_y.values()
-    jobs = [
-        (base, axis_x.parameter, x, axis_y.parameter, ys, rel_tol, levels)
-        for x in xs
-    ]
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(_eval_column, jobs))
-    else:
-        columns = [_eval_column(job) for job in jobs]
-    return SweepGrid(axis_x=axis_x, axis_y=axis_y, base=base, reports=tuple(columns))
+    px, py = axis_x.parameter, axis_y.parameter
+    if px == py:
+        raise ValueError(f"axes must name distinct parameters, both are {px!r}")
+    check_truncation(rel_tol, levels)
+    ys = axis_y.values()
+    reports = tuple(
+        tuple(_eval_node(base, {px: x, py: y}, rel_tol, levels) for y in ys)
+        for x in axis_x.values()
+    )
+    return SweepGrid(axis_x=axis_x, axis_y=axis_y, base=base, reports=reports)
 
 
 @dataclass(frozen=True)
@@ -160,8 +156,7 @@ class RegenerationPoint:
 
 
 def _clip_bracket(parameter: str, lo: float, hi: float) -> tuple[float, float]:
-    dlo, dhi = _DOMAIN[parameter]
-    lo, hi = max(lo, dlo * (1 + 1e-12) if dlo else lo), min(hi, dhi)
+    hi = min(hi, _DOMAIN[parameter][1])
     if parameter.startswith("alpha"):
         lo = max(lo, 1.0 + 1e-9)
     if not lo < hi:
@@ -211,7 +206,7 @@ def _root_hybrid(f, lo, hi, f_lo, f_hi, tol, max_iter=200):
         if x is None:
             x = a + 0.5 * width
         fx = f(x)
-        if not _finite(fx):
+        if not math.isfinite(fx):
             raise SolverError(f"q_r evaluated to a non-finite value at {x}")
         if abs(fx) <= tol:
             return x, abs(fx)
@@ -230,10 +225,6 @@ def _root_hybrid(f, lo, hi, f_lo, f_hi, tol, max_iter=200):
                 f"bracket collapsed at {x} with residual {fx} above tol={tol}"
             )
     raise SolverError(f"no convergence within {max_iter} iterations")
-
-
-def _finite(x: float) -> bool:
-    return x == x and abs(x) != float("inf")
 
 
 def solve_regeneration(
@@ -260,7 +251,7 @@ def solve_regeneration(
         return regenerator_heat(replace(base, **{parameter: x}), rel_tol, levels)
 
     f_lo, f_hi = f(lo), f(hi)
-    if not (_finite(f_lo) and _finite(f_hi)):
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
         raise SolverError(f"non-finite q_r at bracket endpoints [{lo}, {hi}]")
     if f_lo * f_hi > 0 and abs(f_lo) > tol and abs(f_hi) > tol:
         raise NoRootError(
@@ -272,22 +263,6 @@ def solve_regeneration(
     root, residual = _root_hybrid(f, lo, hi, f_lo, f_hi, tol)
     return RegenerationPoint(
         params=replace(base, **{parameter: root}), residual=residual
-    )
-
-
-def solve_alpha1(
-    base: CycleParams,
-    alpha_2_fixed: float,
-    bracket_lo: float,
-    bracket_hi: float,
-    tol: float = DEFAULT_QR_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    levels: int | None = None,
-) -> RegenerationPoint:
-    """Solve q_r = 0 for alpha_1 at a fixed alpha_2."""
-    pinned = replace(base, alpha_2=alpha_2_fixed)
-    return solve_regeneration(
-        pinned, "alpha_1", bracket_lo, bracket_hi, tol, rel_tol, levels
     )
 
 
@@ -308,7 +283,9 @@ def trace_curve(
     each sign-change interval is a root candidate.  The interval nearest the
     previous root is solved (nearest the bracket midpoint at the first
     node), which keeps the trace on one branch when the locus has several.
-    Nodes without any sign change are reported as None, preserving order.
+    Nodes without any sign change, and nodes whose scan or solve fails
+    computationally, are reported as None, preserving order.  Arguments are
+    checked before any node is evaluated, so a usage error still raises.
     """
     if sweep_parameter not in SWEEPABLE or solve_parameter not in SWEEPABLE:
         raise ValueError(f"parameters must be among {SWEEPABLE}")
@@ -319,6 +296,9 @@ def trace_curve(
         diffs = [b - a for a, b in zip(grid, grid[1:])]
         if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ValueError("grid must be strictly monotone")
+    if scan_points < 2:
+        raise ValueError("need at least 2 scan points")
+    check_truncation(rel_tol, levels)
     lo, hi = _clip_bracket(solve_parameter, *bracket)
 
     points: list[RegenerationPoint | None] = []
@@ -331,29 +311,28 @@ def trace_curve(
                 replace(node_base, **{solve_parameter: x}), rel_tol, levels
             )
 
-        intervals = find_brackets(f, lo, hi, scan_points)
-        if not intervals:
-            points.append(None)
-            continue
-        target = prev_root if prev_root is not None else 0.5 * (lo + hi)
-        blo, bhi = min(
-            intervals, key=lambda iv: abs(0.5 * (iv[0] + iv[1]) - target)
-        )
+        point = None
         try:
-            point = solve_regeneration(
-                node_base, solve_parameter, blo, max(bhi, blo + 1e-15),
-                tol, rel_tol, levels,
-            )
-        except NoRootError:
-            points.append(None)
-            continue
+            intervals = find_brackets(f, lo, hi, scan_points)
+            if intervals:
+                target = prev_root if prev_root is not None else 0.5 * (lo + hi)
+                blo, bhi = min(
+                    intervals, key=lambda iv: abs(0.5 * (iv[0] + iv[1]) - target)
+                )
+                point = solve_regeneration(
+                    node_base, solve_parameter, blo, max(bhi, blo + 1e-15),
+                    tol, rel_tol, levels,
+                )
+        except COMPUTATIONAL_FAILURES:
+            pass  # the node stays a gap
         points.append(point)
-        prev_root = getattr(point.params, solve_parameter)
+        if point is not None:
+            prev_root = getattr(point.params, solve_parameter)
 
     if points and all(p is None for p in points):
         warnings.warn(
             "no regeneration root found at any grid node; the locus does "
-            "not intersect the scanned bracket",
+            "not intersect the scanned bracket, or every node failed",
             stacklevel=2,
         )
     return points

@@ -93,6 +93,14 @@ def _find_cut(
     return int(hit[0]) + 1 if hit.size else 0
 
 
+def check_truncation(rel_tol: float, levels: int | None) -> None:
+    """Raise ValueError unless `rel_tol` and `levels` are valid for summarize."""
+    if not 0.0 < rel_tol <= 1e-6:
+        raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol}")
+    if levels is not None and levels < 1:
+        raise ValueError(f"levels must be a positive integer, got {levels}")
+
+
 def summarize(
     state: ThermalState,
     rel_tol: float = DEFAULT_REL_TOL,
@@ -108,10 +116,7 @@ def summarize(
     of the inputs.  Summaries are memoised unless `cached` is false, which
     suits states that will not recur.
     """
-    if not 0.0 < rel_tol <= 1e-6:
-        raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol}")
-    if levels is not None and levels < 1:
-        raise ValueError(f"levels must be a positive integer, got {levels}")
+    check_truncation(rel_tol, levels)
     return (_summarize_cached if cached else _summarize)(state, rel_tol, levels)
 
 
@@ -120,31 +125,31 @@ def _summarize(
 ) -> EnsembleSummary:
     beta = 1.0 / state.temperature
 
-    if levels is not None:
-        energies = energy_levels(state.well, levels + 1)
-        n_cut = levels
-    else:
-        size = _FIRST_BLOCK
-        while True:
-            energies = energy_levels(state.well, size + 1)
-            excess = beta * (energies - energies[0])
-            weights = np.exp(-excess[:-1])
-            ratios = np.exp(-beta * np.diff(energies))
-            n_cut = _find_cut(weights, ratios, excess, rel_tol)
-            if n_cut:
-                break
-            if size >= MAX_LEVELS:
-                raise TruncationLimitError(
-                    f"partition sum for width={state.well.width}, "
-                    f"alpha={state.well.alpha}, mass={state.well.mass}, "
-                    f"T={state.temperature} still unconverged at "
-                    f"{MAX_LEVELS} levels (rel_tol={rel_tol})"
-                )
-            size = min(size * _GROWTH, MAX_LEVELS)
+    # A fixed `levels` takes one block of exactly that size; otherwise the
+    # block grows until the adaptive cut falls inside it.  Either way the
+    # kept weights are a prefix of the block's, computed once.
+    size = levels or _FIRST_BLOCK
+    while True:
+        energies = energy_levels(state.well, size + 1)
+        excess = beta * (energies - energies[0])
+        weights = np.exp(-excess[:-1])
+        n_cut = levels or _find_cut(
+            weights, np.exp(-beta * np.diff(energies)), excess, rel_tol
+        )
+        if n_cut:
+            break
+        if size >= MAX_LEVELS:
+            raise TruncationLimitError(
+                f"partition sum for width={state.well.width}, "
+                f"alpha={state.well.alpha}, mass={state.well.mass}, "
+                f"T={state.temperature} still unconverged at "
+                f"{MAX_LEVELS} levels (rel_tol={rel_tol})"
+            )
+        size = min(size * _GROWTH, MAX_LEVELS)
 
     e1 = energies[0]
     kept = energies[:n_cut]
-    weights = np.exp(-beta * (kept - e1))
+    weights = weights[:n_cut]
     z_shifted = float(np.sum(weights))
     occ = weights / z_shifted
     occ.setflags(write=False)
@@ -175,21 +180,3 @@ def _summarize(
 
 
 _summarize_cached = lru_cache(maxsize=65536)(_summarize)
-
-
-def internal_energy(
-    state: ThermalState,
-    rel_tol: float = DEFAULT_REL_TOL,
-    levels: int | None = None,
-) -> float:
-    """Mean energy of the state; same truncation policy as summarize."""
-    return summarize(state, rel_tol, levels).internal_energy
-
-
-def entropy(
-    state: ThermalState,
-    rel_tol: float = DEFAULT_REL_TOL,
-    levels: int | None = None,
-) -> float:
-    """Gibbs entropy of the state; same truncation policy as summarize."""
-    return summarize(state, rel_tol, levels).entropy

@@ -110,6 +110,14 @@ class TestSweepCommand:
         assert target.read_bytes() == first
         assert first.decode().startswith("x,y,")
 
+    def test_bad_tolerance_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--x", "alpha1=1.2:1.8:2", "--y", "alpha2=1.3:1.9:2",
+            "--rtol", "1",
+        )
+        assert code == 1
+        assert out == "" and "rel_tol" in err
+
 
 class TestTraceCommand:
     def test_single_node(self, capsys):
@@ -135,6 +143,15 @@ class TestTraceCommand:
         assert code == 0
         _, rows = csv_rows(out)
         assert all(r[3] == "gap" for r in rows)
+
+    def test_failing_node_is_a_gap_row(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "trace", "--sweep", "lb=1.4:3e7:2", "--solve", "alpha1",
+            "--la", "1", "--a2", "1.6", "--bracket", "1.3:2.0",
+        )
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert [r[3] for r in rows] == ["ok", "gap"]
 
     def test_width_solve_requires_bracket(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -10,7 +12,6 @@ from fracstirling import (
     SweepAxis,
     evaluate,
     find_brackets,
-    solve_alpha1,
     solve_regeneration,
     sweep,
     trace_curve,
@@ -63,7 +64,9 @@ class TestFindBrackets:
 
 class TestSolveAlpha1:
     def test_benchmark_row_10_14(self):
-        point = solve_alpha1(BASE, 1.579, 1.47, 1.56, tol=1e-8, levels=10)
+        point = solve_regeneration(
+            replace(BASE, alpha_2=1.579), "alpha_1", 1.47, 1.56, tol=1e-8, levels=10
+        )
         assert point.params.alpha_1 == pytest.approx(1.502, abs=5e-3)
         assert point.params.alpha_2 == 1.579
         assert point.residual <= 1e-8
@@ -72,7 +75,9 @@ class TestSolveAlpha1:
 
     def test_benchmark_row_12_16(self):
         base = CycleParams(1.2, 1.6, 1.5, 1.6, **BATHS)
-        point = solve_alpha1(base, 1.678, 1.55, 1.62, tol=1e-8, levels=10)
+        point = solve_regeneration(
+            replace(base, alpha_2=1.678), "alpha_1", 1.55, 1.62, tol=1e-8, levels=10
+        )
         assert point.params.alpha_1 == pytest.approx(1.565, abs=5e-3)
 
     def test_agrees_with_brentq(self):
@@ -80,12 +85,16 @@ class TestSolveAlpha1:
             CycleParams(1.0, 1.4, a1, 1.579, **BATHS), levels=10
         ).q_r
         expected = brentq(f, 1.47, 1.56, xtol=1e-12)
-        point = solve_alpha1(BASE, 1.579, 1.47, 1.56, tol=1e-10, levels=10)
+        point = solve_regeneration(
+            replace(BASE, alpha_2=1.579), "alpha_1", 1.47, 1.56, tol=1e-10, levels=10
+        )
         assert point.params.alpha_1 == pytest.approx(expected, abs=1e-6)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(NoRootError) as err:
-            solve_alpha1(BASE, 1.579, 1.95, 2.0, levels=10)
+            solve_regeneration(
+                replace(BASE, alpha_2=1.579), "alpha_1", 1.95, 2.0, levels=10
+            )
         assert np.isfinite(err.value.residual_lo)
         assert np.isfinite(err.value.residual_hi)
         assert err.value.residual_lo * err.value.residual_hi > 0
@@ -100,14 +109,18 @@ class TestSolveAlpha1:
 
     def test_efficiency_near_carnot_at_root(self):
         # q_r = 0 pins the efficiency close to (but not exactly at) carnot
-        point = solve_alpha1(BASE, 1.579, 1.47, 1.56, tol=1e-10, levels=10)
+        point = solve_regeneration(
+            replace(BASE, alpha_2=1.579), "alpha_1", 1.47, 1.56, tol=1e-10, levels=10
+        )
         report = evaluate(point.params, levels=10)
         assert abs(report.efficiency - report.carnot) < 1e-3
 
 
 class TestTraceCurve:
     def test_single_node_reduces_to_solve(self):
-        solved = solve_alpha1(BASE, 1.579, 1.47, 1.56, tol=1e-9, levels=10)
+        solved = solve_regeneration(
+            replace(BASE, alpha_2=1.579), "alpha_1", 1.47, 1.56, tol=1e-9, levels=10
+        )
         traced = trace_curve(
             BASE, "alpha_2", "alpha_1", [1.579], (1.47, 1.56), tol=1e-9, levels=10
         )
@@ -159,6 +172,20 @@ class TestTraceCurve:
         )
         assert points[0] is None
         assert points[1] is not None and points[2] is not None
+
+    def test_failing_node_becomes_gap(self):
+        # at L_B = 3e7 the level sum outgrows MAX_LEVELS; only that node is lost
+        base = CycleParams(1.0, 1.4, 1.5, 1.6, **BATHS)
+        points = trace_curve(base, "width_b", "alpha_1", [1.4, 3e7], (1.3, 2.0))
+        assert isinstance(points[0], RegenerationPoint)
+        assert points[1] is None
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"rel_tol": 0.5}, {"levels": 0}, {"scan_points": 1}]
+    )
+    def test_usage_errors_raise_before_any_node(self, kwargs):
+        with pytest.raises(ValueError):
+            trace_curve(BASE, "alpha_2", "alpha_1", [1.6, 1.7], (1.4, 2.0), **kwargs)
 
     def test_rejects_non_monotone_grid(self):
         with pytest.raises(ValueError):
@@ -225,6 +252,13 @@ class TestSweep:
         assert grid.reports[0][0].q_r < 0  # (0.6, 0.9)
         assert grid.reports[1][1].q_r > 0  # (1.0, 1.3)
 
+    @pytest.mark.parametrize("kwargs", [{"rel_tol": 0.5}, {"levels": 0}])
+    def test_usage_errors_raise_before_any_node(self, kwargs):
+        ax = SweepAxis("alpha_1", 1.2, 1.9, 2)
+        ay = SweepAxis("alpha_2", 1.3, 1.8, 2)
+        with pytest.raises(ValueError):
+            sweep(CycleParams(1.0, 1.2, 1.5, 1.5, **BATHS), ax, ay, **kwargs)
+
     def test_rejects_identical_axes(self):
         base = CycleParams(1.0, 1.0, 1.5, 1.5, **BATHS)
         ax = SweepAxis("alpha_1", 1.2, 1.8, 2)
@@ -242,14 +276,3 @@ class TestSweep:
         assert not isinstance(grid.reports[0][0], NodeError)
         assert isinstance(grid.reports[1][0], NodeError)
         assert "unconverged" in grid.reports[1][0].message
-
-    def test_parallel_matches_serial(self):
-        base = CycleParams(1.0, 1.2, 1.5, 1.5, **BATHS)
-        ax = SweepAxis("alpha_1", 1.2, 1.9, 3)
-        ay = SweepAxis("alpha_2", 1.3, 1.8, 3)
-        serial = sweep(base, ax, ay)
-        try:
-            parallel = sweep(base, ax, ay, workers=2)
-        except OSError as exc:  # pragma: no cover
-            pytest.skip(f"process pool unavailable: {exc}")
-        assert serial == parallel

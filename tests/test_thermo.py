@@ -8,8 +8,6 @@ from fracstirling import (
     ThermalState,
     TruncationLimitError,
     WellSpec,
-    entropy,
-    internal_energy,
     summarize,
 )
 
@@ -153,15 +151,18 @@ class TestScaleCollapse:
 class TestMonotonicity:
     def test_energy_increases_with_temperature(self):
         spec = WellSpec(1.0, 2.0, 1.0)
-        values = [internal_energy(ThermalState(spec, t)) for t in (1.0, 2.0, 3.0, 4.0)]
+        values = [
+            summarize(ThermalState(spec, t)).internal_energy
+            for t in (1.0, 2.0, 3.0, 4.0)
+        ]
         assert values == sorted(values)
         assert len(set(values)) == 4
 
     def test_entropy_increases_with_width(self):
         # wider well compresses the spectrum and raises the entropy
-        assert entropy(ThermalState(WellSpec(2.0, 2.0), 4.0)) > entropy(
-            ThermalState(WellSpec(1.0, 2.0), 4.0)
-        )
+        wide = summarize(ThermalState(WellSpec(2.0, 2.0), 4.0)).entropy
+        narrow = summarize(ThermalState(WellSpec(1.0, 2.0), 4.0)).entropy
+        assert wide > narrow
 
 
 class TestTruncation:
@@ -198,6 +199,30 @@ class TestTruncation:
         with pytest.raises(ValueError):
             summarize(UNIT_STATE, levels=0)
 
+    @pytest.mark.parametrize(
+        "well, t",
+        [
+            (WellSpec(1.0, 2.0), 4.0),
+            (WellSpec(1.2, 1.6), 3.0),
+            (WellSpec(1.8, 1.4), 4.0),
+            (WellSpec(0.3, 1.9, 2.0), 1.0),
+            (WellSpec(5.0, 1.1), 4.0),
+            (WellSpec(20.0, 1.05), 60.0),
+        ],
+    )
+    def test_fixed_cut_at_adaptive_cut_is_bitwise_equal(self, well, t):
+        # the cycle's crossing search sums with a fixed level count taken
+        # from an adaptive cut, so both paths must share one formula
+        state = ThermalState(well, t)
+        adaptive = summarize(state, cached=False)
+        fixed = summarize(state, levels=adaptive.n_cut, cached=False)
+        for attr in (
+            "partition_function", "internal_energy", "entropy",
+            "free_energy", "heat_capacity", "tail_bound", "n_cut",
+        ):
+            assert getattr(fixed, attr) == getattr(adaptive, attr), attr
+        assert fixed.occupations.tobytes() == adaptive.occupations.tobytes()
+
 
 class TestQuadraticEquivalence:
     def test_matches_independent_implementation(self):
@@ -209,14 +234,6 @@ class TestQuadraticEquivalence:
             assert s.partition_function == pytest.approx(z0, rel=1e-12)
             assert s.internal_energy == pytest.approx(u0, rel=1e-12)
             assert s.entropy == pytest.approx(s0, rel=1e-12)
-
-
-class TestProjections:
-    def test_match_summary(self):
-        state = ThermalState(WellSpec(1.2, 1.6), 3.0)
-        s = summarize(state, 1e-10)
-        assert internal_energy(state, 1e-10) == s.internal_energy
-        assert entropy(state, 1e-10) == s.entropy
 
 
 class TestThermalStateValidation:
