@@ -34,6 +34,7 @@ from .spectrum import WellSpec, energy_level, energy_levels, scale_coefficient
 from .thermo import (
     DEFAULT_REL_TOL,
     EnsembleSummary,
+    FracStirlingError,
     MAX_LEVELS,
     ThermalState,
     TruncationLimitError,
@@ -48,6 +49,7 @@ __all__ = [
     "DEFAULT_REL_TOL",
     "DegenerateCycleError",
     "EnsembleSummary",
+    "FracStirlingError",
     "MAX_LEVELS",
     "NodeError",
     "NoRootError",

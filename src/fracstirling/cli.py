@@ -2,8 +2,8 @@
 
 All numeric output is CSV with a mandatory header row, '.' decimals and
 17-significant-digit floats, so files round-trip exactly and identical
-invocations are byte-identical.  Exit codes: 0 success, 1 computational
-failure, 2 usage error.
+invocations are byte-identical.  Exit codes: 0 success, 1 a computational
+failure or a value the library rejects, 2 a command line argparse rejects.
 """
 
 from __future__ import annotations
@@ -19,14 +19,8 @@ from .reference import (
     QR_PAIR_TOL,
     QR_QUADRATIC_TOL,
 )
-from .solver import (
-    COMPUTATIONAL_FAILURES,
-    NodeError,
-    SweepAxis,
-    sweep,
-    trace_curve,
-)
-from .thermo import DEFAULT_REL_TOL
+from .solver import NodeError, SweepAxis, sweep, trace_curve
+from .thermo import DEFAULT_REL_TOL, FracStirlingError
 
 _REPORT_COLUMNS = (
     "q_ab", "q_bc", "q_cd", "q_da", "w", "q_r", "q_h", "eta", "eta_carnot",
@@ -252,7 +246,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, parser)
-    except COMPUTATIONAL_FAILURES as exc:
+    except (FracStirlingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

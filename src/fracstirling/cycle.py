@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .spectrum import WellSpec
-from .thermo import DEFAULT_REL_TOL, EnsembleSummary, ThermalState, summarize
+from .spectrum import _INF, WellSpec
+from .thermo import (
+    DEFAULT_REL_TOL, EnsembleSummary, FracStirlingError, ThermalState, summarize,
+)
 
 REGIME_ENGINE = "engine"
 REGIME_NON_ENGINE = "non_engine"
@@ -29,7 +31,7 @@ _CROSSING_T_TOL = 1e-5
 _CROSSING_MAX_STEPS = 100
 
 
-class DegenerateCycleError(RuntimeError):
+class DegenerateCycleError(FracStirlingError):
     """Hot-bath heat is zero while the cycle still produces net work."""
 
 
@@ -51,21 +53,21 @@ class CycleParams:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.t_hot > self.t_cold > 0:
+        if not _INF > self.t_hot > self.t_cold > 0.0:
             raise ValueError(
-                f"need t_hot > t_cold > 0, got t_hot={self.t_hot}, "
+                f"need finite t_hot > t_cold > 0, got t_hot={self.t_hot}, "
                 f"t_cold={self.t_cold}"
             )
-        for name in ("width_a", "width_b"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("width_a", "width_b", "mass"):
+            if not 0.0 < getattr(self, name) < _INF:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}"
+                )
         for name in ("alpha_1", "alpha_2"):
             if not 1.0 < getattr(self, name) <= 2.0:
                 raise ValueError(
                     f"{name} must lie in (1, 2], got {getattr(self, name)}"
                 )
-        if not self.mass > 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
 
 
 @dataclass(frozen=True)

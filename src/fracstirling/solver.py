@@ -13,14 +13,9 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from .cycle import (
-    CycleParams,
-    CycleReport,
-    DegenerateCycleError,
-    evaluate,
-    regenerator_heat,
-)
-from .thermo import DEFAULT_REL_TOL, TruncationLimitError, check_truncation
+from .cycle import CycleParams, CycleReport, evaluate, regenerator_heat
+from .spectrum import _INF
+from .thermo import DEFAULT_REL_TOL, FracStirlingError
 
 SWEEPABLE = ("width_a", "width_b", "alpha_1", "alpha_2")
 
@@ -30,14 +25,14 @@ DEFAULT_SCAN_POINTS = 64
 # Validity domain of each sweepable parameter: alphas live in (1, 2],
 # widths in (0, inf).  Brackets are clipped to these before any evaluation.
 _DOMAIN = {
-    "width_a": (0.0, float("inf")),
-    "width_b": (0.0, float("inf")),
+    "width_a": (0.0, _INF),
+    "width_b": (0.0, _INF),
     "alpha_1": (1.0, 2.0),
     "alpha_2": (1.0, 2.0),
 }
 
 
-class SolverError(RuntimeError):
+class SolverError(FracStirlingError):
     """Root solve failed for a reason other than a missing sign change."""
 
 
@@ -48,13 +43,6 @@ class NoRootError(SolverError):
         super().__init__(message)
         self.residual_lo = residual_lo
         self.residual_hi = residual_hi
-
-
-# What counts as a computational failure: `sweep` records it as a NodeError,
-# `trace_curve` as a gap, and the CLI as exit code 1.
-COMPUTATIONAL_FAILURES = (
-    TruncationLimitError, DegenerateCycleError, SolverError, ValueError,
-)
 
 
 @dataclass(frozen=True)
@@ -77,10 +65,10 @@ class SweepAxis:
         if self.count < 2:
             raise ValueError(f"need at least 2 grid nodes, got {self.count}")
         dlo, dhi = _DOMAIN[self.parameter]
-        if self.lo <= dlo or self.hi > dhi:
+        if self.lo <= dlo or self.hi > dhi or self.hi == _INF:
             raise ValueError(
-                f"range [{self.lo}, {self.hi}] leaves the validity domain "
-                f"({dlo}, {dhi}] of {self.parameter}"
+                f"range [{self.lo}, {self.hi}] must be finite and inside the "
+                f"validity domain ({dlo}, {dhi}] of {self.parameter}"
             )
 
     def values(self) -> list[float]:
@@ -117,7 +105,7 @@ def _eval_node(
 ) -> CycleReport | NodeError:
     try:
         return evaluate(replace(base, **overrides), rel_tol, levels)
-    except COMPUTATIONAL_FAILURES as exc:
+    except FracStirlingError as exc:
         return NodeError(str(exc))
 
 
@@ -130,15 +118,15 @@ def sweep(
 ) -> SweepGrid:
     """Evaluate the cycle on the full axis_x times axis_y grid.
 
-    Nodes are evaluated one after another in a single process.  A node whose
-    evaluation fails computationally is recorded as a NodeError in place
-    rather than aborting the grid; a usage error raises before the first
-    node.  The result is a pure function of the inputs.
+    Nodes are evaluated one after another in a single process.  A node that
+    raises a FracStirlingError is recorded as a NodeError in place rather
+    than aborting the grid; a usage error (ValueError), such as a bad
+    `rel_tol` or `levels`, raises at the first node.  The result is a pure
+    function of the inputs.
     """
     px, py = axis_x.parameter, axis_y.parameter
     if px == py:
         raise ValueError(f"axes must name distinct parameters, both are {px!r}")
-    check_truncation(rel_tol, levels)
     ys = axis_y.values()
     reports = tuple(
         tuple(_eval_node(base, {px: x, py: y}, rel_tol, levels) for y in ys)
@@ -159,7 +147,7 @@ def _clip_bracket(parameter: str, lo: float, hi: float) -> tuple[float, float]:
     hi = min(hi, _DOMAIN[parameter][1])
     if parameter.startswith("alpha"):
         lo = max(lo, 1.0 + 1e-9)
-    if not lo < hi:
+    if not lo <= hi:
         raise ValueError(
             f"bracket [{lo}, {hi}] is empty after clipping to the validity "
             f"domain of {parameter}"
@@ -238,10 +226,11 @@ def solve_regeneration(
 ) -> RegenerationPoint:
     """Solve q_r = 0 for one cycle parameter inside a sign-change bracket.
 
-    The bracket endpoints must give q_r of opposite signs; otherwise a
-    NoRootError carrying both endpoint residuals is raised.  The solver
-    never evaluates outside the bracket clipped to the parameter's validity
-    domain.
+    The bracket endpoints, which may coincide, must give q_r of opposite
+    signs or a root; otherwise a NoRootError carrying both endpoint
+    residuals is raised.  The solver never evaluates outside the bracket
+    clipped to the parameter's validity domain.  Failures raise a
+    FracStirlingError, invalid arguments a ValueError.
     """
     if parameter not in SWEEPABLE:
         raise ValueError(f"cannot solve for {parameter!r}; choose one of {SWEEPABLE}")
@@ -283,9 +272,10 @@ def trace_curve(
     each sign-change interval is a root candidate.  The interval nearest the
     previous root is solved (nearest the bracket midpoint at the first
     node), which keeps the trace on one branch when the locus has several.
-    Nodes without any sign change, and nodes whose scan or solve fails
-    computationally, are reported as None, preserving order.  Arguments are
-    checked before any node is evaluated, so a usage error still raises.
+    Nodes without any sign change, and nodes whose scan or solve raises a
+    FracStirlingError, are reported as None, preserving order.  A usage
+    error (ValueError), such as a bad `rel_tol`, `levels`, `scan_points` or
+    bracket, raises at the first node that meets it.
     """
     if sweep_parameter not in SWEEPABLE or solve_parameter not in SWEEPABLE:
         raise ValueError(f"parameters must be among {SWEEPABLE}")
@@ -296,9 +286,6 @@ def trace_curve(
         diffs = [b - a for a, b in zip(grid, grid[1:])]
         if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ValueError("grid must be strictly monotone")
-    if scan_points < 2:
-        raise ValueError("need at least 2 scan points")
-    check_truncation(rel_tol, levels)
     lo, hi = _clip_bracket(solve_parameter, *bracket)
 
     points: list[RegenerationPoint | None] = []
@@ -320,10 +307,9 @@ def trace_curve(
                     intervals, key=lambda iv: abs(0.5 * (iv[0] + iv[1]) - target)
                 )
                 point = solve_regeneration(
-                    node_base, solve_parameter, blo, max(bhi, blo + 1e-15),
-                    tol, rel_tol, levels,
+                    node_base, solve_parameter, blo, bhi, tol, rel_tol, levels
                 )
-        except COMPUTATIONAL_FAILURES:
+        except FracStirlingError:
             pass  # the node stays a gap
         points.append(point)
         if point is not None:

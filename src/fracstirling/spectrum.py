@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_INF = float("inf")  # bounds the finite floats in one-comparison range checks
+
 
 @dataclass(frozen=True)
 class WellSpec:
@@ -27,12 +29,12 @@ class WellSpec:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.width > 0:
-            raise ValueError(f"well width must be positive, got {self.width}")
+        if not 0.0 < self.width < _INF:
+            raise ValueError(f"width must be positive and finite, got {self.width}")
         if not 1.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
-        if not self.mass > 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        if not 0.0 < self.mass < _INF:
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
 
 
 def scale_coefficient(spec: WellSpec) -> float:

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectrum import WellSpec, energy_levels
+from .spectrum import _INF, WellSpec, energy_levels
 
 DEFAULT_REL_TOL = 1e-12
 
@@ -32,7 +32,14 @@ _FIRST_BLOCK = 64
 _GROWTH = 4
 
 
-class TruncationLimitError(RuntimeError):
+class FracStirlingError(RuntimeError):
+    """A computation failed on valid inputs; invalid ones raise ValueError.
+
+    A sweep records it as a NodeError, a trace as a gap, the CLI as exit 1.
+    """
+
+
+class TruncationLimitError(FracStirlingError):
     """Level sum did not converge within MAX_LEVELS levels."""
 
 
@@ -44,9 +51,9 @@ class ThermalState:
     temperature: float
 
     def __post_init__(self) -> None:
-        if not self.temperature > 0:
+        if not 0.0 < self.temperature < _INF:
             raise ValueError(
-                f"temperature must be positive, got {self.temperature}"
+                f"temperature must be positive and finite, got {self.temperature}"
             )
 
 
@@ -93,14 +100,6 @@ def _find_cut(
     return int(hit[0]) + 1 if hit.size else 0
 
 
-def check_truncation(rel_tol: float, levels: int | None) -> None:
-    """Raise ValueError unless `rel_tol` and `levels` are valid for summarize."""
-    if not 0.0 < rel_tol <= 1e-6:
-        raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol}")
-    if levels is not None and levels < 1:
-        raise ValueError(f"levels must be a positive integer, got {levels}")
-
-
 def summarize(
     state: ThermalState,
     rel_tol: float = DEFAULT_REL_TOL,
@@ -111,12 +110,15 @@ def summarize(
 
     `rel_tol` bounds the relative weight of the neglected tail and must lie
     in (0, 1e-6].  `levels`, when given, bypasses the adaptive rule and uses
-    exactly that many levels; the reported tail_bound then simply records how
-    much spectrum the fixed cut ignores.  Results are deterministic functions
-    of the inputs.  Summaries are memoised unless `cached` is false, which
-    suits states that will not recur.
+    exactly that many levels, at most MAX_LEVELS; the reported tail_bound
+    then simply records how much spectrum the fixed cut ignores.  Results
+    are deterministic functions of the inputs.  Summaries are memoised
+    unless `cached` is false, which suits states that will not recur.
     """
-    check_truncation(rel_tol, levels)
+    if not 0.0 < rel_tol <= 1e-6:
+        raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol}")
+    if levels is not None and not 1 <= levels <= MAX_LEVELS:
+        raise ValueError(f"levels must lie in [1, {MAX_LEVELS}], got {levels}")
     return (_summarize_cached if cached else _summarize)(state, rel_tol, levels)
 
 
@@ -130,7 +132,14 @@ def _summarize(
     # kept weights are a prefix of the block's, computed once.
     size = levels or _FIRST_BLOCK
     while True:
-        energies = energy_levels(state.well, size + 1)
+        try:
+            energies = energy_levels(state.well, size + 1)
+            if not energies[-1] < _INF:  # a product overflowed without raising
+                raise OverflowError
+        except OverflowError:
+            raise FracStirlingError(
+                f"energy levels of {state.well} exceed the float range"
+            ) from None
         excess = beta * (energies - energies[0])
         weights = np.exp(-excess[:-1])
         n_cut = levels or _find_cut(
@@ -165,7 +174,10 @@ def _summarize(
     partition_function = float(np.exp(-beta * e1) * z_shifted)
 
     ratio = float(np.exp(-beta * (energies[n_cut] - energies[n_cut - 1])))
-    tail_bound = float(weights[-1]) * ratio / ((1.0 - ratio) * z_shifted)
+    # a fixed cut at a level spacing far below T leaves an unbounded tail
+    tail_bound = _INF if ratio == 1.0 else (
+        float(weights[-1]) * ratio / ((1.0 - ratio) * z_shifted)
+    )
 
     return EnsembleSummary(
         partition_function=partition_function,

@@ -72,6 +72,11 @@ class TestCycleCommand:
         assert code == 1
         assert "error" in err
 
+    def test_unrepresentable_level_scale_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "cycle", "--la", "1e-200")
+        assert code == 1
+        assert out == "" and "error: energy levels" in err
+
 
 class TestSweepCommand:
     def test_two_by_two(self, capsys):
@@ -118,6 +123,15 @@ class TestSweepCommand:
         assert code == 1
         assert out == "" and "rel_tol" in err
 
+    def test_unrepresentable_node_is_an_error_row(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--x", "la=1e-200:1:3", "--y", "alpha2=1.3:1.6:2"
+        )
+        assert code == 0
+        _, rows = csv_rows(out)
+        # only the (1e-200, 1.6) node fails: its E_1 ~ (pi/2e-200)^1.6 overflows
+        assert [r[11] == "error" for r in rows] == [False, True] + [False] * 4
+
 
 class TestTraceCommand:
     def test_single_node(self, capsys):
@@ -152,6 +166,22 @@ class TestTraceCommand:
         assert code == 0
         _, rows = csv_rows(out)
         assert [r[3] for r in rows] == ["ok", "gap"]
+
+    def test_exact_root_at_scan_point_is_an_ok_row(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "trace", "--la", "1", "--lb", "1", "--sweep", "alpha2=1.9:2:2",
+            "--solve", "alpha1", "--levels", "10",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "2,2,0,ok"
+
+    def test_bracket_outside_the_domain_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "trace", "--solve", "la", "--bracket=-1:2",
+            "--sweep", "lb=1.2:1.4:2", "--a1", "1.5", "--a2", "1.6",
+        )
+        assert code == 1
+        assert out == "" and "error: width_a must be positive" in err
 
     def test_width_solve_requires_bracket(self, capsys):
         with pytest.raises(SystemExit) as exc:

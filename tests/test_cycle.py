@@ -310,6 +310,9 @@ class TestParamsValidation:
             dict(width_a=1.0, width_b=1.5, alpha_1=1.0, alpha_2=1.6, **BATHS),
             dict(width_a=1.0, width_b=1.5, alpha_1=1.5, alpha_2=2.3, **BATHS),
             dict(width_a=1.0, width_b=1.5, alpha_1=1.5, alpha_2=1.6, mass=0.0, **BATHS),
+            dict(width_a=math.inf, width_b=1.5, alpha_1=1.5, alpha_2=1.6, **BATHS),
+            dict(width_a=1.0, width_b=1.5, alpha_1=1.5, alpha_2=1.6, t_hot=math.inf, t_cold=3.0),
+            dict(width_a=1.0, width_b=1.5, alpha_1=1.5, alpha_2=1.6, mass=math.inf, **BATHS),
         ],
     )
     def test_rejects_invalid(self, kwargs):

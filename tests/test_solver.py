@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from fracstirling import (
+    MAX_LEVELS,
     CycleParams,
     NodeError,
     NoRootError,
@@ -181,11 +182,25 @@ class TestTraceCurve:
         assert points[1] is None
 
     @pytest.mark.parametrize(
-        "kwargs", [{"rel_tol": 0.5}, {"levels": 0}, {"scan_points": 1}]
+        "kwargs",
+        [{"rel_tol": 0.5}, {"levels": 0}, {"scan_points": 1}, {"levels": MAX_LEVELS + 1}],
     )
     def test_usage_errors_raise_before_any_node(self, kwargs):
         with pytest.raises(ValueError):
             trace_curve(BASE, "alpha_2", "alpha_1", [1.6, 1.7], (1.4, 2.0), **kwargs)
+
+    def test_exact_root_at_scan_point_is_solved(self):
+        # equal widths and exponents make q_r vanish exactly at the scan's end
+        base = CycleParams(1.0, 1.0, 2.0, 2.0, **BATHS)
+        points = trace_curve(
+            base, "alpha_2", "alpha_1", [1.9, 2.0], (1.000001, 2.0), levels=10
+        )
+        assert points[1] == RegenerationPoint(params=base, residual=0.0)
+
+    def test_bracket_outside_the_domain_raises(self):
+        # a width bracket is not clipped below; its first scan point is invalid
+        with pytest.raises(ValueError, match="width_a must be positive"):
+            trace_curve(BASE, "width_b", "width_a", [1.2, 1.4], (-1.0, 2.0))
 
     def test_rejects_non_monotone_grid(self):
         with pytest.raises(ValueError):
@@ -211,6 +226,7 @@ class TestSweepAxis:
             dict(parameter="alpha_1", lo=0.9, hi=1.8, count=3),
             dict(parameter="alpha_2", lo=1.2, hi=2.1, count=3),
             dict(parameter="width_a", lo=-0.5, hi=1.0, count=3),
+            dict(parameter="width_a", lo=1.0, hi=float("inf"), count=2),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -252,7 +268,9 @@ class TestSweep:
         assert grid.reports[0][0].q_r < 0  # (0.6, 0.9)
         assert grid.reports[1][1].q_r > 0  # (1.0, 1.3)
 
-    @pytest.mark.parametrize("kwargs", [{"rel_tol": 0.5}, {"levels": 0}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"rel_tol": 0.5}, {"levels": 0}, {"levels": MAX_LEVELS + 1}]
+    )
     def test_usage_errors_raise_before_any_node(self, kwargs):
         ax = SweepAxis("alpha_1", 1.2, 1.9, 2)
         ay = SweepAxis("alpha_2", 1.3, 1.8, 2)
@@ -276,3 +294,15 @@ class TestSweep:
         assert not isinstance(grid.reports[0][0], NodeError)
         assert isinstance(grid.reports[1][0], NodeError)
         assert "unconverged" in grid.reports[1][0].message
+
+    def test_unrepresentable_level_scale_is_an_error_node(self):
+        base = CycleParams(1.0, 1.0, 2.0, 2.0, **BATHS)
+        ax = SweepAxis("width_a", 1e-200, 1.0, 3)
+        ay = SweepAxis("alpha_2", 1.3, 1.6, 2)
+        grid = sweep(base, ax, ay)
+        assert "float range" in grid.reports[0][1].message
+        for i, x in enumerate(ax.values()):
+            for j, y in enumerate(ay.values()):
+                if (i, j) != (0, 1):
+                    direct = evaluate(replace(base, width_a=x, alpha_2=y))
+                    assert grid.reports[i][j] == direct

@@ -117,6 +117,8 @@ class TestWellSpecValidation:
             {"width": 1.0, "alpha": 2.0001},
             {"width": 1.0, "alpha": 1.5, "mass": 0.0},
             {"width": 1.0, "alpha": 1.5, "mass": -2.0},
+            {"width": float("inf"), "alpha": 1.5},
+            {"width": 1.0, "alpha": 1.5, "mass": float("inf")},
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -5,6 +5,7 @@ import pytest
 
 from fracstirling import (
     MAX_LEVELS,
+    FracStirlingError,
     ThermalState,
     TruncationLimitError,
     WellSpec,
@@ -199,6 +200,25 @@ class TestTruncation:
         with pytest.raises(ValueError):
             summarize(UNIT_STATE, levels=0)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "well, levels",
+        [
+            (WellSpec(1e-200, 1.6), None),  # (pi/2L)^alpha raises OverflowError
+            (WellSpec(1e-302, 1.02), None),  # E_1 ~ 1e308, E_2 overflows to inf
+            (WellSpec(1.0, 2.0, 1e-320), 10),  # (1/2m)^(alpha/2) is inf
+        ],
+    )
+    def test_unrepresentable_levels_raise(self, well, levels):
+        with pytest.raises(FracStirlingError, match="float range"):
+            summarize(ThermalState(well, 4.0), levels=levels, cached=False)
+
+    def test_fixed_cut_far_below_temperature(self):
+        # level spacings below T/1e17 round the weight ratio to 1
+        s = summarize(ThermalState(WellSpec(1.0, 2.0), 1e19), levels=10)
+        assert s.tail_bound == math.inf
+        assert all(math.isfinite(v) for v in (s.internal_energy, s.entropy))
+
     @pytest.mark.parametrize(
         "well, t",
         [
@@ -237,7 +257,7 @@ class TestQuadraticEquivalence:
 
 
 class TestThermalStateValidation:
-    @pytest.mark.parametrize("t", [0.0, -1.0])
+    @pytest.mark.parametrize("t", [0.0, -1.0, float("inf")])
     def test_rejects_nonpositive_temperature(self, t):
         with pytest.raises(ValueError):
             ThermalState(WellSpec(1.0, 1.5), t)
