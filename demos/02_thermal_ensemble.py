@@ -1,11 +1,12 @@
 """Canonical ensemble of a single particle in the fractional well.
 
-Walks through what `summarize` returns: occupations, internal energy,
-entropy, free energy, and the adaptive truncation diagnostics (how many
-levels the tail bound kept and how tight the bound is).
+Walks through what `summarize` returns: internal energy, entropy, free
+energy, and the adaptive truncation diagnostics (how many levels the tail
+bound kept and how tight the bound is); then the level occupations, which
+`occupations` computes on demand at the same cut.
 """
 
-from fracstirling import ThermalState, WellSpec, summarize
+from fracstirling import ThermalState, WellSpec, occupations, summarize
 
 spec = WellSpec(width=1.0, alpha=2.0, mass=1.0)
 
@@ -22,9 +23,9 @@ print("   the kept level count follows automatically from the tail bound)")
 
 print("\nOccupations at T = 4 for two exponents (width 1):")
 for alpha in (2.0, 1.2):
-    s = summarize(ThermalState(WellSpec(1.0, alpha), 4.0))
-    head = ", ".join(f"{p:.4f}" for p in s.occupations[:6])
-    print(f"  alpha = {alpha}: P_1..P_6 = [{head} ...]  (n_cut = {s.n_cut})")
+    probs = occupations(ThermalState(WellSpec(1.0, alpha), 4.0))
+    head = ", ".join(f"{p:.4f}" for p in probs[:6])
+    print(f"  alpha = {alpha}: P_1..P_6 = [{head} ...]  (n_cut = {probs.size})")
 print("  lower alpha -> denser spectrum -> weight spreads to higher n")
 
 print("\nScale collapse: beta E_n depends only on beta (pi/2L)^a (1/2m)^(a/2) n^a,")

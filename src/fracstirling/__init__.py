@@ -38,6 +38,7 @@ from .thermo import (
     MAX_LEVELS,
     ThermalState,
     TruncationLimitError,
+    occupations,
     summarize,
 )
 
@@ -68,6 +69,7 @@ __all__ = [
     "energy_levels",
     "evaluate",
     "find_brackets",
+    "occupations",
     "regenerator_heat",
     "scale_coefficient",
     "solve_regeneration",

@@ -70,10 +70,10 @@ def _params_from_args(args) -> CycleParams:
 
 
 def _warn_convention(args) -> None:
-    if args.a1 >= args.a2:
+    if args.a1 > args.a2:
         print(
-            f"warning: alpha1={args.a1} >= alpha2={args.a2}; the forward "
-            "cycle convention expects alpha1 < alpha2",
+            f"warning: alpha1={args.a1} > alpha2={args.a2}; the forward "
+            "cycle convention expects alpha1 <= alpha2",
             file=sys.stderr,
         )
 

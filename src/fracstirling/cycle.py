@@ -40,7 +40,7 @@ class CycleParams:
     """Geometry, exponents and bath temperatures of one Stirling cycle.
 
     Corners A and D share `width_a` and `alpha_2`; corners B and C share
-    `width_b` and `alpha_1`.  The forward convention alpha_1 < alpha_2 is
+    `width_b` and `alpha_1`.  The forward convention alpha_1 <= alpha_2 is
     not enforced here; sweeps legitimately cover the whole square.
     """
 
@@ -229,9 +229,8 @@ def _h_at_crossing(ad, bc, lo, hi) -> float:
     (well_ad, n_ad), (well_bc, n_bc) = ad, bc
     t = _stationary_point(lo, hi)
     for _ in range(_CROSSING_MAX_STEPS):
-        # transient states: caching them would only crowd out the corners
-        s_ad = summarize(ThermalState(well_ad, t), levels=n_ad, cached=False)
-        s_bc = summarize(ThermalState(well_bc, t), levels=n_bc, cached=False)
+        s_ad = summarize(ThermalState(well_ad, t), levels=n_ad)
+        s_bc = summarize(ThermalState(well_bc, t), levels=n_bc)
         g = s_ad.heat_capacity - s_bc.heat_capacity
         h = s_ad.internal_energy - s_bc.internal_energy
         if g == 0.0:

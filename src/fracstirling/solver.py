@@ -1,10 +1,10 @@
 """Parameter sweeps and root finding on the perfect-regeneration locus.
 
-The locus q_r = 0 is traced one scalar root at a time.  q_r is smooth but
-its derivative is not available analytically, and it is not monotone in the
-kinetic exponents, so every solve works on a sign-change bracket: a secant
-step is tried first and the step falls back to bisection whenever the secant
-leaves the bracket or fails to shrink it.
+The locus q_r = 0 is traced one scalar root at a time.  q_r is smooth, and as
+E_n scales as L^(-alpha), dU/dL = -(alpha/L)(U - T C) gives its width slope
+exactly from `summarize` fields.  The solver uses no derivative, as q_r is not
+monotone in the kinetic exponents: each solve works on a sign-change bracket,
+trying a secant step first and bisecting when it leaves the bracket or stalls.
 """
 
 from __future__ import annotations

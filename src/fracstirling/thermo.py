@@ -9,7 +9,8 @@ past n is bounded by w_n r_n / (1 - r_n) with r_n the local ratio.
 All sums are accumulated after factoring out e^(-beta E_1); beta E_1 can
 exceed 700 in narrow wells, where the unshifted weights underflow.  In the
 shifted representation S = beta (U - E_1) + ln Z_s, which is nonnegative by
-construction and needs no per-term x ln x guard.
+construction and needs no per-term x ln x guard.  `summarize` returns
+scalars and is memoised; `occupations` recomputes the kept weights on demand.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ DEFAULT_REL_TOL = 1e-12
 MAX_LEVELS = 10**6
 
 _FIRST_BLOCK = 64
-_GROWTH = 4
+_GROWTH = 2
 
 
 class FracStirlingError(RuntimeError):
@@ -59,23 +60,20 @@ class ThermalState:
 
 @dataclass(frozen=True)
 class EnsembleSummary:
-    """Derived equilibrium quantities of one ThermalState.
+    """Derived equilibrium quantities of one ThermalState, all scalars.
 
-    `occupations` holds P_1 .. P_{n_cut}, normalised over the kept levels.
     `tail_bound` is the rigorous upper bound on the neglected partition
     function tail, relative to the kept sum.  `heat_capacity` is
-    dU/dT = beta^2 Var(E) over the kept levels; it defaults to nan for a
-    summary built by hand.
+    dU/dT = beta^2 Var(E) over the kept levels.  See `occupations` for P_n.
     """
 
     partition_function: float
-    occupations: np.ndarray
     internal_energy: float
     entropy: float
     free_energy: float
     n_cut: int
     tail_bound: float
-    heat_capacity: float = float("nan")
+    heat_capacity: float
 
 
 def _find_cut(
@@ -104,36 +102,44 @@ def summarize(
     state: ThermalState,
     rel_tol: float = DEFAULT_REL_TOL,
     levels: int | None = None,
-    cached: bool = True,
 ) -> EnsembleSummary:
-    """Compute partition function, occupations, U, S, F and C for one state.
+    """Compute partition function, U, S, F and C for one state.
 
     `rel_tol` bounds the relative weight of the neglected tail and must lie
     in (0, 1e-6].  `levels`, when given, bypasses the adaptive rule and uses
     exactly that many levels, at most MAX_LEVELS; the reported tail_bound
     then simply records how much spectrum the fixed cut ignores.  Results
-    are deterministic functions of the inputs.  Summaries are memoised
-    unless `cached` is false, which suits states that will not recur.
+    are deterministic functions of the inputs and are memoised.
     """
+    return _summarize(state, rel_tol, levels)
+
+
+def occupations(
+    state: ThermalState,
+    rel_tol: float = DEFAULT_REL_TOL,
+    levels: int | None = None,
+) -> np.ndarray:
+    """P_1 .. P_{n_cut} at the cut `summarize` takes, recomputed on each call."""
+    _, weights = _kept_weights(state, rel_tol, levels)
+    return weights / float(np.sum(weights))
+
+
+def _kept_weights(state: ThermalState, rel_tol: float, levels: int | None):
+    """E_1 .. E_{n_cut+1} (or more) and the n_cut weights e^(-beta (E_n - E_1))."""
     if not 0.0 < rel_tol <= 1e-6:
         raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol}")
     if levels is not None and not 1 <= levels <= MAX_LEVELS:
         raise ValueError(f"levels must lie in [1, {MAX_LEVELS}], got {levels}")
-    return (_summarize_cached if cached else _summarize)(state, rel_tol, levels)
-
-
-def _summarize(
-    state: ThermalState, rel_tol: float, levels: int | None
-) -> EnsembleSummary:
     beta = 1.0 / state.temperature
 
     # A fixed `levels` takes one block of exactly that size; otherwise the
-    # block grows until the adaptive cut falls inside it.  Either way the
-    # kept weights are a prefix of the block's, computed once.
+    # block doubles until the adaptive cut falls inside it, which bounds the
+    # temporaries of a dense state.  The kept weights are the block's prefix.
     size = levels or _FIRST_BLOCK
     while True:
         try:
-            energies = energy_levels(state.well, size + 1)
+            with np.errstate(over="ignore"):  # an inf top level raises below
+                energies = energy_levels(state.well, size + 1)
             if not energies[-1] < _INF:  # a product overflowed without raising
                 raise OverflowError
         except OverflowError:
@@ -146,7 +152,7 @@ def _summarize(
             weights, np.exp(-beta * np.diff(energies)), excess, rel_tol
         )
         if n_cut:
-            break
+            return energies, weights[:n_cut]
         if size >= MAX_LEVELS:
             raise TruncationLimitError(
                 f"partition sum for width={state.well.width}, "
@@ -156,12 +162,19 @@ def _summarize(
             )
         size = min(size * _GROWTH, MAX_LEVELS)
 
+
+@lru_cache(maxsize=65536)
+def _summarize(
+    state: ThermalState, rel_tol: float, levels: int | None
+) -> EnsembleSummary:
+    beta = 1.0 / state.temperature
+    energies, weights = _kept_weights(state, rel_tol, levels)
+    n_cut = weights.size
+
     e1 = energies[0]
     kept = energies[:n_cut]
-    weights = weights[:n_cut]
     z_shifted = float(np.sum(weights))
     occ = weights / z_shifted
-    occ.setflags(write=False)
 
     weighted = occ * (kept - e1)
     excess = float(np.sum(weighted))  # U - E_1, free of cancellation
@@ -181,7 +194,6 @@ def _summarize(
 
     return EnsembleSummary(
         partition_function=partition_function,
-        occupations=occ,
         internal_energy=float(internal_energy),
         entropy=float(entropy),
         free_energy=float(free_energy),
@@ -189,6 +201,3 @@ def _summarize(
         tail_bound=tail_bound,
         heat_capacity=heat_capacity,
     )
-
-
-_summarize_cached = lru_cache(maxsize=65536)(_summarize)

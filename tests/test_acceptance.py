@@ -19,6 +19,7 @@ from fracstirling import (
     ThermalState,
     WellSpec,
     evaluate,
+    occupations,
     summarize,
     sweep,
     trace_curve,
@@ -204,8 +205,8 @@ def test_criterion_6_property_suite():
 
     # occupation normalisation within 10 rel_tol
     for rel_tol in (1e-8, 1e-12):
-        s = summarize(ThermalState(WellSpec(1.3, 1.4), 3.5), rel_tol)
-        total = float(np.sum(s.occupations))
+        p = occupations(ThermalState(WellSpec(1.3, 1.4), 3.5), rel_tol)
+        total = float(np.sum(p))
         if not 1.0 - 10.0 * rel_tol <= total <= 1.0 + 1e-13:
             problems.append(f"normalisation off at rel_tol={rel_tol}: {total}")
 

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fracstirling.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv):
@@ -38,8 +45,13 @@ class TestCycleCommand:
         row = dict(zip(header, rows[0]))
         assert float(row["w"]) == 0.0
         assert float(row["q_r"]) == 0.0
-        # alpha1 >= alpha2 triggers the forward-convention warning
-        assert "alpha1" in err and "warning" in err
+        # equal exponents are the ordinary Stirling cycle: no warning
+        assert err == ""
+
+    def test_reversed_exponents_warn(self, capsys):
+        code, out, err = run_cli(capsys, "cycle", "--a1", "1.6", "--a2", "1.5")
+        assert code == 0 and out
+        assert err.startswith("warning: alpha1=1.6 > alpha2=1.5")
 
     def test_levels_flag(self, capsys):
         code, out, _ = run_cli(
@@ -76,6 +88,17 @@ class TestCycleCommand:
         code, out, err = run_cli(capsys, "cycle", "--la", "1e-200")
         assert code == 1
         assert out == "" and "error: energy levels" in err
+
+    def test_overflowing_levels_print_only_the_error(self):
+        # a subprocess, so numpy's warnings reach stderr as a user sees them
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracstirling.cli", "cycle",
+             "--la", "1e-302", "--a1", "1.01", "--a2", "1.02"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: energy levels"), lines
 
 
 class TestSweepCommand:

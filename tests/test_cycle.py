@@ -12,10 +12,12 @@ from fracstirling import (
     carnot_efficiency,
     corners,
     evaluate,
+    energy_levels,
     regenerator_heat,
     summarize,
 )
 from fracstirling import cycle as cycle_mod
+from fracstirling import thermo as thermo_mod
 
 BATHS = dict(t_hot=4.0, t_cold=3.0)
 
@@ -260,6 +262,21 @@ class TestRegeneratorDeficit:
     def test_regenerator_heat_is_the_report_q_r(self, params, levels):
         assert regenerator_heat(params, levels=levels) == evaluate(params, levels=levels).q_r
 
+    def test_crossing_states_are_memoised(self, monkeypatch):
+        # the crossing search shares the corners' memo, so a repeated
+        # evaluate computes no levels at all
+        params, levels = self.CROSSING[0]
+        first = evaluate(params, levels=levels)
+        calls = []
+
+        def counting_levels(spec, n_max):
+            calls.append(n_max)
+            return energy_levels(spec, n_max)
+
+        monkeypatch.setattr(thermo_mod, "energy_levels", counting_levels)
+        assert evaluate(params, levels=levels) == first
+        assert calls == []
+
 
 class TestDegenerateError:
     def test_zero_hot_heat_with_net_work(self, monkeypatch):
@@ -273,12 +290,12 @@ class TestDegenerateError:
                  (False, True): 0.5, (False, False): 2.0}[(hot, wide)]
             return EnsembleSummary(
                 partition_function=1.0,
-                occupations=np.array([1.0]),
                 internal_energy=u,
                 entropy=s,
                 free_energy=u - state.temperature * s,
                 n_cut=1,
                 tail_bound=0.0,
+                heat_capacity=0.0,
             )
 
         monkeypatch.setattr(cycle_mod, "summarize", fake_summarize)

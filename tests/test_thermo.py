@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from fracstirling import (
     ThermalState,
     TruncationLimitError,
     WellSpec,
+    occupations,
     summarize,
 )
 
@@ -50,12 +53,12 @@ class TestSummarize:
 
     def test_occupations_normalised(self):
         s = summarize(UNIT_STATE)
-        total = float(np.sum(s.occupations))
+        total = float(np.sum(occupations(UNIT_STATE)))
         assert 1.0 - 10.0 * s.tail_bound <= total <= 1.0 + 1e-14
 
     def test_occupations_strictly_decreasing(self):
-        s = summarize(ThermalState(WellSpec(1.5, 1.3), 4.0))
-        assert np.all(np.diff(s.occupations) < 0)
+        p = occupations(ThermalState(WellSpec(1.5, 1.3), 4.0))
+        assert np.all(np.diff(p) < 0)
 
     def test_ground_state_limit(self):
         # at T = 0.1 the first gap is ~37 thermal units; the state is frozen
@@ -79,7 +82,8 @@ class TestSummarize:
     def test_entropy_from_occupations(self):
         # the shifted-representation entropy equals -sum p ln p
         s = summarize(UNIT_STATE)
-        direct = -float(np.sum(s.occupations * np.log(s.occupations)))
+        p = occupations(UNIT_STATE)
+        direct = -float(np.sum(p * np.log(p)))
         assert s.entropy == pytest.approx(direct, rel=1e-12)
 
     def test_deterministic(self):
@@ -105,19 +109,17 @@ class TestSummarize:
         assert c > 0.0
         assert c == pytest.approx((up - down) / (2.0 * dt), rel=1e-6)
 
-    def test_uncached_matches_cached(self):
-        state = ThermalState(WellSpec(0.9, 1.7), 3.3)
-        a = summarize(state, 1e-10)
-        b = summarize(state, 1e-10, cached=False)
-        assert b is not a and b is not summarize(state, 1e-10, cached=False)
-        assert (a.internal_energy, a.entropy, a.heat_capacity, a.n_cut) == (
-            b.internal_energy, b.entropy, b.heat_capacity, b.n_cut
-        )
+    @pytest.mark.parametrize("levels", [None, 10])
+    def test_summary_holds_only_python_scalars(self, levels):
+        # the memo keeps summaries, so no field may hold an array
+        s = summarize(ThermalState(WellSpec(1.2, 1.6), 3.0), levels=levels)
+        assert all(type(v) in (int, float) for v in astuple(s)), astuple(s)
 
-    def test_occupations_read_only(self):
-        s = summarize(UNIT_STATE)
+    def test_occupations_validate_like_summarize(self):
         with pytest.raises(ValueError):
-            s.occupations[0] = 0.0
+            occupations(UNIT_STATE, 1e-5)
+        with pytest.raises(ValueError):
+            occupations(UNIT_STATE, levels=MAX_LEVELS + 1)
 
 
 class TestScaleCollapse:
@@ -130,18 +132,16 @@ class TestScaleCollapse:
             alpha = float(rng.uniform(1.05, 2.0))
             t = float(rng.uniform(0.5, 6.0))
             lam = float(rng.uniform(0.4, 3.0))
-            s1 = summarize(ThermalState(WellSpec(width, alpha), t))
-            s2 = summarize(
-                ThermalState(WellSpec(lam * width, alpha), t * lam**-alpha)
-            )
+            state1 = ThermalState(WellSpec(width, alpha), t)
+            state2 = ThermalState(WellSpec(lam * width, alpha), t * lam**-alpha)
+            s1, s2 = summarize(state1), summarize(state2)
             assert s2.entropy == pytest.approx(s1.entropy, rel=1e-12, abs=1e-12)
             assert s2.internal_energy * lam**alpha == pytest.approx(
                 s1.internal_energy, rel=1e-12
             )
-            n = min(s1.occupations.size, s2.occupations.size)
-            np.testing.assert_allclose(
-                s1.occupations[:n], s2.occupations[:n], rtol=1e-12
-            )
+            p1, p2 = occupations(state1), occupations(state2)
+            n = min(p1.size, p2.size)
+            np.testing.assert_allclose(p1[:n], p2[:n], rtol=1e-12)
 
     def test_explicit_pair(self):
         s1 = summarize(ThermalState(WellSpec(1.0, 1.5), 4.0))
@@ -179,9 +179,10 @@ class TestTruncation:
 
     def test_levels_override(self):
         s = summarize(UNIT_STATE, levels=10)
+        p = occupations(UNIT_STATE, levels=10)
         assert s.n_cut == 10
-        assert s.occupations.size == 10
-        assert float(np.sum(s.occupations)) == pytest.approx(1.0, abs=1e-14)
+        assert p.size == 10
+        assert float(np.sum(p)) == pytest.approx(1.0, abs=1e-14)
 
     def test_resource_error(self):
         # a kilometre-wide well at this temperature needs > 1e6 levels
@@ -200,7 +201,6 @@ class TestTruncation:
         with pytest.raises(ValueError):
             summarize(UNIT_STATE, levels=0)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize(
         "well, levels",
         [
@@ -210,8 +210,11 @@ class TestTruncation:
         ],
     )
     def test_unrepresentable_levels_raise(self, well, levels):
-        with pytest.raises(FracStirlingError, match="float range"):
-            summarize(ThermalState(well, 4.0), levels=levels, cached=False)
+        # the error alone reports the overflow: numpy warns about nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FracStirlingError, match="float range"):
+                summarize(ThermalState(well, 4.0), levels=levels)
 
     def test_fixed_cut_far_below_temperature(self):
         # level spacings below T/1e17 round the weight ratio to 1
@@ -234,14 +237,17 @@ class TestTruncation:
         # the cycle's crossing search sums with a fixed level count taken
         # from an adaptive cut, so both paths must share one formula
         state = ThermalState(well, t)
-        adaptive = summarize(state, cached=False)
-        fixed = summarize(state, levels=adaptive.n_cut, cached=False)
+        adaptive = summarize(state)
+        fixed = summarize(state, levels=adaptive.n_cut)
         for attr in (
             "partition_function", "internal_energy", "entropy",
             "free_energy", "heat_capacity", "tail_bound", "n_cut",
         ):
             assert getattr(fixed, attr) == getattr(adaptive, attr), attr
-        assert fixed.occupations.tobytes() == adaptive.occupations.tobytes()
+        assert (
+            occupations(state, levels=adaptive.n_cut).tobytes()
+            == occupations(state).tobytes()
+        )
 
 
 class TestQuadraticEquivalence:
