@@ -19,7 +19,7 @@ from .reference import (
     QR_PAIR_TOL,
     QR_QUADRATIC_TOL,
 )
-from .solver import NodeError, SweepAxis, sweep, trace_curve
+from .solver import DEFAULT_QR_TOL, NodeError, SweepAxis, sweep, trace_curve
 from .thermo import DEFAULT_REL_TOL, FracStirlingError
 
 _REPORT_COLUMNS = (
@@ -202,12 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, include_alphas=True):
+    def add_common(p):
         p.add_argument("--la", type=float, default=1.0, help="width at corners A and D")
         p.add_argument("--lb", type=float, default=1.0, help="width at corners B and C")
-        if include_alphas:
-            p.add_argument("--a1", type=float, default=2.0, help="kinetic exponent at B and C")
-            p.add_argument("--a2", type=float, default=2.0, help="kinetic exponent at A and D")
+        p.add_argument("--a1", type=float, default=2.0, help="kinetic exponent at B and C")
+        p.add_argument("--a2", type=float, default=2.0, help="kinetic exponent at A and D")
         p.add_argument("--th", type=float, default=4.0, help="hot bath temperature")
         p.add_argument("--tc", type=float, default=3.0, help="cold bath temperature")
         p.add_argument("--m", type=float, default=1.0, help="particle mass")
@@ -228,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--sweep", required=True, help="swept parameter as name=lo:hi:count")
     p_trace.add_argument("--solve", required=True, help="parameter solved at each node")
     p_trace.add_argument("--bracket", default=None, help="solve bracket as lo:hi")
-    p_trace.add_argument("--tol", type=float, default=1e-8, help="|q_r| tolerance at the root")
+    p_trace.add_argument("--tol", type=float, default=DEFAULT_QR_TOL, help="|q_r| tolerance at the root")
 
     sub.add_parser("table1", help="run the bundled regeneration benchmark")
 

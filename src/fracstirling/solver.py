@@ -22,6 +22,9 @@ SWEEPABLE = ("width_a", "width_b", "alpha_1", "alpha_2")
 DEFAULT_QR_TOL = 1e-8
 DEFAULT_SCAN_POINTS = 64
 
+# Cap on the nodes of one axis and of one sweep grid, which bounds its memory
+MAX_NODES = 10**6
+
 # Validity domain of each sweepable parameter: alphas live in (1, 2],
 # widths in (0, inf).  Brackets are clipped to these before any evaluation.
 _DOMAIN = {
@@ -62,8 +65,8 @@ class SweepAxis:
             )
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.count < 2:
-            raise ValueError(f"need at least 2 grid nodes, got {self.count}")
+        if not 2 <= self.count <= MAX_NODES:
+            raise ValueError(f"need 2 to {MAX_NODES} grid nodes, got {self.count}")
         dlo, dhi = _DOMAIN[self.parameter]
         if self.lo <= dlo or self.hi > dhi or self.hi == _INF:
             raise ValueError(
@@ -121,12 +124,14 @@ def sweep(
     Nodes are evaluated one after another in a single process.  A node that
     raises a FracStirlingError is recorded as a NodeError in place rather
     than aborting the grid; a usage error (ValueError), such as a bad
-    `rel_tol` or `levels`, raises at the first node.  The result is a pure
-    function of the inputs.
+    `rel_tol`, `levels` or more than MAX_NODES nodes, raises by the first
+    node.  The result is a pure function of the inputs.
     """
     px, py = axis_x.parameter, axis_y.parameter
     if px == py:
         raise ValueError(f"axes must name distinct parameters, both are {px!r}")
+    if axis_x.count * axis_y.count > MAX_NODES:
+        raise ValueError(f"a {axis_x.count} x {axis_y.count} grid exceeds {MAX_NODES} nodes")
     ys = axis_y.values()
     reports = tuple(
         tuple(_eval_node(base, {px: x, py: y}, rel_tol, levels) for y in ys)

@@ -1,10 +1,8 @@
 """Canonical-ensemble quantities of a particle in a fractional well.
 
-The level sum is truncated adaptively: weights are accumulated in increasing
-n until a rigorous geometric bound on the neglected tail drops below the
-requested relative tolerance.  Because E_n grows like n^alpha with alpha > 1
-the weight ratios e^(-beta(E_{n+1}-E_n)) decrease with n, so the remainder
-past n is bounded by w_n r_n / (1 - r_n) with r_n the local ratio.
+Each level sum is cut at a level count computed in closed form from alpha,
+beta E_1 and the relative tolerance before any level is computed (see
+`_cut`), so a state computes one block of levels and searches for nothing.
 
 All sums are accumulated after factoring out e^(-beta E_1); beta E_1 can
 exceed 700 in narrow wells, where the unshifted weights underflow.  In the
@@ -15,22 +13,20 @@ scalars and is memoised; `occupations` recomputes the kept weights on demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .spectrum import _INF, WellSpec, energy_levels
+from .spectrum import _INF, WellSpec, energy_level, energy_levels
 
 DEFAULT_REL_TOL = 1e-12
 
-# Hard cap on the truncation index.  Exceeding it means the spectrum is so
-# dense relative to T that the single-particle picture is being pushed far
-# outside its intended regime; fail loudly instead of summing forever.
+# Hard cap on the truncation index.  A cut beyond it means the spectrum is
+# so dense relative to T that the single-particle picture is pushed far
+# outside its intended regime; fail before any level is computed.
 MAX_LEVELS = 10**6
-
-_FIRST_BLOCK = 64
-_GROWTH = 2
 
 
 class FracStirlingError(RuntimeError):
@@ -41,7 +37,7 @@ class FracStirlingError(RuntimeError):
 
 
 class TruncationLimitError(FracStirlingError):
-    """Level sum did not converge within MAX_LEVELS levels."""
+    """The level sum needs more than MAX_LEVELS levels; no level is computed."""
 
 
 @dataclass(frozen=True)
@@ -76,28 +72,6 @@ class EnsembleSummary:
     heat_capacity: float
 
 
-def _find_cut(
-    weights: np.ndarray, ratios: np.ndarray, excess: np.ndarray, rel_tol: float
-) -> int:
-    """First cut n (1-based) with both partial sums converged to rel_tol.
-
-    Ratios r_n = w_{n+1}/w_n decrease with n (E_n is convex in n), so the
-    weight tail past n is below w_n r_n/(1-r_n).  The energy-weighted tail
-    additionally uses x_{n+j} <= x_{n+1} j^2 for the excess-energy factors
-    x_n = beta(E_n - E_1), valid for alpha <= 2, giving the bound
-    w_n x_{n+1} r(1+r)/(1-r)^3.  Returns 0 when no cut qualifies.
-    """
-    z_part = np.cumsum(weights)
-    x_part = np.cumsum(weights * excess[:-1])
-    tail_z = weights * ratios / (1.0 - ratios)
-    tail_x = weights * excess[1:] * ratios * (1.0 + ratios) / (1.0 - ratios) ** 3
-    ok = (tail_z <= rel_tol * z_part) & (
-        tail_x <= rel_tol * np.maximum(x_part, z_part)
-    )
-    hit = np.nonzero(ok)[0]
-    return int(hit[0]) + 1 if hit.size else 0
-
-
 def summarize(
     state: ThermalState,
     rel_tol: float = DEFAULT_REL_TOL,
@@ -124,43 +98,62 @@ def occupations(
     return weights / float(np.sum(weights))
 
 
+def _cut(state: ThermalState, rel_tol: float) -> int:
+    """A level count N whose neglected tails are certified below rel_tol.
+
+    With x = beta E_1 the weights are w_n = e^(-u_n), u_n = x(n^alpha - 1).
+    Write y = x(N^alpha - 1) and D = x alpha N^(alpha-1), the slope du/dn at
+    N.  Past N the weights decrease, and so do the terms u_n w_n once y >= 1;
+    as du/dn >= D there, the integral test bounds both tails, sum w_n and
+    sum u_n w_n, by e^(-y)(1 + y)/D.  The kept sums are at least w_1 = 1, so
+    both tails are below rel_tol once e^(-y)(1 + y) <= rel_tol D.  Take
+    N_L = (1 + ln(1/rel_tol)/x)^(1/alpha), D_L = x alpha N_L^(alpha-1),
+    L = -ln(rel_tol min(1, D_L)) and y = L + ln(1 + 2L).  Then
+    e^(-y)(1 + y) <= e^(-L), as ln(1 + 2L) <= L for L >= ln(1e6), and
+    N = (1 + y/x)^(1/alpha) >= N_L, so D >= D_L.  N is rounded up; where y/x
+    is near the float resolution it may round to 1, and the first neglected
+    weight, e^(-x(2^alpha - 1)), then underflows to 0.
+
+    Raises TruncationLimitError, before any level is computed, when x
+    underflows to 0 or N is not finite or exceeds MAX_LEVELS.
+    """
+    alpha = state.well.alpha
+    x = energy_level(state.well, 1) / state.temperature
+    if x > 0.0:
+        n_l = (1.0 + math.log(1.0 / rel_tol) / x) ** (1.0 / alpha)
+        big_l = -math.log(rel_tol * min(1.0, x * alpha * n_l ** (alpha - 1.0)))
+        n_real = (1.0 + (big_l + math.log1p(2.0 * big_l)) / x) ** (1.0 / alpha)
+        if n_real <= MAX_LEVELS:  # before ceil, which fails on inf
+            return math.ceil(n_real)
+    raise TruncationLimitError(
+        f"partition sum for width={state.well.width}, "
+        f"alpha={state.well.alpha}, mass={state.well.mass}, "
+        f"T={state.temperature} still unconverged at "
+        f"{MAX_LEVELS} levels (rel_tol={rel_tol})"
+    )
+
+
 def _kept_weights(state: ThermalState, rel_tol: float, levels: int | None):
-    """E_1 .. E_{n_cut+1} (or more) and the n_cut weights e^(-beta (E_n - E_1))."""
+    """E_1 .. E_{n_cut+1} and the n_cut weights e^(-beta (E_n - E_1))."""
     if not 0.0 < rel_tol <= 1e-6:
         raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol}")
     if levels is not None and not 1 <= levels <= MAX_LEVELS:
         raise ValueError(f"levels must lie in [1, {MAX_LEVELS}], got {levels}")
     beta = 1.0 / state.temperature
-
-    # A fixed `levels` takes one block of exactly that size; otherwise the
-    # block doubles until the adaptive cut falls inside it, which bounds the
-    # temporaries of a dense state.  The kept weights are the block's prefix.
-    size = levels or _FIRST_BLOCK
-    while True:
-        try:
-            with np.errstate(over="ignore"):  # an inf top level raises below
-                energies = energy_levels(state.well, size + 1)
+    # one block of n_cut + 1 levels: the extra level feeds the tail bound
+    try:
+        n_cut = levels or _cut(state, rel_tol)
+        # an inf top level raises below; an inf beta (E_n - E_1) weighs 0
+        with np.errstate(over="ignore"):
+            energies = energy_levels(state.well, n_cut + 1)
             if not energies[-1] < _INF:  # a product overflowed without raising
                 raise OverflowError
-        except OverflowError:
-            raise FracStirlingError(
-                f"energy levels of {state.well} exceed the float range"
-            ) from None
-        excess = beta * (energies - energies[0])
-        weights = np.exp(-excess[:-1])
-        n_cut = levels or _find_cut(
-            weights, np.exp(-beta * np.diff(energies)), excess, rel_tol
-        )
-        if n_cut:
-            return energies, weights[:n_cut]
-        if size >= MAX_LEVELS:
-            raise TruncationLimitError(
-                f"partition sum for width={state.well.width}, "
-                f"alpha={state.well.alpha}, mass={state.well.mass}, "
-                f"T={state.temperature} still unconverged at "
-                f"{MAX_LEVELS} levels (rel_tol={rel_tol})"
-            )
-        size = min(size * _GROWTH, MAX_LEVELS)
+            weights = np.exp(-beta * (energies[:-1] - energies[0]))
+    except OverflowError:
+        raise FracStirlingError(
+            f"energy levels of {state.well} exceed the float range"
+        ) from None
+    return energies, weights
 
 
 @lru_cache(maxsize=65536)
@@ -171,7 +164,8 @@ def _summarize(
     energies, weights = _kept_weights(state, rel_tol, levels)
     n_cut = weights.size
 
-    e1 = energies[0]
+    # Python floats, so that beta E_1 and beta dE overflow without a warning
+    e1 = float(energies[0])
     kept = energies[:n_cut]
     z_shifted = float(np.sum(weights))
     occ = weights / z_shifted
@@ -186,7 +180,7 @@ def _summarize(
     free_energy = e1 - state.temperature * np.log(z_shifted)
     partition_function = float(np.exp(-beta * e1) * z_shifted)
 
-    ratio = float(np.exp(-beta * (energies[n_cut] - energies[n_cut - 1])))
+    ratio = float(np.exp(-beta * float(energies[n_cut] - energies[n_cut - 1])))
     # a fixed cut at a level spacing far below T leaves an unbounded tail
     tail_bound = _INF if ratio == 1.0 else (
         float(weights[-1]) * ratio / ((1.0 - ratio) * z_shifted)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from fracstirling.cli import main
+from fracstirling.solver import MAX_NODES
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -89,16 +90,31 @@ class TestCycleCommand:
         assert code == 1
         assert out == "" and "error: energy levels" in err
 
-    def test_overflowing_levels_print_only_the_error(self):
+    @pytest.mark.parametrize(
+        "argv, code, error",
+        [
+            (("--la", "1e-302", "--a1", "1.01", "--a2", "1.02"), 1, "error: energy levels"),
+            # T < 1 with levels near the float maximum: one row, no warning
+            (("--la", "1e-303", "--lb", "1e-303", "--a1", "1.01", "--a2", "1.011",
+              "--th", "0.2", "--tc", "0.1"), 0, None),
+            # E_1 underflows to 0: the cut is infinite and no level is computed
+            (("--la", "1e200", "--lb", "1e200"), 1, "error: partition sum"),
+        ],
+        ids=["overflow", "below-unit-temperature", "underflow"],
+    )
+    def test_overflowing_levels_print_only_the_error(self, argv, code, error):
         # a subprocess, so numpy's warnings reach stderr as a user sees them
         proc = subprocess.run(
-            [sys.executable, "-m", "fracstirling.cli", "cycle",
-             "--la", "1e-302", "--a1", "1.01", "--a2", "1.02"],
+            [sys.executable, "-m", "fracstirling.cli", "cycle", *argv],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
         )
-        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.returncode == code
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: energy levels"), lines
+        if error is None:
+            assert lines == [] and len(csv_rows(proc.stdout)[1]) == 1
+        else:
+            assert proc.stdout == ""
+            assert len(lines) == 1 and lines[0].startswith(error), lines
 
 
 class TestSweepCommand:
@@ -137,6 +153,18 @@ class TestSweepCommand:
         assert main(args) == 0
         assert target.read_bytes() == first
         assert first.decode().startswith("x,y,")
+
+    def test_axis_over_max_nodes_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--x", f"alpha1=1.2:1.8:{MAX_NODES + 1}", "--y", "alpha2=1.3:1.9:2"])
+        assert exc.value.code == 2
+
+    def test_grid_over_max_nodes_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--x", "alpha1=1.2:1.8:1001", "--y", "alpha2=1.3:1.9:1001",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: a 1001 x 1001 grid exceeds")
 
     def test_bad_tolerance_exits_1(self, capsys):
         code, out, err = run_cli(

@@ -14,10 +14,11 @@ from fracstirling import (
     evaluate,
     find_brackets,
     solve_regeneration,
+    solver,
     sweep,
     trace_curve,
 )
-from fracstirling.solver import _root_hybrid
+from fracstirling.solver import MAX_NODES, _root_hybrid
 
 BATHS = dict(t_hot=4.0, t_cold=3.0)
 BASE = CycleParams(1.0, 1.4, 1.5, 1.579, **BATHS)
@@ -227,6 +228,7 @@ class TestSweepAxis:
             dict(parameter="alpha_2", lo=1.2, hi=2.1, count=3),
             dict(parameter="width_a", lo=-0.5, hi=1.0, count=3),
             dict(parameter="width_a", lo=1.0, hi=float("inf"), count=2),
+            dict(parameter="alpha_1", lo=1.2, hi=1.8, count=MAX_NODES + 1),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -276,6 +278,17 @@ class TestSweep:
         ay = SweepAxis("alpha_2", 1.3, 1.8, 2)
         with pytest.raises(ValueError):
             sweep(CycleParams(1.0, 1.2, 1.5, 1.5, **BATHS), ax, ay, **kwargs)
+
+    def test_grid_over_max_nodes_raises_before_any_node(self, monkeypatch):
+        # two 1001-node axes pass alone but not together
+        evaluated = []
+        monkeypatch.setattr(solver, "evaluate", lambda *args: evaluated.append(args))
+        monkeypatch.setattr(SweepAxis, "values", lambda self: pytest.fail("values()"))
+        ax = SweepAxis("alpha_1", 1.2, 1.8, 1001)
+        ay = SweepAxis("alpha_2", 1.3, 1.9, 1001)
+        with pytest.raises(ValueError, match=f"exceeds {MAX_NODES} nodes"):
+            sweep(CycleParams(1.0, 1.0, 1.5, 1.5, **BATHS), ax, ay)
+        assert evaluated == []
 
     def test_rejects_identical_axes(self):
         base = CycleParams(1.0, 1.0, 1.5, 1.5, **BATHS)

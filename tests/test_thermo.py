@@ -13,7 +13,9 @@ from fracstirling import (
     WellSpec,
     occupations,
     summarize,
+    thermo,
 )
+from fracstirling.spectrum import energy_levels
 
 # Frozen oracle for (L=1, alpha=2, m=1, T=4), mpmath at 50 digits over 200
 # levels: Z, U, S of the canonical ensemble.
@@ -191,6 +193,68 @@ class TestTruncation:
             summarize(state)
         assert "1e+07" in str(err.value) or "10000000" in str(err.value)
         assert str(MAX_LEVELS) in str(err.value)
+
+    def test_neglected_tail_is_below_rel_tol(self):
+        # sum each neglected tail directly, over 20 n_cut levels past the cut,
+        # with its own level formula; chunks keep the arrays small
+        rng = np.random.default_rng(20231)
+        checked = 0
+        while checked < 200:
+            alpha = rng.uniform(1.0 + 1e-6, 2.0)
+            x, t = 10.0 ** rng.uniform(-6.0, 3.0), 10.0 ** rng.uniform(-0.5, 1.5)
+            rel_tol = 10.0 ** rng.uniform(-15.0, -6.0)
+            # the width whose ground level (1/2)^(alpha/2) (pi/2L)^alpha is x T
+            width = math.pi / (2.0 * (x * t / 0.5 ** (0.5 * alpha)) ** (1.0 / alpha))
+            state = ThermalState(WellSpec(width, alpha), t)
+            try:
+                n_cut = summarize(state, rel_tol).n_cut
+            except TruncationLimitError:
+                continue  # the cut lies beyond MAX_LEVELS
+            x = 0.5 ** (0.5 * alpha) * (math.pi / (2.0 * width)) ** alpha / t
+            sums = []
+            for lo, hi in ((1, n_cut + 1), (n_cut + 1, 21 * n_cut + 1)):
+                z = z_excess = 0.0
+                for start in range(lo, hi, 10**6):
+                    n = np.arange(start, min(start + 10**6, hi), dtype=float)
+                    u = x * (n**alpha - 1.0)
+                    w = np.exp(-u)
+                    z += float(np.sum(w))
+                    z_excess += float(np.dot(u, w))
+                sums.append((z, z_excess))
+            (z_kept, x_kept), (z_tail, x_tail) = sums
+            assert z_tail <= rel_tol * z_kept, (state, rel_tol)
+            assert x_tail <= rel_tol * max(x_kept, z_kept), (state, rel_tol)
+            checked += 1
+
+    def test_one_block_per_miss(self, monkeypatch):
+        calls = []
+
+        def counting_levels(spec, n_max):
+            calls.append(n_max)
+            return energy_levels(spec, n_max)
+
+        monkeypatch.setattr(thermo, "energy_levels", counting_levels)
+        thermo._summarize.cache_clear()
+        for state in (UNIT_STATE, ThermalState(WellSpec(300.0, 1.3), 4.0)):
+            calls.clear()
+            n_cut = summarize(state).n_cut
+            assert calls == [n_cut + 1]
+        calls.clear()
+        assert summarize(UNIT_STATE, levels=10).n_cut == 10
+        assert calls == [11]
+        calls.clear()
+        with pytest.raises(TruncationLimitError):
+            summarize(ThermalState(WellSpec(1e7, 1.05), 4.0))
+        assert calls == []
+
+    @pytest.mark.parametrize("t", [0.1, 0.01])
+    def test_levels_near_the_float_maximum_warn_nothing(self, t):
+        # beta (E_n - E_1) overflows when T < 1: the weight is 0, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = summarize(ThermalState(WellSpec(1e-304, 1.011), t))
+        assert s.partition_function == 0.0 and s.n_cut == 1
+        assert math.isfinite(s.internal_energy) and s.tail_bound == 0.0
 
     @pytest.mark.parametrize("rel_tol", [0.0, -1e-9, 1e-5, 0.5])
     def test_rejects_out_of_range_tolerance(self, rel_tol):
