@@ -9,7 +9,7 @@ reports per-row residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cycle import CycleParams
 
@@ -35,15 +35,7 @@ class BenchRow:
     alpha_2: float
 
     def quadratic_params(self) -> CycleParams:
-        return CycleParams(
-            width_a=self.width_a,
-            width_b=self.width_b,
-            alpha_1=2.0,
-            alpha_2=2.0,
-            t_hot=BENCH_T_HOT,
-            t_cold=BENCH_T_COLD,
-            mass=BENCH_MASS,
-        )
+        return replace(self.pair_params(), alpha_1=2.0, alpha_2=2.0)
 
     def pair_params(self) -> CycleParams:
         return CycleParams(

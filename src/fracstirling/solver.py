@@ -3,8 +3,8 @@
 The locus q_r = 0 is traced one scalar root at a time.  q_r is smooth, and as
 E_n scales as L^(-alpha), dU/dL = -(alpha/L)(U - T C) gives its width slope
 exactly from `summarize` fields.  The solver uses no derivative, as q_r is not
-monotone in the kinetic exponents: each solve works on a sign-change bracket,
-trying a secant step first and bisecting when it leaves the bracket or stalls.
+monotone in the kinetic exponents: each solve works on a sign-change bracket
+by the Illinois method, a false position that halves a stalled end's value.
 """
 
 from __future__ import annotations
@@ -178,46 +178,36 @@ def find_brackets(f, lo: float, hi: float, points: int = DEFAULT_SCAN_POINTS):
     return out
 
 
-def _root_hybrid(f, lo, hi, f_lo, f_hi, tol, max_iter=200):
-    # Bracketed secant with bisection fallback.  The candidate must land
-    # strictly inside the current bracket and the bracket must keep
-    # shrinking; otherwise the step degrades to the midpoint, so the width
-    # halves at least on every fallback and convergence is guaranteed.
+def _illinois(f, lo, hi, f_lo, f_hi, tol, max_iter=200):
+    # Illinois method (Dowell & Jarratt, BIT 11, 1971): false position that halves
+    # the stored value of an end surviving two steps in a row, so neither stalls.
     a, b, fa, fb = lo, hi, f_lo, f_hi
     if abs(fa) <= tol:
         return a, abs(fa)
     if abs(fb) <= tol:
         return b, abs(fb)
-    use_secant = True
+    kept = 0  # +1 after a step that kept a, -1 after one that kept b
     for _ in range(max_iter):
-        width = b - a
-        x = None
-        if use_secant and fb != fa:
-            cand = b - fb * (b - a) / (fb - fa)
-            if a + 0.01 * width < cand < b - 0.01 * width:
-                x = cand
-        if x is None:
-            x = a + 0.5 * width
+        x = max(a, b - fb * (b - a) / (fb - fa))  # x <= b holds by itself
         fx = f(x)
         if not math.isfinite(fx):
             raise SolverError(f"q_r evaluated to a non-finite value at {x}")
         if abs(fx) <= tol:
             return x, abs(fx)
         if fa * fx < 0:
-            b, fb = x, fx
+            b, fb, fa, kept = x, fx, 0.5 * fa if kept > 0 else fa, 1
         else:
-            a, fa = x, fx
-        # alternate in a secant step only while the bracket keeps shrinking
-        use_secant = (b - a) < 0.75 * width or not use_secant
+            a, fa, fb, kept = x, fx, 0.5 * fb if kept < 0 else fb, -1
         if b - a <= 1e-15 * max(1.0, abs(a)):
-            # bracket exhausted at float resolution; best endpoint wins
-            x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-            if abs(fx) <= tol:
-                return x, abs(fx)
             raise SolverError(
                 f"bracket collapsed at {x} with residual {fx} above tol={tol}"
             )
     raise SolverError(f"no convergence within {max_iter} iterations")
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < _INF:
+        raise ValueError(f"tol must lie in [0, inf), got {tol}")
 
 
 def solve_regeneration(
@@ -235,10 +225,11 @@ def solve_regeneration(
     signs or a root; otherwise a NoRootError carrying both endpoint
     residuals is raised.  The solver never evaluates outside the bracket
     clipped to the parameter's validity domain.  Failures raise a
-    FracStirlingError, invalid arguments a ValueError.
+    FracStirlingError, invalid arguments (a `tol` outside [0, inf)) a ValueError.
     """
     if parameter not in SWEEPABLE:
         raise ValueError(f"cannot solve for {parameter!r}; choose one of {SWEEPABLE}")
+    _check_tol(tol)
     lo, hi = _clip_bracket(parameter, bracket_lo, bracket_hi)
 
     def f(x: float) -> float:
@@ -254,7 +245,7 @@ def solve_regeneration(
             residual_lo=f_lo,
             residual_hi=f_hi,
         )
-    root, residual = _root_hybrid(f, lo, hi, f_lo, f_hi, tol)
+    root, residual = _illinois(f, lo, hi, f_lo, f_hi, tol)
     return RegenerationPoint(
         params=replace(base, **{parameter: root}), residual=residual
     )
@@ -279,8 +270,8 @@ def trace_curve(
     node), which keeps the trace on one branch when the locus has several.
     Nodes without any sign change, and nodes whose scan or solve raises a
     FracStirlingError, are reported as None, preserving order.  A usage
-    error (ValueError), such as a bad `rel_tol`, `levels`, `scan_points` or
-    bracket, raises at the first node that meets it.
+    error (ValueError), such as a bad `tol`, `rel_tol`, `levels`,
+    `scan_points` or bracket, raises at the first node that meets it.
     """
     if sweep_parameter not in SWEEPABLE or solve_parameter not in SWEEPABLE:
         raise ValueError(f"parameters must be among {SWEEPABLE}")
@@ -291,6 +282,7 @@ def trace_curve(
         diffs = [b - a for a, b in zip(grid, grid[1:])]
         if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ValueError("grid must be strictly monotone")
+    _check_tol(tol)
     lo, hi = _clip_bracket(solve_parameter, *bracket)
 
     points: list[RegenerationPoint | None] = []

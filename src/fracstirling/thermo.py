@@ -170,11 +170,13 @@ def _summarize(
     z_shifted = float(np.sum(weights))
     occ = weights / z_shifted
 
-    weighted = occ * (kept - e1)
+    delta = kept - e1
+    weighted = occ * delta
     excess = float(np.sum(weighted))  # U - E_1, free of cancellation
-    # Var(E) from moments about E_1, where the mean square exceeds the
-    # variance by at most a small factor, so the difference stays accurate
-    heat_capacity = beta * beta * (float(np.dot(weighted, kept - e1)) - excess * excess)
+    # beta^2 Var(E) from moments about E_1: their mean square exceeds Var(E) by a
+    # small factor only; scaling `weighted` by beta first keeps the dot finite
+    weighted *= beta
+    heat_capacity = beta * float(np.dot(weighted, delta)) - (beta * excess) ** 2
     internal_energy = e1 + excess
     entropy = beta * excess + np.log(z_shifted)
     free_energy = e1 - state.temperature * np.log(z_shifted)

@@ -99,8 +99,11 @@ class TestCycleCommand:
               "--th", "0.2", "--tc", "0.1"), 0, None),
             # E_1 underflows to 0: the cut is infinite and no level is computed
             (("--la", "1e200", "--lb", "1e200"), 1, "error: partition sum"),
+            # level spacings near 1e200: (E_n - E_1)^2 would overflow in C
+            (("--la", "1e-100", "--lb", "2e-100", "--th", "1e200", "--tc", "5e199"),
+             0, None),
         ],
-        ids=["overflow", "below-unit-temperature", "underflow"],
+        ids=["overflow", "below-unit-temperature", "underflow", "heat-capacity"],
     )
     def test_overflowing_levels_print_only_the_error(self, argv, code, error):
         # a subprocess, so numpy's warnings reach stderr as a user sees them
@@ -225,6 +228,15 @@ class TestTraceCommand:
         )
         assert code == 0
         assert out.splitlines()[-1] == "2,2,0,ok"
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_invalid_root_tolerance_exits_1(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "trace", "--la", "1", "--lb", "1.4", "--sweep",
+            "alpha2=1.579:1.6:2", "--solve", "alpha1", "--levels", "10", f"--tol={tol}",
+        )
+        assert code == 1
+        assert out == "" and err.startswith("error: tol ")
 
     def test_bracket_outside_the_domain_exits_1(self, capsys):
         code, out, err = run_cli(

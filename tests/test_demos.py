@@ -14,5 +14,10 @@ def test_demo_runs(script, tmp_path, monkeypatch, capsys):
     # demos that write a file take its path as the first argument
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", [str(script), str(tmp_path / "out.csv")])
-    runpy.run_path(str(script), run_name="__main__")
+    if script.stem == "04_regeneration_locus":
+        # the demo ends on a trace below the locus fold, which warns by design
+        with pytest.warns(UserWarning, match="no regeneration root"):
+            runpy.run_path(str(script), run_name="__main__")
+    else:
+        runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out

@@ -1,3 +1,5 @@
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +20,8 @@ from fracstirling import (
     sweep,
     trace_curve,
 )
-from fracstirling.solver import MAX_NODES, _root_hybrid
+from fracstirling.reference import BENCH_ROWS
+from fracstirling.solver import DEFAULT_REL_TOL, MAX_NODES, SolverError, _illinois
 
 BATHS = dict(t_hot=4.0, t_cold=3.0)
 BASE = CycleParams(1.0, 1.4, 1.5, 1.579, **BATHS)
@@ -27,13 +30,13 @@ BASE = CycleParams(1.0, 1.4, 1.5, 1.579, **BATHS)
 class TestRootHybrid:
     def test_agrees_with_brentq(self):
         f = lambda x: x**3 + x**2 - 3.0 * x - 3.0
-        root, residual = _root_hybrid(f, 1.0, 2.0, f(1.0), f(2.0), 1e-12)
+        root, residual = _illinois(f, 1.0, 2.0, f(1.0), f(2.0), 1e-12)
         assert root == pytest.approx(brentq(f, 1.0, 2.0, xtol=1e-14), abs=1e-9)
         assert residual <= 1e-12
 
     def test_transcendental(self):
         f = lambda x: 3.0 * x + np.sin(x) - np.exp(x)
-        root, _ = _root_hybrid(f, 0.0, 1.0, f(0.0), f(1.0), 1e-13)
+        root, _ = _illinois(f, 0.0, 1.0, f(0.0), f(1.0), 1e-13)
         assert root == pytest.approx(0.3604217029603244, abs=1e-8)
 
     def test_never_leaves_bracket(self):
@@ -43,13 +46,26 @@ class TestRootHybrid:
             seen.append(x)
             return np.tanh(10.0 * (x - 0.123456))
 
-        _root_hybrid(f, -1.0, 1.0, f(-1.0), f(1.0), 1e-12)
+        _illinois(f, -1.0, 1.0, f(-1.0), f(1.0), 1e-12)
         assert min(seen) >= -1.0 and max(seen) <= 1.0
 
     def test_endpoint_root(self):
         f = lambda x: x - 1.0
-        root, residual = _root_hybrid(f, 1.0, 2.0, 0.0, 1.0, 1e-10)
+        root, residual = _illinois(f, 1.0, 2.0, 0.0, 1.0, 1e-10)
         assert root == 1.0 and residual == 0.0
+
+    def test_step_that_rounds_below_a_tiny_end_stays_in_bracket(self):
+        # at a = 1e-20, b = 1 the step b - fb (b - a) / (fb - fa) rounds to 0;
+        # the bracket then collapses at the absolute 1e-15 floor
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x - 2e-20
+
+        with pytest.raises(SolverError):
+            _illinois(f, 1e-20, 1.0, f(1e-20), f(1.0), 1e-30)
+        assert min(seen) >= 1e-20
 
 
 class TestFindBrackets:
@@ -116,6 +132,35 @@ class TestSolveAlpha1:
         )
         report = evaluate(point.params, levels=10)
         assert abs(report.efficiency - report.carnot) < 1e-3
+
+    def test_at_most_ten_evaluations_per_solve(self, monkeypatch):
+        # Table-1 pairs and points above them on the locus, ten-level and
+        # adaptive; a solve's two endpoint evaluations count
+        heat = solver.regenerator_heat
+        count = 0
+
+        def counting(*args):
+            nonlocal count
+            count += 1
+            return heat(*args)
+
+        monkeypatch.setattr(solver, "regenerator_heat", counting)
+        calls = []
+        for row, offset, levels in itertools.product(
+            BENCH_ROWS, (0.0, 0.02, 0.05, 0.08), (10, None)
+        ):
+            base = replace(row.pair_params(), alpha_2=row.alpha_2 + offset)
+            scan = lambda x: heat(replace(base, alpha_1=x), DEFAULT_REL_TOL, levels)
+            intervals = find_brackets(scan, 1.000001, 2.0)
+            if intervals:
+                lo, hi = min(
+                    intervals, key=lambda iv: abs(0.5 * (iv[0] + iv[1]) - row.alpha_1)
+                )
+                count = 0
+                solve_regeneration(base, "alpha_1", lo, hi, levels=levels)
+                calls.append(count)
+        assert len(calls) >= 75
+        assert max(calls) <= 10, calls
 
 
 class TestTraceCurve:
@@ -184,7 +229,14 @@ class TestTraceCurve:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"rel_tol": 0.5}, {"levels": 0}, {"scan_points": 1}, {"levels": MAX_LEVELS + 1}],
+        [
+            {"rel_tol": 0.5},
+            {"levels": 0},
+            {"scan_points": 1},
+            {"levels": MAX_LEVELS + 1},
+            {"tol": -1.0},
+            {"tol": math.nan},
+        ],
     )
     def test_usage_errors_raise_before_any_node(self, kwargs):
         with pytest.raises(ValueError):

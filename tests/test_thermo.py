@@ -150,6 +150,13 @@ class TestScaleCollapse:
         s2 = summarize(ThermalState(WellSpec(2.0, 1.5), 4.0 * 2.0**-1.5))
         assert s2.entropy == pytest.approx(s1.entropy, rel=1e-12)
 
+    def test_heat_capacity_at_level_spacings_past_1e154(self):
+        # E_n ~ 1e200 at T = 1e200 is the unit well at T = 1 rescaled; C is
+        # scale free, and squaring E_n - E_1 would overflow
+        far = summarize(ThermalState(WellSpec(1e-100, 2.0), 1e200))
+        unit = summarize(ThermalState(WellSpec(1.0, 2.0), 1.0))
+        assert abs(far.heat_capacity - unit.heat_capacity) <= 1e-12
+
 
 class TestMonotonicity:
     def test_energy_increases_with_temperature(self):
