@@ -32,20 +32,28 @@ _CYCLE_COLUMNS = ("la", "lb", "alpha1", "alpha2", "th", "tc", "m") + _REPORT_COL
 _AXIS_FLAGS = {"la": "width_a", "lb": "width_b", "alpha1": "alpha_1", "alpha2": "alpha_2"}
 
 
+def _row_format(columns) -> str:
+    """One %-format for a CSV row: "%.17g" per float column, "%s" for the regime."""
+    return ",".join("%s" if c == "regime" else "%.17g" for c in columns)
+
+
+_CYCLE_ROW = _row_format(_CYCLE_COLUMNS)
+# a sweep row holds x, y, the report and an empty error field
+_SWEEP_ROW = _row_format(("x", "y") + _REPORT_COLUMNS) + ","
+_ERROR_FIELDS = ",".join(["nan"] * 9 + ["error"] + ["nan"] * 8)
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _report_fields(report: CycleReport) -> list[str]:
-    sa, sb, sc, sd = report.corner_entropies
-    ua, ub, uc, ud = report.corner_energies
-    vals = (
+def _report_values(report: CycleReport) -> tuple:
+    """The report in _REPORT_COLUMNS order."""
+    return (
         report.q_ab, report.q_bc, report.q_cd, report.q_da, report.work,
-        report.q_r, report.q_h, report.efficiency, report.carnot,
+        report.q_r, report.q_h, report.efficiency, report.carnot, report.regime,
+        *report.corner_entropies, *report.corner_energies,
     )
-    return [_fmt(v) for v in vals] + [report.regime] + [
-        _fmt(v) for v in (sa, sb, sc, sd, ua, ub, uc, ud)
-    ]
 
 
 def _write(lines: list[str], out_path: str | None) -> None:
@@ -104,8 +112,8 @@ def cmd_cycle(args, parser) -> int:
     _warn_convention(args)
     params = _params_from_args(args)
     report = evaluate(params, args.rtol, args.levels)
-    row = [_fmt(v) for v in astuple(params)] + _report_fields(report)[:10]
-    _write([",".join(_CYCLE_COLUMNS), ",".join(row)], args.out)
+    row = _CYCLE_ROW % (*astuple(params), *_report_values(report)[:10])
+    _write([",".join(_CYCLE_COLUMNS), row], args.out)
     return 0
 
 
@@ -120,15 +128,12 @@ def cmd_sweep(args, parser) -> int:
         for j, y in enumerate(ys):
             node = grid.reports[i][j]
             if isinstance(node, NodeError):
-                fields = ["nan"] * 9 + ["error"] + ["nan"] * 8
                 lines.append(
-                    ",".join([_fmt(x), _fmt(y)] + fields)
-                    + "," + node.message.replace(",", ";")
+                    f"{_fmt(x)},{_fmt(y)},{_ERROR_FIELDS},"
+                    + node.message.replace(",", ";")
                 )
             else:
-                lines.append(
-                    ",".join([_fmt(x), _fmt(y)] + _report_fields(node)) + ","
-                )
+                lines.append(_SWEEP_ROW % (x, y, *_report_values(node)))
     _write(lines, args.out)
     return 0
 

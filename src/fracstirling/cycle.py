@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .spectrum import _INF, WellSpec
-from .thermo import (
-    DEFAULT_REL_TOL, EnsembleSummary, FracStirlingError, ThermalState, summarize,
-)
+from .thermo import DEFAULT_REL_TOL, FracStirlingError, ThermalState, summarize
 
 REGIME_ENGINE = "engine"
 REGIME_NON_ENGINE = "non_engine"
@@ -150,18 +150,12 @@ def evaluate(
     unseen.
     """
     a, b, c, d = corners(params)
-    sa: EnsembleSummary = summarize(a, rel_tol, levels)
-    sb = summarize(b, rel_tol, levels)
-    sc = summarize(c, rel_tol, levels)
-    sd = summarize(d, rel_tol, levels)
-
-    q_ab = params.t_hot * (sb.entropy - sa.entropy)
-    q_bc = sc.internal_energy - sb.internal_energy
-    q_cd = params.t_cold * (sd.entropy - sc.entropy)
-    q_da = sa.internal_energy - sd.internal_energy
-
-    work = q_ab + q_bc + q_cd + q_da
-    q_r = q_bc + q_da
+    sa, sb, sc, sd = (summarize(s, rel_tol, levels) for s in (a, b, c, d))
+    energies = tuple(s.internal_energy for s in (sa, sb, sc, sd))
+    entropies = tuple(s.entropy for s in (sa, sb, sc, sd))
+    q_ab, q_bc, q_cd, q_da, work, q_r, q_h = _stage_heats(
+        params.t_hot, params.t_cold, energies, entropies
+    )
     gap_cold = sd.heat_capacity - sc.heat_capacity
     gap_hot = sa.heat_capacity - sb.heat_capacity
     if gap_cold * gap_hot < 0.0:
@@ -173,7 +167,7 @@ def evaluate(
         )
         q_h = q_ab + max(h_star - h_cold, 0.0) + max(h_hot - h_star, 0.0)
     else:
-        q_h = q_ab + q_r if q_r > 0 else q_ab  # Heaviside gate with H(0) = 0
+        q_h = float(q_h)  # q_ab + max(q_r, 0)
 
     if abs(q_h) < _QH_ZERO:
         # distinguish a genuinely workless cycle from a pathological one;
@@ -202,14 +196,30 @@ def evaluate(
         efficiency=effic,
         carnot=carnot_efficiency(params),
         regime=REGIME_ENGINE if work > 0 else REGIME_NON_ENGINE,
-        corner_entropies=(sa.entropy, sb.entropy, sc.entropy, sd.entropy),
-        corner_energies=(
-            sa.internal_energy,
-            sb.internal_energy,
-            sc.internal_energy,
-            sd.internal_energy,
-        ),
+        corner_entropies=entropies,
+        corner_energies=energies,
     )
+
+
+def _stage_heats(t_hot, t_cold, energies, entropies):
+    """q_ab, q_bc, q_cd, q_da, work, q_r and q_h from the corner states.
+
+    `energies` and `entropies` hold U and S at corners A, B, C, D.  q_h is
+    q_ab + max(q_r, 0), the hot-bath heat wherever the isochore heat
+    capacities do not cross.  Floats or arrays of nodes alike, in one
+    operation order, so a sweep and `evaluate` agree bit for bit; q_h is
+    an array either way.
+    """
+    ua, ub, uc, ud = energies
+    sa, sb, sc, sd = entropies
+    q_ab = t_hot * (sb - sa)
+    q_bc = uc - ub
+    q_cd = t_cold * (sd - sc)
+    q_da = ua - ud
+    work = q_ab + q_bc + q_cd + q_da
+    q_r = q_bc + q_da
+    q_h = np.where(q_r > 0, q_ab + q_r, q_ab)  # Heaviside gate with H(0) = 0
+    return q_ab, q_bc, q_cd, q_da, work, q_r, q_h
 
 
 def _h_at_crossing(ad, bc, lo, hi) -> float:

@@ -13,9 +13,14 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from .cycle import CycleParams, CycleReport, evaluate, regenerator_heat
+import numpy as np
+
+from .cycle import (
+    _QH_ZERO, REGIME_ENGINE, REGIME_NON_ENGINE, CycleParams, CycleReport,
+    _stage_heats, carnot_efficiency, evaluate, regenerator_heat,
+)
 from .spectrum import _INF
-from .thermo import DEFAULT_REL_TOL, FracStirlingError
+from .thermo import DEFAULT_REL_TOL, FracStirlingError, summarize_many
 
 SWEEPABLE = ("width_a", "width_b", "alpha_1", "alpha_2")
 
@@ -121,23 +126,99 @@ def sweep(
 ) -> SweepGrid:
     """Evaluate the cycle on the full axis_x times axis_y grid.
 
-    Nodes are evaluated one after another in a single process.  A node that
-    raises a FracStirlingError is recorded as a NodeError in place rather
-    than aborting the grid; a usage error (ValueError), such as a bad
-    `rel_tol`, `levels` or more than MAX_NODES nodes, raises by the first
-    node.  The result is a pure function of the inputs.
+    The distinct corner states of all nodes are summed in one batched
+    `summarize_many` call, and the stage heats of every node follow as
+    arrays, so a report equals `evaluate` at its node bit for bit.  A node
+    with a failing corner, with crossing isochore heat capacities or with
+    |q_h| below _QH_ZERO is passed to `evaluate` itself.  A node that raises
+    a FracStirlingError is recorded as a NodeError in place rather than
+    aborting the grid; a usage error (ValueError), such as a bad `rel_tol`,
+    `levels` or more than MAX_NODES nodes, raises before any node.  The
+    result is a pure function of the inputs.
     """
     px, py = axis_x.parameter, axis_y.parameter
     if px == py:
         raise ValueError(f"axes must name distinct parameters, both are {px!r}")
     if axis_x.count * axis_y.count > MAX_NODES:
         raise ValueError(f"a {axis_x.count} x {axis_y.count} grid exceeds {MAX_NODES} nodes")
-    ys = axis_y.values()
-    reports = tuple(
-        tuple(_eval_node(base, {px: x, py: y}, rel_tol, levels) for y in ys)
-        for x in axis_x.values()
-    )
+    xs, ys = axis_x.values(), axis_y.values()
+    states, corner_ids = _corner_states(base, px, xs, py, ys)
+    table = summarize_many(*states, rel_tol, levels)
+    # each distinct state's floats are shared by its nodes, as the memo shares them
+    energy, entropy = table["internal_energy"].tolist(), table["entropy"].tolist()
+    carnot = carnot_efficiency(base)
+
+    def report_row(i: int, x: float) -> tuple[CycleReport | NodeError, ...]:
+        ids = corner_ids[:, i * len(ys):(i + 1) * len(ys)]
+        *heats, fallback = _node_heats(base, table, ids)
+        columns = zip(
+            ys, *(v.tolist() for v in heats), fallback.tolist(), zip(*ids.tolist())
+        )
+        return tuple(
+            _eval_node(base, {px: x, py: y}, rel_tol, levels) if failed else CycleReport(
+                q_ab=qab, q_bc=qbc, q_cd=qcd, q_da=qda, work=w, q_r=qr, q_h=qh,
+                efficiency=eta, carnot=carnot,
+                regime=REGIME_ENGINE if w > 0 else REGIME_NON_ENGINE,
+                corner_entropies=(entropy[a], entropy[b], entropy[c], entropy[d]),
+                corner_energies=(energy[a], energy[b], energy[c], energy[d]),
+            )
+            for y, qab, qbc, qcd, qda, w, qr, qh, eta, failed, (a, b, c, d) in columns
+        )
+
+    # row by row: whole-grid node arrays left a 100 x 100 sweep's peak
+    # resident memory about a tenth higher
+    reports = tuple(report_row(i, x) for i, x in enumerate(xs))
     return SweepGrid(axis_x=axis_x, axis_y=axis_y, base=base, reports=reports)
+
+
+def _corner_states(base: CycleParams, px: str, xs, py: str, ys):
+    """The distinct corner states of all grid nodes, and which each corner is.
+
+    Corners A and D share the well (width_a, alpha_2), and B and C the well
+    (width_b, alpha_1); A and B sit at t_hot, C and D at t_cold.  Returns the
+    width, alpha, mass and T arrays of every distinct well at both
+    temperatures, and a (4, nodes) array of indices into them for corners
+    A, B, C, D, with the nodes in row-major order.
+    """
+    nodes = len(xs) * len(ys)
+    node = {p: np.full(nodes, getattr(base, p)) for p in SWEEPABLE}
+    node[px] = np.repeat(xs, len(ys))
+    node[py] = np.tile(ys, len(xs))
+    wells = np.empty((2, nodes, 2))
+    wells[0, :, 0], wells[0, :, 1] = node["width_a"], node["alpha_2"]
+    wells[1, :, 0], wells[1, :, 1] = node["width_b"], node["alpha_1"]
+    wells = wells.reshape(2 * nodes, 2)
+    # one 16-byte key per well: the values are positive and finite, so equal
+    # bytes mean equal wells; np.unique(axis=0) sorts several times slower
+    _, first, inverse = np.unique(
+        wells.view(np.dtype((np.void, 16))).ravel(), return_index=True, return_inverse=True
+    )
+    count = first.size
+    width, alpha = np.tile(wells[first].T, 2)
+    temperature = np.repeat([base.t_hot, base.t_cold], count)
+    ad, bc = inverse.reshape(2, nodes)
+    states = (width, alpha, np.full(2 * count, base.mass), temperature)
+    return states, np.stack((ad, bc, count + bc, count + ad))
+
+
+def _node_heats(base: CycleParams, table, corner_ids):
+    """The report arrays of every node, and where `evaluate` must take over.
+
+    Returns q_ab, q_bc, q_cd, q_da, work, q_r, q_h and the efficiency, in
+    `evaluate`'s operation order, and a mask of the nodes with a failing
+    corner, crossing isochore heat capacities or |q_h| below _QH_ZERO.
+    """
+    energies, entropies, capacities = (
+        table[name][corner_ids] for name in ("internal_energy", "entropy", "heat_capacity")
+    )
+    q_ab, q_bc, q_cd, q_da, work, q_r, q_h = _stage_heats(
+        base.t_hot, base.t_cold, energies, entropies
+    )
+    crossing = (capacities[3] - capacities[2]) * (capacities[0] - capacities[1]) < 0.0
+    failing = (table["n_cut"][corner_ids] == 0).any(axis=0)
+    fallback = failing | crossing | (abs(q_h) < _QH_ZERO)
+    efficiency = np.divide(work, q_h, out=np.zeros_like(q_h), where=~fallback)
+    return q_ab, q_bc, q_cd, q_da, work, q_r, q_h, efficiency, fallback
 
 
 @dataclass(frozen=True)
@@ -198,7 +279,7 @@ def _illinois(f, lo, hi, f_lo, f_hi, tol, max_iter=200):
             b, fb, fa, kept = x, fx, 0.5 * fa if kept > 0 else fa, 1
         else:
             a, fa, fb, kept = x, fx, 0.5 * fb if kept < 0 else fb, -1
-        if b - a <= 1e-15 * max(1.0, abs(a)):
+        if b - a <= 1e-15 * max(abs(a), abs(b)):
             raise SolverError(
                 f"bracket collapsed at {x} with residual {fx} above tol={tol}"
             )

@@ -42,6 +42,15 @@ def scale_coefficient(spec: WellSpec) -> float:
     return (0.5 / spec.mass) ** (0.5 * spec.alpha)
 
 
+def level_scale(width: float, alpha: float, mass: float) -> float:
+    """E_1 = (1/(2m))^(alpha/2) (pi/(2L))^alpha, the factor of n^alpha in E_n.
+
+    Computed in Python floats: a power past the float range raises
+    OverflowError, while a product past it is inf.
+    """
+    return (0.5 / mass) ** (0.5 * alpha) * (np.pi / (2.0 * width)) ** alpha
+
+
 def energy_level(spec: WellSpec, n: int) -> float:
     """Return the n-th eigenvalue, E_n = (1/(2m))^(a/2) (pi/(2L))^a n^a.
 
@@ -50,8 +59,7 @@ def energy_level(spec: WellSpec, n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"level index must be a positive integer, got {n}")
-    k = np.pi / (2.0 * spec.width)
-    return scale_coefficient(spec) * k**spec.alpha * float(n) ** spec.alpha
+    return level_scale(spec.width, spec.alpha, spec.mass) * float(n) ** spec.alpha
 
 
 def energy_levels(spec: WellSpec, n_max: int) -> np.ndarray:
@@ -59,5 +67,4 @@ def energy_levels(spec: WellSpec, n_max: int) -> np.ndarray:
     if n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
     n = np.arange(1, n_max + 1, dtype=float)
-    k = np.pi / (2.0 * spec.width)
-    return scale_coefficient(spec) * k**spec.alpha * n**spec.alpha
+    return level_scale(spec.width, spec.alpha, spec.mass) * n**spec.alpha

@@ -4,6 +4,13 @@ Each level sum is cut at a level count computed in closed form from alpha,
 beta E_1 and the relative tolerance before any level is computed (see
 `_cut`), so a state computes one block of levels and searches for nothing.
 
+There is one ensemble kernel: `_row_sums` sums a 2-D block of levels, one
+state per row, and `_summary_fields` turns the row sums into U, S, F, Z, C
+and the tail bound.  `summarize_many` groups any number of states by their
+cut and sums each group in capped blocks; the memoised scalar `summarize`
+runs the same kernel on a one-row block.  Every reduction runs along a row,
+so both give the same bits.
+
 All sums are accumulated after factoring out e^(-beta E_1); beta E_1 can
 exceed 700 in narrow wells, where the unshifted weights underflow.  In the
 shifted representation S = beta (U - E_1) + ln Z_s, which is nonnegative by
@@ -19,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectrum import _INF, WellSpec, energy_level, energy_levels
+from .spectrum import _INF, WellSpec, energy_level, energy_levels, level_scale
 
 DEFAULT_REL_TOL = 1e-12
 
@@ -27,6 +34,10 @@ DEFAULT_REL_TOL = 1e-12
 # so dense relative to T that the single-particle picture is pushed far
 # outside its intended regime; fail before any level is computed.
 MAX_LEVELS = 10**6
+
+# Cap on the level entries of one kernel block: a group of states that share a
+# cut is summed in blocks of at most this many entries, or of one row.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class FracStirlingError(RuntimeError):
@@ -94,11 +105,87 @@ def occupations(
     levels: int | None = None,
 ) -> np.ndarray:
     """P_1 .. P_{n_cut} at the cut `summarize` takes, recomputed on each call."""
-    _, weights = _kept_weights(state, rel_tol, levels)
-    return weights / float(np.sum(weights))
+    with np.errstate(over="ignore"):
+        energies = _levels(state, rel_tol, levels)
+        _, weights, _ = _weights(energies[None, :], 1.0 / state.temperature)
+    return weights[0] / float(np.sum(weights))
 
 
-def _cut(state: ThermalState, rel_tol: float) -> int:
+def summarize_many(
+    width,
+    alpha,
+    mass,
+    temperature,
+    rel_tol: float = DEFAULT_REL_TOL,
+    levels: int | None = None,
+) -> dict[str, np.ndarray]:
+    """Every EnsembleSummary field of many states, as arrays keyed by field name.
+
+    State i is ThermalState(WellSpec(width[i], alpha[i], mass[i]),
+    temperature[i]); the four arguments are equal-length 1-D sequences.
+    Each field equals bit for bit the one `summarize` gives for that state.
+    Where `summarize` raises a FracStirlingError, n_cut is 0 and the other
+    fields are nan.  The states are grouped by their cut, and each group is
+    summed in blocks of at most _BLOCK_ENTRIES levels (or one row), so the
+    memory held is bounded for any number of states.  Nothing is memoised.
+    """
+    _check_cut_args(rel_tol, levels)
+    width, alpha, mass, temperature = (
+        np.asarray(v, dtype=float) for v in (width, alpha, mass, temperature)
+    )
+    if width.ndim != 1 or len({v.shape for v in (width, alpha, mass, temperature)}) > 1:
+        raise ValueError("need four 1-D sequences of equal length")
+    if not (
+        np.all((0.0 < width) & (width < _INF)) and np.all((1.0 < alpha) & (alpha <= 2.0))
+        and np.all((0.0 < mass) & (mass < _INF))
+        and np.all((0.0 < temperature) & (temperature < _INF))
+    ):
+        raise ValueError(
+            "need finite positive widths, masses and temperatures and alphas in (1, 2]"
+        )
+    count = temperature.size
+    scale = np.empty(count)
+    n_cut = np.zeros(count, dtype=np.int64)
+    # E_1 and the cut in Python floats, exactly as `_levels` forms them
+    states = zip(width.tolist(), alpha.tolist(), mass.tolist(), temperature.tolist())
+    for i, (w, a, m, t) in enumerate(states):
+        try:
+            scale[i] = e1 = level_scale(w, a, m)
+        except OverflowError:
+            continue
+        n_cut[i] = levels or _cut(a, e1 / t, rel_tol)
+
+    # per state: E_1, E_{N+1} - E_N, the last kept weight and the three sums
+    sums = np.full((6, count), np.nan)
+    order = np.argsort(n_cut, kind="stable")
+    cuts, starts = np.unique(n_cut[order], return_index=True)
+    ends = [*starts[1:].tolist(), count]
+    with np.errstate(over="ignore", divide="ignore"):
+        for n, lo, hi in zip(cuts.tolist(), starts.tolist(), ends):
+            if n == 0:
+                continue
+            ladder = np.arange(1, n + 2, dtype=float)
+            rows = max(1, _BLOCK_ENTRIES // (n + 1))
+            for start in range(lo, hi, rows):
+                idx = order[start:min(start + rows, hi)]
+                energies = np.power(ladder, alpha[idx, None])
+                energies *= scale[idx, None]
+                finite = energies[:, -1] < _INF
+                if not finite.all():
+                    n_cut[idx[~finite]] = 0
+                    idx, energies = idx[finite], energies[finite]
+                sums[:, idx] = _row_sums(energies, 1.0 / temperature[idx, None])
+        return {"n_cut": n_cut, **_summary_fields(*sums, temperature)}
+
+
+def _check_cut_args(rel_tol: float, levels: int | None) -> None:
+    if not 0.0 < rel_tol <= 1e-6:
+        raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol}")
+    if levels is not None and not 1 <= levels <= MAX_LEVELS:
+        raise ValueError(f"levels must lie in [1, {MAX_LEVELS}], got {levels}")
+
+
+def _cut(alpha: float, x: float, rel_tol: float) -> int:
     """A level count N whose neglected tails are certified below rel_tol.
 
     With x = beta E_1 the weights are w_n = e^(-u_n), u_n = x(n^alpha - 1).
@@ -114,86 +201,117 @@ def _cut(state: ThermalState, rel_tol: float) -> int:
     is near the float resolution it may round to 1, and the first neglected
     weight, e^(-x(2^alpha - 1)), then underflows to 0.
 
-    Raises TruncationLimitError, before any level is computed, when x
-    underflows to 0 or N is not finite or exceeds MAX_LEVELS.
+    Returns 0 when x underflows to 0 or N is not finite or exceeds
+    MAX_LEVELS: no cut exists, and no level may be computed.
     """
-    alpha = state.well.alpha
-    x = energy_level(state.well, 1) / state.temperature
     if x > 0.0:
         n_l = (1.0 + math.log(1.0 / rel_tol) / x) ** (1.0 / alpha)
         big_l = -math.log(rel_tol * min(1.0, x * alpha * n_l ** (alpha - 1.0)))
         n_real = (1.0 + (big_l + math.log1p(2.0 * big_l)) / x) ** (1.0 / alpha)
         if n_real <= MAX_LEVELS:  # before ceil, which fails on inf
             return math.ceil(n_real)
-    raise TruncationLimitError(
-        f"partition sum for width={state.well.width}, "
-        f"alpha={state.well.alpha}, mass={state.well.mass}, "
-        f"T={state.temperature} still unconverged at "
-        f"{MAX_LEVELS} levels (rel_tol={rel_tol})"
-    )
+    return 0
 
 
-def _kept_weights(state: ThermalState, rel_tol: float, levels: int | None):
-    """E_1 .. E_{n_cut+1} and the n_cut weights e^(-beta (E_n - E_1))."""
-    if not 0.0 < rel_tol <= 1e-6:
-        raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol}")
-    if levels is not None and not 1 <= levels <= MAX_LEVELS:
-        raise ValueError(f"levels must lie in [1, {MAX_LEVELS}], got {levels}")
-    beta = 1.0 / state.temperature
-    # one block of n_cut + 1 levels: the extra level feeds the tail bound
+def _levels(state: ThermalState, rel_tol: float, levels: int | None) -> np.ndarray:
+    """E_1 .. E_{n_cut+1} of one state; the extra level feeds the tail bound.
+
+    Call under np.errstate(over="ignore"): a product past the float range is
+    inf, and an inf top level raises here.
+    """
+    _check_cut_args(rel_tol, levels)
     try:
-        n_cut = levels or _cut(state, rel_tol)
-        # an inf top level raises below; an inf beta (E_n - E_1) weighs 0
-        with np.errstate(over="ignore"):
-            energies = energy_levels(state.well, n_cut + 1)
-            if not energies[-1] < _INF:  # a product overflowed without raising
-                raise OverflowError
-            weights = np.exp(-beta * (energies[:-1] - energies[0]))
+        n_cut = levels or _cut(
+            state.well.alpha, energy_level(state.well, 1) / state.temperature, rel_tol
+        )
+        if not n_cut:
+            raise TruncationLimitError(
+                f"partition sum for width={state.well.width}, "
+                f"alpha={state.well.alpha}, mass={state.well.mass}, "
+                f"T={state.temperature} still unconverged at "
+                f"{MAX_LEVELS} levels (rel_tol={rel_tol})"
+            )
+        energies = energy_levels(state.well, n_cut + 1)
+        if not energies[-1] < _INF:  # a product overflowed without raising
+            raise OverflowError
     except OverflowError:
         raise FracStirlingError(
             f"energy levels of {state.well} exceed the float range"
         ) from None
-    return energies, weights
+    return energies
+
+
+def _weights(energies: np.ndarray, beta):
+    """Shift a level block to E_n - E_1 in place; return E_1 and the weights.
+
+    `beta` is a float or a column of one per row.  Returns the column of
+    E_1, the weights e^(-beta (E_n - E_1)) of all but the last level, 0
+    where beta (E_n - E_1) overflows, and a view of the shifted levels they
+    belong to.
+    """
+    e1 = energies[:, :1].copy()
+    energies -= e1
+    delta = energies[:, :-1]
+    weights = np.multiply(delta, -beta)
+    np.exp(weights, out=weights)
+    return e1, weights, delta
+
+
+def _row_sums(energies: np.ndarray, beta):
+    """The level sums of the ensemble kernel, one state per row of a block.
+
+    Row i of the C-contiguous (rows, N + 1) block holds E_1 .. E_{N+1} of a
+    state; the first N levels are kept.  `beta` is a float or a column of
+    one per row.  Returns per row E_1, E_{N+1} - E_N, the last kept weight
+    w_N, Z_s = sum w_n, U - E_1 and beta <(E_n - E_1)^2>.  The block is
+    overwritten.  Every reduction runs along a row, so a row sums bit for
+    bit as the 1-D array of its own levels would, in whatever block it is.
+    """
+    spacing = energies[:, -1] - energies[:, -2]
+    e1, weights, delta = _weights(energies, beta)
+    last_weight = weights[:, -1].copy()
+    z_shifted = np.add.reduce(weights, axis=1, keepdims=True)
+    weights /= z_shifted
+    weights *= delta
+    excess = np.add.reduce(weights, axis=1)  # U - E_1, free of cancellation
+    # moments about E_1: their mean square exceeds Var(E) by a small factor
+    # only; scaling the terms by beta first keeps the dot finite
+    weights *= beta
+    moment = np.vecdot(weights, delta)
+    return e1[:, 0], spacing, last_weight, z_shifted[:, 0], excess, moment
+
+
+def _summary_fields(e1, spacing, last_weight, z_shifted, excess, moment, temperature):
+    """The EnsembleSummary fields other than n_cut, from `_row_sums`.
+
+    Floats or arrays alike, in one operation order.  Call under
+    np.errstate(over="ignore", divide="ignore"): beta E_1 and beta dE may
+    overflow, to a weight of 0, and the tail bound may divide by 0.
+    """
+    beta = 1.0 / temperature
+    log_z = np.log(z_shifted)
+    ratio = np.exp(-beta * spacing)  # a numpy float, so x / 0 is inf
+    beta_excess = beta * excess
+    return {
+        "partition_function": np.exp(-beta * e1) * z_shifted,
+        "internal_energy": e1 + excess,
+        "entropy": beta_excess + log_z,
+        "free_energy": e1 - temperature * log_z,
+        # a fixed cut at a level spacing far below T rounds the ratio to 1
+        # and leaves an unbounded tail
+        "tail_bound": last_weight * ratio / ((1.0 - ratio) * z_shifted),
+        "heat_capacity": beta * moment - beta_excess * beta_excess,
+    }
 
 
 @lru_cache(maxsize=65536)
 def _summarize(
     state: ThermalState, rel_tol: float, levels: int | None
 ) -> EnsembleSummary:
-    beta = 1.0 / state.temperature
-    energies, weights = _kept_weights(state, rel_tol, levels)
-    n_cut = weights.size
-
-    # Python floats, so that beta E_1 and beta dE overflow without a warning
-    e1 = float(energies[0])
-    kept = energies[:n_cut]
-    z_shifted = float(np.sum(weights))
-    occ = weights / z_shifted
-
-    delta = kept - e1
-    weighted = occ * delta
-    excess = float(np.sum(weighted))  # U - E_1, free of cancellation
-    # beta^2 Var(E) from moments about E_1: their mean square exceeds Var(E) by a
-    # small factor only; scaling `weighted` by beta first keeps the dot finite
-    weighted *= beta
-    heat_capacity = beta * float(np.dot(weighted, delta)) - (beta * excess) ** 2
-    internal_energy = e1 + excess
-    entropy = beta * excess + np.log(z_shifted)
-    free_energy = e1 - state.temperature * np.log(z_shifted)
-    partition_function = float(np.exp(-beta * e1) * z_shifted)
-
-    ratio = float(np.exp(-beta * float(energies[n_cut] - energies[n_cut - 1])))
-    # a fixed cut at a level spacing far below T leaves an unbounded tail
-    tail_bound = _INF if ratio == 1.0 else (
-        float(weights[-1]) * ratio / ((1.0 - ratio) * z_shifted)
-    )
-
+    with np.errstate(over="ignore", divide="ignore"):
+        energies = _levels(state, rel_tol, levels)
+        sums = _row_sums(energies[None, :], 1.0 / state.temperature)
+        row = _summary_fields(*(float(v[0]) for v in sums), state.temperature)
     return EnsembleSummary(
-        partition_function=partition_function,
-        internal_energy=float(internal_energy),
-        entropy=float(entropy),
-        free_energy=float(free_energy),
-        n_cut=n_cut,
-        tail_bound=tail_bound,
-        heat_capacity=heat_capacity,
+        n_cut=energies.size - 1, **{name: float(v) for name, v in row.items()}
     )

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fracstirling import cli
 from fracstirling.cli import main
 from fracstirling.solver import MAX_NODES
 
@@ -70,6 +72,15 @@ class TestCycleCommand:
         for name, field in zip(header, rows[0]):
             if name != "regime":
                 assert field == f"{float(field):.17g}"
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, sys.float_info.max]
+    )
+    def test_row_format_prints_floats_as_17g(self, value):
+        # the one %-format of a sweep row and `.17g` agree on special values too
+        row = (value,) * 11 + ("engine",) + (value,) * 8
+        fields = [f"{v:.17g}" if isinstance(v, float) else v for v in row]
+        assert cli._SWEEP_ROW % row == ",".join(fields) + ","
 
     def test_byte_identical_reruns(self, capsys):
         args = ("cycle", "--la", "0.8", "--lb", "1.1", "--a1", "1.3", "--a2", "1.7")

@@ -1,10 +1,12 @@
 """The failure contract over the validated domain.
 
 Every CycleParams that constructs evaluates to a report whose fields are all
-finite, or raises a FracStirlingError; nothing else escapes.
+finite, or raises a FracStirlingError; nothing else escapes.  A sweep, which
+evaluates its nodes in batches, gives at every node what `evaluate` gives.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,15 @@ from fracstirling import (
     CycleParams,
     DegenerateCycleError,
     FracStirlingError,
+    NodeError,
     NoRootError,
     SolverError,
+    SweepAxis,
     TruncationLimitError,
     evaluate,
+    sweep,
 )
+from fracstirling.solver import SWEEPABLE
 
 
 @pytest.mark.parametrize(
@@ -67,3 +73,44 @@ def test_finite_report_or_fracstirling_error(
         *report.corner_entropies, *report.corner_energies,
     )
     assert all(math.isfinite(v) for v in fields), report
+
+
+def sweep_axis(parameter):
+    value = log_uniform(-250, 1) if parameter.startswith("width") else ALPHA
+    return (
+        st.tuples(value, value, st.integers(2, 4))
+        .map(lambda t: (min(t[:2]), max(t[:2]), t[2]))
+        .filter(lambda t: t[0] < t[1])
+        .map(lambda t: SweepAxis(parameter, *t))
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    width_a=log_uniform(-250, 1),
+    width_b=log_uniform(-250, 1),
+    alpha_1=ALPHA,
+    alpha_2=ALPHA,
+    t_cold=log_uniform(-1, 1),
+    hot_ratio=st.floats(1.001, 10.0),
+    mass=log_uniform(-1, 1),
+    levels=st.sampled_from([None, 10]),
+)
+def test_sweep_equals_evaluate_at_every_node(
+    data, width_a, width_b, alpha_1, alpha_2, t_cold, hot_ratio, mass, levels
+):
+    base = CycleParams(
+        width_a, width_b, alpha_1, alpha_2, t_cold * hot_ratio, t_cold, mass
+    )
+    px, py = data.draw(st.permutations(SWEEPABLE))[:2]
+    axis_x, axis_y = data.draw(sweep_axis(px)), data.draw(sweep_axis(py))
+    grid = sweep(base, axis_x, axis_y, levels=levels)
+    for i, x in enumerate(axis_x.values()):
+        for j, y in enumerate(axis_y.values()):
+            try:
+                direct = evaluate(replace(base, **{px: x, py: y}), levels=levels)
+            except FracStirlingError as exc:
+                direct = NodeError(str(exc))
+            # repr tells every float apart bit for bit, -0.0 from 0.0 too
+            assert repr(grid.reports[i][j]) == repr(direct), (px, x, py, y)

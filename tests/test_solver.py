@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from fracstirling import (
     MAX_LEVELS,
     CycleParams,
+    corners,
     NodeError,
     NoRootError,
     RegenerationPoint,
@@ -17,14 +18,22 @@ from fracstirling import (
     find_brackets,
     solve_regeneration,
     solver,
+    summarize,
     sweep,
+    thermo,
     trace_curve,
 )
 from fracstirling.reference import BENCH_ROWS
-from fracstirling.solver import DEFAULT_REL_TOL, MAX_NODES, SolverError, _illinois
+from fracstirling.solver import DEFAULT_REL_TOL, MAX_NODES, _illinois
 
 BATHS = dict(t_hot=4.0, t_cold=3.0)
 BASE = CycleParams(1.0, 1.4, 1.5, 1.579, **BATHS)
+
+
+def crosses(params):
+    """Whether the isochore heat capacities cross between the baths."""
+    sa, sb, sc, sd = (summarize(s).heat_capacity for s in corners(params))
+    return (sd - sc) * (sa - sb) < 0.0
 
 
 class TestRootHybrid:
@@ -56,15 +65,15 @@ class TestRootHybrid:
 
     def test_step_that_rounds_below_a_tiny_end_stays_in_bracket(self):
         # at a = 1e-20, b = 1 the step b - fb (b - a) / (fb - fa) rounds to 0;
-        # the bracket then collapses at the absolute 1e-15 floor
+        # the collapse floor scales with the bracket, so the tiny root resolves
         seen = []
 
         def f(x):
             seen.append(x)
             return x - 2e-20
 
-        with pytest.raises(SolverError):
-            _illinois(f, 1e-20, 1.0, f(1e-20), f(1.0), 1e-30)
+        root, _ = _illinois(f, 1e-20, 1.0, f(1e-20), f(1.0), 1e-30)
+        assert root == pytest.approx(2e-20, rel=1e-12)
         assert min(seen) >= 1e-20
 
 
@@ -349,16 +358,18 @@ class TestSweep:
             sweep(base, ax, SweepAxis("alpha_1", 1.3, 1.9, 2))
 
     def test_error_nodes_recorded_in_place(self):
-        # the widest node needs more than the level cap and must not abort
-        base = CycleParams(1.0, 1.0, 1.05, 1.5, **BATHS)
-        grid = sweep(
-            base,
-            SweepAxis("width_b", 1.0, 3e7, 2),
-            SweepAxis("alpha_2", 1.4, 1.6, 2),
-        )
-        assert not isinstance(grid.reports[0][0], NodeError)
-        assert isinstance(grid.reports[1][0], NodeError)
-        assert "unconverged" in grid.reports[1][0].message
+        # the widest nodes need more than the level cap and must not abort;
+        # the (1.0, 1.6) node takes the heat-capacity crossing search
+        base = CycleParams(0.5, 1.0, 2.0, 1.5, **BATHS)
+        ax = SweepAxis("width_b", 1.0, 3e7, 2)
+        ay = SweepAxis("alpha_2", 1.4, 1.6, 2)
+        grid = sweep(base, ax, ay)
+        for j, y in enumerate(ay.values()):
+            direct = evaluate(replace(base, width_b=1.0, alpha_2=y))
+            assert repr(grid.reports[0][j]) == repr(direct)
+            assert isinstance(grid.reports[1][j], NodeError)
+            assert "unconverged" in grid.reports[1][j].message
+        assert crosses(replace(base, alpha_2=ay.values()[1]))
 
     def test_unrepresentable_level_scale_is_an_error_node(self):
         base = CycleParams(1.0, 1.0, 2.0, 2.0, **BATHS)
@@ -370,4 +381,28 @@ class TestSweep:
             for j, y in enumerate(ay.values()):
                 if (i, j) != (0, 1):
                     direct = evaluate(replace(base, width_a=x, alpha_2=y))
-                    assert grid.reports[i][j] == direct
+                    assert repr(grid.reports[i][j]) == repr(direct)
+        # the (0.5, 1.6) node takes the heat-capacity crossing search
+        assert crosses(replace(base, width_a=ax.values()[1], alpha_2=ay.values()[1]))
+
+    def test_block_cap_splits_a_same_cut_grid(self, monkeypatch):
+        # with ten levels every corner state shares one cut, so the default
+        # cap sums them in one block; a one-row cap must give the same bits
+        base = CycleParams(1.0, 1.4, 1.5, 1.579, **BATHS)
+        ax = SweepAxis("width_a", 0.8, 1.2, 20)
+        ay = SweepAxis("alpha_2", 1.3, 1.9, 20)
+        rows = []
+        row_sums = thermo._row_sums
+
+        def counting_row_sums(energies, beta):
+            rows.append(len(energies))
+            return row_sums(energies, beta)
+
+        monkeypatch.setattr(thermo, "_row_sums", counting_row_sums)
+        default = sweep(base, ax, ay, levels=10)
+        assert max(rows) == 2 * 20 * 20 + 2  # A and D at every node, B and C once
+        rows.clear()
+        monkeypatch.setattr(thermo, "_BLOCK_ENTRIES", 1)
+        capped = sweep(base, ax, ay, levels=10)
+        assert len(rows) >= 2 * 20 * 20 + 2 and max(rows) == 1
+        assert repr(capped.reports) == repr(default.reports)

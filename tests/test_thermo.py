@@ -1,12 +1,13 @@
 import math
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
 from fracstirling import (
     MAX_LEVELS,
+    EnsembleSummary,
     FracStirlingError,
     ThermalState,
     TruncationLimitError,
@@ -16,6 +17,7 @@ from fracstirling import (
     thermo,
 )
 from fracstirling.spectrum import energy_levels
+from fracstirling.thermo import summarize_many
 
 # Frozen oracle for (L=1, alpha=2, m=1, T=4), mpmath at 50 digits over 200
 # levels: Z, U, S of the canonical ensemble.
@@ -319,6 +321,62 @@ class TestTruncation:
             occupations(state, levels=adaptive.n_cut).tobytes()
             == occupations(state).tobytes()
         )
+
+
+class TestSummarizeMany:
+    @pytest.mark.parametrize("levels", [None, 10])
+    def test_every_field_matches_summarize_bitwise(self, levels):
+        # 450 ordinary states and 50 across the float range, some of which fail
+        rng = np.random.default_rng(31)
+        count = 500
+        width = 10.0 ** np.concatenate(
+            [rng.uniform(-2.0, 1.5, 450), rng.uniform(-300.0, 250.0, 50)]
+        )
+        alpha = np.where(rng.random(count) < 0.1, 2.0, rng.uniform(1.0001, 2.0, count))
+        mass = 10.0 ** rng.uniform(-1.0, 1.0, count)
+        temperature = 10.0 ** rng.uniform(-2.0, 2.0, count)
+        table = summarize_many(width, alpha, mass, temperature, levels=levels)
+        failed = 0
+        for i in range(count):
+            state = ThermalState(WellSpec(width[i], alpha[i], mass[i]), temperature[i])
+            try:
+                expected = summarize(state, levels=levels)
+            except FracStirlingError:
+                failed += 1
+                assert table["n_cut"][i] == 0
+                assert all(np.isnan(table[name][i]) for name in table if name != "n_cut")
+                continue
+            for field in fields(EnsembleSummary):
+                got, want = table[field.name][i], getattr(expected, field.name)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (
+                    state, field.name, got, want,
+                )
+        assert 0 < failed < 50
+
+    def test_an_overflowing_top_level_fails_only_its_state(self):
+        # E_1 ~ 1e308 is finite but E_2 overflows; the other state is kept
+        table = summarize_many([1e-302, 1.0], [1.02, 1.5], [1.0, 1.0], [4.0, 4.0])
+        kept = summarize(ThermalState(WellSpec(1.0, 1.5), 4.0))
+        assert table["n_cut"].tolist() == [0, kept.n_cut]
+        assert np.isnan(table["internal_energy"][0]) and np.isfinite(table["internal_energy"][1])
+
+    @pytest.mark.parametrize(
+        "width, alpha, mass, temperature",
+        [(0.0, 1.5, 1.0, 4.0), (1.0, 1.0, 1.0, 4.0), (1.0, 1.5, math.inf, 4.0),
+         (1.0, 1.5, 1.0, math.nan)],
+    )
+    def test_rejects_invalid_states(self, width, alpha, mass, temperature):
+        with pytest.raises(ValueError):
+            summarize_many([width], [alpha], [mass], [temperature])
+
+    def test_rejects_bad_tolerance(self):
+        with pytest.raises(ValueError):
+            summarize_many([1.0], [1.5], [1.0], [4.0], rel_tol=0.5)
+
+    @pytest.mark.parametrize("temperature", [[4.0, 3.0], [[4.0]], 4.0])
+    def test_rejects_unequal_or_non_1d_inputs(self, temperature):
+        with pytest.raises(ValueError, match="1-D"):
+            summarize_many([1.0], [1.5], [1.0], temperature)
 
 
 class TestQuadraticEquivalence:
