@@ -1,10 +1,13 @@
 """Parameter sweeps and root finding on the perfect-regeneration locus.
 
-The locus q_r = 0 is traced one scalar root at a time.  q_r is smooth, and as
-E_n scales as L^(-alpha), dU/dL = -(alpha/L)(U - T C) gives its width slope
-exactly from `summarize` fields.  The solver uses no derivative, as q_r is not
-monotone in the kinetic exponents: each solve works on a sign-change bracket
-by the Illinois method, a false position that halves a stalled end's value.
+A sweep and the bracket scan of a trace are both grids of cycle nodes: their
+distinct corner states are summed in one batched `summarize_many` call, and
+the node quantities follow as arrays.  Only the roots of the locus q_r = 0
+are solved one scalar node at a time.  q_r is smooth, and as E_n scales as
+L^(-alpha), dU/dL = -(alpha/L)(U - T C) gives its width slope exactly from
+`summarize` fields.  The solver uses no derivative, as q_r is not monotone in
+the kinetic exponents: each solve works on a sign-change bracket by the
+Illinois method, a false position that halves a stalled end's value.
 """
 
 from __future__ import annotations
@@ -20,15 +23,20 @@ from .cycle import (
     _stage_heats, carnot_efficiency, evaluate, regenerator_heat,
 )
 from .spectrum import _INF
-from .thermo import DEFAULT_REL_TOL, FracStirlingError, summarize_many
+from .thermo import DEFAULT_REL_TOL, FracStirlingError, _check_cut_args, summarize_many
 
 SWEEPABLE = ("width_a", "width_b", "alpha_1", "alpha_2")
 
 DEFAULT_QR_TOL = 1e-8
 DEFAULT_SCAN_POINTS = 64
 
-# Cap on the nodes of one axis and of one sweep grid, which bounds its memory
+# Cap on the nodes of one axis and of one sweep grid, and on the scan points
+# of a bracket scan, which bounds their memory
 MAX_NODES = 10**6
+
+# Cap on the scan nodes (grid nodes times scan points) of one batched trace
+# scan; a longer trace is scanned in chunks of whole grid nodes
+_SCAN_CHUNK = 1 << 16
 
 # Validity domain of each sweepable parameter: alphas live in (1, 2],
 # widths in (0, inf).  Brackets are clipped to these before any evaluation.
@@ -80,8 +88,13 @@ class SweepAxis:
             )
 
     def values(self) -> list[float]:
-        step = (self.hi - self.lo) / (self.count - 1)
-        return [self.lo + i * step for i in range(self.count)]
+        return _uniform(self.lo, self.hi, self.count)
+
+
+def _uniform(lo: float, hi: float, count: int) -> list[float]:
+    """`count` points lo + i * step spaced evenly over [lo, hi]."""
+    step = (hi - lo) / (count - 1)
+    return [lo + i * step for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -142,8 +155,7 @@ def sweep(
     if axis_x.count * axis_y.count > MAX_NODES:
         raise ValueError(f"a {axis_x.count} x {axis_y.count} grid exceeds {MAX_NODES} nodes")
     xs, ys = axis_x.values(), axis_y.values()
-    states, corner_ids = _corner_states(base, px, xs, py, ys)
-    table = summarize_many(*states, rel_tol, levels)
+    table, corner_ids = _corner_summaries(base, px, xs, py, ys, rel_tol, levels)
     # each distinct state's floats are shared by its nodes, as the memo shares them
     energy, entropy = table["internal_energy"].tolist(), table["entropy"].tolist()
     carnot = carnot_efficiency(base)
@@ -171,14 +183,15 @@ def sweep(
     return SweepGrid(axis_x=axis_x, axis_y=axis_y, base=base, reports=reports)
 
 
-def _corner_states(base: CycleParams, px: str, xs, py: str, ys):
-    """The distinct corner states of all grid nodes, and which each corner is.
+def _corner_summaries(base: CycleParams, px: str, xs, py: str, ys, rel_tol, levels):
+    """The summaries of the distinct corner states of all grid nodes.
 
     Corners A and D share the well (width_a, alpha_2), and B and C the well
-    (width_b, alpha_1); A and B sit at t_hot, C and D at t_cold.  Returns the
-    width, alpha, mass and T arrays of every distinct well at both
-    temperatures, and a (4, nodes) array of indices into them for corners
-    A, B, C, D, with the nodes in row-major order.
+    (width_b, alpha_1); A and B sit at t_hot, C and D at t_cold.  Every
+    distinct well is summed at both temperatures in one `summarize_many`
+    call.  Returns its table and a (4, nodes) array of indices into it for
+    corners A, B, C, D, with the nodes of the xs times ys grid in row-major
+    order.
     """
     nodes = len(xs) * len(ys)
     node = {p: np.full(nodes, getattr(base, p)) for p in SWEEPABLE}
@@ -197,8 +210,9 @@ def _corner_states(base: CycleParams, px: str, xs, py: str, ys):
     width, alpha = np.tile(wells[first].T, 2)
     temperature = np.repeat([base.t_hot, base.t_cold], count)
     ad, bc = inverse.reshape(2, nodes)
-    states = (width, alpha, np.full(2 * count, base.mass), temperature)
-    return states, np.stack((ad, bc, count + bc, count + ad))
+    mass = np.full(2 * count, base.mass)
+    table = summarize_many(width, alpha, mass, temperature, rel_tol, levels)
+    return table, np.stack((ad, bc, count + bc, count + ad))
 
 
 def _node_heats(base: CycleParams, table, corner_ids):
@@ -242,20 +256,31 @@ def _clip_bracket(parameter: str, lo: float, hi: float) -> tuple[float, float]:
 
 
 def find_brackets(f, lo: float, hi: float, points: int = DEFAULT_SCAN_POINTS):
-    """Scan f at uniform points and return all sign-change subintervals."""
-    if points < 2:
-        raise ValueError("need at least 2 scan points")
-    step = (hi - lo) / (points - 1)
-    xs = [lo + i * step for i in range(points)]
-    vals = [f(x) for x in xs]
+    """Scan f at 2 to MAX_NODES uniform points; return the sign-change subintervals."""
+    xs = _scan_points(lo, hi, points)
+    return [(xs[i], xs[j]) for i, j in _sign_changes([f(x) for x in xs])]
+
+
+def _scan_points(lo: float, hi: float, points: int) -> list[float]:
+    if not 2 <= points <= MAX_NODES:
+        raise ValueError(f"need 2 to {MAX_NODES} scan points, got {points}")
+    return _uniform(lo, hi, points)
+
+
+def _sign_changes(vals) -> list[tuple[int, int]]:
+    """Index pairs of the sign-change subintervals of a scan, in order.
+
+    (i, i) where the value at point i is 0, and (i, i + 1) where the values
+    at points i and i + 1 have strictly opposite signs.
+    """
     out = []
-    for i in range(points - 1):
+    for i in range(len(vals) - 1):
         if vals[i] == 0.0:
-            out.append((xs[i], xs[i]))
+            out.append((i, i))
         elif vals[i] * vals[i + 1] < 0.0:
-            out.append((xs[i], xs[i + 1]))
+            out.append((i, i + 1))
     if vals[-1] == 0.0:
-        out.append((xs[-1], xs[-1]))
+        out.append((len(vals) - 1, len(vals) - 1))
     return out
 
 
@@ -312,11 +337,17 @@ def solve_regeneration(
         raise ValueError(f"cannot solve for {parameter!r}; choose one of {SWEEPABLE}")
     _check_tol(tol)
     lo, hi = _clip_bracket(parameter, bracket_lo, bracket_hi)
+    f = _q_r(base, parameter, rel_tol, levels)
+    return _solve_bracket(f, base, parameter, lo, hi, f(lo), f(hi), tol)
 
-    def f(x: float) -> float:
-        return regenerator_heat(replace(base, **{parameter: x}), rel_tol, levels)
 
-    f_lo, f_hi = f(lo), f(hi)
+def _q_r(base: CycleParams, parameter: str, rel_tol: float, levels: int | None):
+    """q_r as a function of one cycle parameter, the others as in `base`."""
+    return lambda x: regenerator_heat(replace(base, **{parameter: x}), rel_tol, levels)
+
+
+def _solve_bracket(f, base, parameter, lo, hi, f_lo, f_hi, tol) -> RegenerationPoint:
+    """`solve_regeneration` on a clipped bracket whose end values are known."""
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
         raise SolverError(f"non-finite q_r at bracket endpoints [{lo}, {hi}]")
     if f_lo * f_hi > 0 and abs(f_lo) > tol and abs(f_hi) > tol:
@@ -345,14 +376,20 @@ def trace_curve(
 ) -> list[RegenerationPoint | None]:
     """Trace the q_r = 0 locus along a grid of one parameter.
 
-    At every grid node the solve parameter is scanned across `bracket` and
-    each sign-change interval is a root candidate.  The interval nearest the
-    previous root is solved (nearest the bracket midpoint at the first
-    node), which keeps the trace on one branch when the locus has several.
-    Nodes without any sign change, and nodes whose scan or solve raises a
-    FracStirlingError, are reported as None, preserving order.  A usage
-    error (ValueError), such as a bad `tol`, `rel_tol`, `levels`,
-    `scan_points` or bracket, raises at the first node that meets it.
+    At every grid node the solve parameter is scanned at `scan_points`
+    uniform points across `bracket`, and each sign-change interval is a root
+    candidate.  The scans of all nodes form one sweep grid, grid values
+    times scan points, whose distinct corner states are summed by one
+    `summarize_many` call per chunk of at most _SCAN_CHUNK scan nodes, so
+    every scan value equals `regenerator_heat` at its point bit for bit.
+    The interval nearest the previous root is solved (nearest the bracket
+    midpoint at the first node), which keeps the trace on one branch when
+    the locus has several; the solve starts from the two scan values at its
+    ends.  Nodes without any sign change, nodes with a failing corner
+    anywhere on their scan and nodes whose solve raises a FracStirlingError
+    are reported as None, preserving order.  A usage error (ValueError),
+    such as a bad `tol`, `rel_tol`, `levels`, `scan_points`, grid value or
+    bracket, raises before any node.
     """
     if sweep_parameter not in SWEEPABLE or solve_parameter not in SWEEPABLE:
         raise ValueError(f"parameters must be among {SWEEPABLE}")
@@ -365,33 +402,49 @@ def trace_curve(
             raise ValueError("grid must be strictly monotone")
     _check_tol(tol)
     lo, hi = _clip_bracket(solve_parameter, *bracket)
+    xs = _scan_points(lo, hi, scan_points)
+    if grid:
+        # CycleParams words the messages; they raise in the order a scan node
+        # by node meets them: the first grid value, the scan points, the cut
+        # arguments, then the other grid values
+        first = replace(base, **{sweep_parameter: grid[0]})
+        for x in xs:
+            replace(first, **{solve_parameter: x})
+        _check_cut_args(rel_tol, levels)
+        for g in grid[1:]:
+            replace(base, **{sweep_parameter: g})
 
     points: list[RegenerationPoint | None] = []
     prev_root: float | None = None
-    for g in grid:
-        node_base = replace(base, **{sweep_parameter: g})
-
-        def f(x: float) -> float:
-            return regenerator_heat(
-                replace(node_base, **{solve_parameter: x}), rel_tol, levels
-            )
-
-        point = None
-        try:
-            intervals = find_brackets(f, lo, hi, scan_points)
+    rows = max(1, _SCAN_CHUNK // scan_points)
+    for start in range(0, len(grid), rows):
+        chunk = grid[start:start + rows]
+        table, ids = _corner_summaries(
+            base, sweep_parameter, chunk, solve_parameter, xs, rel_tol, levels
+        )
+        # q_r in `regenerator_heat`'s operation order, one row per grid node
+        ua, ub, uc, ud = table["internal_energy"][ids]
+        scans = ((uc - ub) + (ua - ud)).reshape(len(chunk), scan_points)
+        failing = (table["n_cut"][ids] == 0).any(axis=0).reshape(scans.shape).any(axis=1)
+        for g, vals, failed in zip(chunk, scans.tolist(), failing.tolist()):
+            point = None
+            intervals = [] if failed else _sign_changes(vals)
             if intervals:
                 target = prev_root if prev_root is not None else 0.5 * (lo + hi)
-                blo, bhi = min(
-                    intervals, key=lambda iv: abs(0.5 * (iv[0] + iv[1]) - target)
+                i, j = min(
+                    intervals, key=lambda ij: abs(0.5 * (xs[ij[0]] + xs[ij[1]]) - target)
                 )
-                point = solve_regeneration(
-                    node_base, solve_parameter, blo, bhi, tol, rel_tol, levels
-                )
-        except FracStirlingError:
-            pass  # the node stays a gap
-        points.append(point)
-        if point is not None:
-            prev_root = getattr(point.params, solve_parameter)
+                node_base = replace(base, **{sweep_parameter: g})
+                f = _q_r(node_base, solve_parameter, rel_tol, levels)
+                try:
+                    point = _solve_bracket(
+                        f, node_base, solve_parameter, xs[i], xs[j], vals[i], vals[j], tol
+                    )
+                except FracStirlingError:
+                    pass  # the node stays a gap
+            points.append(point)
+            if point is not None:
+                prev_root = getattr(point.params, solve_parameter)
 
     if points and all(p is None for p in points):
         warnings.warn(

@@ -2,10 +2,13 @@
 
 Every CycleParams that constructs evaluates to a report whose fields are all
 finite, or raises a FracStirlingError; nothing else escapes.  A sweep, which
-evaluates its nodes in batches, gives at every node what `evaluate` gives.
+evaluates its nodes in batches, gives at every node what `evaluate` gives,
+and a trace, which scans its brackets in batches, gives at every node what a
+scalar scan and solve give.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -22,8 +25,13 @@ from fracstirling import (
     SweepAxis,
     TruncationLimitError,
     evaluate,
+    find_brackets,
+    regenerator_heat,
+    solve_regeneration,
     sweep,
+    trace_curve,
 )
+from fracstirling.reference import BENCH_ROWS
 from fracstirling.solver import SWEEPABLE
 
 
@@ -45,7 +53,6 @@ ALPHA = st.floats(1.0, 2.0, exclude_min=True)
 # Widths reach 1e-250, where the level scale (pi/2L)^alpha overflows for most
 # alpha.  Widths up to 10 and temperatures up to about 100 keep every cut
 # below about 1e5 levels, so no example runs the sum out to MAX_LEVELS.
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     width_a=log_uniform(-250, 1),
@@ -114,3 +121,82 @@ def test_sweep_equals_evaluate_at_every_node(
                 direct = NodeError(str(exc))
             # repr tells every float apart bit for bit, -0.0 from 0.0 too
             assert repr(grid.reports[i][j]) == repr(direct), (px, x, py, y)
+
+
+def reference_trace(base, sweep_parameter, solve_parameter, grid, lo, hi, levels, points):
+    """The trace node by node: a scalar scan, then a solve of the nearest bracket."""
+    out, prev_root = [], None
+    for g in grid:
+        node = replace(base, **{sweep_parameter: g})
+
+        def f(x):
+            return regenerator_heat(replace(node, **{solve_parameter: x}), levels=levels)
+
+        point = None
+        try:
+            intervals = find_brackets(f, lo, hi, points)
+            if intervals:
+                target = prev_root if prev_root is not None else 0.5 * (lo + hi)
+                blo, bhi = min(
+                    intervals, key=lambda iv: abs(0.5 * (iv[0] + iv[1]) - target)
+                )
+                point = solve_regeneration(node, solve_parameter, blo, bhi, levels=levels)
+        except FracStirlingError:
+            pass
+        out.append(point)
+        if point is not None:
+            prev_root = getattr(point.params, solve_parameter)
+    return out
+
+
+def trace_grid(parameter, value):
+    """1 to 4 increasing nodes near a Table-1 value of `parameter`."""
+    if parameter.startswith("alpha"):
+        start, step = st.floats(1.3, 1.9), st.floats(0.005, 0.05)
+    else:
+        start, step = st.floats(0.7, 1.3).map(lambda r: r * value), st.floats(0.01, 0.2)
+    return st.tuples(start, step, st.integers(1, 4)).map(
+        lambda t: [t[0] + i * t[1] for i in range(t[2])]
+    ).filter(lambda grid: parameter.startswith("width") or grid[-1] <= 2.0)
+
+
+def trace_bracket(parameter, value):
+    if parameter.startswith("alpha"):
+        return st.one_of(
+            st.just((1.000001, 2.0)),
+            st.tuples(st.floats(1.000001, 1.6), st.floats(1.7, 2.0)),
+        )
+    # a width bracket has no default; it is always explicit
+    return st.tuples(st.floats(0.3, 0.95), st.floats(1.05, 3.0)).map(
+        lambda t: (t[0] * value, t[1] * value)
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    row=st.sampled_from(BENCH_ROWS),
+    levels=st.sampled_from([None, 10]),
+    points=st.sampled_from([64, 9, 2]),
+    failing=st.booleans(),
+)
+def test_trace_equals_scan_and_solve_at_every_node(data, row, levels, points, failing):
+    base = row.pair_params()
+    # same-well pairs such as width_a and alpha_2 are drawn too
+    sweep_parameter, solve_parameter = data.draw(st.permutations(SWEEPABLE))[:2]
+    grid = data.draw(trace_grid(sweep_parameter, getattr(base, sweep_parameter)))
+    if failing and sweep_parameter.startswith("width"):
+        grid.append(3e7)  # an adaptive level sum outgrows MAX_LEVELS here
+    lo, hi = data.draw(trace_bracket(solve_parameter, getattr(base, solve_parameter)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traced = trace_curve(
+            base, sweep_parameter, solve_parameter, grid, (lo, hi),
+            levels=levels, scan_points=points,
+        )
+    expected = reference_trace(
+        base, sweep_parameter, solve_parameter, grid, lo, hi, levels, points
+    )
+    for g, got, want in zip(grid, traced, expected, strict=True):
+        assert repr(got) == repr(want), (sweep_parameter, g, solve_parameter)
+    assert len(caught) == all(p is None for p in expected)

@@ -16,6 +16,7 @@ from fracstirling import (
     SweepAxis,
     evaluate,
     find_brackets,
+    regenerator_heat,
     solve_regeneration,
     solver,
     summarize,
@@ -87,6 +88,14 @@ class TestFindBrackets:
 
     def test_none_when_single_signed(self):
         assert find_brackets(lambda x: 1.0 + x * x, -1.0, 1.0) == []
+
+    @pytest.mark.parametrize("points", [1, MAX_NODES + 1])
+    def test_point_count_outside_range_raises_before_any_call(self, points):
+        def f(x):
+            raise AssertionError("scanned")
+
+        with pytest.raises(ValueError, match="scan points"):
+            find_brackets(f, 0.0, 1.0, points)
 
 
 class TestSolveAlpha1:
@@ -236,12 +245,23 @@ class TestTraceCurve:
         assert isinstance(points[0], RegenerationPoint)
         assert points[1] is None
 
+    def test_failing_scan_point_makes_the_node_a_gap(self):
+        # q_r changes sign between the first two scan points, but widths
+        # near 1e5 outgrow MAX_LEVELS further along the scan
+        base = CycleParams(1.0, 1.4, 1.502, 1.579, **BATHS)
+        with pytest.warns(UserWarning, match="no regeneration root"):
+            points = trace_curve(base, "alpha_2", "width_b", [1.579], (1.0, 1e5))
+        assert points == [None]
+        (point,) = trace_curve(base, "alpha_2", "width_b", [1.579], (1.0, 1e3))
+        assert abs(regenerator_heat(point.params)) <= 1e-8
+
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"rel_tol": 0.5},
             {"levels": 0},
             {"scan_points": 1},
+            {"scan_points": MAX_NODES + 1},
             {"levels": MAX_LEVELS + 1},
             {"tol": -1.0},
             {"tol": math.nan},
@@ -250,6 +270,49 @@ class TestTraceCurve:
     def test_usage_errors_raise_before_any_node(self, kwargs):
         with pytest.raises(ValueError):
             trace_curve(BASE, "alpha_2", "alpha_1", [1.6, 1.7], (1.4, 2.0), **kwargs)
+
+    @pytest.mark.parametrize("levels", [10, None])
+    def test_scan_makes_no_scalar_q_r_call(self, monkeypatch, levels):
+        # the 64-point scans run in the batched kernel, so the scalar calls
+        # are the Illinois steps; a scalar scan needs 64 a node before them
+        heat = solver.regenerator_heat
+        count = 0
+
+        def counting(*args):
+            nonlocal count
+            count += 1
+            return heat(*args)
+
+        monkeypatch.setattr(solver, "regenerator_heat", counting)
+        grid = [1.58 + 0.02 * i for i in range(6)]
+        points = trace_curve(
+            BASE, "alpha_2", "alpha_1", grid, (1.000001, 2.0), levels=levels
+        )
+        ok = sum(p is not None for p in points)
+        assert ok == len(grid)
+        assert count <= 10 * ok, count
+
+    @pytest.mark.parametrize("levels", [10, None])
+    def test_scan_chunks_of_one_node_give_the_same_points(self, monkeypatch, levels):
+        # gaps below the fold, roots above it, and a previous root carried
+        # from chunk to chunk
+        kernel = solver.summarize_many
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(solver, "summarize_many", counting)
+        grid = [1.45, 1.5, 1.55, 1.6, 1.65]
+        args = (BASE, "alpha_2", "alpha_1", grid, (1.3, 2.0))
+        whole = trace_curve(*args, levels=levels)
+        assert calls == 1
+        monkeypatch.setattr(solver, "_SCAN_CHUNK", 1)
+        assert repr(trace_curve(*args, levels=levels)) == repr(whole)
+        assert calls == 1 + len(grid)
+        assert any(p is not None for p in whole)
 
     def test_exact_root_at_scan_point_is_solved(self):
         # equal widths and exponents make q_r vanish exactly at the scan's end
