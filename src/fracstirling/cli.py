@@ -239,9 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {
         "cycle": cmd_cycle,
         "sweep": cmd_sweep,
@@ -249,7 +251,7 @@ def main(argv=None) -> int:
         "table1": cmd_table1,
     }
     try:
-        return handlers[args.command](args, parser)
+        return handlers[args.command](args, _PARSER)
     except (FracStirlingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,6 +7,13 @@ exchanging heat with a regenerator.  Stage heats are state-function
 differences of the corner equilibria; no path integration is involved.  The
 hot-bath charge for the regenerator also needs the two isochore states at
 the one temperature, if any, where their heat capacities cross.
+
+There is one cycle evaluator, `_node_reports`.  It takes the cycle nodes as
+parameter columns, sums their distinct corner states in one `summarize_many`
+call, forms every report quantity as an array and searches the crossings of
+all nodes in lockstep.  `evaluate` runs it on one node and `solver.sweep` on
+a grid.  `regenerator_heat`, which the root solves call, sums its corners
+through the memoised scalar `summarize`.
 """
 
 from __future__ import annotations
@@ -17,7 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import _INF, WellSpec
-from .thermo import DEFAULT_REL_TOL, FracStirlingError, ThermalState, summarize
+from .thermo import (
+    DEFAULT_REL_TOL, FracStirlingError, ThermalState, _check_beta, summarize,
+    summarize_many,
+)
 
 REGIME_ENGINE = "engine"
 REGIME_NON_ENGINE = "non_engine"
@@ -58,6 +68,7 @@ class CycleParams:
                 f"need finite t_hot > t_cold > 0, got t_hot={self.t_hot}, "
                 f"t_cold={self.t_cold}"
             )
+        _check_beta(self.t_cold)
         for name in ("width_a", "width_b", "mass"):
             if not 0.0 < getattr(self, name) < _INF:
                 raise ValueError(
@@ -148,112 +159,150 @@ def evaluate(
     capacities is detected from their signs at the corner temperatures and
     assumed to be single: two crossings inside the interval would go
     unseen.
+
+    This is the node evaluator of `sweep` on one node; nothing is memoised.
+    Where a corner fails, the scalar `summarize` of the first of A, B, C, D
+    to fail raises; a vanishing q_h with net work raises DegenerateCycleError.
     """
-    a, b, c, d = corners(params)
-    sa, sb, sc, sd = (summarize(s, rel_tol, levels) for s in (a, b, c, d))
-    energies = tuple(s.internal_energy for s in (sa, sb, sc, sd))
-    entropies = tuple(s.entropy for s in (sa, sb, sc, sd))
-    q_ab, q_bc, q_cd, q_da, work, q_r, q_h = _stage_heats(
-        params.t_hot, params.t_cold, energies, entropies
-    )
-    gap_cold = sd.heat_capacity - sc.heat_capacity
-    gap_hot = sa.heat_capacity - sb.heat_capacity
-    if gap_cold * gap_hot < 0.0:
-        h_cold = sd.internal_energy - sc.internal_energy
-        h_hot = sa.internal_energy - sb.internal_energy
-        h_star = _h_at_crossing(
-            (d.well, sa.n_cut), (c.well, sb.n_cut),
-            (params.t_cold, h_cold, gap_cold), (params.t_hot, h_hot, gap_hot),
-        )
-        q_h = q_ab + max(h_star - h_cold, 0.0) + max(h_hot - h_star, 0.0)
-    else:
-        q_h = float(q_h)  # q_ab + max(q_r, 0)
-
-    if abs(q_h) < _QH_ZERO:
-        # distinguish a genuinely workless cycle from a pathological one;
-        # work below rounding noise at the corner-energy scale counts as zero
-        scale = max(
-            abs(v) for s in (sa, sb, sc, sd)
-            for v in (s.internal_energy, params.t_hot * s.entropy)
-        )
-        if abs(work) > 1e-12 * max(scale, 1.0):
-            raise DegenerateCycleError(
-                f"hot-bath heat vanishes (q_h={q_h}) while work={work}; "
-                f"efficiency is undefined for {params}"
-            )
-        effic = 0.0
-    else:
-        effic = work / q_h
-
-    return CycleReport(
-        q_ab=q_ab,
-        q_bc=q_bc,
-        q_cd=q_cd,
-        q_da=q_da,
-        work=work,
-        q_r=q_r,
-        q_h=q_h,
-        efficiency=effic,
-        carnot=carnot_efficiency(params),
-        regime=REGIME_ENGINE if work > 0 else REGIME_NON_ENGINE,
-        corner_entropies=entropies,
-        corner_energies=energies,
+    ((node,),) = _node_reports(params, {}, rel_tol, levels, 1)
+    if isinstance(node, CycleReport):
+        return node
+    for state in corners(params):
+        summarize(state, rel_tol, levels)  # a failing corner raises here
+    q_h, work = node
+    raise DegenerateCycleError(
+        f"hot-bath heat vanishes (q_h={q_h}) while work={work}; "
+        f"efficiency is undefined for {params}"
     )
 
 
-def _stage_heats(t_hot, t_cold, energies, entropies):
-    """q_ab, q_bc, q_cd, q_da, work, q_r and q_h from the corner states.
+def _corner_summaries(base: CycleParams, nodes, rel_tol, levels):
+    """The summaries of the distinct corner states of many cycle nodes.
 
-    `energies` and `entropies` hold U and S at corners A, B, C, D.  q_h is
-    q_ab + max(q_r, 0), the hot-bath heat wherever the isochore heat
-    capacities do not cross.  Floats or arrays of nodes alike, in one
-    operation order, so a sweep and `evaluate` agree bit for bit; q_h is
-    an array either way.
+    `nodes` maps some of width_a, width_b, alpha_1 and alpha_2 to a value
+    per node, the others come from `base`.  Corners A and D share the well
+    (width_a, alpha_2), and B and C the well (width_b, alpha_1); A and B sit
+    at t_hot, C and D at t_cold.  Every distinct well is summed at both
+    temperatures in one `summarize_many` call.  Returns its table, with the
+    width and alpha of each state, and a (4, nodes) array of indices into
+    it for corners A, B, C, D.
     """
-    ua, ub, uc, ud = energies
-    sa, sb, sc, sd = entropies
-    q_ab = t_hot * (sb - sa)
-    q_bc = uc - ub
-    q_cd = t_cold * (sd - sc)
-    q_da = ua - ud
+    columns = (nodes.get(p, getattr(base, p)) for p in ("width_a", "alpha_2", "width_b", "alpha_1"))
+    wells = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, 2)
+    # one 16-byte key per well: the values are positive and finite, so equal
+    # bytes mean equal wells; np.unique(axis=0) sorts several times slower
+    _, first, inverse = np.unique(
+        wells.view(np.dtype((np.void, 16))).ravel(), return_index=True, return_inverse=True
+    )
+    count = first.size
+    width, alpha = np.tile(wells[first].T, 2)
+    temperature = np.repeat([base.t_hot, base.t_cold], count)
+    table = summarize_many(width, alpha, np.full(2 * count, base.mass), temperature, rel_tol, levels)
+    ad, bc = inverse.reshape(-1, 2).T
+    return {**table, "width": width, "alpha": alpha}, np.stack((ad, bc, count + bc, count + ad))
+
+
+def _node_reports(base: CycleParams, nodes, rel_tol, levels, row: int):
+    """The cycle evaluator: the reports of many nodes, `row` nodes at a time.
+
+    `nodes` is as in `_corner_summaries`.  Every node quantity is formed as
+    an array from the corner table, and the heat-capacity crossings of all
+    nodes are searched in lockstep; the table is released before the
+    reports are built.  Yields a tuple per `row` nodes, in order, whose
+    slots hold the reports, or (q_h, work) where a node fails: where a
+    corner fails, or |q_h| < _QH_ZERO while the cycle produces net work.
+    """
+    table, ids = _corner_summaries(base, nodes, rel_tol, levels)
+    (ua, ub, uc, ud), (sa, sb, sc, sd), capacities = (
+        table[name][ids] for name in ("internal_energy", "entropy", "heat_capacity")
+    )
+    q_ab, q_bc = base.t_hot * (sb - sa), uc - ub
+    q_cd, q_da = base.t_cold * (sd - sc), ua - ud
     work = q_ab + q_bc + q_cd + q_da
     q_r = q_bc + q_da
-    q_h = np.where(q_r > 0, q_ab + q_r, q_ab)  # Heaviside gate with H(0) = 0
-    return q_ab, q_bc, q_cd, q_da, work, q_r, q_h
+    # q_ab + max(q_r, 0) wherever the capacities do not cross; H(0) = 0
+    q_h = np.where(q_r > 0, q_ab + q_r, q_ab)
+    gap_cold, gap_hot = capacities[3] - capacities[2], capacities[0] - capacities[1]
+    crossing = np.flatnonzero(gap_cold * gap_hot < 0.0)
+    if crossing.size:
+        h_cold, h_hot = (ud - uc)[crossing], (ua - ub)[crossing]
+        h_star = _h_at_crossings(
+            table, ids[0, crossing], ids[1, crossing], base.mass,
+            [(base.t_cold, *v) for v in zip(h_cold.tolist(), gap_cold[crossing].tolist())],
+            [(base.t_hot, *v) for v in zip(h_hot.tolist(), gap_hot[crossing].tolist())],
+        )
+        q_h[crossing] = q_ab[crossing] + np.maximum(h_star - h_cold, 0.0)
+        q_h[crossing] += np.maximum(h_hot - h_star, 0.0)
+    zero = abs(q_h) < _QH_ZERO
+    # distinguish a genuinely workless cycle from a pathological one; work
+    # below rounding noise at the corner-energy scale counts as zero
+    scale = np.maximum(abs(table["internal_energy"]), abs(base.t_hot * table["entropy"]))
+    degenerate = zero & (abs(work) > 1e-12 * np.maximum(scale[ids].max(axis=0), 1.0))
+    failed = (table["n_cut"] == 0)[ids].any(axis=0) | degenerate
+    efficiency = np.divide(work, q_h, out=np.zeros_like(q_h), where=~zero)
+
+    # each distinct state's floats are shared by its nodes
+    energy, entropy = table["internal_energy"].tolist(), table["entropy"].tolist()
+    del table
+    carnot = carnot_efficiency(base)
+    outputs = (q_ab, q_bc, q_cd, q_da, work, q_r, q_h, efficiency, failed)
+    for start in range(0, failed.size, row):
+        part = slice(start, start + row)
+        columns = zip(*(v[part].tolist() for v in outputs), zip(*ids[:, part].tolist()))
+        yield tuple(
+            (qh, w) if bad else CycleReport(
+                q_ab=qab, q_bc=qbc, q_cd=qcd, q_da=qda, work=w, q_r=qr, q_h=qh,
+                efficiency=eta, carnot=carnot,
+                regime=REGIME_ENGINE if w > 0 else REGIME_NON_ENGINE,
+                corner_entropies=(entropy[a], entropy[b], entropy[c], entropy[d]),
+                corner_energies=(energy[a], energy[b], energy[c], energy[d]),
+            )
+            for qab, qbc, qcd, qda, w, qr, qh, eta, bad, (a, b, c, d) in columns
+        )
 
 
-def _h_at_crossing(ad, bc, lo, hi) -> float:
+def _h_at_crossings(table, ad, bc, mass, lo, hi):
     """Extremum of h = U_AD - U_BC where its slope C_AD - C_BC changes sign.
 
-    `ad` and `bc` are (well, level count) of the two isochores.  Each count
-    is the cut of the well's hot corner: the neglected tail shrinks relative
-    to the kept sums as T falls, so that cut meets the corners' tolerance
-    at every temperature of the bracket, and with fixed `levels` it is
-    those levels.  `lo` and `hi` are (T, h, slope) at the ends of a bracket
-    whose slopes have opposite signs.  Each step evaluates h at the
-    stationary point of the cubic Hermite interpolant and keeps the end
-    that preserves the sign change.  h is stationary at the crossing, so
-    its error is quadratic in that of T; the search stops once the next
-    step would move T by less than _CROSSING_T_TOL relative.
+    The searches of all nodes step in lockstep, each step one `summarize_many`
+    call on both isochore states of every active node.  `ad` and `bc` index
+    the table rows of the corners A and B, whose wells and cuts the
+    isochores keep: the neglected tail shrinks relative to the kept sums as
+    T falls, so the hot corner's cut meets the corners' tolerance at every
+    temperature in between.  `lo` and `hi` list (T, h, slope) at the ends of
+    brackets whose slopes have opposite signs.  Each step evaluates h at the
+    stationary point of the cubic Hermite interpolant and keeps the end that
+    preserves the sign change.  h is stationary at the crossing, so its error
+    is quadratic in that of T; a search stops once its next step would move
+    T by less than _CROSSING_T_TOL relative.
     """
-    (well_ad, n_ad), (well_bc, n_bc) = ad, bc
-    t = _stationary_point(lo, hi)
+    t = [_stationary_point(*ends) for ends in zip(lo, hi)]
+    h = [0.0] * len(t)
+    active = list(range(len(t)))
     for _ in range(_CROSSING_MAX_STEPS):
-        s_ad = summarize(ThermalState(well_ad, t), levels=n_ad)
-        s_bc = summarize(ThermalState(well_bc, t), levels=n_bc)
-        g = s_ad.heat_capacity - s_bc.heat_capacity
-        h = s_ad.internal_energy - s_bc.internal_energy
-        if g == 0.0:
+        states = np.concatenate((ad[active], bc[active]))
+        s = summarize_many(
+            table["width"][states], table["alpha"][states], np.full(states.size, mass),
+            [t[i] for i in active] * 2, levels=table["n_cut"][states],
+        )
+        u, c = (np.split(s[name], 2) for name in ("internal_energy", "heat_capacity"))
+        still = []
+        for i, h_i, g in zip(active, (u[0] - u[1]).tolist(), (c[0] - c[1]).tolist()):
+            h[i] = h_i
+            if g == 0.0:
+                continue
+            if (g < 0.0) == (lo[i][2] < 0.0):
+                lo[i] = (t[i], h_i, g)
+            else:
+                hi[i] = (t[i], h_i, g)
+            t_next = _stationary_point(lo[i], hi[i])
+            if abs(t_next - t[i]) > _CROSSING_T_TOL * t[i]:
+                t[i] = t_next
+                still.append(i)
+        active = still
+        if not active:
             break
-        if (g < 0.0) == (lo[2] < 0.0):
-            lo = (t, h, g)
-        else:
-            hi = (t, h, g)
-        t_next = _stationary_point(lo, hi)
-        if abs(t_next - t) <= _CROSSING_T_TOL * t:
-            break
-        t = t_next
-    return h
+    return np.array(h)
 
 
 def _stationary_point(lo, hi) -> float:

@@ -1,10 +1,10 @@
 """Parameter sweeps and root finding on the perfect-regeneration locus.
 
-A sweep and the bracket scan of a trace are both grids of cycle nodes: their
-distinct corner states are summed in one batched `summarize_many` call, and
-the node quantities follow as arrays.  Only the roots of the locus q_r = 0
-are solved one scalar node at a time.  q_r is smooth, and as E_n scales as
-L^(-alpha), dU/dL = -(alpha/L)(U - T C) gives its width slope exactly from
+A sweep and the bracket scan of a trace are both grids of cycle nodes, one
+parameter column per node, whose distinct corner states are summed in one
+`summarize_many` call: a sweep runs the cycle evaluator behind `evaluate` on
+them, a scan forms q_r.  Only the roots of the locus q_r = 0 are solved one
+scalar node at a time.  q_r is smooth, and as E_n scales as L^(-alpha), dU/dL = -(alpha/L)(U - T C) gives its width slope exactly from
 `summarize` fields.  The solver uses no derivative, as q_r is not monotone in
 the kinetic exponents: each solve works on a sign-change bracket by the
 Illinois method, a false position that halves a stalled end's value.
@@ -19,11 +19,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cycle import (
-    _QH_ZERO, REGIME_ENGINE, REGIME_NON_ENGINE, CycleParams, CycleReport,
-    _stage_heats, carnot_efficiency, evaluate, regenerator_heat,
+    CycleParams, CycleReport, _corner_summaries, _node_reports, evaluate, regenerator_heat,
 )
 from .spectrum import _INF
-from .thermo import DEFAULT_REL_TOL, FracStirlingError, _check_cut_args, summarize_many
+from .thermo import DEFAULT_REL_TOL, FracStirlingError, _check_cut_args
 
 SWEEPABLE = ("width_a", "width_b", "alpha_1", "alpha_2")
 
@@ -139,12 +138,12 @@ def sweep(
 ) -> SweepGrid:
     """Evaluate the cycle on the full axis_x times axis_y grid.
 
-    The distinct corner states of all nodes are summed in one batched
-    `summarize_many` call, and the stage heats of every node follow as
-    arrays, so a report equals `evaluate` at its node bit for bit.  A node
-    with a failing corner, with crossing isochore heat capacities or with
-    |q_h| below _QH_ZERO is passed to `evaluate` itself.  A node that raises
-    a FracStirlingError is recorded as a NodeError in place rather than
+    All nodes go through the cycle evaluator that `evaluate` runs on one
+    node: their distinct corner states are summed in one `summarize_many`
+    call and their heat-capacity crossings searched in lockstep, so a report
+    equals `evaluate` at its node bit for bit.  A node with a failing corner
+    or a vanishing q_h with net work is passed to `evaluate` for its error,
+    a FracStirlingError recorded as a NodeError in place rather than
     aborting the grid; a usage error (ValueError), such as a bad `rel_tol`,
     `levels` or more than MAX_NODES nodes, raises before any node.  The
     result is a pure function of the inputs.
@@ -155,84 +154,16 @@ def sweep(
     if axis_x.count * axis_y.count > MAX_NODES:
         raise ValueError(f"a {axis_x.count} x {axis_y.count} grid exceeds {MAX_NODES} nodes")
     xs, ys = axis_x.values(), axis_y.values()
-    table, corner_ids = _corner_summaries(base, px, xs, py, ys, rel_tol, levels)
-    # each distinct state's floats are shared by its nodes, as the memo shares them
-    energy, entropy = table["internal_energy"].tolist(), table["entropy"].tolist()
-    carnot = carnot_efficiency(base)
-
-    def report_row(i: int, x: float) -> tuple[CycleReport | NodeError, ...]:
-        ids = corner_ids[:, i * len(ys):(i + 1) * len(ys)]
-        *heats, fallback = _node_heats(base, table, ids)
-        columns = zip(
-            ys, *(v.tolist() for v in heats), fallback.tolist(), zip(*ids.tolist())
+    nodes = {px: np.repeat(xs, len(ys)), py: np.tile(ys, len(xs))}
+    rows = _node_reports(base, nodes, rel_tol, levels, len(ys))
+    reports = tuple(
+        tuple(
+            r if isinstance(r, CycleReport) else _eval_node(base, {px: x, py: y}, rel_tol, levels)
+            for y, r in zip(ys, row)
         )
-        return tuple(
-            _eval_node(base, {px: x, py: y}, rel_tol, levels) if failed else CycleReport(
-                q_ab=qab, q_bc=qbc, q_cd=qcd, q_da=qda, work=w, q_r=qr, q_h=qh,
-                efficiency=eta, carnot=carnot,
-                regime=REGIME_ENGINE if w > 0 else REGIME_NON_ENGINE,
-                corner_entropies=(entropy[a], entropy[b], entropy[c], entropy[d]),
-                corner_energies=(energy[a], energy[b], energy[c], energy[d]),
-            )
-            for y, qab, qbc, qcd, qda, w, qr, qh, eta, failed, (a, b, c, d) in columns
-        )
-
-    # row by row: whole-grid node arrays left a 100 x 100 sweep's peak
-    # resident memory about a tenth higher
-    reports = tuple(report_row(i, x) for i, x in enumerate(xs))
+        for x, row in zip(xs, rows)
+    )
     return SweepGrid(axis_x=axis_x, axis_y=axis_y, base=base, reports=reports)
-
-
-def _corner_summaries(base: CycleParams, px: str, xs, py: str, ys, rel_tol, levels):
-    """The summaries of the distinct corner states of all grid nodes.
-
-    Corners A and D share the well (width_a, alpha_2), and B and C the well
-    (width_b, alpha_1); A and B sit at t_hot, C and D at t_cold.  Every
-    distinct well is summed at both temperatures in one `summarize_many`
-    call.  Returns its table and a (4, nodes) array of indices into it for
-    corners A, B, C, D, with the nodes of the xs times ys grid in row-major
-    order.
-    """
-    nodes = len(xs) * len(ys)
-    node = {p: np.full(nodes, getattr(base, p)) for p in SWEEPABLE}
-    node[px] = np.repeat(xs, len(ys))
-    node[py] = np.tile(ys, len(xs))
-    wells = np.empty((2, nodes, 2))
-    wells[0, :, 0], wells[0, :, 1] = node["width_a"], node["alpha_2"]
-    wells[1, :, 0], wells[1, :, 1] = node["width_b"], node["alpha_1"]
-    wells = wells.reshape(2 * nodes, 2)
-    # one 16-byte key per well: the values are positive and finite, so equal
-    # bytes mean equal wells; np.unique(axis=0) sorts several times slower
-    _, first, inverse = np.unique(
-        wells.view(np.dtype((np.void, 16))).ravel(), return_index=True, return_inverse=True
-    )
-    count = first.size
-    width, alpha = np.tile(wells[first].T, 2)
-    temperature = np.repeat([base.t_hot, base.t_cold], count)
-    ad, bc = inverse.reshape(2, nodes)
-    mass = np.full(2 * count, base.mass)
-    table = summarize_many(width, alpha, mass, temperature, rel_tol, levels)
-    return table, np.stack((ad, bc, count + bc, count + ad))
-
-
-def _node_heats(base: CycleParams, table, corner_ids):
-    """The report arrays of every node, and where `evaluate` must take over.
-
-    Returns q_ab, q_bc, q_cd, q_da, work, q_r, q_h and the efficiency, in
-    `evaluate`'s operation order, and a mask of the nodes with a failing
-    corner, crossing isochore heat capacities or |q_h| below _QH_ZERO.
-    """
-    energies, entropies, capacities = (
-        table[name][corner_ids] for name in ("internal_energy", "entropy", "heat_capacity")
-    )
-    q_ab, q_bc, q_cd, q_da, work, q_r, q_h = _stage_heats(
-        base.t_hot, base.t_cold, energies, entropies
-    )
-    crossing = (capacities[3] - capacities[2]) * (capacities[0] - capacities[1]) < 0.0
-    failing = (table["n_cut"][corner_ids] == 0).any(axis=0)
-    fallback = failing | crossing | (abs(q_h) < _QH_ZERO)
-    efficiency = np.divide(work, q_h, out=np.zeros_like(q_h), where=~fallback)
-    return q_ab, q_bc, q_cd, q_da, work, q_r, q_h, efficiency, fallback
 
 
 @dataclass(frozen=True)
@@ -419,9 +350,9 @@ def trace_curve(
     rows = max(1, _SCAN_CHUNK // scan_points)
     for start in range(0, len(grid), rows):
         chunk = grid[start:start + rows]
-        table, ids = _corner_summaries(
-            base, sweep_parameter, chunk, solve_parameter, xs, rel_tol, levels
-        )
+        nodes = {sweep_parameter: np.repeat(chunk, scan_points)}
+        nodes[solve_parameter] = np.tile(xs, len(chunk))
+        table, ids = _corner_summaries(base, nodes, rel_tol, levels)
         # q_r in `regenerator_heat`'s operation order, one row per grid node
         ua, ub, uc, ud = table["internal_energy"][ids]
         scans = ((uc - ub) + (ua - ud)).reshape(len(chunk), scan_points)

@@ -39,6 +39,9 @@ MAX_LEVELS = 10**6
 # cut is summed in blocks of at most this many entries, or of one row.
 _BLOCK_ENTRIES = 1 << 16
 
+# The smallest temperature whose reciprocal, beta, is a finite float
+_T_MIN = math.nextafter(1.0 / np.finfo(float).max, 1.0)
+
 
 class FracStirlingError(RuntimeError):
     """A computation failed on valid inputs; invalid ones raise ValueError.
@@ -63,6 +66,7 @@ class ThermalState:
             raise ValueError(
                 f"temperature must be positive and finite, got {self.temperature}"
             )
+        _check_beta(self.temperature)
 
 
 @dataclass(frozen=True)
@@ -117,19 +121,22 @@ def summarize_many(
     mass,
     temperature,
     rel_tol: float = DEFAULT_REL_TOL,
-    levels: int | None = None,
+    levels=None,
 ) -> dict[str, np.ndarray]:
     """Every EnsembleSummary field of many states, as arrays keyed by field name.
 
     State i is ThermalState(WellSpec(width[i], alpha[i], mass[i]),
     temperature[i]); the four arguments are equal-length 1-D sequences.
-    Each field equals bit for bit the one `summarize` gives for that state.
-    Where `summarize` raises a FracStirlingError, n_cut is 0 and the other
-    fields are nan.  The states are grouped by their cut, and each group is
-    summed in blocks of at most _BLOCK_ENTRIES levels (or one row), so the
-    memory held is bounded for any number of states.  Nothing is memoised.
+    `levels` is None, one count for all states or a sequence of one per
+    state.  Each field equals bit for bit the one `summarize` gives for that
+    state at its levels.  Where `summarize` raises a FracStirlingError, n_cut
+    is 0 and the other fields are nan.  The states are grouped by their cut,
+    and each group is summed in blocks of at most _BLOCK_ENTRIES levels (or
+    one row), so the memory held is bounded for any number of states.
+    Nothing is memoised.
     """
-    _check_cut_args(rel_tol, levels)
+    per_state = np.ndim(levels) > 0
+    _check_cut_args(rel_tol, None if per_state else levels)
     width, alpha, mass, temperature = (
         np.asarray(v, dtype=float) for v in (width, alpha, mass, temperature)
     )
@@ -143,17 +150,21 @@ def summarize_many(
         raise ValueError(
             "need finite positive widths, masses and temperatures and alphas in (1, 2]"
         )
+    _check_beta(temperature.min(initial=_INF))
+    fixed = np.broadcast_to(levels if per_state else levels or 0, temperature.shape)
+    if per_state and not np.all((1 <= fixed) & (fixed <= MAX_LEVELS)):
+        raise ValueError(f"need one level count in [1, {MAX_LEVELS}] per state")
     count = temperature.size
     scale = np.empty(count)
     n_cut = np.zeros(count, dtype=np.int64)
     # E_1 and the cut in Python floats, exactly as `_levels` forms them
-    states = zip(width.tolist(), alpha.tolist(), mass.tolist(), temperature.tolist())
-    for i, (w, a, m, t) in enumerate(states):
+    states = zip(*(v.tolist() for v in (width, alpha, mass, temperature, fixed)))
+    for i, (w, a, m, t, k) in enumerate(states):
         try:
             scale[i] = e1 = level_scale(w, a, m)
         except OverflowError:
             continue
-        n_cut[i] = levels or _cut(a, e1 / t, rel_tol)
+        n_cut[i] = k or _cut(a, e1 / t, rel_tol)
 
     # per state: E_1, E_{N+1} - E_N, the last kept weight and the three sums
     sums = np.full((6, count), np.nan)
@@ -176,6 +187,13 @@ def summarize_many(
                     idx, energies = idx[finite], energies[finite]
                 sums[:, idx] = _row_sums(energies, 1.0 / temperature[idx, None])
         return {"n_cut": n_cut, **_summary_fields(*sums, temperature)}
+
+
+def _check_beta(temperature: float) -> None:
+    if not temperature >= _T_MIN:
+        raise ValueError(
+            f"temperature must be at least {_T_MIN}, where 1/T is finite, got {temperature}"
+        )
 
 
 def _check_cut_args(rel_tol: float, levels: int | None) -> None:

@@ -113,8 +113,10 @@ class TestCycleCommand:
             # level spacings near 1e200: (E_n - E_1)^2 would overflow in C
             (("--la", "1e-100", "--lb", "2e-100", "--th", "1e200", "--tc", "5e199"),
              0, None),
+            # 1/T overflows at the cold bath: rejected before any level sum
+            (("--th", "1e-300", "--tc", "5e-324"), 1, "error: temperature must be at least"),
         ],
-        ids=["overflow", "below-unit-temperature", "underflow", "heat-capacity"],
+        ids=["overflow", "below-unit-temperature", "underflow", "heat-capacity", "infinite-beta"],
     )
     def test_overflowing_levels_print_only_the_error(self, argv, code, error):
         # a subprocess, so numpy's warnings reach stderr as a user sees them
@@ -129,6 +131,26 @@ class TestCycleCommand:
         else:
             assert proc.stdout == ""
             assert len(lines) == 1 and lines[0].startswith(error), lines
+
+
+class TestParser:
+    def test_main_is_reentrant(self, capsys, monkeypatch):
+        # one module-level parser serves every call; a fresh parser per call
+        # gives the same output
+        runs = [
+            ("sweep", "--x", "alpha1=1.4:1.6:3", "--y", "alpha2=1.5:1.6:2"),
+            ("cycle", "--la", "1.0", "--lb", "1.4", "--a1", "1.502", "--a2", "1.579"),
+            ("trace", "--sweep", "alpha2=1.58:1.62:2", "--solve", "alpha1",
+             "--la", "1.0", "--lb", "1.4", "--levels", "10"),
+            ("cycle", "--levels", "10"),
+        ]
+        shared = [run_cli(capsys, *argv) for argv in runs]
+        fresh = []
+        for argv in runs:
+            monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+            fresh.append(run_cli(capsys, *argv))
+        assert shared == fresh
+        assert all(code == 0 and out for code, out, _ in shared)
 
 
 class TestSweepCommand:

@@ -1,23 +1,29 @@
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracstirling import (
     CycleParams,
     DegenerateCycleError,
-    EnsembleSummary,
     REGIME_ENGINE,
     REGIME_NON_ENGINE,
+    SweepAxis,
+    ThermalState,
     carnot_efficiency,
     corners,
     evaluate,
-    energy_levels,
     regenerator_heat,
     summarize,
+    sweep,
 )
 from fracstirling import cycle as cycle_mod
-from fracstirling import thermo as thermo_mod
+from fracstirling.cycle import _CROSSING_MAX_STEPS, _CROSSING_T_TOL, _stationary_point
+from fracstirling.reference import BENCH_ROWS
 
 BATHS = dict(t_hot=4.0, t_cold=3.0)
 
@@ -75,6 +81,51 @@ def dense_regenerator_deficit(params, levels=None, points=2001, n_terms=400):
 
     h = energy(params.width_a, params.alpha_2) - energy(params.width_b, params.alpha_1)
     return float(np.sum(np.maximum(np.diff(h), 0.0)))
+
+
+def scalar_h_at_crossing(ad, bc, lo, hi):
+    """The crossing search one node at a time, on the memoised `summarize`.
+
+    `ad` and `bc` are (well, level count) of the two isochores, `lo` and
+    `hi` are (T, h, slope) at the bracket ends; the steps and the stopping
+    rule are those of the lockstep search in `cycle`.
+    """
+    (well_ad, n_ad), (well_bc, n_bc) = ad, bc
+    t = _stationary_point(lo, hi)
+    for _ in range(_CROSSING_MAX_STEPS):
+        s_ad = summarize(ThermalState(well_ad, t), levels=n_ad)
+        s_bc = summarize(ThermalState(well_bc, t), levels=n_bc)
+        g = s_ad.heat_capacity - s_bc.heat_capacity
+        h = s_ad.internal_energy - s_bc.internal_energy
+        if g == 0.0:
+            break
+        if (g < 0.0) == (lo[2] < 0.0):
+            lo = (t, h, g)
+        else:
+            hi = (t, h, g)
+        t_next = _stationary_point(lo, hi)
+        if abs(t_next - t) <= _CROSSING_T_TOL * t:
+            break
+        t = t_next
+    return h
+
+
+def reference_crossing_q_h(params, levels=None):
+    """q_h by the scalar crossing search, or None where the capacities do not cross."""
+    a, b, c, d = corners(params)
+    sa, sb, sc, sd = (summarize(s, levels=levels) for s in (a, b, c, d))
+    gap_cold = sd.heat_capacity - sc.heat_capacity
+    gap_hot = sa.heat_capacity - sb.heat_capacity
+    if not gap_cold * gap_hot < 0.0:
+        return None
+    h_cold = sd.internal_energy - sc.internal_energy
+    h_hot = sa.internal_energy - sb.internal_energy
+    h_star = scalar_h_at_crossing(
+        (d.well, sa.n_cut), (c.well, sb.n_cut),
+        (params.t_cold, h_cold, gap_cold), (params.t_hot, h_hot, gap_hot),
+    )
+    q_ab = params.t_hot * (sb.entropy - sa.entropy)
+    return q_ab + max(h_star - h_cold, 0.0) + max(h_hot - h_star, 0.0)
 
 
 def capacities_cross(params, levels=None):
@@ -262,43 +313,50 @@ class TestRegeneratorDeficit:
     def test_regenerator_heat_is_the_report_q_r(self, params, levels):
         assert regenerator_heat(params, levels=levels) == evaluate(params, levels=levels).q_r
 
-    def test_crossing_states_are_memoised(self, monkeypatch):
-        # the crossing search shares the corners' memo, so a repeated
-        # evaluate computes no levels at all
-        params, levels = self.CROSSING[0]
-        first = evaluate(params, levels=levels)
-        calls = []
+    @pytest.mark.parametrize("params, levels", CROSSING)
+    def test_lockstep_search_equals_the_scalar_search(self, params, levels):
+        want = reference_crossing_q_h(params, levels)
+        assert evaluate(params, levels=levels).q_h.hex() == want.hex()
 
-        def counting_levels(spec, n_max):
-            calls.append(n_max)
-            return energy_levels(spec, n_max)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        row=st.sampled_from(BENCH_ROWS),
+        levels=st.sampled_from([None, 10]),
+        offsets=st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+        spread=st.floats(0.001, 0.05),
+    )
+    def test_sweep_crossings_equal_the_scalar_search(self, row, levels, offsets, spread):
+        # a 3 x 3 exponent grid around a Table-1 pair, where most nodes cross:
+        # their searches run in lockstep and stop after different step counts;
+        # every pair lies in [1.2, 1.8], so the grid stays inside (1, 2]
+        base = row.pair_params()
+        a1, a2 = row.alpha_1 + offsets[0], row.alpha_2 + offsets[1]
+        ax = SweepAxis("alpha_1", a1, a1 + 2.0 * spread, 3)
+        ay = SweepAxis("alpha_2", a2, a2 + 2.0 * spread, 3)
+        grid = sweep(base, ax, ay, levels=levels)
+        for i, x in enumerate(ax.values()):
+            for j, y in enumerate(ay.values()):
+                want = reference_crossing_q_h(replace(base, alpha_1=x, alpha_2=y), levels)
+                if want is not None:
+                    assert grid.reports[i][j].q_h.hex() == want.hex(), (x, y)
 
-        monkeypatch.setattr(thermo_mod, "energy_levels", counting_levels)
-        assert evaluate(params, levels=levels) == first
-        assert calls == []
+
+def fake_corner_table(width, alpha, mass, temperature, rel_tol=1e-12, levels=None):
+    """Crafted corner ensembles: q_ab = 0 yet the cycle nets work."""
+    hot, wide = np.asarray(temperature) == 4.0, np.asarray(width) > 1.0
+    u = np.select([hot & ~wide, hot & wide, ~hot & wide], [4.0, 5.0, 2.0], 3.0)
+    s = np.select([hot & ~wide, hot & wide, ~hot & wide], [1.0, 1.0, 0.5], 2.0)
+    zero = np.zeros_like(u)
+    return {
+        "n_cut": np.ones(u.size, dtype=np.int64), "partition_function": zero + 1.0,
+        "internal_energy": u, "entropy": s, "free_energy": u - temperature * s,
+        "tail_bound": zero, "heat_capacity": zero,
+    }
 
 
 class TestDegenerateError:
     def test_zero_hot_heat_with_net_work(self, monkeypatch):
-        # crafted corner ensembles: q_ab = 0 yet the cycle nets work
-        def fake_summarize(state, rel_tol=1e-12, levels=None):
-            hot = state.temperature == 4.0
-            wide = state.well.width > 1.0
-            u = {(True, False): 4.0, (True, True): 5.0,
-                 (False, True): 2.0, (False, False): 3.0}[(hot, wide)]
-            s = {(True, False): 1.0, (True, True): 1.0,
-                 (False, True): 0.5, (False, False): 2.0}[(hot, wide)]
-            return EnsembleSummary(
-                partition_function=1.0,
-                internal_energy=u,
-                entropy=s,
-                free_energy=u - state.temperature * s,
-                n_cut=1,
-                tail_bound=0.0,
-                heat_capacity=0.0,
-            )
-
-        monkeypatch.setattr(cycle_mod, "summarize", fake_summarize)
+        monkeypatch.setattr(cycle_mod, "summarize_many", fake_corner_table)
         with pytest.raises(DegenerateCycleError):
             cycle_mod.evaluate(CycleParams(0.8, 1.2, 1.5, 1.5, **BATHS))
 
@@ -330,6 +388,7 @@ class TestParamsValidation:
             dict(width_a=math.inf, width_b=1.5, alpha_1=1.5, alpha_2=1.6, **BATHS),
             dict(width_a=1.0, width_b=1.5, alpha_1=1.5, alpha_2=1.6, t_hot=math.inf, t_cold=3.0),
             dict(width_a=1.0, width_b=1.5, alpha_1=1.5, alpha_2=1.6, mass=math.inf, **BATHS),
+            dict(width_a=1.0, width_b=1.5, alpha_1=1.5, alpha_2=1.6, t_hot=4.0, t_cold=5e-324),
         ],
     )
     def test_rejects_invalid(self, kwargs):

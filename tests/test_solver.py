@@ -9,11 +9,13 @@ from scipy.optimize import brentq
 from fracstirling import (
     MAX_LEVELS,
     CycleParams,
+    DegenerateCycleError,
     corners,
     NodeError,
     NoRootError,
     RegenerationPoint,
     SweepAxis,
+    cycle,
     evaluate,
     find_brackets,
     regenerator_heat,
@@ -31,9 +33,9 @@ BATHS = dict(t_hot=4.0, t_cold=3.0)
 BASE = CycleParams(1.0, 1.4, 1.5, 1.579, **BATHS)
 
 
-def crosses(params):
+def crosses(params, levels=None):
     """Whether the isochore heat capacities cross between the baths."""
-    sa, sb, sc, sd = (summarize(s).heat_capacity for s in corners(params))
+    sa, sb, sc, sd = (summarize(s, levels=levels).heat_capacity for s in corners(params))
     return (sd - sc) * (sa - sb) < 0.0
 
 
@@ -296,7 +298,7 @@ class TestTraceCurve:
     def test_scan_chunks_of_one_node_give_the_same_points(self, monkeypatch, levels):
         # gaps below the fold, roots above it, and a previous root carried
         # from chunk to chunk
-        kernel = solver.summarize_many
+        kernel = cycle.summarize_many
         calls = 0
 
         def counting(*args):
@@ -304,7 +306,7 @@ class TestTraceCurve:
             calls += 1
             return kernel(*args)
 
-        monkeypatch.setattr(solver, "summarize_many", counting)
+        monkeypatch.setattr(cycle, "summarize_many", counting)
         grid = [1.45, 1.5, 1.55, 1.6, 1.65]
         args = (BASE, "alpha_2", "alpha_1", grid, (1.3, 2.0))
         whole = trace_curve(*args, levels=levels)
@@ -447,6 +449,41 @@ class TestSweep:
                     assert repr(grid.reports[i][j]) == repr(direct)
         # the (0.5, 1.6) node takes the heat-capacity crossing search
         assert crosses(replace(base, width_a=ax.values()[1], alpha_2=ay.values()[1]))
+
+    @pytest.mark.parametrize("levels", [None, 10])
+    def test_crossing_nodes_make_no_evaluate_call(self, monkeypatch, levels):
+        # the heat-capacity crossings of a grid around the locus are searched
+        # inside the sweep, not node by node through `evaluate`
+        base = CycleParams(1.0, 1.4, 1.5, 1.579, **BATHS)
+        ax = SweepAxis("alpha_1", 1.53, 1.58, 8)
+        ay = SweepAxis("alpha_2", 1.57, 1.6, 8)
+        evaluated = []
+        monkeypatch.setattr(solver, "evaluate", lambda *args: evaluated.append(args))
+        grid = sweep(base, ax, ay, levels=levels)
+        assert evaluated == []
+        monkeypatch.undo()
+        nodes = [
+            (replace(base, alpha_1=x, alpha_2=y), grid.reports[i][j])
+            for i, x in enumerate(ax.values()) for j, y in enumerate(ay.values())
+        ]
+        assert sum(crosses(params, levels) for params, _ in nodes) >= 9
+        for params, report in nodes:
+            assert repr(report) == repr(evaluate(params, levels=levels))
+
+    def test_degenerate_node_is_an_error_node(self, monkeypatch):
+        # crafted corner ensembles give every node q_ab = 0 with net work
+        from test_cycle import fake_corner_table
+
+        monkeypatch.setattr(cycle, "summarize_many", fake_corner_table)
+        base = CycleParams(0.8, 1.2, 1.5, 1.5, **BATHS)
+        ax = SweepAxis("width_b", 1.1, 1.3, 2)
+        ay = SweepAxis("alpha_2", 1.5, 1.6, 2)
+        grid = sweep(base, ax, ay)
+        for i, x in enumerate(ax.values()):
+            for j, y in enumerate(ay.values()):
+                with pytest.raises(DegenerateCycleError) as err:
+                    evaluate(replace(base, width_b=x, alpha_2=y))
+                assert grid.reports[i][j] == NodeError(str(err.value))
 
     def test_block_cap_splits_a_same_cut_grid(self, monkeypatch):
         # with ten levels every corner state shares one cut, so the default

@@ -363,7 +363,7 @@ class TestSummarizeMany:
     @pytest.mark.parametrize(
         "width, alpha, mass, temperature",
         [(0.0, 1.5, 1.0, 4.0), (1.0, 1.0, 1.0, 4.0), (1.0, 1.5, math.inf, 4.0),
-         (1.0, 1.5, 1.0, math.nan)],
+         (1.0, 1.5, 1.0, math.nan), (1.0, 1.5, 1.0, 5e-324)],
     )
     def test_rejects_invalid_states(self, width, alpha, mass, temperature):
         with pytest.raises(ValueError):
@@ -392,7 +392,7 @@ class TestQuadraticEquivalence:
 
 
 class TestThermalStateValidation:
-    @pytest.mark.parametrize("t", [0.0, -1.0, float("inf")])
+    @pytest.mark.parametrize("t", [0.0, -1.0, float("inf"), 5e-324])
     def test_rejects_nonpositive_temperature(self, t):
         with pytest.raises(ValueError):
             ThermalState(WellSpec(1.0, 1.5), t)
