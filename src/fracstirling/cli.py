@@ -57,7 +57,7 @@ def _report_values(report: CycleReport) -> tuple:
 
 
 def _write(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+    text = "\n".join([*lines, ""])  # the final newline without a second copy of the text
     if out_path:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)

@@ -12,8 +12,8 @@ There is one cycle evaluator, `_node_reports`.  It takes the cycle nodes as
 parameter columns, sums their distinct corner states in one `summarize_many`
 call, forms every report quantity as an array and searches the crossings of
 all nodes in lockstep.  `evaluate` runs it on one node and `solver.sweep` on
-a grid.  `regenerator_heat`, which the root solves call, sums its corners
-through the memoised scalar `summarize`.
+a grid.  `regenerator_heat`, which `solve_regeneration` calls at its
+bracket ends, sums its corners through the memoised scalar `summarize`.
 """
 
 from __future__ import annotations

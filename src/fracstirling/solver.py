@@ -3,11 +3,11 @@
 A sweep and the bracket scan of a trace are both grids of cycle nodes, one
 parameter column per node, whose distinct corner states are summed in one
 `summarize_many` call: a sweep runs the cycle evaluator behind `evaluate` on
-them, a scan forms q_r.  Only the roots of the locus q_r = 0 are solved one
-scalar node at a time.  q_r is smooth, and as E_n scales as L^(-alpha), dU/dL = -(alpha/L)(U - T C) gives its width slope exactly from
-`summarize` fields.  The solver uses no derivative, as q_r is not monotone in
-the kinetic exponents: each solve works on a sign-change bracket by the
-Illinois method, a false position that halves a stalled end's value.
+them, a scan forms q_r.  The roots of the locus q_r = 0 are then solved in
+lockstep, one `summarize_many` call per step for all of a scan's brackets.
+The solver uses no derivative, as q_r is not monotone in the kinetic
+exponents: each solve works on a sign-change bracket by the Illinois method,
+a false position that halves a stalled end's value.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cycle import (
-    CycleParams, CycleReport, _corner_summaries, _node_reports, evaluate, regenerator_heat,
+    CycleParams, CycleReport, _corner_summaries, _node_reports, corners, evaluate, regenerator_heat,
 )
 from .spectrum import _INF
-from .thermo import DEFAULT_REL_TOL, FracStirlingError, _check_cut_args
+from .thermo import DEFAULT_REL_TOL, FracStirlingError, _check_cut_args, summarize, summarize_many
 
 SWEEPABLE = ("width_a", "width_b", "alpha_1", "alpha_2")
 
@@ -215,31 +215,47 @@ def _sign_changes(vals) -> list[tuple[int, int]]:
     return out
 
 
-def _illinois(f, lo, hi, f_lo, f_hi, tol, max_iter=200):
+def _illinois(q_r, a, b, fa, fb, tol, max_iter=200):
+    """The Illinois method on many brackets in lockstep, one step of each per iteration.
+
+    Problem k is the bracket [a[k], b[k]] with finite q_r values fa[k] and
+    fb[k] at its ends; `q_r(active, x)` gives q_r of the problems `active`
+    at the points x.  A problem stops at |q_r| <= tol, or fails at a
+    non-finite q_r, a collapsed bracket or after max_iter steps.  Returns
+    per problem the root (a failure's last point), |q_r| there and None or
+    the failure message.
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     # Illinois method (Dowell & Jarratt, BIT 11, 1971): false position that halves
-    # the stored value of an end surviving two steps in a row, so neither stalls.
-    a, b, fa, fb = lo, hi, f_lo, f_hi
-    if abs(fa) <= tol:
-        return a, abs(fa)
-    if abs(fb) <= tol:
-        return b, abs(fb)
-    kept = 0  # +1 after a step that kept a, -1 after one that kept b
+    # the stored value of an end surviving two steps in a row, so neither stalls
+    kept = np.zeros(a.size, dtype=int)  # +1 after a step that kept a, -1 after one that kept b
+    at_a = abs(fa) <= tol
+    root, residual = np.where(at_a, a, b), np.where(at_a, abs(fa), abs(fb))
+    failure = [None] * a.size
+    active = np.flatnonzero(~at_a & (abs(fb) > tol))
     for _ in range(max_iter):
-        x = max(a, b - fb * (b - a) / (fb - fa))  # x <= b holds by itself
-        fx = f(x)
-        if not math.isfinite(fx):
-            raise SolverError(f"q_r evaluated to a non-finite value at {x}")
-        if abs(fx) <= tol:
-            return x, abs(fx)
-        if fa * fx < 0:
-            b, fb, fa, kept = x, fx, 0.5 * fa if kept > 0 else fa, 1
-        else:
-            a, fa, fb, kept = x, fx, 0.5 * fb if kept < 0 else fb, -1
-        if b - a <= 1e-15 * max(abs(a), abs(b)):
-            raise SolverError(
-                f"bracket collapsed at {x} with residual {fx} above tol={tol}"
-            )
-    raise SolverError(f"no convergence within {max_iter} iterations")
+        if not active.size:
+            break
+        lo, hi, f_lo, f_hi, k = a[active], b[active], fa[active], fb[active], kept[active]
+        step = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        x = np.where(step > lo, step, lo)  # max(a, step); x <= b holds by itself
+        fx = q_r(active, x)
+        root[active], residual[active] = x, abs(fx)
+        left = f_lo * fx < 0  # x becomes the upper end
+        a[active] = lo = np.where(left, lo, x)
+        b[active] = hi = np.where(left, x, hi)
+        fa[active] = np.where(left, np.where(k > 0, 0.5 * f_lo, f_lo), fx)
+        fb[active] = np.where(left, fx, np.where(k < 0, 0.5 * f_hi, f_hi))
+        kept[active] = np.where(left, 1, -1)
+        done = abs(fx) <= tol
+        failed = ~np.isfinite(fx) | ~done & (hi - lo <= 1e-15 * np.maximum(abs(lo), abs(hi)))
+        for i, xi, fi in zip(active[failed].tolist(), x[failed].tolist(), fx[failed].tolist()):
+            failure[i] = (f"bracket collapsed at {xi} with residual {fi} above tol={tol}"
+                          if math.isfinite(fi) else f"q_r evaluated to a non-finite value at {xi}")
+        active = active[~(done | failed)]
+    for i in active.tolist():
+        failure[i] = f"no convergence within {max_iter} iterations"
+    return root.tolist(), residual.tolist(), failure
 
 
 def _check_tol(tol: float) -> None:
@@ -268,17 +284,9 @@ def solve_regeneration(
         raise ValueError(f"cannot solve for {parameter!r}; choose one of {SWEEPABLE}")
     _check_tol(tol)
     lo, hi = _clip_bracket(parameter, bracket_lo, bracket_hi)
-    f = _q_r(base, parameter, rel_tol, levels)
-    return _solve_bracket(f, base, parameter, lo, hi, f(lo), f(hi), tol)
-
-
-def _q_r(base: CycleParams, parameter: str, rel_tol: float, levels: int | None):
-    """q_r as a function of one cycle parameter, the others as in `base`."""
-    return lambda x: regenerator_heat(replace(base, **{parameter: x}), rel_tol, levels)
-
-
-def _solve_bracket(f, base, parameter, lo, hi, f_lo, f_hi, tol) -> RegenerationPoint:
-    """`solve_regeneration` on a clipped bracket whose end values are known."""
+    at_lo = replace(base, **{parameter: lo})
+    f_lo = regenerator_heat(at_lo, rel_tol, levels)
+    f_hi = regenerator_heat(replace(base, **{parameter: hi}), rel_tol, levels)
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
         raise SolverError(f"non-finite q_r at bracket endpoints [{lo}, {hi}]")
     if f_lo * f_hi > 0 and abs(f_lo) > tol and abs(f_hi) > tol:
@@ -288,10 +296,41 @@ def _solve_bracket(f, base, parameter, lo, hi, f_lo, f_hi, tol) -> RegenerationP
             residual_lo=f_lo,
             residual_hi=f_hi,
         )
-    root, residual = _illinois(f, lo, hi, f_lo, f_hi, tol)
-    return RegenerationPoint(
-        params=replace(base, **{parameter: root}), residual=residual
+    # U of the well the solve leaves alone, from the corners of the lower end
+    energies = np.array([[summarize(c, rel_tol, levels).internal_energy] for c in corners(at_lo)])
+    (root,), (residual,), (failure,) = _illinois(
+        _step_heats(base, parameter, {}, energies, rel_tol, levels), [lo], [hi], [f_lo], [f_hi], tol
     )
+    params = replace(base, **{parameter: root})
+    if failure:
+        regenerator_heat(params, rel_tol, levels)  # a failing corner raises its own error
+        raise SolverError(failure)
+    return RegenerationPoint(params=params, residual=residual)
+
+
+def _step_heats(base: CycleParams, solve_parameter: str, columns, energies, rel_tol, levels):
+    """q_r(active, x), q_r of the problems `active` at solve parameter values x.
+
+    Only the well the solve parameter moves, that of corners A and D or of B
+    and C, is summed.  `energies` holds U at A, B, C and D of a point of
+    each problem, `columns` other parameters' values per problem.
+    """
+    ad = solve_parameter in ("width_a", "alpha_2")
+    well, moving = (("width_a", "alpha_2"), [0, 3]) if ad else (("width_b", "alpha_1"), [1, 2])
+
+    def q_r(active, x):
+        nodes = {**{p: v[active] for p, v in columns.items()}, solve_parameter: x}
+        width, alpha = np.broadcast_arrays(*(nodes.get(p, getattr(base, p)) for p in well))
+        table = summarize_many(
+            np.tile(width, 2), np.tile(alpha, 2), np.full(2 * x.size, base.mass),
+            np.repeat([base.t_hot, base.t_cold], x.size), rel_tol, levels,
+        )
+        u = energies[:, active]
+        u[moving] = np.split(table["internal_energy"], 2)
+        ua, ub, uc, ud = u
+        return (uc - ub) + (ua - ud)
+
+    return q_r
 
 
 def trace_curve(
@@ -313,14 +352,14 @@ def trace_curve(
     times scan points, whose distinct corner states are summed by one
     `summarize_many` call per chunk of at most _SCAN_CHUNK scan nodes, so
     every scan value equals `regenerator_heat` at its point bit for bit.
-    The interval nearest the previous root is solved (nearest the bracket
-    midpoint at the first node), which keeps the trace on one branch when
-    the locus has several; the solve starts from the two scan values at its
-    ends.  Nodes without any sign change, nodes with a failing corner
-    anywhere on their scan and nodes whose solve raises a FracStirlingError
-    are reported as None, preserving order.  A usage error (ValueError),
-    such as a bad `tol`, `rel_tol`, `levels`, `scan_points`, grid value or
-    bracket, raises before any node.
+    All candidates of a chunk are solved in lockstep from the scan values at
+    their ends; the one nearest the previous root counts (nearest the
+    bracket midpoint at the first node), which keeps the trace on one branch
+    when the locus has several.  Nodes without any sign change, nodes with a
+    failing corner anywhere on their scan and nodes whose solve fails are
+    reported as None, preserving order.  A usage error (ValueError), such as
+    a bad `tol`, `rel_tol`, `levels`, `scan_points`, grid value or bracket,
+    raises before any node.
     """
     if sweep_parameter not in SWEEPABLE or solve_parameter not in SWEEPABLE:
         raise ValueError(f"parameters must be among {SWEEPABLE}")
@@ -354,28 +393,32 @@ def trace_curve(
         nodes[solve_parameter] = np.tile(xs, len(chunk))
         table, ids = _corner_summaries(base, nodes, rel_tol, levels)
         # q_r in `regenerator_heat`'s operation order, one row per grid node
-        ua, ub, uc, ud = table["internal_energy"][ids]
+        ua, ub, uc, ud = energies = table["internal_energy"][ids]
         scans = ((uc - ub) + (ua - ud)).reshape(len(chunk), scan_points)
-        failing = (table["n_cut"][ids] == 0).any(axis=0).reshape(scans.shape).any(axis=1)
-        for g, vals, failed in zip(chunk, scans.tolist(), failing.tolist()):
+        failing = (table["n_cut"][ids] == 0).any(axis=0).reshape(scans.shape).any(axis=1).tolist()
+        candidates = [[] if bad else _sign_changes(v) for v, bad in zip(scans.tolist(), failing)]
+        # every candidate is solved, as the one that counts depends on the root before
+        row, left, right = np.array(
+            [(r, i, j) for r, intervals in enumerate(candidates) for i, j in intervals], dtype=int
+        ).reshape(-1, 3).T
+        roots, residuals, failures = _illinois(
+            _step_heats(base, solve_parameter, {sweep_parameter: np.array(chunk)[row]},
+                        energies[:, row * scan_points + left], rel_tol, levels),
+            np.take(xs, left), np.take(xs, right), scans[row, left], scans[row, right], tol,
+        )
+        offset = 0
+        for g, intervals in zip(chunk, candidates):
             point = None
-            intervals = [] if failed else _sign_changes(vals)
             if intervals:
                 target = prev_root if prev_root is not None else 0.5 * (lo + hi)
-                i, j = min(
-                    intervals, key=lambda ij: abs(0.5 * (xs[ij[0]] + xs[ij[1]]) - target)
-                )
-                node_base = replace(base, **{sweep_parameter: g})
-                f = _q_r(node_base, solve_parameter, rel_tol, levels)
-                try:
-                    point = _solve_bracket(
-                        f, node_base, solve_parameter, xs[i], xs[j], vals[i], vals[j], tol
-                    )
-                except FracStirlingError:
-                    pass  # the node stays a gap
+                i, j = min(intervals, key=lambda ij: abs(0.5 * (xs[ij[0]] + xs[ij[1]]) - target))
+                k = offset + intervals.index((i, j))
+                offset += len(intervals)
+                if failures[k] is None:  # a failed solve leaves the node a gap
+                    prev_root = roots[k]
+                    params = replace(base, **{sweep_parameter: g, solve_parameter: prev_root})
+                    point = RegenerationPoint(params=params, residual=residuals[k])
             points.append(point)
-            if point is not None:
-                prev_root = getattr(point.params, solve_parameter)
 
     if points and all(p is None for p in points):
         warnings.warn(

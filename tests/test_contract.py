@@ -11,6 +11,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +33,8 @@ from fracstirling import (
     trace_curve,
 )
 from fracstirling.reference import BENCH_ROWS
-from fracstirling.solver import SWEEPABLE
+from fracstirling import solver
+from fracstirling.solver import SWEEPABLE, _scan_points
 
 
 @pytest.mark.parametrize(
@@ -200,3 +202,67 @@ def test_trace_equals_scan_and_solve_at_every_node(data, row, levels, points, fa
     for g, got, want in zip(grid, traced, expected, strict=True):
         assert repr(got) == repr(want), (sweep_parameter, g, solve_parameter)
     assert len(caught) == all(p is None for p in expected)
+
+
+GAP_BASE = CycleParams(1.0, 1.4, 1.5, 1.579, t_hot=4.0, t_cold=3.0)
+
+
+def chosen_bracket(points, k, xs):
+    """The scan interval that holds the root node k had in an unbroken trace."""
+    root = points[k].params.alpha_1
+    return next((a, b) for a, b in zip(xs, xs[1:]) if a < root < b)
+
+
+def assert_only_node_is_a_gap(traced, k, base, grid, bracket, **kwargs):
+    # the other nodes equal a trace without node k: a failed solve costs its
+    # node only, and the root before it still picks the next node's bracket
+    assert traced[k] is None
+    rest = trace_curve(base, "alpha_2", "alpha_1", grid[:k] + grid[k + 1:], bracket, **kwargs)
+    assert repr(traced[:k] + traced[k + 1:]) == repr(rest)
+    assert all(p is not None for p in rest)
+
+
+def test_a_collapsed_solve_leaves_only_its_node_a_gap():
+    # at tol = 0 most roots land on q_r == 0 exactly, but the bracket of
+    # alpha_2 = 1.61 collapses first
+    grid, bracket = [1.55 + 0.03 * i for i in range(6)], (1.000001, 2.0)
+    traced = trace_curve(GAP_BASE, "alpha_2", "alpha_1", grid, bracket, tol=0.0)
+    assert_only_node_is_a_gap(traced, 2, GAP_BASE, grid, bracket, tol=0.0)
+    node = replace(GAP_BASE, alpha_2=grid[2])
+    f = lambda x: regenerator_heat(replace(node, alpha_1=x))
+    (lo, hi), = [iv for iv in find_brackets(f, *bracket) if iv[0] > 1.5]
+    with pytest.raises(SolverError) as err:
+        solve_regeneration(node, "alpha_1", lo, hi, tol=0.0)
+    assert type(err.value) is SolverError
+    x = float(str(err.value).split()[3])
+    assert lo < x < hi
+    assert str(err.value) == (
+        f"bracket collapsed at {x} with residual {regenerator_heat(replace(node, alpha_1=x))} "
+        "above tol=0.0"
+    )
+
+
+@pytest.mark.parametrize("levels", [10, None])
+def test_a_non_finite_step_leaves_only_its_node_a_gap(monkeypatch, levels):
+    # the kernel gives nan inside node 2's bracket, as at a failing corner;
+    # the scans, which sum through `cycle`, and the other brackets miss it
+    grid, bracket = [1.58 + 0.05 * i for i in range(5)], (1.000001, 2.0)
+    whole = trace_curve(GAP_BASE, "alpha_2", "alpha_1", grid, bracket, levels=levels)
+    lo, hi = chosen_bracket(whole, 2, _scan_points(*bracket, 64))
+    kernel = solver.summarize_many
+
+    def poisoned(width, alpha, *args):
+        table = kernel(width, alpha, *args)
+        table["internal_energy"][(lo < alpha) & (alpha < hi)] = np.nan
+        return table
+
+    monkeypatch.setattr(solver, "summarize_many", poisoned)
+    traced = trace_curve(GAP_BASE, "alpha_2", "alpha_1", grid, bracket, levels=levels)
+    assert repr(traced[:2] + traced[3:]) == repr(whole[:2] + whole[3:])
+    assert_only_node_is_a_gap(traced, 2, GAP_BASE, grid, bracket, levels=levels)
+    expected = reference_trace(GAP_BASE, "alpha_2", "alpha_1", grid, *bracket, levels, 64)
+    assert repr(traced) == repr(expected)
+    with pytest.raises(SolverError, match="q_r evaluated to a non-finite value at") as err:
+        solve_regeneration(replace(GAP_BASE, alpha_2=grid[2]), "alpha_1", lo, hi, levels=levels)
+    assert type(err.value) is SolverError
+    assert lo < float(str(err.value).split()[-1]) < hi

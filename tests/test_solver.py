@@ -39,16 +39,39 @@ def crosses(params, levels=None):
     return (sd - sc) * (sa - sb) < 0.0
 
 
+def lockstep(fs, a, b, tol, max_iter=200):
+    """`_illinois` on problems k = 0, 1, ... with scalar q_r functions fs[k].
+
+    Returns its result and the number of lockstep iterations.
+    """
+    steps = 0
+
+    def q_r(active, x):
+        nonlocal steps
+        steps += 1
+        return np.array([fs[k](v) for k, v in zip(active.tolist(), x.tolist())], dtype=float)
+
+    fa = [f(v) for f, v in zip(fs, a)]
+    fb = [f(v) for f, v in zip(fs, b)]
+    return _illinois(q_r, a, b, fa, fb, tol, max_iter), steps
+
+
+def solve_one(f, lo, hi, tol):
+    ((root,), (residual,), (failure,)), _ = lockstep([f], [lo], [hi], tol)
+    assert failure is None
+    return root, residual
+
+
 class TestRootHybrid:
     def test_agrees_with_brentq(self):
         f = lambda x: x**3 + x**2 - 3.0 * x - 3.0
-        root, residual = _illinois(f, 1.0, 2.0, f(1.0), f(2.0), 1e-12)
+        root, residual = solve_one(f, 1.0, 2.0, 1e-12)
         assert root == pytest.approx(brentq(f, 1.0, 2.0, xtol=1e-14), abs=1e-9)
         assert residual <= 1e-12
 
     def test_transcendental(self):
         f = lambda x: 3.0 * x + np.sin(x) - np.exp(x)
-        root, _ = _illinois(f, 0.0, 1.0, f(0.0), f(1.0), 1e-13)
+        root, _ = solve_one(f, 0.0, 1.0, 1e-13)
         assert root == pytest.approx(0.3604217029603244, abs=1e-8)
 
     def test_never_leaves_bracket(self):
@@ -58,12 +81,12 @@ class TestRootHybrid:
             seen.append(x)
             return np.tanh(10.0 * (x - 0.123456))
 
-        _illinois(f, -1.0, 1.0, f(-1.0), f(1.0), 1e-12)
+        solve_one(f, -1.0, 1.0, 1e-12)
         assert min(seen) >= -1.0 and max(seen) <= 1.0
 
     def test_endpoint_root(self):
         f = lambda x: x - 1.0
-        root, residual = _illinois(f, 1.0, 2.0, 0.0, 1.0, 1e-10)
+        root, residual = solve_one(f, 1.0, 2.0, 1e-10)
         assert root == 1.0 and residual == 0.0
 
     def test_step_that_rounds_below_a_tiny_end_stays_in_bracket(self):
@@ -75,9 +98,37 @@ class TestRootHybrid:
             seen.append(x)
             return x - 2e-20
 
-        root, _ = _illinois(f, 1e-20, 1.0, f(1e-20), f(1.0), 1e-30)
+        root, _ = solve_one(f, 1e-20, 1.0, 1e-30)
         assert root == pytest.approx(2e-20, rel=1e-12)
         assert min(seen) >= 1e-20
+
+    @pytest.mark.parametrize("max_iter", [200, 4])
+    def test_problems_in_lockstep_equal_one_problem_runs(self, max_iter):
+        # they stop at different iterations, by convergence, an end root, a
+        # non-finite value, a collapsed bracket around a jump or the step cap
+        problems = [
+            (lambda x: x**3 + x**2 - 3.0 * x - 3.0, 1.0, 2.0),
+            (lambda x: 3.0 * x + math.sin(x) - math.exp(x), 0.0, 1.0),
+            (lambda x: math.tanh(10.0 * (x - 0.123456)), -1.0, 1.0),
+            (lambda x: x - 1.0, 1.0, 2.0),
+            (lambda x: x - 0.5 if x < 0.3 or x == 1.0 else math.nan, 0.0, 1.0),
+            (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0),
+            (lambda x: x - 2e-20, 1e-20, 1.0),
+        ]
+        fs, a, b = (list(v) for v in zip(*problems))
+        (roots, residuals, failures), steps = lockstep(fs, a, b, 1e-12, max_iter)
+        solo = [lockstep([f], [lo], [hi], 1e-12, max_iter) for f, lo, hi in problems]
+        for k, (((root,), (residual,), (failure,)), _) in enumerate(solo):
+            # repr tells every float apart bit for bit, nan included
+            assert repr((roots[k], residuals[k], failures[k])) == repr((root, residual, failure)), k
+        assert steps == max(n for _, n in solo)
+        assert len({n for _, n in solo}) >= 3
+        assert failures[4] == "q_r evaluated to a non-finite value at 0.5"
+        if max_iter == 200:
+            assert failures[5].startswith("bracket collapsed at 0.29999")
+            assert [f is None for f in failures] == [True] * 4 + [False] * 2 + [True]
+        else:
+            assert "no convergence within 4 iterations" in failures
 
 
 class TestFindBrackets:
@@ -155,16 +206,21 @@ class TestSolveAlpha1:
 
     def test_at_most_ten_evaluations_per_solve(self, monkeypatch):
         # Table-1 pairs and points above them on the locus, ten-level and
-        # adaptive; a solve's two endpoint evaluations count
+        # adaptive; a solve's q_r points are its two scalar endpoint
+        # evaluations and one kernel call per lockstep step
         heat = solver.regenerator_heat
         count = 0
 
-        def counting(*args):
-            nonlocal count
-            count += 1
-            return heat(*args)
+        def counting(fn):
+            def wrapped(*args):
+                nonlocal count
+                count += 1
+                return fn(*args)
 
-        monkeypatch.setattr(solver, "regenerator_heat", counting)
+            return wrapped
+
+        monkeypatch.setattr(solver, "regenerator_heat", counting(heat))
+        monkeypatch.setattr(solver, "summarize_many", counting(solver.summarize_many))
         calls = []
         for row, offset, levels in itertools.product(
             BENCH_ROWS, (0.0, 0.02, 0.05, 0.08), (10, None)
@@ -180,7 +236,32 @@ class TestSolveAlpha1:
                 solve_regeneration(base, "alpha_1", lo, hi, levels=levels)
                 calls.append(count)
         assert len(calls) >= 75
-        assert max(calls) <= 10, calls
+        assert min(calls) >= 2 and max(calls) <= 10, calls
+        assert sum(calls) > 2 * len(calls)  # the steps are counted
+
+
+class TestRootCertificate:
+    @pytest.mark.parametrize(
+        "parameter, levels",
+        [(p, 10) for p in solver.SWEEPABLE] + [("width_b", None), ("alpha_1", None), ("alpha_2", None)],
+    )
+    def test_residual_is_the_scalar_q_r_at_the_root(self, parameter, levels):
+        # a step sums only the well of A and D or that of B and C; the
+        # scalar q_r at each root, all four corners summed afresh, must be
+        # the reported residual bit for bit
+        base = BENCH_ROWS[5].pair_params()
+        domain = (1.000001, 2.0) if parameter.startswith("alpha") else (0.3, 3.0)
+        f = lambda x: regenerator_heat(replace(base, **{parameter: x}), levels=levels)
+        lo, hi = find_brackets(f, *domain)[-1]
+        points = [solve_regeneration(base, parameter, lo, hi, tol=1e-11, levels=levels)]
+        sweep_parameter = "width_a" if parameter == "alpha_1" else "alpha_1"
+        grid = [getattr(base, sweep_parameter) * (1.0 + 0.004 * i) for i in range(3)]
+        points += trace_curve(
+            base, sweep_parameter, parameter, grid, domain, tol=1e-11, levels=levels
+        )
+        assert all(p is not None for p in points)
+        for p in points:
+            assert p.residual == abs(regenerator_heat(p.params, levels=levels)) <= 1e-11
 
 
 class TestTraceCurve:
@@ -275,46 +356,55 @@ class TestTraceCurve:
 
     @pytest.mark.parametrize("levels", [10, None])
     def test_scan_makes_no_scalar_q_r_call(self, monkeypatch, levels):
-        # the 64-point scans run in the batched kernel, so the scalar calls
-        # are the Illinois steps; a scalar scan needs 64 a node before them
-        heat = solver.regenerator_heat
-        count = 0
+        # the 64-point scans and the Illinois steps run in the batched
+        # kernel: no scalar `summarize` call, and at most ten lockstep
+        # steps, each one kernel call on every candidate still unsolved
+        kernel = solver.summarize_many
+        steps = []
 
-        def counting(*args):
-            nonlocal count
-            count += 1
-            return heat(*args)
+        def counting(width, *args):
+            steps.append(len(width) // 2)  # each q_r point sums one well at two baths
+            return kernel(width, *args)
 
-        monkeypatch.setattr(solver, "regenerator_heat", counting)
+        monkeypatch.setattr(solver, "summarize_many", counting)
+        scalar = thermo._summarize.cache_info()
         grid = [1.58 + 0.02 * i for i in range(6)]
         points = trace_curve(
             BASE, "alpha_2", "alpha_1", grid, (1.000001, 2.0), levels=levels
         )
-        ok = sum(p is not None for p in points)
-        assert ok == len(grid)
-        assert count <= 10 * ok, count
+        assert all(p is not None for p in points)
+        assert thermo._summarize.cache_info()[:2] == scalar[:2]
+        assert 1 <= len(steps) <= 10, steps
+        assert steps[0] >= len(grid) and steps == sorted(steps, reverse=True)
 
     @pytest.mark.parametrize("levels", [10, None])
     def test_scan_chunks_of_one_node_give_the_same_points(self, monkeypatch, levels):
         # gaps below the fold, roots above it, and a previous root carried
-        # from chunk to chunk
-        kernel = cycle.summarize_many
-        calls = 0
+        # from chunk to chunk; the scans sum through `cycle`, the steps
+        # through `solver`
+        scans, steps = [], []
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return kernel(*args)
+        def counting(kernel, calls):
+            def wrapped(*args):
+                calls.append(len(args[0]))
+                return kernel(*args)
 
-        monkeypatch.setattr(cycle, "summarize_many", counting)
+            return wrapped
+
+        monkeypatch.setattr(cycle, "summarize_many", counting(cycle.summarize_many, scans))
+        monkeypatch.setattr(solver, "summarize_many", counting(solver.summarize_many, steps))
         grid = [1.45, 1.5, 1.55, 1.6, 1.65]
         args = (BASE, "alpha_2", "alpha_1", grid, (1.3, 2.0))
         whole = trace_curve(*args, levels=levels)
-        assert calls == 1
+        assert len(scans) == 1 and 1 <= len(steps) <= 10
+        whole_steps = len(steps)
+        scans.clear()
+        steps.clear()
         monkeypatch.setattr(solver, "_SCAN_CHUNK", 1)
         assert repr(trace_curve(*args, levels=levels)) == repr(whole)
-        assert calls == 1 + len(grid)
-        assert any(p is not None for p in whole)
+        assert len(scans) == len(grid)
+        solved = sum(p is not None for p in whole)
+        assert solved >= 2 and whole_steps < len(steps) <= 10 * solved
 
     def test_exact_root_at_scan_point_is_solved(self):
         # equal widths and exponents make q_r vanish exactly at the scan's end
