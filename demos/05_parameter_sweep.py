@@ -3,13 +3,17 @@
 Builds the 2-D sweep behind the contour pictures (q_r and eta as functions
 of alpha_1 and alpha_2 at fixed widths) and writes it as long-format CSV,
 one row per grid node.  Plotting is left to whatever tool reads the CSV.
+The grid's per-node columns are (nx, ny) arrays, so the counts and the best
+node come from whole-array operations, without a CycleReport per node.
 
 Usage: python3 demos/05_parameter_sweep.py [OUT.csv]
 """
 
 import sys
 
-from fracstirling import CycleParams, NodeError, SweepAxis, sweep
+import numpy as np
+
+from fracstirling import CycleParams, SweepAxis, sweep
 
 out_path = sys.argv[1] if len(sys.argv) > 1 else "sweep_alpha_square.csv"
 
@@ -19,32 +23,31 @@ base = CycleParams(
 ax = SweepAxis("alpha_1", 1.02, 2.0, 40)
 ay = SweepAxis("alpha_2", 1.02, 2.0, 40)
 grid = sweep(base, ax, ay)
+q_r, work, eta = (grid.columns[name] for name in ("q_r", "work", "efficiency"))
+ok = np.ones(q_r.shape, dtype=bool)
+for ij in grid.errors:
+    ok[ij] = False
+engine = ok & (work > 0)
 
 rows = ["alpha_1,alpha_2,q_r,work,efficiency,regime"]
-n_engine = n_pos = n_neg = 0
-eta_max, eta_arg = -1.0, (None, None)
 for i, x in enumerate(ax.values()):
     for j, y in enumerate(ay.values()):
-        rep = grid.reports[i][j]
-        if isinstance(rep, NodeError):
+        if not ok[i, j]:
             rows.append(f"{x:.6f},{y:.6f},nan,nan,nan,error")
             continue
-        rows.append(
-            f"{x:.6f},{y:.6f},{rep.q_r:.10g},{rep.work:.10g},"
-            f"{rep.efficiency:.10g},{rep.regime}"
-        )
-        n_engine += rep.regime == "engine"
-        n_pos += rep.q_r > 0
-        n_neg += rep.q_r < 0
-        if rep.regime == "engine" and rep.efficiency > eta_max:
-            eta_max, eta_arg = rep.efficiency, (x, y)
+        regime = "engine" if engine[i, j] else "non_engine"
+        rows.append(f"{x:.6f},{y:.6f},{q_r[i, j]:.10g},{work[i, j]:.10g},{eta[i, j]:.10g},{regime}")
 
 with open(out_path, "w", newline="") as fh:
     fh.write("\n".join(rows) + "\n")
 
+# the first node of largest efficiency among the engine nodes
+best = np.where(engine, eta, -np.inf)
+i, j = np.unravel_index(np.argmax(best), best.shape)
 print(f"wrote {len(rows) - 1} nodes to {out_path}")
-print(f"engine regime at {n_engine} nodes")
-print(f"q_r > 0 at {n_pos} nodes, q_r < 0 at {n_neg} nodes")
+print(f"engine regime at {np.count_nonzero(engine)} nodes")
+print(f"q_r > 0 at {np.count_nonzero(ok & (q_r > 0))} nodes, "
+      f"q_r < 0 at {np.count_nonzero(ok & (q_r < 0))} nodes")
 print("both signs present, so the q_r = 0 contour crosses this square;")
-print(f"best engine efficiency {eta_max:.6f} at alpha_1 = {eta_arg[0]:.4f}, "
-      f"alpha_2 = {eta_arg[1]:.4f} (carnot reference 0.25)")
+print(f"best engine efficiency {best[i, j]:.6f} at alpha_1 = {ax.values()[i]:.4f}, "
+      f"alpha_2 = {ay.values()[j]:.4f} (carnot reference 0.25)")

@@ -9,17 +9,20 @@ failure or a value the library rejects, 2 a command line argparse rejects.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import nullcontext
 from dataclasses import astuple
+from itertools import repeat
 
-from .cycle import CycleParams, CycleReport, evaluate
+from .cycle import REGIME_ENGINE, REGIME_NON_ENGINE, CycleParams, carnot_efficiency, evaluate
 from .reference import (
     BENCH_LEVELS,
     BENCH_ROWS,
     QR_PAIR_TOL,
     QR_QUADRATIC_TOL,
 )
-from .solver import DEFAULT_QR_TOL, NodeError, SweepAxis, sweep, trace_curve
+from .solver import DEFAULT_QR_TOL, SweepAxis, SweepGrid, sweep, trace_curve
 from .thermo import DEFAULT_REL_TOL, FracStirlingError
 
 _REPORT_COLUMNS = (
@@ -32,37 +35,21 @@ _CYCLE_COLUMNS = ("la", "lb", "alpha1", "alpha2", "th", "tc", "m") + _REPORT_COL
 _AXIS_FLAGS = {"la": "width_a", "lb": "width_b", "alpha1": "alpha_1", "alpha2": "alpha_2"}
 
 
-def _row_format(columns) -> str:
-    """One %-format for a CSV row: "%.17g" per float column, "%s" for the regime."""
-    return ",".join("%s" if c == "regime" else "%.17g" for c in columns)
-
-
-_CYCLE_ROW = _row_format(_CYCLE_COLUMNS)
-# a sweep row holds x, y, the report and an empty error field
-_SWEEP_ROW = _row_format(("x", "y") + _REPORT_COLUMNS) + ","
+_CYCLE_ROW = ",".join("%s" if c == "regime" else "%.17g" for c in _CYCLE_COLUMNS)
+# a sweep error row holds x, y, these fields and the message
 _ERROR_FIELDS = ",".join(["nan"] * 9 + ["error"] + ["nan"] * 8)
 
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+_fmt = "%.17g".__mod__
 
 
-def _report_values(report: CycleReport) -> tuple:
-    """The report in _REPORT_COLUMNS order."""
-    return (
-        report.q_ab, report.q_bc, report.q_cd, report.q_da, report.work,
-        report.q_r, report.q_h, report.efficiency, report.carnot, report.regime,
-        *report.corner_entropies, *report.corner_energies,
-    )
-
-
-def _write(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join([*lines, ""])  # the final newline without a second copy of the text
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(lines, out_path: str | None) -> None:
+    """Write each item of `lines`, one or more lines of text, and a newline."""
+    try:
+        with open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout) as fh:
+            fh.writelines(f"{line}\n" for line in lines)
+            fh.flush()
+    except BrokenPipeError:  # the reader quit early, as `| head` does: drop the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _params_from_args(args) -> CycleParams:
@@ -112,7 +99,7 @@ def cmd_cycle(args, parser) -> int:
     _warn_convention(args)
     params = _params_from_args(args)
     report = evaluate(params, args.rtol, args.levels)
-    row = _CYCLE_ROW % (*astuple(params), *_report_values(report)[:10])
+    row = _CYCLE_ROW % (*astuple(params), *astuple(report)[:10])  # q_ab .. regime
     _write([",".join(_CYCLE_COLUMNS), row], args.out)
     return 0
 
@@ -120,22 +107,34 @@ def cmd_cycle(args, parser) -> int:
 def cmd_sweep(args, parser) -> int:
     axis_x = _parse_axis(args.x, parser)
     axis_y = _parse_axis(args.y, parser)
-    base = _params_from_args(args)
-    grid = sweep(base, axis_x, axis_y, args.rtol, args.levels)
-    lines = ["x,y," + ",".join(_REPORT_COLUMNS) + ",error"]
-    xs, ys = axis_x.values(), axis_y.values()
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            node = grid.reports[i][j]
-            if isinstance(node, NodeError):
-                lines.append(
-                    f"{_fmt(x)},{_fmt(y)},{_ERROR_FIELDS},"
-                    + node.message.replace(",", ";")
-                )
-            else:
-                lines.append(_SWEEP_ROW % (x, y, *_report_values(node)))
-    _write(lines, args.out)
+    _write(_sweep_csv(sweep(_params_from_args(args), axis_x, axis_y, args.rtol, args.levels)), args.out)
     return 0
+
+
+def _sweep_csv(grid: SweepGrid):
+    """The sweep CSV by columns: the header, then the rows of one x value per item.
+
+    Formats each distinct corner state, axis value and `carnot` once and each
+    per-node column by one map; one x value at a time bounds the strings held.
+    """
+    yield "x,y," + ",".join(_REPORT_COLUMNS) + ",error"
+    ys = list(map(_fmt, grid.axis_y.values()))
+    u, s = (list(map(_fmt, v.tolist())) for v in (grid.state_energy, grid.state_entropy))
+    carnot = repeat(_fmt(carnot_efficiency(grid.base)))
+    errors = {}
+    for (i, j), message in grid.errors.items():
+        errors.setdefault(i, []).append((j, message.replace(",", ";")))
+    for i, x in enumerate(map(_fmt, grid.axis_x.values())):
+        nodes = [list(map(_fmt, v[i].tolist())) for v in grid.columns.values()]
+        regime = [REGIME_ENGINE if w > 0 else REGIME_NON_ENGINE for w in grid.columns["work"][i].tolist()]
+        corners = grid.corner_states[:, i].tolist()
+        rows = list(map(",".join, zip(
+            repeat(x), ys, *nodes, carnot, regime, *([s[k] for k in c] for c in corners),
+            *([u[k] for k in c] for c in corners), repeat(""),
+        )))
+        for j, message in errors.get(i, ()):
+            rows[j] = f"{x},{ys[j]},{_ERROR_FIELDS},{message}"
+        yield "\n".join(rows)
 
 
 def cmd_trace(args, parser) -> int:

@@ -8,12 +8,13 @@ differences of the corner equilibria; no path integration is involved.  The
 hot-bath charge for the regenerator also needs the two isochore states at
 the one temperature, if any, where their heat capacities cross.
 
-There is one cycle evaluator, `_node_reports`.  It takes the cycle nodes as
-parameter columns, sums their distinct corner states in one `summarize_many`
-call, forms every report quantity as an array and searches the crossings of
-all nodes in lockstep.  `evaluate` runs it on one node and `solver.sweep` on
-a grid.  `regenerator_heat`, which `solve_regeneration` calls at its
-bracket ends, sums its corners through the memoised scalar `summarize`.
+There is one cycle evaluator.  Its array stage, `_node_arrays`, takes the
+cycle nodes as parameter columns, sums their distinct corner states in one
+`summarize_many` call, forms every report quantity as an array and searches
+the crossings of all nodes in lockstep; `_reports` builds CycleReports from
+those arrays.  `evaluate` runs both on one node, `solver.sweep` the array
+stage on a grid.  `regenerator_heat`, which `solve_regeneration` calls at
+its bracket ends, sums its corners through the memoised scalar `summarize`.
 """
 
 from __future__ import annotations
@@ -160,16 +161,17 @@ def evaluate(
     assumed to be single: two crossings inside the interval would go
     unseen.
 
-    This is the node evaluator of `sweep` on one node; nothing is memoised.
+    This is the cycle evaluator of `sweep` on one node; nothing is memoised.
     Where a corner fails, the scalar `summarize` of the first of A, B, C, D
     to fail raises; a vanishing q_h with net work raises DegenerateCycleError.
     """
-    ((node,),) = _node_reports(params, {}, rel_tol, levels, 1)
-    if isinstance(node, CycleReport):
-        return node
+    table, ids, columns, failed = _node_arrays(params, {}, rel_tol, levels)
+    if not failed[0]:
+        energy, entropy = table["internal_energy"], table["entropy"]
+        return next(_reports(energy, entropy, ids, columns, carnot_efficiency(params), 1))[0]
     for state in corners(params):
         summarize(state, rel_tol, levels)  # a failing corner raises here
-    q_h, work = node
+    q_h, work = columns["q_h"].item(), columns["work"].item()
     raise DegenerateCycleError(
         f"hot-bath heat vanishes (q_h={q_h}) while work={work}; "
         f"efficiency is undefined for {params}"
@@ -202,15 +204,13 @@ def _corner_summaries(base: CycleParams, nodes, rel_tol, levels):
     return {**table, "width": width, "alpha": alpha}, np.stack((ad, bc, count + bc, count + ad))
 
 
-def _node_reports(base: CycleParams, nodes, rel_tol, levels, row: int):
-    """The cycle evaluator: the reports of many nodes, `row` nodes at a time.
+def _node_arrays(base: CycleParams, nodes, rel_tol, levels):
+    """The array stage of the cycle evaluator: every node quantity as an array.
 
-    `nodes` is as in `_corner_summaries`.  Every node quantity is formed as
-    an array from the corner table, and the heat-capacity crossings of all
-    nodes are searched in lockstep; the table is released before the
-    reports are built.  Yields a tuple per `row` nodes, in order, whose
-    slots hold the reports, or (q_h, work) where a node fails: where a
-    corner fails, or |q_h| < _QH_ZERO while the cycle produces net work.
+    `nodes` is as in `_corner_summaries`; the heat-capacity crossings of all
+    nodes are searched in lockstep.  Returns the corner table and ids, the
+    columns q_ab .. efficiency by name in CycleReport order, and the mask of
+    failed nodes: a corner fails, or |q_h| < _QH_ZERO with net work.
     """
     table, ids = _corner_summaries(base, nodes, rel_tol, levels)
     (ua, ub, uc, ud), (sa, sb, sc, sd), capacities = (
@@ -240,24 +240,32 @@ def _node_reports(base: CycleParams, nodes, rel_tol, levels, row: int):
     degenerate = zero & (abs(work) > 1e-12 * np.maximum(scale[ids].max(axis=0), 1.0))
     failed = (table["n_cut"] == 0)[ids].any(axis=0) | degenerate
     efficiency = np.divide(work, q_h, out=np.zeros_like(q_h), where=~zero)
+    columns = dict(q_ab=q_ab, q_bc=q_bc, q_cd=q_cd, q_da=q_da, work=work, q_r=q_r, q_h=q_h,
+                   efficiency=efficiency)
+    return table, ids, columns, failed
 
+
+def _reports(energy, entropy, ids, columns, carnot: float, row: int):
+    """The report builder: the CycleReports of `_node_arrays`' nodes, a tuple per `row`.
+
+    `energy` and `entropy` hold U and S of the table's states; `ids` and the
+    `columns` may hold their nodes in any shape, read in C order.
+    """
     # each distinct state's floats are shared by its nodes
-    energy, entropy = table["internal_energy"].tolist(), table["entropy"].tolist()
-    del table
-    carnot = carnot_efficiency(base)
-    outputs = (q_ab, q_bc, q_cd, q_da, work, q_r, q_h, efficiency, failed)
-    for start in range(0, failed.size, row):
+    energy, entropy = energy.tolist(), entropy.tolist()
+    ids, outputs = ids.reshape(4, -1), [v.ravel() for v in columns.values()]
+    for start in range(0, ids.shape[1], row):
         part = slice(start, start + row)
-        columns = zip(*(v[part].tolist() for v in outputs), zip(*ids[:, part].tolist()))
+        values = zip(*(v[part].tolist() for v in outputs), zip(*ids[:, part].tolist()))
         yield tuple(
-            (qh, w) if bad else CycleReport(
+            CycleReport(
                 q_ab=qab, q_bc=qbc, q_cd=qcd, q_da=qda, work=w, q_r=qr, q_h=qh,
                 efficiency=eta, carnot=carnot,
                 regime=REGIME_ENGINE if w > 0 else REGIME_NON_ENGINE,
                 corner_entropies=(entropy[a], entropy[b], entropy[c], entropy[d]),
                 corner_energies=(energy[a], energy[b], energy[c], energy[d]),
             )
-            for qab, qbc, qcd, qda, w, qr, qh, eta, bad, (a, b, c, d) in columns
+            for qab, qbc, qcd, qda, w, qr, qh, eta, (a, b, c, d) in values
         )
 
 

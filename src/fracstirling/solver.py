@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .cycle import (
-    CycleParams, CycleReport, _corner_summaries, _node_reports, corners, evaluate, regenerator_heat,
+    CycleParams, CycleReport, _corner_summaries, _node_arrays, _reports, carnot_efficiency, corners,
+    evaluate, regenerator_heat,
 )
 from .spectrum import _INF
 from .thermo import DEFAULT_REL_TOL, FracStirlingError, _check_cut_args, summarize, summarize_many
@@ -103,30 +105,35 @@ class NodeError:
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepGrid:
-    """Rectangular sweep over two cycle parameters.
+    """Rectangular sweep over two cycle parameters, held as read-only arrays.
 
-    `reports[i][j]` is the report at the i-th axis_x value and j-th axis_y
-    value, or a NodeError where evaluation failed.
+    Node (i, j) sits at the i-th axis_x value and the j-th axis_y value.
+    `columns` maps the CycleReport fields q_ab .. efficiency to (nx, ny)
+    arrays.  The grid's distinct corner states have U `state_energy` and S
+    `state_entropy`; `corner_states[k, i, j]` indexes them for corner k (A,
+    B, C, D) of node (i, j).  `errors[i, j]` is the message of a node whose
+    evaluation failed, where the arrays hold no meaningful value.
+    `reports[i][j]`, built on first use, is the CycleReport of node (i, j),
+    equal to `evaluate` there, or a NodeError.
     """
 
     axis_x: SweepAxis
     axis_y: SweepAxis
     base: CycleParams
-    reports: tuple[tuple[CycleReport | NodeError, ...], ...]
+    columns: dict[str, np.ndarray]
+    state_energy: np.ndarray
+    state_entropy: np.ndarray
+    corner_states: np.ndarray
+    errors: dict[tuple[int, int], str]
 
-
-def _eval_node(
-    base: CycleParams,
-    overrides: dict[str, float],
-    rel_tol: float,
-    levels: int | None,
-) -> CycleReport | NodeError:
-    try:
-        return evaluate(replace(base, **overrides), rel_tol, levels)
-    except FracStirlingError as exc:
-        return NodeError(str(exc))
+    @cached_property
+    def reports(self) -> tuple[tuple[CycleReport | NodeError, ...], ...]:
+        errors = {ij: NodeError(message) for ij, message in self.errors.items()}
+        rows = _reports(self.state_energy, self.state_entropy, self.corner_states, self.columns,
+                        carnot_efficiency(self.base), self.axis_y.count)
+        return tuple(tuple(errors.get((i, j), r) for j, r in enumerate(row)) for i, row in enumerate(rows))
 
 
 def sweep(
@@ -138,15 +145,16 @@ def sweep(
 ) -> SweepGrid:
     """Evaluate the cycle on the full axis_x times axis_y grid.
 
-    All nodes go through the cycle evaluator that `evaluate` runs on one
-    node: their distinct corner states are summed in one `summarize_many`
-    call and their heat-capacity crossings searched in lockstep, so a report
-    equals `evaluate` at its node bit for bit.  A node with a failing corner
-    or a vanishing q_h with net work is passed to `evaluate` for its error,
-    a FracStirlingError recorded as a NodeError in place rather than
-    aborting the grid; a usage error (ValueError), such as a bad `rel_tol`,
-    `levels` or more than MAX_NODES nodes, raises before any node.  The
-    result is a pure function of the inputs.
+    All nodes go through the array stage of the cycle evaluator that
+    `evaluate` runs on one node: their distinct corner states are summed in
+    one `summarize_many` call and their heat-capacity crossings searched in
+    lockstep, so a report equals `evaluate` at its node bit for bit.  A node
+    that fails keeps the message `evaluate` raises there rather than
+    aborting the grid: the scalar `summarize` of its first failing corner
+    raises it, once per distinct state, and `evaluate` itself where q_h
+    vanishes with net work.  A usage error (ValueError), such as a bad
+    `rel_tol`, `levels` or more than MAX_NODES nodes, raises before any
+    node.  The result is a pure function of the inputs.
     """
     px, py = axis_x.parameter, axis_y.parameter
     if px == py:
@@ -155,15 +163,30 @@ def sweep(
         raise ValueError(f"a {axis_x.count} x {axis_y.count} grid exceeds {MAX_NODES} nodes")
     xs, ys = axis_x.values(), axis_y.values()
     nodes = {px: np.repeat(xs, len(ys)), py: np.tile(ys, len(xs))}
-    rows = _node_reports(base, nodes, rel_tol, levels, len(ys))
-    reports = tuple(
-        tuple(
-            r if isinstance(r, CycleReport) else _eval_node(base, {px: x, py: y}, rel_tol, levels)
-            for y, r in zip(ys, row)
-        )
-        for x, row in zip(xs, rows)
+    table, ids, columns, failed = _node_arrays(base, nodes, rel_tol, levels)
+    failing = table["n_cut"] == 0
+    first = failing[ids].argmax(axis=0)  # each node's first failing corner, if any
+    errors, messages = {}, {}
+    for k in np.flatnonzero(failed).tolist():
+        i, j = divmod(k, len(ys))
+        state = ids[first[k], k].item()
+        # a failing corner state raises once; `evaluate` words a vanishing q_h
+        if state not in messages or not failing[state]:
+            params = replace(base, **{px: xs[i], py: ys[j]})
+            call, arg = (summarize, corners(params)[first[k]]) if failing[state] else (evaluate, params)
+            try:
+                call(arg, rel_tol, levels)
+            except FracStirlingError as exc:
+                messages[state] = str(exc)
+        errors[i, j] = messages[state]
+    shape = (len(xs), len(ys))
+    grid = SweepGrid(
+        axis_x, axis_y, base, {name: v.reshape(shape) for name, v in columns.items()},
+        table["internal_energy"], table["entropy"], ids.reshape(4, *shape), errors,
     )
-    return SweepGrid(axis_x=axis_x, axis_y=axis_y, base=base, reports=reports)
+    for v in (*grid.columns.values(), grid.state_energy, grid.state_entropy, grid.corner_states):
+        v.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,21 @@
+import contextlib
+import io
+import itertools
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracstirling import cli
+from fracstirling import (
+    DEFAULT_REL_TOL, CycleParams, FracStirlingError, SweepAxis, SweepGrid, cli, evaluate,
+)
 from fracstirling.cli import main
 from fracstirling.solver import MAX_NODES
 
@@ -76,11 +85,27 @@ class TestCycleCommand:
     @pytest.mark.parametrize(
         "value", [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, sys.float_info.max]
     )
-    def test_row_format_prints_floats_as_17g(self, value):
-        # the one %-format of a sweep row and `.17g` agree on special values too
-        row = (value,) * 11 + ("engine",) + (value,) * 8
-        fields = [f"{v:.17g}" if isinstance(v, float) else v for v in row]
-        assert cli._SWEEP_ROW % row == ",".join(fields) + ","
+    def test_row_format_prints_floats_as_17g(self, capsys, monkeypatch, value):
+        # the column formatter of a sweep and `.17g` agree on special values
+        # too: every per-node column and corner state of a fake grid holds one
+        def fake_sweep(base, axis_x, axis_y, rel_tol, levels):
+            shape = (axis_x.count, axis_y.count)
+            columns = {name: np.full(shape, value) for name in REPORT_FIELDS}
+            return SweepGrid(axis_x, axis_y, base, columns, np.array([value]),
+                             np.array([value]), np.zeros((4, *shape), dtype=int), {})
+
+        monkeypatch.setattr(cli, "sweep", fake_sweep)
+        code, out, _ = run_cli(capsys, "sweep", "--x", "la=1:2:2", "--y", "lb=1:3:3")
+        assert code == 0
+        header, rows = csv_rows(out)
+        assert len(rows) == 6
+        for row in rows:
+            fields = dict(zip(header, row))
+            assert fields.pop("regime") == ("engine" if value > 0 else "non_engine")
+            assert fields.pop("eta_carnot") == "0.25"
+            assert fields.pop("error") == ""
+            del fields["x"], fields["y"]  # real axis values
+            assert set(fields.values()) == {f"{value:.17g}"}, fields
 
     def test_byte_identical_reruns(self, capsys):
         args = ("cycle", "--la", "0.8", "--lb", "1.1", "--a1", "1.3", "--a2", "1.7")
@@ -153,7 +178,107 @@ class TestParser:
         assert all(code == 0 and out for code, out, _ in shared)
 
 
+REPORT_FIELDS = ("q_ab", "q_bc", "q_cd", "q_da", "work", "q_r", "q_h", "efficiency")
+SWEEP_HEADER = (
+    "x,y,q_ab,q_bc,q_cd,q_da,w,q_r,q_h,eta,eta_carnot,regime,"
+    "s_a,s_b,s_c,s_d,u_a,u_b,u_c,u_d,error"
+)
+AXIS_RANGES = {
+    # widths that pass, that overflow the level scale and that need more
+    # than MAX_LEVELS levels
+    "la": [(0.6, 1.4), (1e-200, 1.0), (1.0, 3e7)],
+    "lb": [(0.9, 1.5), (1e-250, 2.0), (0.5, 3e7)],
+    "alpha1": [(1.2, 1.9), (1.01, 2.0)],
+    "alpha2": [(1.3, 1.8), (1.5, 2.0)],
+}
+
+
+def reference_sweep_csv(base, x, y, rel_tol, levels):
+    """The sweep CSV built row by row from `evaluate`, each float as `.17g`."""
+    lines = [SWEEP_HEADER]
+    for xv in x.values():
+        for yv in y.values():
+            try:
+                report = evaluate(replace(base, **{x.parameter: xv, y.parameter: yv}), rel_tol, levels)
+            except FracStirlingError as exc:
+                fields = ["nan"] * 9 + ["error"] + ["nan"] * 8 + [str(exc).replace(",", ";")]
+                lines.append(",".join([f"{xv:.17g}", f"{yv:.17g}", *fields]))
+                continue
+            values = (
+                xv, yv, *(getattr(report, name) for name in REPORT_FIELDS), report.carnot,
+                report.regime, *report.corner_entropies, *report.corner_energies, "",
+            )
+            lines.append(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in values))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def sweep_commands(draw, pair):
+    """A small sweep over the axis pair, adaptive or at a fixed level count."""
+    axes = []
+    for flag in pair:
+        lo, hi = draw(st.sampled_from(AXIS_RANGES[flag]))
+        axes.append((flag, lo, hi, draw(st.integers(2, 4))))
+    fixed = {
+        "la": draw(st.floats(0.7, 1.3)), "lb": draw(st.floats(1.0, 1.6)),
+        "a1": draw(st.floats(1.2, 2.0)), "a2": draw(st.floats(1.2, 2.0)),
+    }
+    levels = draw(st.sampled_from([None, 10]))
+    return axes, fixed, levels
+
+
+def check_sweep_against_reference(axes, fixed, levels):
+    """Run `fracstirling sweep` on the axes and fixed flags; check it against the reference."""
+    argv = ["sweep"] + [f"--{k}={v!r}" for k, v in fixed.items()]
+    argv += [f"--{axis}={flag}={lo!r}:{hi!r}:{n}" for axis, (flag, lo, hi, n) in zip("xy", axes)]
+    if levels is not None:
+        argv.append(f"--levels={levels}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 0
+    assert err.getvalue() == ""
+    base = CycleParams(fixed["la"], fixed["lb"], fixed["a1"], fixed["a2"], 4.0, 3.0)
+    x, y = (SweepAxis(cli._AXIS_FLAGS[flag], lo, hi, n) for flag, lo, hi, n in axes)
+    assert out.getvalue() == reference_sweep_csv(base, x, y, DEFAULT_REL_TOL, levels)
+
+
 class TestSweepCommand:
+    @pytest.mark.parametrize("pair", itertools.permutations(sorted(cli._AXIS_FLAGS), 2), ids="-".join)
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_csv_equals_evaluate_row_by_row(self, pair, data):
+        # every row, error rows included, is `evaluate` at its node as `.17g`
+        check_sweep_against_reference(*data.draw(sweep_commands(pair)))
+
+    @pytest.mark.parametrize("axes, fixed, levels", [
+        ([("la", 1e-200, 1.0, 3), ("alpha2", 1.3, 1.6, 2)], {}, None),
+        ([("lb", 1.0, 3e7, 2), ("alpha2", 1.4, 1.6, 2)], {"la": 0.5, "a2": 1.5}, None),
+        ([("alpha1", 1.01, 2.0, 4), ("alpha2", 1.01, 2.0, 4)], {"lb": 1.5}, 10),
+        # good rows and both kinds of error row: level scale overflow and too many levels
+        ([("la", 1e-200, 1.0, 3), ("lb", 0.5, 3e7, 2)], {"a1": 1.5, "a2": 1.7}, None),
+    ])
+    def test_csv_equals_evaluate_on_known_grids(self, axes, fixed, levels):
+        check_sweep_against_reference(axes, {"la": 1.0, "lb": 1.0, "a1": 2.0, "a2": 2.0, **fixed}, levels)
+
+    def test_never_builds_reports(self, capsys, monkeypatch):
+        # the CSV comes from the grid's arrays, not from its CycleReports
+        monkeypatch.setattr(SweepGrid, "reports", property(lambda self: pytest.fail("reports read")))
+        code, out, _ = run_cli(capsys, "sweep", "--x", "la=1e-200:1:3", "--y", "alpha2=1.3:1.6:2")
+        assert code == 0 and len(csv_rows(out)[1]) == 6
+
+    def test_reader_that_stops_early(self):
+        # `fracstirling sweep ... | head -1`: exit 0 with nothing on stderr
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fracstirling.cli", "sweep", "--x", "alpha1=1.2:1.8:40",
+             "--y", "alpha2=1.3:1.9:40"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.stdout.readline().startswith(b"x,y,")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
     def test_two_by_two(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--x", "alpha1=1.2:1.8:2", "--y", "alpha2=1.3:1.9:2",

@@ -1,6 +1,6 @@
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from fracstirling import (
     NoRootError,
     RegenerationPoint,
     SweepAxis,
+    TruncationLimitError,
     cycle,
     evaluate,
     find_brackets,
@@ -474,6 +475,16 @@ class TestSweep:
         )
         assert len(grid.reports) == 3
         assert all(len(row) == 2 for row in grid.reports)
+        assert {v.shape for v in grid.columns.values()} == {(3, 2)}
+        assert grid.corner_states.shape == (4, 3, 2)
+        for i, j in itertools.product(range(3), range(2)):
+            report = grid.reports[i][j]
+            assert [grid.columns[name][i, j] for name in grid.columns] == list(astuple(report)[:8])
+            corners = grid.corner_states[:, i, j]
+            assert tuple(grid.state_energy[corners]) == report.corner_energies
+            assert tuple(grid.state_entropy[corners]) == report.corner_entropies
+        with pytest.raises(ValueError, match="read-only"):
+            grid.columns["q_r"][0, 0] = 0.0
 
     def test_quadratic_width_sweep_sign_structure(self):
         # regenerator heat changes sign between small and large width pairs
@@ -559,6 +570,24 @@ class TestSweep:
         assert sum(crosses(params, levels) for params, _ in nodes) >= 9
         for params, report in nodes:
             assert repr(report) == repr(evaluate(params, levels=levels))
+
+    def test_failing_corner_raises_once_per_state_without_evaluate(self, monkeypatch):
+        # corner B, (width_b, alpha_1) at t_hot, needs more than MAX_LEVELS
+        # levels at every node; it is the first corner to fail at each
+        base = CycleParams(1.0, 3e7, 2.0, 1.5, **BATHS)
+        ax = SweepAxis("width_a", 0.8, 1.2, 3)
+        ay = SweepAxis("alpha_2", 1.4, 1.6, 3)
+        calls = []
+        monkeypatch.setattr(solver, "evaluate", lambda *args: pytest.fail("evaluate called"))
+        monkeypatch.setattr(solver, "summarize", lambda *args: calls.append(args) or summarize(*args))
+        grid = sweep(base, ax, ay)
+        assert [state.well.width for state, *_ in calls] == [3e7]
+        monkeypatch.undo()
+        for i, x in enumerate(ax.values()):
+            for j, y in enumerate(ay.values()):
+                with pytest.raises(TruncationLimitError) as err:
+                    evaluate(replace(base, width_a=x, alpha_2=y))
+                assert grid.errors[i, j] == str(err.value)
 
     def test_degenerate_node_is_an_error_node(self, monkeypatch):
         # crafted corner ensembles give every node q_ab = 0 with net work
