@@ -3,7 +3,7 @@
 All numeric output is CSV with a mandatory header row, '.' decimals and
 17-significant-digit floats, so files round-trip exactly and identical
 invocations are byte-identical.  Exit codes: 0 success, 1 a computational
-failure or a value the library rejects, 2 a command line argparse rejects.
+failure, a rejected value or an unwritable --out, 2 a rejected command line.
 """
 
 from __future__ import annotations
@@ -115,17 +115,19 @@ def _sweep_csv(grid: SweepGrid):
     """The sweep CSV by columns: the header, then the rows of one x value per item.
 
     Formats each distinct corner state, axis value and `carnot` once and each
-    per-node column by one map; one x value at a time bounds the strings held.
+    per-node column by `_column_rows`; one x value at a time bounds the
+    strings held.
     """
     yield "x,y," + ",".join(_REPORT_COLUMNS) + ",error"
     ys = list(map(_fmt, grid.axis_y.values()))
     u, s = (list(map(_fmt, v.tolist())) for v in (grid.state_energy, grid.state_entropy))
     carnot = repeat(_fmt(carnot_efficiency(grid.base)))
+    columns = [_column_rows(v) for v in grid.columns.values()]
     errors = {}
     for (i, j), message in grid.errors.items():
         errors.setdefault(i, []).append((j, message.replace(",", ";")))
     for i, x in enumerate(map(_fmt, grid.axis_x.values())):
-        nodes = [list(map(_fmt, v[i].tolist())) for v in grid.columns.values()]
+        nodes = [next(column) for column in columns]
         regime = [REGIME_ENGINE if w > 0 else REGIME_NON_ENGINE for w in grid.columns["work"][i].tolist()]
         corners = grid.corner_states[:, i].tolist()
         rows = list(map(",".join, zip(
@@ -135,6 +137,16 @@ def _sweep_csv(grid: SweepGrid):
         for j, message in errors.get(i, ()):
             rows[j] = f"{x},{ys[j]},{_ERROR_FIELDS},{message}"
         yield "\n".join(rows)
+
+
+def _column_rows(column):
+    """The strings of an (nx, ny) column row by row; a repeated row or column is formatted once."""
+    bits = column.view("int64")  # repeats bit for bit: 0.0 == -0.0, but they print apart
+    if (bits == bits[:1]).all():
+        return repeat(list(map(_fmt, column[0].tolist())))
+    if (bits == bits[:, :1]).all():
+        return map(repeat, map(_fmt, column[:, 0].tolist()))
+    return (map(_fmt, row.tolist()) for row in column)
 
 
 def cmd_trace(args, parser) -> int:
@@ -251,7 +263,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, _PARSER)
-    except (FracStirlingError, ValueError) as exc:
+    except (FracStirlingError, ValueError, OSError) as exc:  # OSError: from --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,9 @@
 """Canonical-ensemble quantities of a particle in a fractional well.
 
 Each level sum is cut at a level count computed in closed form from alpha,
-beta E_1 and the relative tolerance before any level is computed (see
-`_cut`), so a state computes one block of levels and searches for nothing.
+beta E_1 and the relative tolerance before any level is computed (see `_cut`;
+`summarize_many` forms it as arrays, with the same result), so a state
+computes one block of levels and searches for nothing.
 
 There is one ensemble kernel: `_row_sums` sums a 2-D block of levels, one
 state per row, and `_summary_fields` turns the row sums into U, S, F, Z, C
@@ -21,6 +22,7 @@ scalars and is memoised; `occupations` recomputes the kept weights on demand.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -155,16 +157,27 @@ def summarize_many(
     if per_state and not np.all((1 <= fixed) & (fixed <= MAX_LEVELS)):
         raise ValueError(f"need one level count in [1, {MAX_LEVELS}] per state")
     count = temperature.size
-    scale = np.empty(count)
-    n_cut = np.zeros(count, dtype=np.int64)
-    # E_1 and the cut in Python floats, exactly as `_levels` forms them
-    states = zip(*(v.tolist() for v in (width, alpha, mass, temperature, fixed)))
-    for i, (w, a, m, t, k) in enumerate(states):
-        try:
-            scale[i] = e1 = level_scale(w, a, m)
-        except OverflowError:
-            continue
-        n_cut[i] = k or _cut(a, e1 / t, rel_tol)
+    # E_1 in Python floats as `_levels` forms it (numpy's power differs from
+    # libm's), nan where a power overflows; the lists die before the level sums
+    columns = (width, alpha, mass)
+    try:
+        scale = np.array(list(map(level_scale, *(v.tolist() for v in columns))))
+    except OverflowError:
+        scale = np.full(count, np.nan)
+        for i, state in enumerate(zip(*(v.tolist() for v in columns))):
+            with suppress(OverflowError):
+                scale[i] = level_scale(*state)
+    if levels is not None:
+        n_cut = np.where(np.isnan(scale), 0, fixed).astype(np.int64)
+    else:  # `_cut` as arrays: numpy's log and power move N by a few ulps, so
+        # `_cut` decides within 1e-9 of an integer; x = 0 or a nan E_1 cuts 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            x = scale / temperature
+            n_real = _real_cut(alpha, x, rel_tol, np.log, np.log1p, np.minimum)
+            n_cut = np.where(n_real <= MAX_LEVELS, np.ceil(n_real), 0).astype(np.int64)
+            near = np.abs(n_real - np.rint(n_real)) <= 1e-9 * n_real
+        for i in np.flatnonzero(near).tolist():
+            n_cut[i] = _cut(float(alpha[i]), float(x[i]), rel_tol)
 
     # per state: E_1, E_{N+1} - E_N, the last kept weight and the three sums
     sums = np.full((6, count), np.nan)
@@ -223,12 +236,17 @@ def _cut(alpha: float, x: float, rel_tol: float) -> int:
     MAX_LEVELS: no cut exists, and no level may be computed.
     """
     if x > 0.0:
-        n_l = (1.0 + math.log(1.0 / rel_tol) / x) ** (1.0 / alpha)
-        big_l = -math.log(rel_tol * min(1.0, x * alpha * n_l ** (alpha - 1.0)))
-        n_real = (1.0 + (big_l + math.log1p(2.0 * big_l)) / x) ** (1.0 / alpha)
+        n_real = _real_cut(alpha, x, rel_tol, math.log, math.log1p, min)
         if n_real <= MAX_LEVELS:  # before ceil, which fails on inf
             return math.ceil(n_real)
     return 0
+
+
+def _real_cut(alpha, x, rel_tol, log, log1p, least):
+    """The real N of `_cut`, before rounding, with the given log, log1p and min."""
+    n_l = (1.0 + log(1.0 / rel_tol) / x) ** (1.0 / alpha)
+    big_l = -log(rel_tol * least(1.0, x * alpha * n_l ** (alpha - 1.0)))
+    return (1.0 + (big_l + log1p(2.0 * big_l)) / x) ** (1.0 / alpha)
 
 
 def _levels(state: ThermalState, rel_tol: float, levels: int | None) -> np.ndarray:

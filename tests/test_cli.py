@@ -17,7 +17,7 @@ from fracstirling import (
     DEFAULT_REL_TOL, CycleParams, FracStirlingError, SweepAxis, SweepGrid, cli, evaluate,
 )
 from fracstirling.cli import main
-from fracstirling.solver import MAX_NODES
+from fracstirling.solver import MAX_NODES, sweep
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -106,6 +106,32 @@ class TestCycleCommand:
             assert fields.pop("error") == ""
             del fields["x"], fields["y"]  # real axis values
             assert set(fields.values()) == {f"{value:.17g}"}, fields
+
+    def test_repeated_columns_keep_the_bits_of_each_node(self, capsys, monkeypatch):
+        # q_bc repeats along x and q_da along y but for the sign of a zero;
+        # q_cd holds one value per x, nan among them, and q_ab mixes nan and
+        # finite values
+        nx, ny = 3, 4
+        columns = {name: np.arange(nx * ny, dtype=float).reshape(nx, ny) for name in REPORT_FIELDS}
+        columns["q_bc"] = np.tile([0.0, 1.5, -0.0, 2.5], (nx, 1))
+        columns["q_bc"][1, 2] = 0.0
+        columns["q_da"] = np.tile([[0.0], [3.0], [-2.0]], (1, ny))
+        columns["q_da"][0, 3] = -0.0
+        columns["q_cd"] = np.tile([[math.nan], [1.0], [math.nan]], (1, ny))
+        columns["q_ab"] = np.where(np.arange(nx * ny).reshape(nx, ny) % 3, math.nan, 0.5)
+
+        def fake_sweep(base, axis_x, axis_y, rel_tol, levels):
+            return SweepGrid(axis_x, axis_y, base, columns, np.array([1.0]),
+                             np.array([1.0]), np.zeros((4, nx, ny), dtype=int), {})
+
+        monkeypatch.setattr(cli, "sweep", fake_sweep)
+        code, out, _ = run_cli(capsys, "sweep", "--x", f"la=1:2:{nx}", "--y", f"lb=1:3:{ny}")
+        assert code == 0
+        header, rows = csv_rows(out)
+        got = [[row[header.index(name)] for name in SWEEP_HEADER.split(",")[2:10]] for row in rows]
+        want = [[f"{columns[name][i, j]:.17g}" for name in REPORT_FIELDS]
+                for i in range(nx) for j in range(ny)]
+        assert got == want
 
     def test_byte_identical_reruns(self, capsys):
         args = ("cycle", "--la", "0.8", "--lb", "1.1", "--a1", "1.3", "--a2", "1.7")
@@ -315,6 +341,18 @@ class TestSweepCommand:
         assert target.read_bytes() == first
         assert first.decode().startswith("x,y,")
 
+    def test_formats_one_well_columns_once_per_axis_value(self, capsys, monkeypatch):
+        # on an alpha_1 x alpha_2 grid q_bc depends on x only and q_da on y
+        # only, so each takes 20 `.17g` calls, not 400
+        grids, calls = [], []
+        monkeypatch.setattr(cli, "sweep", lambda *args: grids.append(sweep(*args)) or grids[-1])
+        monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or f"{v:.17g}")
+        code, _, _ = run_cli(capsys, "sweep", "--x", "alpha1=1.1:1.9:20", "--y", "alpha2=1.2:2:20")
+        assert code == 0 and grids[0].errors == {}
+        states = grids[0].state_energy.size
+        # axes, carnot, the corner U and S, six columns per node and q_bc, q_da
+        assert len(calls) == 20 + 20 + 1 + 2 * states + 6 * 400 + 20 + 20
+
     def test_axis_over_max_nodes_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--x", f"alpha1=1.2:1.8:{MAX_NODES + 1}", "--y", "alpha2=1.3:1.9:2"])
@@ -343,6 +381,22 @@ class TestSweepCommand:
         _, rows = csv_rows(out)
         # only the (1e-200, 1.6) node fails: its E_1 ~ (pi/2e-200)^1.6 overflows
         assert [r[11] == "error" for r in rows] == [False, True] + [False] * 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["cycle"],
+    ["sweep", "--x", "la=0.8:1.2:2", "--y", "lb=0.9:1.3:2"],
+    ["trace", "--sweep", "alpha2=1.5:1.6:2", "--solve", "alpha1", "--lb", "1.4", "--levels", "10"],
+], ids=lambda argv: argv[0])
+def test_out_path_that_cannot_be_opened_exits_1(tmp_path, argv):
+    target = tmp_path / "missing" / "out.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracstirling.cli", *argv, "--out", str(target)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and str(target) in proc.stderr
+    assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
 
 
 class TestTraceCommand:

@@ -4,6 +4,8 @@ from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracstirling import (
     MAX_LEVELS,
@@ -16,7 +18,7 @@ from fracstirling import (
     summarize,
     thermo,
 )
-from fracstirling.spectrum import energy_levels
+from fracstirling.spectrum import energy_levels, level_scale
 from fracstirling.thermo import summarize_many
 
 # Frozen oracle for (L=1, alpha=2, m=1, T=4), mpmath at 50 digits over 200
@@ -377,6 +379,107 @@ class TestSummarizeMany:
     def test_rejects_unequal_or_non_1d_inputs(self, temperature):
         with pytest.raises(ValueError, match="1-D"):
             summarize_many([1.0], [1.5], [1.0], temperature)
+
+
+def scalar_cuts(width, alpha, temperature, rel_tol=thermo.DEFAULT_REL_TOL):
+    """n_cut of `summarize` state by state, 0 where it raises."""
+    cuts = []
+    for w, a, t in zip(width, alpha, temperature):
+        try:
+            cuts.append(summarize(ThermalState(WellSpec(w, a), t), rel_tol).n_cut)
+        except FracStirlingError:
+            cuts.append(0)
+    return cuts
+
+
+def real_cut(alpha, x, rel_tol):
+    """The real level count `thermo._cut` rounds up, in Python floats."""
+    return thermo._real_cut(alpha, x, rel_tol, math.log, math.log1p, min)
+
+
+@pytest.fixture
+def scalar_cut_calls(monkeypatch):
+    """The arguments of each scalar `thermo._cut` call from here on."""
+    calls, cut = [], thermo._cut
+    monkeypatch.setattr(thermo, "_cut", lambda *args: calls.append(args) or cut(*args))
+    return calls
+
+
+def temperatures_around_cut(width, alpha, n, rel_tol, ulps=3):
+    """Adjacent temperatures around the one where the real cut of the well crosses n."""
+    e1 = level_scale(width, alpha, 1.0)
+    lo, hi = 1e-3, 1e9
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if real_cut(alpha, e1 / mid, rel_tol) <= n else (lo, mid)
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+    temps = [lo]
+    while temps[-1] < hi:
+        temps.append(math.nextafter(temps[-1], math.inf))
+    return temps
+
+
+class TestArrayCut:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(1.0, 2.0, exclude_min=True),
+                           st.floats(-1.0, 3.0)), min_size=1, max_size=20),
+        st.floats(-15.0, -6.0),
+    )
+    def test_matches_summarize_state_by_state(self, states, log_tol):
+        rel_tol = 10.0 ** log_tol
+        width = [10.0 ** w for w, _, _ in states]
+        alpha = [a for _, a, _ in states]
+        temperature = [10.0 ** t for _, _, t in states]
+        table = summarize_many(width, alpha, [1.0] * len(states), temperature, rel_tol)
+        assert table["n_cut"].tolist() == scalar_cuts(width, alpha, temperature, rel_tol)
+
+    @pytest.mark.parametrize("width, alpha, n, rel_tol", [
+        (1.0, 2.0, 7, 1e-12), (0.3, 1.3, 40, 1e-6), (2.0, 1.7, 1000, 1e-15),
+        (1.0, 1.5, 2, 1e-12), (1.0, 1.05, MAX_LEVELS, 1e-6),
+    ])
+    def test_real_cut_within_ulps_of_an_integer(self, scalar_cut_calls, width, alpha, n, rel_tol):
+        # the real N of these states lies on both sides of n, a few ulps away;
+        # each goes to the scalar `_cut`
+        temperature = temperatures_around_cut(width, alpha, n, rel_tol)
+        count = len(temperature)
+        want = scalar_cuts([width] * count, [alpha] * count, temperature, rel_tol)
+        assert {n, n + 1 if n < MAX_LEVELS else 0} <= set(want)
+        scalar_cut_calls.clear()
+        table = summarize_many([width] * count, [alpha] * count, [1.0] * count, temperature, rel_tol)
+        assert table["n_cut"].tolist() == want
+        assert len(scalar_cut_calls) == count
+
+    def test_narrow_cold_wells_cut_at_one_level(self):
+        # y/x near the float resolution: N rounds to 1 or just above it
+        width = np.geomspace(1e-12, 1e-6, 60).tolist() * 2
+        alpha = [1.5] * 60 + [2.0] * 60
+        temperature = [0.1] * 120
+        want = scalar_cuts(width, alpha, temperature)
+        assert {1, 2} <= set(want)
+        assert summarize_many(width, alpha, [1.0] * 120, temperature)["n_cut"].tolist() == want
+
+    def test_overflowing_and_underflowing_level_scale_cut_nothing(self):
+        # (pi/2e-200)^2 overflows and raises, (pi/2e200)^2 underflows to 0
+        width = [1e-200, 1.0, 1e200]
+        table = summarize_many(width, [2.0] * 3, [1.0] * 3, [4.0] * 3)
+        assert table["n_cut"].tolist() == scalar_cuts(width, [2.0] * 3, [4.0] * 3)
+        assert table["n_cut"][[0, 2]].tolist() == [0, 0] and table["n_cut"][1] > 0
+
+    def test_scalar_cut_only_near_an_integer(self, scalar_cut_calls):
+        # the array cut decides every state whose real N is not within 1e-9
+        # of an integer (one state of these)
+        rng = np.random.default_rng(13)
+        width = 10.0 ** rng.uniform(-3.0, 3.0, 1000)
+        alpha = rng.uniform(1.01, 2.0, 1000)
+        temperature = 10.0 ** rng.uniform(-1.0, 3.0, 1000)
+        near = 0
+        for w, a, t in zip(width.tolist(), alpha.tolist(), temperature.tolist()):
+            n_real = real_cut(a, level_scale(w, a, 1.0) / t, thermo.DEFAULT_REL_TOL)
+            near += abs(n_real - round(n_real)) <= 1e-9 * n_real
+        table = summarize_many(width, alpha, np.ones(1000), temperature)
+        assert len(scalar_cut_calls) == near == 1
+        assert table["n_cut"].tolist() == scalar_cuts(width, alpha, temperature)
 
 
 class TestQuadraticEquivalence:
