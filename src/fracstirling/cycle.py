@@ -13,8 +13,8 @@ cycle nodes as parameter columns, sums their distinct corner states in one
 `summarize_many` call, forms every report quantity as an array and searches
 the crossings of all nodes in lockstep; `_reports` builds CycleReports from
 those arrays.  `evaluate` runs both on one node, `solver.sweep` the array
-stage on a grid.  `regenerator_heat`, which `solve_regeneration` calls at
-its bracket ends, sums its corners through the memoised scalar `summarize`.
+stage on a grid.  `_regenerator_heats` forms q_r there and for
+`regenerator_heat`, `solve_regeneration` and the scan of `trace_curve`.
 """
 
 from __future__ import annotations
@@ -131,12 +131,13 @@ def regenerator_heat(
 
     Equal bit for bit to `evaluate(params, rel_tol, levels).q_r` but skips
     the rest of the report, notably the heat-capacity crossing solve behind
-    q_h; the q_r = 0 root finders need nothing else.
+    q_h.  Where a corner fails, `summarize` of the first to fail raises.
     """
-    ua, ub, uc, ud = (
-        summarize(s, rel_tol, levels).internal_energy for s in corners(params)
-    )
-    return (uc - ub) + (ua - ud)
+    q_r, _, failing = _regenerator_heats(*_corner_summaries(params, {}, rel_tol, levels))
+    if failing[0]:
+        for state in corners(params):
+            summarize(state, rel_tol, levels)  # a failing corner raises here
+    return q_r.item()
 
 
 def evaluate(
@@ -161,16 +162,15 @@ def evaluate(
     assumed to be single: two crossings inside the interval would go
     unseen.
 
-    This is the cycle evaluator of `sweep` on one node; nothing is memoised.
-    Where a corner fails, the scalar `summarize` of the first of A, B, C, D
-    to fail raises; a vanishing q_h with net work raises DegenerateCycleError.
+    This is the cycle evaluator of `sweep` on one node.  Where a corner
+    fails, `summarize` of the first of A, B, C, D to fail raises; a vanishing
+    q_h with net work raises DegenerateCycleError.
     """
     table, ids, columns, failed = _node_arrays(params, {}, rel_tol, levels)
     if not failed[0]:
         energy, entropy = table["internal_energy"], table["entropy"]
         return next(_reports(energy, entropy, ids, columns, carnot_efficiency(params), 1))[0]
-    for state in corners(params):
-        summarize(state, rel_tol, levels)  # a failing corner raises here
+    regenerator_heat(params, rel_tol, levels)  # a failing corner raises its own error
     q_h, work = columns["q_h"].item(), columns["work"].item()
     raise DegenerateCycleError(
         f"hot-bath heat vanishes (q_h={q_h}) while work={work}; "
@@ -204,6 +204,16 @@ def _corner_summaries(base: CycleParams, nodes, rel_tol, levels):
     return {**table, "width": width, "alpha": alpha}, np.stack((ad, bc, count + bc, count + ad))
 
 
+def _regenerator_heats(table, ids):
+    """q_r = (U_C - U_B) + (U_A - U_D) of the nodes of `_corner_summaries`.
+
+    Returns q_r per node, the (4, nodes) array of U at corners A, B, C, D
+    and the mask of nodes with a failing corner, where q_r is nan.
+    """
+    ua, ub, uc, ud = energies = table["internal_energy"][ids]
+    return (uc - ub) + (ua - ud), energies, (table["n_cut"] == 0)[ids].any(axis=0)
+
+
 def _node_arrays(base: CycleParams, nodes, rel_tol, levels):
     """The array stage of the cycle evaluator: every node quantity as an array.
 
@@ -213,13 +223,11 @@ def _node_arrays(base: CycleParams, nodes, rel_tol, levels):
     failed nodes: a corner fails, or |q_h| < _QH_ZERO with net work.
     """
     table, ids = _corner_summaries(base, nodes, rel_tol, levels)
-    (ua, ub, uc, ud), (sa, sb, sc, sd), capacities = (
-        table[name][ids] for name in ("internal_energy", "entropy", "heat_capacity")
-    )
+    q_r, (ua, ub, uc, ud), failing = _regenerator_heats(table, ids)
+    (sa, sb, sc, sd), capacities = (table[name][ids] for name in ("entropy", "heat_capacity"))
     q_ab, q_bc = base.t_hot * (sb - sa), uc - ub
     q_cd, q_da = base.t_cold * (sd - sc), ua - ud
     work = q_ab + q_bc + q_cd + q_da
-    q_r = q_bc + q_da
     # q_ab + max(q_r, 0) wherever the capacities do not cross; H(0) = 0
     q_h = np.where(q_r > 0, q_ab + q_r, q_ab)
     gap_cold, gap_hot = capacities[3] - capacities[2], capacities[0] - capacities[1]
@@ -238,7 +246,7 @@ def _node_arrays(base: CycleParams, nodes, rel_tol, levels):
     # below rounding noise at the corner-energy scale counts as zero
     scale = np.maximum(abs(table["internal_energy"]), abs(base.t_hot * table["entropy"]))
     degenerate = zero & (abs(work) > 1e-12 * np.maximum(scale[ids].max(axis=0), 1.0))
-    failed = (table["n_cut"] == 0)[ids].any(axis=0) | degenerate
+    failed = failing | degenerate
     efficiency = np.divide(work, q_h, out=np.zeros_like(q_h), where=~zero)
     columns = dict(q_ab=q_ab, q_bc=q_bc, q_cd=q_cd, q_da=q_da, work=work, q_r=q_r, q_h=q_h,
                    efficiency=efficiency)

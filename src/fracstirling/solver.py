@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .cycle import (
-    CycleParams, CycleReport, _corner_summaries, _node_arrays, _reports, carnot_efficiency, corners,
-    evaluate, regenerator_heat,
+    CycleParams, CycleReport, _corner_summaries, _node_arrays, _regenerator_heats, _reports,
+    carnot_efficiency, corners, evaluate, regenerator_heat,
 )
 from .spectrum import _INF
 from .thermo import DEFAULT_REL_TOL, FracStirlingError, _check_cut_args, summarize, summarize_many
@@ -150,11 +150,11 @@ def sweep(
     one `summarize_many` call and their heat-capacity crossings searched in
     lockstep, so a report equals `evaluate` at its node bit for bit.  A node
     that fails keeps the message `evaluate` raises there rather than
-    aborting the grid: the scalar `summarize` of its first failing corner
-    raises it, once per distinct state, and `evaluate` itself where q_h
-    vanishes with net work.  A usage error (ValueError), such as a bad
-    `rel_tol`, `levels` or more than MAX_NODES nodes, raises before any
-    node.  The result is a pure function of the inputs.
+    aborting the grid: `summarize` of its first failing corner raises it,
+    once per distinct state, and `evaluate` itself where q_h vanishes with
+    net work.  A usage error (ValueError), such as a bad `rel_tol`, `levels`
+    or more than MAX_NODES nodes, raises before any node.  The result is a
+    pure function of the inputs.
     """
     px, py = axis_x.parameter, axis_y.parameter
     if px == py:
@@ -307,10 +307,13 @@ def solve_regeneration(
         raise ValueError(f"cannot solve for {parameter!r}; choose one of {SWEEPABLE}")
     _check_tol(tol)
     lo, hi = _clip_bracket(parameter, bracket_lo, bracket_hi)
-    at_lo = replace(base, **{parameter: lo})
-    f_lo = regenerator_heat(at_lo, rel_tol, levels)
-    f_hi = regenerator_heat(replace(base, **{parameter: hi}), rel_tol, levels)
+    ends = [replace(base, **{parameter: x}) for x in (lo, hi)]  # CycleParams checks both
+    table, ids = _corner_summaries(base, {parameter: np.array([lo, hi])}, rel_tol, levels)
+    q_r, energies, _ = _regenerator_heats(table, ids)
+    f_lo, f_hi = q_r.tolist()
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
+        for params in ends:
+            regenerator_heat(params, rel_tol, levels)  # the first failing corner raises
         raise SolverError(f"non-finite q_r at bracket endpoints [{lo}, {hi}]")
     if f_lo * f_hi > 0 and abs(f_lo) > tol and abs(f_hi) > tol:
         raise NoRootError(
@@ -320,10 +323,8 @@ def solve_regeneration(
             residual_hi=f_hi,
         )
     # U of the well the solve leaves alone, from the corners of the lower end
-    energies = np.array([[summarize(c, rel_tol, levels).internal_energy] for c in corners(at_lo)])
-    (root,), (residual,), (failure,) = _illinois(
-        _step_heats(base, parameter, {}, energies, rel_tol, levels), [lo], [hi], [f_lo], [f_hi], tol
-    )
+    step = _step_heats(base, parameter, {}, energies[:, :1], rel_tol, levels)
+    (root,), (residual,), (failure,) = _illinois(step, [lo], [hi], [f_lo], [f_hi], tol)
     params = replace(base, **{parameter: root})
     if failure:
         regenerator_heat(params, rel_tol, levels)  # a failing corner raises its own error
@@ -414,11 +415,9 @@ def trace_curve(
         chunk = grid[start:start + rows]
         nodes = {sweep_parameter: np.repeat(chunk, scan_points)}
         nodes[solve_parameter] = np.tile(xs, len(chunk))
-        table, ids = _corner_summaries(base, nodes, rel_tol, levels)
-        # q_r in `regenerator_heat`'s operation order, one row per grid node
-        ua, ub, uc, ud = energies = table["internal_energy"][ids]
-        scans = ((uc - ub) + (ua - ud)).reshape(len(chunk), scan_points)
-        failing = (table["n_cut"][ids] == 0).any(axis=0).reshape(scans.shape).any(axis=1).tolist()
+        q_r, energies, failing = _regenerator_heats(*_corner_summaries(base, nodes, rel_tol, levels))
+        scans = q_r.reshape(len(chunk), scan_points)  # one row per grid node
+        failing = failing.reshape(scans.shape).any(axis=1).tolist()
         candidates = [[] if bad else _sign_changes(v) for v, bad in zip(scans.tolist(), failing)]
         # every candidate is solved, as the one that counts depends on the root before
         row, left, right = np.array(

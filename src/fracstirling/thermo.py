@@ -8,15 +8,15 @@ computes one block of levels and searches for nothing.
 There is one ensemble kernel: `_row_sums` sums a 2-D block of levels, one
 state per row, and `_summary_fields` turns the row sums into U, S, F, Z, C
 and the tail bound.  `summarize_many` groups any number of states by their
-cut and sums each group in capped blocks; the memoised scalar `summarize`
-runs the same kernel on a one-row block.  Every reduction runs along a row,
-so both give the same bits.
+cut and sums each group in capped blocks; `summarize` is it on one state.
+Every reduction runs along a row, so a state's sums do not depend on the
+block it lands in.
 
 All sums are accumulated after factoring out e^(-beta E_1); beta E_1 can
 exceed 700 in narrow wells, where the unshifted weights underflow.  In the
 shifted representation S = beta (U - E_1) + ln Z_s, which is nonnegative by
-construction and needs no per-term x ln x guard.  `summarize` returns
-scalars and is memoised; `occupations` recomputes the kept weights on demand.
+construction and needs no per-term x ln x guard.  Nothing is memoised;
+`occupations` recomputes the kept weights on demand.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .spectrum import _INF, WellSpec, energy_level, energy_levels, level_scale
+from .spectrum import _INF, WellSpec, energy_levels, level_scale
 
 DEFAULT_REL_TOL = 1e-12
 
@@ -99,10 +98,14 @@ def summarize(
     `rel_tol` bounds the relative weight of the neglected tail and must lie
     in (0, 1e-6].  `levels`, when given, bypasses the adaptive rule and uses
     exactly that many levels, at most MAX_LEVELS; the reported tail_bound
-    then simply records how much spectrum the fixed cut ignores.  Results
-    are deterministic functions of the inputs and are memoised.
+    then simply records how much spectrum the fixed cut ignores.  This is
+    `summarize_many` on one state, its fields as Python scalars.
     """
-    return _summarize(state, rel_tol, levels)
+    well = state.well
+    row = summarize_many([well.width], [well.alpha], [well.mass], [state.temperature], rel_tol, levels)
+    if not row["n_cut"][0]:
+        raise _cut_error(state, rel_tol, levels)
+    return EnsembleSummary(**{name: v.item() for name, v in row.items()})
 
 
 def occupations(
@@ -111,8 +114,8 @@ def occupations(
     levels: int | None = None,
 ) -> np.ndarray:
     """P_1 .. P_{n_cut} at the cut `summarize` takes, recomputed on each call."""
+    energies = energy_levels(state.well, summarize(state, rel_tol, levels).n_cut + 1)
     with np.errstate(over="ignore"):
-        energies = _levels(state, rel_tol, levels)
         _, weights, _ = _weights(energies[None, :], 1.0 / state.temperature)
     return weights[0] / float(np.sum(weights))
 
@@ -130,12 +133,10 @@ def summarize_many(
     State i is ThermalState(WellSpec(width[i], alpha[i], mass[i]),
     temperature[i]); the four arguments are equal-length 1-D sequences.
     `levels` is None, one count for all states or a sequence of one per
-    state.  Each field equals bit for bit the one `summarize` gives for that
-    state at its levels.  Where `summarize` raises a FracStirlingError, n_cut
-    is 0 and the other fields are nan.  The states are grouped by their cut,
-    and each group is summed in blocks of at most _BLOCK_ENTRIES levels (or
-    one row), so the memory held is bounded for any number of states.
-    Nothing is memoised.
+    state.  Where `summarize` raises a FracStirlingError, n_cut is 0 and the
+    other fields are nan.  The states are grouped by their cut, and each
+    group is summed in blocks of at most _BLOCK_ENTRIES levels (or one row),
+    so the memory held is bounded for any number of states.
     """
     per_state = np.ndim(levels) > 0
     _check_cut_args(rel_tol, None if per_state else levels)
@@ -154,11 +155,11 @@ def summarize_many(
         )
     _check_beta(temperature.min(initial=_INF))
     fixed = np.broadcast_to(levels if per_state else levels or 0, temperature.shape)
-    if per_state and not np.all((1 <= fixed) & (fixed <= MAX_LEVELS)):
-        raise ValueError(f"need one level count in [1, {MAX_LEVELS}] per state")
+    if per_state and not np.all((1 <= fixed) & (fixed <= MAX_LEVELS) & (fixed % 1 == 0)):
+        raise ValueError(f"need one integer level count in [1, {MAX_LEVELS}] per state")
     count = temperature.size
-    # E_1 in Python floats as `_levels` forms it (numpy's power differs from
-    # libm's), nan where a power overflows; the lists die before the level sums
+    # E_1 in Python floats, as `_cut_error` forms it: a power past the float
+    # range raises, and is nan here; the lists die before the level sums
     columns = (width, alpha, mass)
     try:
         scale = np.array(list(map(level_scale, *(v.tolist() for v in columns))))
@@ -214,6 +215,8 @@ def _check_cut_args(rel_tol: float, levels: int | None) -> None:
         raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol}")
     if levels is not None and not 1 <= levels <= MAX_LEVELS:
         raise ValueError(f"levels must lie in [1, {MAX_LEVELS}], got {levels}")
+    if levels is not None and levels % 1:
+        raise ValueError(f"levels must be an integer, got {levels}")
 
 
 def _cut(alpha: float, x: float, rel_tol: float) -> int:
@@ -249,32 +252,22 @@ def _real_cut(alpha, x, rel_tol, log, log1p, least):
     return (1.0 + (big_l + log1p(2.0 * big_l)) / x) ** (1.0 / alpha)
 
 
-def _levels(state: ThermalState, rel_tol: float, levels: int | None) -> np.ndarray:
-    """E_1 .. E_{n_cut+1} of one state; the extra level feeds the tail bound.
+def _cut_error(state: ThermalState, rel_tol: float, levels: int | None) -> FracStirlingError:
+    """The error of a state that `summarize_many` cuts at 0 levels; computes no level.
 
-    Call under np.errstate(over="ignore"): a product past the float range is
-    inf, and an inf top level raises here.
+    Without a cut, fixed or from `_cut`, no level count up to MAX_LEVELS
+    meets rel_tol; with one, a level left the float range.  E_1 is formed
+    from Python floats, as in `summarize_many`, so an overflow never warns.
     """
-    _check_cut_args(rel_tol, levels)
-    try:
-        n_cut = levels or _cut(
-            state.well.alpha, energy_level(state.well, 1) / state.temperature, rel_tol
-        )
-        if not n_cut:
-            raise TruncationLimitError(
-                f"partition sum for width={state.well.width}, "
-                f"alpha={state.well.alpha}, mass={state.well.mass}, "
-                f"T={state.temperature} still unconverged at "
-                f"{MAX_LEVELS} levels (rel_tol={rel_tol})"
+    well = state.well
+    with suppress(OverflowError):
+        scale = level_scale(float(well.width), float(well.alpha), float(well.mass))
+        if not (levels or _cut(float(well.alpha), scale / float(state.temperature), rel_tol)):
+            return TruncationLimitError(
+                f"partition sum for width={well.width}, alpha={well.alpha}, mass={well.mass}, "
+                f"T={state.temperature} still unconverged at {MAX_LEVELS} levels (rel_tol={rel_tol})"
             )
-        energies = energy_levels(state.well, n_cut + 1)
-        if not energies[-1] < _INF:  # a product overflowed without raising
-            raise OverflowError
-    except OverflowError:
-        raise FracStirlingError(
-            f"energy levels of {state.well} exceed the float range"
-        ) from None
-    return energies
+    return FracStirlingError(f"energy levels of {well} exceed the float range")
 
 
 def _weights(energies: np.ndarray, beta):
@@ -338,16 +331,3 @@ def _summary_fields(e1, spacing, last_weight, z_shifted, excess, moment, tempera
         "tail_bound": last_weight * ratio / ((1.0 - ratio) * z_shifted),
         "heat_capacity": beta * moment - beta_excess * beta_excess,
     }
-
-
-@lru_cache(maxsize=65536)
-def _summarize(
-    state: ThermalState, rel_tol: float, levels: int | None
-) -> EnsembleSummary:
-    with np.errstate(over="ignore", divide="ignore"):
-        energies = _levels(state, rel_tol, levels)
-        sums = _row_sums(energies[None, :], 1.0 / state.temperature)
-        row = _summary_fields(*(float(v[0]) for v in sums), state.temperature)
-    return EnsembleSummary(
-        n_cut=energies.size - 1, **{name: float(v) for name, v in row.items()}
-    )

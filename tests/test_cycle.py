@@ -84,7 +84,7 @@ def dense_regenerator_deficit(params, levels=None, points=2001, n_terms=400):
 
 
 def scalar_h_at_crossing(ad, bc, lo, hi):
-    """The crossing search one node at a time, on the memoised `summarize`.
+    """The crossing search one node at a time, on the one-state `summarize`.
 
     `ad` and `bc` are (well, level count) of the two isochores, `lo` and
     `hi` are (T, h, slope) at the bracket ends; the steps and the stopping

@@ -10,6 +10,7 @@ from fracstirling import (
     MAX_LEVELS,
     CycleParams,
     DegenerateCycleError,
+    FracStirlingError,
     corners,
     NodeError,
     NoRootError,
@@ -197,6 +198,19 @@ class TestSolveAlpha1:
         with pytest.raises(ValueError):
             solve_regeneration(BASE, "t_hot", 3.5, 4.5)
 
+    def test_failing_bracket_end_raises_its_first_failing_corner(self):
+        # corner A needs more than MAX_LEVELS levels at width_a = 1e7 and
+        # leaves the float range at 1e-300; the lower end raises first
+        base = replace(BASE, alpha_2=1.05)
+        for lo, failing_width, error in (
+            (1.0, 1e7, TruncationLimitError), (1e-300, 1e-300, FracStirlingError),
+        ):
+            with pytest.raises(error) as want:
+                summarize(corners(replace(base, width_a=failing_width))[0])
+            with pytest.raises(error) as err:
+                solve_regeneration(base, "width_a", lo, 1e7)
+            assert type(err.value) is type(want.value) and str(err.value) == str(want.value)
+
     def test_efficiency_near_carnot_at_root(self):
         # q_r = 0 pins the efficiency close to (but not exactly at) carnot
         point = solve_regeneration(
@@ -207,8 +221,8 @@ class TestSolveAlpha1:
 
     def test_at_most_ten_evaluations_per_solve(self, monkeypatch):
         # Table-1 pairs and points above them on the locus, ten-level and
-        # adaptive; a solve's q_r points are its two scalar endpoint
-        # evaluations and one kernel call per lockstep step
+        # adaptive; a solve's q_r points are one kernel call on both bracket
+        # ends, one per lockstep step and any scalar `regenerator_heat` call
         heat = solver.regenerator_heat
         count = 0
 
@@ -222,6 +236,7 @@ class TestSolveAlpha1:
 
         monkeypatch.setattr(solver, "regenerator_heat", counting(heat))
         monkeypatch.setattr(solver, "summarize_many", counting(solver.summarize_many))
+        monkeypatch.setattr(cycle, "summarize_many", counting(cycle.summarize_many))
         calls = []
         for row, offset, levels in itertools.product(
             BENCH_ROWS, (0.0, 0.02, 0.05, 0.08), (10, None)
@@ -349,6 +364,7 @@ class TestTraceCurve:
             {"levels": MAX_LEVELS + 1},
             {"tol": -1.0},
             {"tol": math.nan},
+            {"levels": 10.5},
         ],
     )
     def test_usage_errors_raise_before_any_node(self, kwargs):
@@ -358,23 +374,24 @@ class TestTraceCurve:
     @pytest.mark.parametrize("levels", [10, None])
     def test_scan_makes_no_scalar_q_r_call(self, monkeypatch, levels):
         # the 64-point scans and the Illinois steps run in the batched
-        # kernel: no scalar `summarize` call, and at most ten lockstep
+        # kernel: no one-state `summarize` call, and at most ten lockstep
         # steps, each one kernel call on every candidate still unsolved
         kernel = solver.summarize_many
-        steps = []
+        steps, scalar = [], []
 
         def counting(width, *args):
             steps.append(len(width) // 2)  # each q_r point sums one well at two baths
             return kernel(width, *args)
 
         monkeypatch.setattr(solver, "summarize_many", counting)
-        scalar = thermo._summarize.cache_info()
+        for module in (cycle, solver):
+            monkeypatch.setattr(module, "summarize", lambda *args: scalar.append(args) or summarize(*args))
         grid = [1.58 + 0.02 * i for i in range(6)]
         points = trace_curve(
             BASE, "alpha_2", "alpha_1", grid, (1.000001, 2.0), levels=levels
         )
         assert all(p is not None for p in points)
-        assert thermo._summarize.cache_info()[:2] == scalar[:2]
+        assert scalar == []
         assert 1 <= len(steps) <= 10, steps
         assert steps[0] >= len(grid) and steps == sorted(steps, reverse=True)
 
@@ -498,7 +515,7 @@ class TestSweep:
         assert grid.reports[1][1].q_r > 0  # (1.0, 1.3)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"rel_tol": 0.5}, {"levels": 0}, {"levels": MAX_LEVELS + 1}]
+        "kwargs", [{"rel_tol": 0.5}, {"levels": 0}, {"levels": MAX_LEVELS + 1}, {"levels": 10.5}]
     )
     def test_usage_errors_raise_before_any_node(self, kwargs):
         ax = SweepAxis("alpha_1", 1.2, 1.9, 2)

@@ -117,7 +117,7 @@ class TestSummarize:
 
     @pytest.mark.parametrize("levels", [None, 10])
     def test_summary_holds_only_python_scalars(self, levels):
-        # the memo keeps summaries, so no field may hold an array
+        # `summarize` unwraps its one-state kernel call: no numpy scalar or array
         s = summarize(ThermalState(WellSpec(1.2, 1.6), 3.0), levels=levels)
         assert all(type(v) in (int, float) for v in astuple(s)), astuple(s)
 
@@ -238,25 +238,28 @@ class TestTruncation:
             checked += 1
 
     def test_one_block_per_miss(self, monkeypatch):
-        calls = []
+        # nothing is memoised: every call sums one block of n_cut + 1 levels,
+        # and a failing state none
+        blocks, row_sums = [], thermo._row_sums
 
-        def counting_levels(spec, n_max):
-            calls.append(n_max)
-            return energy_levels(spec, n_max)
+        def counting(energies, beta):
+            if len(energies):  # a block whose states all overflow keeps no row
+                blocks.append(energies.shape)
+            return row_sums(energies, beta)
 
-        monkeypatch.setattr(thermo, "energy_levels", counting_levels)
-        thermo._summarize.cache_clear()
-        for state in (UNIT_STATE, ThermalState(WellSpec(300.0, 1.3), 4.0)):
-            calls.clear()
+        monkeypatch.setattr(thermo, "_row_sums", counting)
+        for state in (UNIT_STATE, ThermalState(WellSpec(300.0, 1.3), 4.0), UNIT_STATE):
+            blocks.clear()
             n_cut = summarize(state).n_cut
-            assert calls == [n_cut + 1]
-        calls.clear()
+            assert blocks == [(1, n_cut + 1)]
+        blocks.clear()
         assert summarize(UNIT_STATE, levels=10).n_cut == 10
-        assert calls == [11]
-        calls.clear()
-        with pytest.raises(TruncationLimitError):
-            summarize(ThermalState(WellSpec(1e7, 1.05), 4.0))
-        assert calls == []
+        assert blocks == [(1, 11)]
+        for well in (WellSpec(1e7, 1.05), WellSpec(1e-302, 1.02)):
+            blocks.clear()
+            with pytest.raises(FracStirlingError):
+                summarize(ThermalState(well, 4.0))
+            assert blocks == []
 
     @pytest.mark.parametrize("t", [0.1, 0.01])
     def test_levels_near_the_float_maximum_warn_nothing(self, t):
@@ -275,6 +278,15 @@ class TestTruncation:
     def test_rejects_bad_level_count(self):
         with pytest.raises(ValueError):
             summarize(UNIT_STATE, levels=0)
+        # a count that is not an integer would sum a different number of
+        # levels in the kernel than it reports
+        with pytest.raises(ValueError, match="integer"):
+            summarize(UNIT_STATE, levels=10.5)
+        with pytest.raises(ValueError, match="integer"):
+            summarize_many([1.0], [1.5], [1.0], [4.0], levels=10.5)
+        with pytest.raises(ValueError, match="integer"):
+            summarize_many([1.0, 1.0], [1.5, 1.5], [1.0, 1.0], [4.0, 4.0], levels=[10, 10.5])
+        assert summarize(UNIT_STATE, levels=10.0) == summarize(UNIT_STATE, levels=10)
 
     @pytest.mark.parametrize(
         "well, levels",
@@ -282,6 +294,9 @@ class TestTruncation:
             (WellSpec(1e-200, 1.6), None),  # (pi/2L)^alpha raises OverflowError
             (WellSpec(1e-302, 1.02), None),  # E_1 ~ 1e308, E_2 overflows to inf
             (WellSpec(1.0, 2.0, 1e-320), 10),  # (1/2m)^(alpha/2) is inf
+            # numpy floats, whose powers overflow with a warning, not an error
+            (WellSpec(np.float64(1e-200), 1.6), None),
+            (WellSpec(np.float64(1e-302), 1.02), None),
         ],
     )
     def test_unrepresentable_levels_raise(self, well, levels):
@@ -325,10 +340,35 @@ class TestTruncation:
         )
 
 
+def one_row_reference(state, levels=None):
+    """The summary fields of one state summed as a lone row, or None where it fails.
+
+    The levels come from `spectrum.energy_levels` at the cut of `thermo._cut`
+    and go through `_row_sums` and `_summary_fields` as one 1-D row, with no
+    grouping or blocking; a level count past MAX_LEVELS or a level past the
+    float range fails.
+    """
+    well, t = state.well, state.temperature
+    with np.errstate(over="ignore", divide="ignore"):
+        try:
+            x = level_scale(well.width, well.alpha, well.mass) / t
+            n_cut = levels or thermo._cut(well.alpha, x, thermo.DEFAULT_REL_TOL)
+            energies = energy_levels(well, n_cut + 1) if n_cut else None
+        except OverflowError:
+            return None
+        if energies is None or not energies[-1] < math.inf:
+            return None
+        sums = thermo._row_sums(energies[None, :], 1.0 / t)
+        row = thermo._summary_fields(*(float(v[0]) for v in sums), t)
+    return {"n_cut": n_cut, **row}
+
+
 class TestSummarizeMany:
     @pytest.mark.parametrize("levels", [None, 10])
     def test_every_field_matches_summarize_bitwise(self, levels):
-        # 450 ordinary states and 50 across the float range, some of which fail
+        # the grouped, blocked kernel against a plain one-row sum, and
+        # `summarize` against both; 450 ordinary states and 50 across the
+        # float range, some of which fail
         rng = np.random.default_rng(31)
         count = 500
         width = 10.0 ** np.concatenate(
@@ -341,18 +381,21 @@ class TestSummarizeMany:
         failed = 0
         for i in range(count):
             state = ThermalState(WellSpec(width[i], alpha[i], mass[i]), temperature[i])
-            try:
-                expected = summarize(state, levels=levels)
-            except FracStirlingError:
+            expected = one_row_reference(state, levels)
+            if expected is None:
                 failed += 1
                 assert table["n_cut"][i] == 0
                 assert all(np.isnan(table[name][i]) for name in table if name != "n_cut")
+                with pytest.raises(FracStirlingError):
+                    summarize(state, levels=levels)
                 continue
+            single = summarize(state, levels=levels)
             for field in fields(EnsembleSummary):
-                got, want = table[field.name][i], getattr(expected, field.name)
+                got, want = table[field.name][i], expected[field.name]
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), (
                     state, field.name, got, want,
                 )
+                assert np.float64(getattr(single, field.name)).tobytes() == np.float64(want).tobytes()
         assert 0 < failed < 50
 
     def test_an_overflowing_top_level_fails_only_its_state(self):
