@@ -20,14 +20,13 @@ stage on a grid.  `_regenerator_heats` forms q_r there and for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .spectrum import _INF, WellSpec
-from .thermo import (
-    DEFAULT_REL_TOL, FracStirlingError, ThermalState, _check_beta, summarize,
-    summarize_many,
+from .thermo import (  # summarize: unused here, but bench/tracer.py rebinds cycle.summarize
+    DEFAULT_REL_TOL, FracStirlingError, ThermalState, _check_beta, _state_error, summarize, summarize_many,
 )
 
 REGIME_ENGINE = "engine"
@@ -40,6 +39,10 @@ _QH_ZERO = 1e-15
 # rounding.
 _CROSSING_T_TOL = 1e-5
 _CROSSING_MAX_STEPS = 100
+
+# The CycleParams fields of the width, alpha and temperature of corners A .. D
+_CORNER_FIELDS = (("width_a", "alpha_2", "t_hot"), ("width_b", "alpha_1", "t_hot"),
+                  ("width_b", "alpha_1", "t_cold"), ("width_a", "alpha_2", "t_cold"))
 
 
 class DegenerateCycleError(FracStirlingError):
@@ -93,7 +96,8 @@ class CycleReport:
     equals q_ab + max(q_r, 0) unless the isochore heat capacities cross
     inside the interval; see `evaluate`.  `efficiency` is reported in every
     regime and is meaningful as an engine efficiency only when `regime` is
-    "engine" (net work output); there it never exceeds `carnot`.
+    "engine" (net work output); there it stays below `carnot` unless the
+    heat capacities cross twice, which `evaluate` misses (ROADMAP item 1).
     """
 
     q_ab: float
@@ -112,13 +116,9 @@ class CycleReport:
 
 def corners(params: CycleParams) -> tuple[ThermalState, ThermalState, ThermalState, ThermalState]:
     """The four labelled equilibrium corners (A, B, C, D) of the cycle."""
-    well_ad = WellSpec(params.width_a, params.alpha_2, params.mass)
-    well_bc = WellSpec(params.width_b, params.alpha_1, params.mass)
-    return (
-        ThermalState(well_ad, params.t_hot),
-        ThermalState(well_bc, params.t_hot),
-        ThermalState(well_bc, params.t_cold),
-        ThermalState(well_ad, params.t_cold),
+    return tuple(
+        ThermalState(WellSpec(getattr(params, w), getattr(params, a), params.mass), getattr(params, t))
+        for w, a, t in _CORNER_FIELDS
     )
 
 
@@ -131,13 +131,12 @@ def regenerator_heat(
 
     Equal bit for bit to `evaluate(params, rel_tol, levels).q_r` but skips
     the rest of the report, notably the heat-capacity crossing solve behind
-    q_h.  Where a corner fails, `summarize` of the first to fail raises.
+    q_h.  Where a corner fails, the first to fail raises as in `summarize`.
     """
-    q_r, _, failing = _regenerator_heats(*_corner_summaries(params, {}, rel_tol, levels))
-    if failing[0]:
-        for state in corners(params):
-            summarize(state, rel_tol, levels)  # a failing corner raises here
-    return q_r.item()
+    table, ids = _corner_summaries(params, {}, rel_tol, levels)
+    if table["failure"][ids].any():
+        raise _node_error(params, {}, table["failure"][ids[:, 0]], rel_tol)
+    return _regenerator_heats(table, ids)[0].item()
 
 
 def evaluate(
@@ -157,24 +156,35 @@ def evaluate(
     so the booked deficit is the positive variation of h = U_AD - U_BC on
     [t_cold, t_hot], not just max(q_r, 0) with q_r = h(t_hot) - h(t_cold).
     With that booking the regenerator returns to its initial state and
-    the engine efficiency cannot exceed carnot.  A crossing of the two heat
-    capacities is detected from their signs at the corner temperatures and
-    assumed to be single: two crossings inside the interval would go
-    unseen.
+    the engine efficiency stays below carnot, as long as the two heat
+    capacities cross at most once: a crossing is detected from their signs
+    at the corner temperatures, and two inside the interval go unseen.
 
     This is the cycle evaluator of `sweep` on one node.  Where a corner
-    fails, `summarize` of the first of A, B, C, D to fail raises; a vanishing
-    q_h with net work raises DegenerateCycleError.
+    fails, the first of A, B, C, D to fail raises as in `summarize`; a
+    vanishing q_h with net work raises DegenerateCycleError.
     """
     table, ids, columns, failed = _node_arrays(params, {}, rel_tol, levels)
-    if not failed[0]:
-        energy, entropy = table["internal_energy"], table["entropy"]
-        return next(_reports(energy, entropy, ids, columns, carnot_efficiency(params), 1))[0]
-    regenerator_heat(params, rel_tol, levels)  # a failing corner raises its own error
-    q_h, work = columns["q_h"].item(), columns["work"].item()
-    raise DegenerateCycleError(
+    if failed[0]:
+        raise _node_error(params, {}, table["failure"][ids[:, 0]], rel_tol, columns, 0)
+    energy, entropy = table["internal_energy"], table["entropy"]
+    return next(_reports(energy, entropy, ids, columns, carnot_efficiency(params), 1))[0]
+
+
+def _node_error(base: CycleParams, node, kinds, rel_tol, columns=None, k=0) -> FracStirlingError:
+    """The error `evaluate` raises at failed node k, in the values the caller gave.
+
+    `node` overrides parameters of `base`; `kinds` holds the `summarize_many`
+    failure of corners A, B, C, D, `columns` the nodes' q_h and work.
+    """
+    for fields, kind in zip(_CORNER_FIELDS, kinds.tolist()):
+        if kind:
+            width, alpha, temperature = (node.get(p, getattr(base, p)) for p in fields)
+            return _state_error(width, alpha, base.mass, temperature, rel_tol, kind)
+    q_h, work = columns["q_h"][k].item(), columns["work"][k].item()
+    return DegenerateCycleError(
         f"hot-bath heat vanishes (q_h={q_h}) while work={work}; "
-        f"efficiency is undefined for {params}"
+        f"efficiency is undefined for {replace(base, **node)}"
     )
 
 
@@ -211,7 +221,7 @@ def _regenerator_heats(table, ids):
     and the mask of nodes with a failing corner, where q_r is nan.
     """
     ua, ub, uc, ud = energies = table["internal_energy"][ids]
-    return (uc - ub) + (ua - ud), energies, (table["n_cut"] == 0)[ids].any(axis=0)
+    return (uc - ub) + (ua - ud), energies, table["failure"][ids].any(axis=0)
 
 
 def _node_arrays(base: CycleParams, nodes, rel_tol, levels):

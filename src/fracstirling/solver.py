@@ -19,12 +19,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .cycle import (
-    CycleParams, CycleReport, _corner_summaries, _node_arrays, _regenerator_heats, _reports,
-    carnot_efficiency, corners, evaluate, regenerator_heat,
+from .cycle import (  # evaluate: unused here, but bench/tracer.py rebinds solver.evaluate
+    CycleParams, CycleReport, _corner_summaries, _node_arrays, _node_error, _regenerator_heats,
+    _reports, carnot_efficiency, evaluate, regenerator_heat,
 )
 from .spectrum import _INF
-from .thermo import DEFAULT_REL_TOL, FracStirlingError, _check_cut_args, summarize, summarize_many
+from .thermo import DEFAULT_REL_TOL, FracStirlingError, _check_cut_args, summarize_many
 
 SWEEPABLE = ("width_a", "width_b", "alpha_1", "alpha_2")
 
@@ -149,12 +149,10 @@ def sweep(
     `evaluate` runs on one node: their distinct corner states are summed in
     one `summarize_many` call and their heat-capacity crossings searched in
     lockstep, so a report equals `evaluate` at its node bit for bit.  A node
-    that fails keeps the message `evaluate` raises there rather than
-    aborting the grid: `summarize` of its first failing corner raises it,
-    once per distinct state, and `evaluate` itself where q_h vanishes with
-    net work.  A usage error (ValueError), such as a bad `rel_tol`, `levels`
-    or more than MAX_NODES nodes, raises before any node.  The result is a
-    pure function of the inputs.
+    that fails keeps the message `evaluate` raises there, worded from the
+    kernel's failure kinds, rather than aborting the grid.  A usage error
+    (ValueError), such as a bad `rel_tol`, `levels` or more than MAX_NODES
+    nodes, raises before any node.  The result is a pure function of the inputs.
     """
     px, py = axis_x.parameter, axis_y.parameter
     if px == py:
@@ -164,21 +162,15 @@ def sweep(
     xs, ys = axis_x.values(), axis_y.values()
     nodes = {px: np.repeat(xs, len(ys)), py: np.tile(ys, len(xs))}
     table, ids, columns, failed = _node_arrays(base, nodes, rel_tol, levels)
-    failing = table["n_cut"] == 0
-    first = failing[ids].argmax(axis=0)  # each node's first failing corner, if any
-    errors, messages = {}, {}
+    kinds = table["failure"][ids]
+    first = (kinds != 0).argmax(axis=0)  # each node's first failing corner, if any
+    errors, raised = {}, {}
     for k in np.flatnonzero(failed).tolist():
         i, j = divmod(k, len(ys))
         state = ids[first[k], k].item()
-        # a failing corner state raises once; `evaluate` words a vanishing q_h
-        if state not in messages or not failing[state]:
-            params = replace(base, **{px: xs[i], py: ys[j]})
-            call, arg = (summarize, corners(params)[first[k]]) if failing[state] else (evaluate, params)
-            try:
-                call(arg, rel_tol, levels)
-            except FracStirlingError as exc:
-                messages[state] = str(exc)
-        errors[i, j] = messages[state]
+        if state not in raised or not kinds[first[k], k]:  # a failing state is worded once
+            raised[state] = _node_error(base, {px: xs[i], py: ys[j]}, kinds[:, k], rel_tol, columns, k)
+        errors[i, j] = str(raised[state])
     shape = (len(xs), len(ys))
     grid = SweepGrid(
         axis_x, axis_y, base, {name: v.reshape(shape) for name, v in columns.items()},
@@ -312,8 +304,9 @@ def solve_regeneration(
     q_r, energies, _ = _regenerator_heats(table, ids)
     f_lo, f_hi = q_r.tolist()
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
-        for params in ends:
-            regenerator_heat(params, rel_tol, levels)  # the first failing corner raises
+        for params, kinds in zip(ends, table["failure"][ids].T):
+            if kinds.any():
+                raise _node_error(params, {}, kinds, rel_tol)
         raise SolverError(f"non-finite q_r at bracket endpoints [{lo}, {hi}]")
     if f_lo * f_hi > 0 and abs(f_lo) > tol and abs(f_hi) > tol:
         raise NoRootError(

@@ -36,6 +36,8 @@ DEFAULT_REL_TOL = 1e-12
 # outside its intended regime; fail before any level is computed.
 MAX_LEVELS = 10**6
 
+TRUNCATED, FLOAT_RANGE = 1, 2  # the failure kinds of `summarize_many` besides 0
+
 # Cap on the level entries of one kernel block: a group of states that share a
 # cut is summed in blocks of at most this many entries, or of one row.
 _BLOCK_ENTRIES = 1 << 16
@@ -99,12 +101,12 @@ def summarize(
     in (0, 1e-6].  `levels`, when given, bypasses the adaptive rule and uses
     exactly that many levels, at most MAX_LEVELS; the reported tail_bound
     then simply records how much spectrum the fixed cut ignores.  This is
-    `summarize_many` on one state, its fields as Python scalars.
+    `summarize_many` on one state as Python scalars, or the error its `failure` names.
     """
     well = state.well
     row = summarize_many([well.width], [well.alpha], [well.mass], [state.temperature], rel_tol, levels)
-    if not row["n_cut"][0]:
-        raise _cut_error(state, rel_tol, levels)
+    if kind := row.pop("failure")[0]:
+        raise _state_error(well.width, well.alpha, well.mass, state.temperature, rel_tol, kind)
     return EnsembleSummary(**{name: v.item() for name, v in row.items()})
 
 
@@ -133,10 +135,11 @@ def summarize_many(
     State i is ThermalState(WellSpec(width[i], alpha[i], mass[i]),
     temperature[i]); the four arguments are equal-length 1-D sequences.
     `levels` is None, one count for all states or a sequence of one per
-    state.  Where `summarize` raises a FracStirlingError, n_cut is 0 and the
-    other fields are nan.  The states are grouped by their cut, and each
-    group is summed in blocks of at most _BLOCK_ENTRIES levels (or one row),
-    so the memory held is bounded for any number of states.
+    state.  `failure` is 0, or TRUNCATED where no cut up to MAX_LEVELS meets
+    rel_tol and FLOAT_RANGE where a level leaves the float range; there n_cut
+    is 0 and the other fields are nan.  The states are grouped by their cut,
+    and each group is summed in blocks of at most _BLOCK_ENTRIES levels (or
+    one row), so the memory held is bounded for any number of states.
     """
     per_state = np.ndim(levels) > 0
     _check_cut_args(rel_tol, None if per_state else levels)
@@ -158,8 +161,8 @@ def summarize_many(
     if per_state and not np.all((1 <= fixed) & (fixed <= MAX_LEVELS) & (fixed % 1 == 0)):
         raise ValueError(f"need one integer level count in [1, {MAX_LEVELS}] per state")
     count = temperature.size
-    # E_1 in Python floats, as `_cut_error` forms it: a power past the float
-    # range raises, and is nan here; the lists die before the level sums
+    # E_1 in Python floats, so a power past the float range raises instead of
+    # warning, and is nan here; the lists die before the level sums
     columns = (width, alpha, mass)
     try:
         scale = np.array(list(map(level_scale, *(v.tolist() for v in columns))))
@@ -170,15 +173,17 @@ def summarize_many(
                 scale[i] = level_scale(*state)
     if levels is not None:
         n_cut = np.where(np.isnan(scale), 0, fixed).astype(np.int64)
-    else:  # `_cut` as arrays: numpy's log and power move N by a few ulps, so
-        # `_cut` decides within 1e-9 of an integer; x = 0 or a nan E_1 cuts 0
+    else:  # `_cut` as arrays: numpy's log and power move N by a few ulps, so `_cut`
+        # decides within 1e-9 of an integer up to MAX_LEVELS; x = 0 or a nan E_1 cuts 0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             x = scale / temperature
             n_real = _real_cut(alpha, x, rel_tol, np.log, np.log1p, np.minimum)
             n_cut = np.where(n_real <= MAX_LEVELS, np.ceil(n_real), 0).astype(np.int64)
-            near = np.abs(n_real - np.rint(n_real)) <= 1e-9 * n_real
+            near = (np.abs(n_real - np.rint(n_real)) <= 1e-9 * n_real) & (n_real < MAX_LEVELS + 1)
         for i in np.flatnonzero(near).tolist():
             n_cut[i] = _cut(float(alpha[i]), float(x[i]), rel_tol)
+    # no cut: a float-range failure at a nan E_1, else (only adaptive) a truncation
+    failure = np.where(n_cut == 0, np.where(np.isnan(scale), FLOAT_RANGE, TRUNCATED), 0).astype(np.int8)
 
     # per state: E_1, E_{N+1} - E_N, the last kept weight and the three sums
     sums = np.full((6, count), np.nan)
@@ -197,10 +202,10 @@ def summarize_many(
                 energies *= scale[idx, None]
                 finite = energies[:, -1] < _INF
                 if not finite.all():
-                    n_cut[idx[~finite]] = 0
+                    n_cut[idx[~finite]], failure[idx[~finite]] = 0, FLOAT_RANGE
                     idx, energies = idx[finite], energies[finite]
                 sums[:, idx] = _row_sums(energies, 1.0 / temperature[idx, None])
-        return {"n_cut": n_cut, **_summary_fields(*sums, temperature)}
+        return {"n_cut": n_cut, "failure": failure, **_summary_fields(*sums, temperature)}
 
 
 def _check_beta(temperature: float) -> None:
@@ -252,22 +257,14 @@ def _real_cut(alpha, x, rel_tol, log, log1p, least):
     return (1.0 + (big_l + log1p(2.0 * big_l)) / x) ** (1.0 / alpha)
 
 
-def _cut_error(state: ThermalState, rel_tol: float, levels: int | None) -> FracStirlingError:
-    """The error of a state that `summarize_many` cuts at 0 levels; computes no level.
-
-    Without a cut, fixed or from `_cut`, no level count up to MAX_LEVELS
-    meets rel_tol; with one, a level left the float range.  E_1 is formed
-    from Python floats, as in `summarize_many`, so an overflow never warns.
-    """
-    well = state.well
-    with suppress(OverflowError):
-        scale = level_scale(float(well.width), float(well.alpha), float(well.mass))
-        if not (levels or _cut(float(well.alpha), scale / float(state.temperature), rel_tol)):
-            return TruncationLimitError(
-                f"partition sum for width={well.width}, alpha={well.alpha}, mass={well.mass}, "
-                f"T={state.temperature} still unconverged at {MAX_LEVELS} levels (rel_tol={rel_tol})"
-            )
-    return FracStirlingError(f"energy levels of {well} exceed the float range")
+def _state_error(width, alpha, mass, temperature, rel_tol, kind) -> FracStirlingError:
+    """The error of a state whose `summarize_many` failure is `kind`, in the given values."""
+    if kind == FLOAT_RANGE:
+        return FracStirlingError(f"energy levels of {WellSpec(width, alpha, mass)} exceed the float range")
+    return TruncationLimitError(
+        f"partition sum for width={width}, alpha={alpha}, mass={mass}, "
+        f"T={temperature} still unconverged at {MAX_LEVELS} levels (rel_tol={rel_tol})"
+    )
 
 
 def _weights(energies: np.ndarray, beta):

@@ -348,7 +348,8 @@ def fake_corner_table(width, alpha, mass, temperature, rel_tol=1e-12, levels=Non
     s = np.select([hot & ~wide, hot & wide, ~hot & wide], [1.0, 1.0, 0.5], 2.0)
     zero = np.zeros_like(u)
     return {
-        "n_cut": np.ones(u.size, dtype=np.int64), "partition_function": zero + 1.0,
+        "n_cut": np.ones(u.size, dtype=np.int64), "failure": np.zeros(u.size, dtype=np.int64),
+        "partition_function": zero + 1.0,
         "internal_energy": u, "entropy": s, "free_energy": u - temperature * s,
         "tail_bound": zero, "heat_capacity": zero,
     }
@@ -371,6 +372,17 @@ class TestCarnot:
     def test_small_gap_limit(self):
         eta = carnot_efficiency(CycleParams(1.0, 1.5, 1.5, 1.6, 3.0 + 1e-9, 3.0))
         assert 0.0 < eta < 1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP open item 1: C_AD - C_BC changes sign twice inside [tc, th] "
+        "here, and the crossing search, which sees only the signs at tc and th, "
+        "books no deficit between the two crossings",
+    )
+    def test_engine_below_carnot_with_two_crossings(self):
+        report = evaluate(CycleParams(1.4, 1.7, 1.9668174427971263, 2.0, **BATHS))
+        assert report.regime == REGIME_ENGINE
+        assert report.efficiency <= report.carnot
 
 
 class TestParamsValidation:

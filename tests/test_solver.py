@@ -384,7 +384,7 @@ class TestTraceCurve:
             return kernel(width, *args)
 
         monkeypatch.setattr(solver, "summarize_many", counting)
-        for module in (cycle, solver):
+        for module in (cycle, thermo):
             monkeypatch.setattr(module, "summarize", lambda *args: scalar.append(args) or summarize(*args))
         grid = [1.58 + 0.02 * i for i in range(6)]
         points = trace_curve(
@@ -590,15 +590,18 @@ class TestSweep:
 
     def test_failing_corner_raises_once_per_state_without_evaluate(self, monkeypatch):
         # corner B, (width_b, alpha_1) at t_hot, needs more than MAX_LEVELS
-        # levels at every node; it is the first corner to fail at each
+        # levels at every node; it is the first corner to fail at each, and
+        # its words come from the sweep's kernel call: no one-state call
         base = CycleParams(1.0, 3e7, 2.0, 1.5, **BATHS)
         ax = SweepAxis("width_a", 0.8, 1.2, 3)
         ay = SweepAxis("alpha_2", 1.4, 1.6, 3)
         calls = []
         monkeypatch.setattr(solver, "evaluate", lambda *args: pytest.fail("evaluate called"))
-        monkeypatch.setattr(solver, "summarize", lambda *args: calls.append(args) or summarize(*args))
+        for module in (cycle, thermo):
+            monkeypatch.setattr(module, "summarize", lambda *args: calls.append(args) or summarize(*args))
+        monkeypatch.setattr(thermo, "summarize_many", lambda *args: pytest.fail("one-state kernel call"))
         grid = sweep(base, ax, ay)
-        assert [state.well.width for state, *_ in calls] == [3e7]
+        assert calls == []
         monkeypatch.undo()
         for i, x in enumerate(ax.values()):
             for j, y in enumerate(ay.values()):

@@ -341,23 +341,25 @@ class TestTruncation:
 
 
 def one_row_reference(state, levels=None):
-    """The summary fields of one state summed as a lone row, or None where it fails.
+    """The summary fields of one state summed as a lone row, or the error type where it fails.
 
     The levels come from `spectrum.energy_levels` at the cut of `thermo._cut`
     and go through `_row_sums` and `_summary_fields` as one 1-D row, with no
-    grouping or blocking; a level count past MAX_LEVELS or a level past the
-    float range fails.
+    grouping or blocking.  A level count past MAX_LEVELS fails with
+    TruncationLimitError, a level past the float range with FracStirlingError.
     """
     well, t = state.well, state.temperature
     with np.errstate(over="ignore", divide="ignore"):
         try:
             x = level_scale(well.width, well.alpha, well.mass) / t
             n_cut = levels or thermo._cut(well.alpha, x, thermo.DEFAULT_REL_TOL)
-            energies = energy_levels(well, n_cut + 1) if n_cut else None
+            if not n_cut:
+                return TruncationLimitError
+            energies = energy_levels(well, n_cut + 1)
         except OverflowError:
-            return None
-        if energies is None or not energies[-1] < math.inf:
-            return None
+            return FracStirlingError
+        if not energies[-1] < math.inf:
+            return FracStirlingError
         sums = thermo._row_sums(energies[None, :], 1.0 / t)
         row = thermo._summary_fields(*(float(v[0]) for v in sums), t)
     return {"n_cut": n_cut, **row}
@@ -382,13 +384,18 @@ class TestSummarizeMany:
         for i in range(count):
             state = ThermalState(WellSpec(width[i], alpha[i], mass[i]), temperature[i])
             expected = one_row_reference(state, levels)
-            if expected is None:
+            if isinstance(expected, type):
                 failed += 1
                 assert table["n_cut"][i] == 0
-                assert all(np.isnan(table[name][i]) for name in table if name != "n_cut")
-                with pytest.raises(FracStirlingError):
+                assert all(np.isnan(table[name][i]) for name in table if name not in ("n_cut", "failure"))
+                # the kind names the type the lone row fails with, and `summarize` raises it
+                kind = {thermo.TRUNCATED: TruncationLimitError, thermo.FLOAT_RANGE: FracStirlingError}
+                assert kind[table["failure"][i]] is expected
+                with pytest.raises(FracStirlingError) as err:
                     summarize(state, levels=levels)
+                assert type(err.value) is expected
                 continue
+            assert table["failure"][i] == 0
             single = summarize(state, levels=levels)
             for field in fields(EnsembleSummary):
                 got, want = table[field.name][i], expected[field.name]
@@ -523,6 +530,15 @@ class TestArrayCut:
         table = summarize_many(width, alpha, np.ones(1000), temperature)
         assert len(scalar_cut_calls) == near == 1
         assert table["n_cut"].tolist() == scalar_cuts(width, alpha, temperature)
+
+    def test_no_scalar_cut_past_the_level_cap(self, scalar_cut_calls):
+        # a real N of 1e9 or more is within 1e-9 of an integer, yet far past
+        # MAX_LEVELS: the array cut decides it
+        width = np.geomspace(1e7, 1e12, 50)
+        table = summarize_many(width, [1.05] * 50, [1.0] * 50, [4.0] * 50)
+        assert scalar_cut_calls == []
+        assert table["n_cut"].tolist() == [0] * 50
+        assert table["failure"].tolist() == [thermo.TRUNCATED] * 50
 
 
 class TestQuadraticEquivalence:
