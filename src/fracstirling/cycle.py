@@ -295,7 +295,9 @@ def _h_at_crossings(table, ad, bc, mass, lo, hi):
     the table rows of the corners A and B, whose wells and cuts the
     isochores keep: the neglected tail shrinks relative to the kept sums as
     T falls, so the hot corner's cut meets the corners' tolerance at every
-    temperature in between.  `lo` and `hi` list (T, h, slope) at the ends of
+    temperature in between.  A cut past the kernel's head is closed in form
+    whether fixed or adaptive, so at the corners these sums equal the table's
+    bit for bit.  `lo` and `hi` list (T, h, slope) at the ends of
     brackets whose slopes have opposite signs.  Each step evaluates h at the
     stationary point of the cubic Hermite interpolant and keeps the end that
     preserves the sign change.  h is stationary at the crossing, so its error

@@ -1,15 +1,19 @@
 """Canonical-ensemble quantities of a particle in a fractional well.
 
-Each level sum is cut at a level count computed in closed form from alpha,
+Each level sum is cut at a level count N computed in closed form from alpha,
 beta E_1 and the relative tolerance before any level is computed (see `_cut`;
 `summarize_many` forms it as arrays, with the same result), so a state
-computes one block of levels and searches for nothing.
+computes one block of levels and searches for nothing.  A state cut at N <=
+_HEAD levels sums all N; one cut past it sums its first _HEAD levels and
+closes levels _HEAD + 1 .. N with Euler-Maclaurin (`_tail_sums`), to about
+1e-15 of the explicit sum, so it computes _HEAD + 3 levels whatever N is.
 
 There is one ensemble kernel: `_row_sums` sums a 2-D block of levels, one
-state per row, and `_summary_fields` turns the row sums into U, S, F, Z, C
-and the tail bound.  `summarize_many` groups any number of states by their
-cut and sums each group in capped blocks; `summarize` is it on one state.
-Every reduction runs along a row, so a state's sums do not depend on the
+state per row, `_closed_row_sums` adds the closure to a block of heads, and
+`_summary_fields` turns the row sums into U, S, F, Z, C and the tail bound.
+`summarize_many` groups any number of states by their cut and sums each group
+in capped blocks; `summarize` is it on one state.  Every reduction runs along
+a row and the closure is elementwise, so a state's sums do not depend on the
 block it lands in.
 
 All sums are accumulated after factoring out e^(-beta E_1); beta E_1 can
@@ -41,6 +45,17 @@ TRUNCATED, FLOAT_RANGE = 1, 2  # the failure kinds of `summarize_many` besides 0
 # Cap on the level entries of one kernel block: a group of states that share a
 # cut is summed in blocks of at most this many entries, or of one row.
 _BLOCK_ENTRIES = 1 << 16
+
+# The levels summed explicitly by a state cut past them; the rest of its sum
+# is closed in form.  Past it the step x alpha n^(alpha-1) of the exponent
+# x (n^alpha - 1) is below 0.3 wherever a weight reaches 1e-16 (x 256^alpha <
+# 37), so two Euler-Maclaurin end terms leave under 1e-15 relative.
+_HEAD = 256
+
+# Where `_gamma_ratios` switches from the series of the lower incomplete gamma
+# to the continued fraction of the upper one, and the terms of each: both are
+# within 1e-15 relative on their side of it.
+_GAMMA_SPLIT, _SERIES_TERMS, _FRACTION_TERMS = 10.0, 50, 14
 
 # The smallest temperature whose reciprocal, beta, is a finite float
 _T_MIN = math.nextafter(1.0 / np.finfo(float).max, 1.0)
@@ -100,8 +115,10 @@ def summarize(
     `rel_tol` bounds the relative weight of the neglected tail and must lie
     in (0, 1e-6].  `levels`, when given, bypasses the adaptive rule and uses
     exactly that many levels, at most MAX_LEVELS; the reported tail_bound
-    then simply records how much spectrum the fixed cut ignores.  This is
-    `summarize_many` on one state as Python scalars, or the error its `failure` names.
+    then simply records how much spectrum the fixed cut ignores.  Either cut
+    past _HEAD levels is summed as the head plus a closed form, to about
+    1e-15 of the explicit sum.  This is `summarize_many` on one state as
+    Python scalars, or the error its `failure` names.
     """
     well = state.well
     row = summarize_many([well.width], [well.alpha], [well.mass], [state.temperature], rel_tol, levels)
@@ -138,8 +155,10 @@ def summarize_many(
     state.  `failure` is 0, or TRUNCATED where no cut up to MAX_LEVELS meets
     rel_tol and FLOAT_RANGE where a level leaves the float range; there n_cut
     is 0 and the other fields are nan.  The states are grouped by their cut,
-    and each group is summed in blocks of at most _BLOCK_ENTRIES levels (or
-    one row), so the memory held is bounded for any number of states.
+    all those cut past _HEAD levels in one group that computes the head and
+    E_N, E_{N+1} of each, and each group is summed in blocks of at most
+    _BLOCK_ENTRIES levels (or one row), so the memory held is bounded for any
+    number of states.
     """
     per_state = np.ndim(levels) > 0
     _check_cut_args(rel_tol, None if per_state else levels)
@@ -185,26 +204,37 @@ def summarize_many(
     # no cut: a float-range failure at a nan E_1, else (only adaptive) a truncation
     failure = np.where(n_cut == 0, np.where(np.isnan(scale), FLOAT_RANGE, TRUNCATED), 0).astype(np.int8)
 
-    # per state: E_1, E_{N+1} - E_N, the last kept weight and the three sums
+    # per state: E_1, E_{N+1} - E_N, the last kept weight and the three sums;
+    # every cut past _HEAD falls in one group
     sums = np.full((6, count), np.nan)
-    order = np.argsort(n_cut, kind="stable")
-    cuts, starts = np.unique(n_cut[order], return_index=True)
+    group = np.minimum(n_cut, _HEAD + 1)
+    order = np.argsort(group, kind="stable")
+    cuts, starts = np.unique(group[order], return_index=True)
     ends = [*starts[1:].tolist(), count]
     with np.errstate(over="ignore", divide="ignore"):
         for n, lo, hi in zip(cuts.tolist(), starts.tolist(), ends):
             if n == 0:
                 continue
-            ladder = np.arange(1, n + 2, dtype=float)
-            rows = max(1, _BLOCK_ENTRIES // (n + 1))
+            closed = n > _HEAD
+            ladder = np.arange(1, n + (3 if closed else 2), dtype=float)
+            rows = max(1, _BLOCK_ENTRIES // ladder.size)
             for start in range(lo, hi, rows):
                 idx = order[start:min(start + rows, hi)]
-                energies = np.power(ladder, alpha[idx, None])
+                numbers = ladder
+                if closed:  # levels 1 .. _HEAD + 1, then N and N + 1 of each state
+                    numbers = np.broadcast_to(ladder, (idx.size, ladder.size)).copy()
+                    numbers[:, -2:] = n_cut[idx, None] + np.array([0, 1])
+                energies = np.power(numbers, alpha[idx, None])
                 energies *= scale[idx, None]
                 finite = energies[:, -1] < _INF
                 if not finite.all():
                     n_cut[idx[~finite]], failure[idx[~finite]] = 0, FLOAT_RANGE
                     idx, energies = idx[finite], energies[finite]
-                sums[:, idx] = _row_sums(energies, 1.0 / temperature[idx, None])
+                beta = 1.0 / temperature[idx, None]
+                sums[:, idx] = (
+                    _closed_row_sums(energies, n_cut[idx], alpha[idx], beta) if closed
+                    else _row_sums(energies, beta)
+                )
         return {"n_cut": n_cut, "failure": failure, **_summary_fields(*sums, temperature)}
 
 
@@ -286,12 +316,14 @@ def _weights(energies: np.ndarray, beta):
 def _row_sums(energies: np.ndarray, beta):
     """The level sums of the ensemble kernel, one state per row of a block.
 
-    Row i of the C-contiguous (rows, N + 1) block holds E_1 .. E_{N+1} of a
-    state; the first N levels are kept.  `beta` is a float or a column of
-    one per row.  Returns per row E_1, E_{N+1} - E_N, the last kept weight
-    w_N, Z_s = sum w_n, U - E_1 and beta <(E_n - E_1)^2>.  The block is
-    overwritten.  Every reduction runs along a row, so a row sums bit for
-    bit as the 1-D array of its own levels would, in whatever block it is.
+    Row i of the (rows, N + 1) block holds E_1 .. E_{N+1} of a state; the
+    first N levels are kept.  For a state cut past _HEAD levels this is its
+    head, N = _HEAD, and `_closed_row_sums` adds the levels past it.  `beta`
+    is a float or a column of one per row.  Returns per row E_1,
+    E_{N+1} - E_N, the last kept weight w_N, Z_s = sum w_n, U - E_1 and
+    beta <(E_n - E_1)^2>.  The block is overwritten.  Every reduction runs
+    along a row, so a row sums bit for bit as the 1-D array of its own
+    levels would, in whatever block it is.
     """
     spacing = energies[:, -1] - energies[:, -2]
     e1, weights, delta = _weights(energies, beta)
@@ -305,6 +337,123 @@ def _row_sums(energies: np.ndarray, beta):
     weights *= beta
     moment = np.vecdot(weights, delta)
     return e1[:, 0], spacing, last_weight, z_shifted[:, 0], excess, moment
+
+
+def _closed_row_sums(energies, n, alpha, beta):
+    """`_row_sums` of states cut past _HEAD levels, the levels past it closed in form.
+
+    Row i of the (rows, _HEAD + 3) block holds E_1 .. E_{_HEAD+1}, E_N and
+    E_{N+1} of a state cut at N = n[i] > _HEAD levels, with exponent
+    alpha[i]; `beta` is a float or a column of one per row.  `_row_sums` sums
+    the head, E_1 .. E_{_HEAD}, and `_tail_sums` adds levels _HEAD + 1 .. N.
+    Returns what `_row_sums` returns for the (rows, N + 1) block of all
+    levels, to the closure's error, and overwrites the head.  The closure is
+    elementwise, so a row's sums do not depend on the block it is in.
+    """
+    beta = np.reshape(beta, -1)
+    spacing = energies[:, -1] - energies[:, -2]
+    e1, _, head_weight, z_head, excess, moment = _row_sums(energies[:, :-2], beta[:, None])
+    x = beta * e1
+    # past a head whose last weight underflows every closed weight is 0
+    live = head_weight > 0.0
+    tails = np.zeros((3, e1.size))
+    tails[:, live] = _tail_sums(alpha[live], x[live], n[live])
+    z_shifted = z_head + tails[0]
+    # E_n - E_1 = E_1 g_n, so the tails add E_1 T_1 and beta E_1^2 T_2
+    excess = (excess * z_head + e1 * tails[1]) / z_shifted
+    moment = (moment * z_head + x * tails[2] * e1) / z_shifted
+    last_weight = np.exp(-beta * (energies[:, -2] - e1))
+    return e1, spacing, last_weight, z_shifted, excess, moment
+
+
+def _tail_sums(alpha, x, n):
+    """T_k, the sum of g^k e^(-x g) over levels _HEAD + 1 .. n with g = level^alpha - 1.
+
+    Returns T_0, T_1, T_2 as rows.  The arguments are 1-D arrays, one state
+    each, with x = beta E_1 finite and nonnegative and n > _HEAD.  This is
+    Euler-Maclaurin on [H, N], H = _HEAD: the sum of f over H + 1 .. N is the
+    integral of f plus, at N less at H, f/2 + f'/12 - f'''/720, with the
+    derivatives of f_k = g^k e^(-x g) by the product rule.  Expanding g^k
+    leaves the integrals
+
+        J_j = e^x int_H^N t^(j alpha) e^(-x t^alpha) dt
+            = e^x x^(-s) / alpha [Gamma(s, x H^alpha) - Gamma(s, x N^alpha)],
+
+    s = j + 1/alpha.  Multiplied by e^x x^(-s) y^s e^(-y) = t^(j alpha) t f_0
+    at y = x t^alpha, the ratios of `_gamma_ratios` give each end's
+    incomplete gamma: the lower one where both ends lie below the split, the
+    upper one where both lie above, and the complete Gamma(s) less both where
+    the interval crosses it.  Each difference then errs by rounding of its
+    larger term only, at most of the order of the sum over levels 1 .. N, and
+    the result is within about 1e-15 of the explicit sum relative to it.
+    """
+    s = 1.0 / alpha
+    t = np.array((np.full(x.shape, float(_HEAD)), n), dtype=float)  # rows: H, N
+    p = t**alpha
+    y = x * p
+    g = p - 1.0
+    f0 = np.exp(-x * g)
+    lower, upper = _gamma_ratios(s, y)
+    scale = t * f0
+    scale = np.array((scale, scale * p, scale * p * p))
+    lower *= scale
+    upper *= scale
+    # e^x x^(-s) Gamma(s), used only where x N^alpha passes the split
+    xc = np.maximum(x, _GAMMA_SPLIT / p[1])
+    complete = np.exp(xc) * xc**-s * np.array([math.gamma(v) for v in s.tolist()])
+    complete = np.array((complete, complete * s / xc, complete * s / xc * (s + 1.0) / xc))
+    head_low, end_low = y < _GAMMA_SPLIT
+    across = np.where(head_low, complete - lower[:, 0] - upper[:, 1], upper[:, 0] - upper[:, 1])
+    j0, j1, j2 = np.where(end_low, lower[:, 1] - lower[:, 0], across) / alpha
+    # derivatives in t of g, of f_0 = e^u with u = -x g, and of g^0, g^1, g^2
+    g1 = alpha * p / t
+    g2 = g1 * (alpha - 1.0) / t
+    g3 = g2 * (alpha - 2.0) / t
+    u1, u2, u3 = -x * g1, -x * g2, -x * g3
+    w1, w2, w3 = u1 * f0, (u2 + u1 * u1) * f0, (u3 + 3.0 * u1 * u2 + u1 * u1 * u1) * f0
+    one, zero = np.ones_like(g), np.zeros_like(g)
+    d0 = np.array((one, g, g * g))
+    d1 = np.array((zero, g1, 2.0 * g * g1))
+    d2 = np.array((zero, g2, 2.0 * (g1 * g1 + g * g2)))
+    d3 = np.array((zero, g3, 6.0 * g1 * g2 + 2.0 * g * g3))
+    f = d0 * f0
+    f1 = d1 * f0 + d0 * w1
+    f3 = d3 * f0 + 3.0 * (d2 * w1 + d1 * w2) + d0 * w3
+    ends = f / 2.0 + f1 / 12.0 - f3 / 720.0
+    return np.array((j0, j1 - j0, j2 - 2.0 * j1 + j0)) + ends[:, 1] - ends[:, 0]
+
+
+def _gamma_ratios(s, y):
+    """The incomplete gammas of s + j at y over y^(s+j) e^(-y), j = 0, 1, 2.
+
+    Returns (lower, upper), each stacked over j: the lower gamma's ratios
+    gamma(s + j, y) e^y y^-(s+j) at min(y, _GAMMA_SPLIT) and the upper ones
+    Gamma(s + j, y) e^y y^-(s+j) at max(y, _GAMMA_SPLIT), so both are finite
+    for any y >= 0; a caller takes each on its own side of the split.  For
+    s in (0.5, 1.5] both are within 1e-15 relative there.  The lower ratio of
+    s + 2 is the series of DLMF 8.7.1, the sum of y^m / ((s+2)(s+3) ..
+    (s+2+m)) to _SERIES_TERMS terms, and gamma(s + 1, y) = s gamma(s, y) -
+    y^s e^(-y) carries it down.  The upper ratio of s is Legendre's
+    continued fraction (DLMF 8.9.2), summed from its _FRACTION_TERMS-th level
+    back, and Gamma(s + 1, y) = s Gamma(s, y) + y^s e^(-y) carries it up.
+    Either recurrence adds positive terms.
+    """
+    low, high = np.minimum(y, _GAMMA_SPLIT), np.maximum(y, _GAMMA_SPLIT)
+    # the series' terms along a last axis: a product and a sum per state
+    steps = s[:, None] + (2.0 + np.arange(1.0, _SERIES_TERMS))
+    terms = np.cumprod(low[..., None] / steps, axis=-1)
+    lower = [(1.0 + np.add.reduce(terms, axis=-1)) / (s + 2.0)]
+    for j in (1.0, 0.0):
+        lower.insert(0, (1.0 + low * lower[0]) / (s + j))
+    levels = np.arange(_FRACTION_TERMS, 0.0, -1.0)[:, None]
+    base, numerators = high + 1.0 - s, levels * (levels - s)
+    fraction = 0.0
+    for level, numerator in zip(levels[:, 0].tolist(), numerators):
+        fraction = numerator / (base + 2.0 * level - fraction)
+    upper = [1.0 / (base - fraction)]
+    for j in (0.0, 1.0):
+        upper.append(((s + j) * upper[-1] + 1.0) / high)
+    return np.array(lower), np.array(upper)
 
 
 def _summary_fields(e1, spacing, last_weight, z_shifted, excess, moment, temperature):

@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracstirling import (
-    DEFAULT_REL_TOL, CycleParams, FracStirlingError, SweepAxis, SweepGrid, cli, evaluate,
+    DEFAULT_REL_TOL, CycleParams, FracStirlingError, SweepAxis, SweepGrid, cli, evaluate, thermo,
 )
 from fracstirling.cli import main
 from fracstirling.solver import MAX_NODES, sweep
+from fracstirling.spectrum import level_scale
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -381,6 +382,34 @@ class TestSweepCommand:
         _, rows = csv_rows(out)
         # only the (1e-200, 1.6) node fails: its E_1 ~ (pi/2e-200)^1.6 overflows
         assert [r[11] == "error" for r in rows] == [False, True] + [False] * 4
+
+    def test_dense_columns_match_explicit_sums(self, capsys):
+        # wide wells at T_h = 100 and alpha down to 1.05 cut at up to ~1e5
+        # levels, past the kernel's exactly summed head: every corner's U and
+        # S match plain numpy sums over the same levels
+        code, out, _ = run_cli(
+            capsys, "sweep", "--x", "la=1:50:3", "--y", "alpha2=1.05:2:3",
+            "--lb", "60", "--a1", "1.05", "--th", "100", "--tc", "60",
+        )
+        assert code == 0
+        header, rows = csv_rows(out)
+        closed = 0
+        for row in rows:
+            values = dict(zip(header, row))
+            la, a2 = float(values["x"]), float(values["y"])
+            corners = {"a": (la, a2, 100.0), "b": (60.0, 1.05, 100.0),
+                       "c": (60.0, 1.05, 60.0), "d": (la, a2, 60.0)}
+            for corner, (width, alpha, t) in corners.items():
+                e1 = level_scale(width, alpha, 1.0)
+                n_cut = thermo._cut(alpha, e1 / t, DEFAULT_REL_TOL)
+                closed += n_cut > thermo._HEAD
+                delta = e1 * np.arange(1, n_cut + 1, dtype=float) ** alpha - e1
+                weights = np.exp(-delta / t)
+                z = float(np.sum(weights))
+                excess = float(np.dot(weights, delta)) / z
+                assert float(values[f"u_{corner}"]) == pytest.approx(e1 + excess, rel=1e-12)
+                assert float(values[f"s_{corner}"]) == pytest.approx(excess / t + math.log(z), rel=1e-12)
+        assert closed >= 30
 
 
 @pytest.mark.parametrize("argv", [

@@ -239,27 +239,39 @@ class TestTruncation:
 
     def test_one_block_per_miss(self, monkeypatch):
         # nothing is memoised: every call sums one block of n_cut + 1 levels,
-        # and a failing state none
+        # or, cut past the head, the head's block and computes _HEAD + 3
+        # levels in all; a failing state sums none
         blocks, row_sums = [], thermo._row_sums
+        closed, closed_row_sums = [], thermo._closed_row_sums
 
         def counting(energies, beta):
             if len(energies):  # a block whose states all overflow keeps no row
                 blocks.append(energies.shape)
             return row_sums(energies, beta)
 
+        def counting_closed(energies, n, alpha, beta):
+            closed.append(energies.shape)
+            return closed_row_sums(energies, n, alpha, beta)
+
         monkeypatch.setattr(thermo, "_row_sums", counting)
-        for state in (UNIT_STATE, ThermalState(WellSpec(300.0, 1.3), 4.0), UNIT_STATE):
+        monkeypatch.setattr(thermo, "_closed_row_sums", counting_closed)
+        head = thermo._HEAD
+        wide = ThermalState(WellSpec(300.0, 1.3), 4.0)
+        for state, levels in ((UNIT_STATE, None), (wide, None), (UNIT_STATE, None),
+                              (UNIT_STATE, 10), (UNIT_STATE, 1000), (wide, head)):
             blocks.clear()
-            n_cut = summarize(state).n_cut
-            assert blocks == [(1, n_cut + 1)]
-        blocks.clear()
-        assert summarize(UNIT_STATE, levels=10).n_cut == 10
-        assert blocks == [(1, 11)]
+            closed.clear()
+            n_cut = summarize(state, levels=levels).n_cut
+            assert n_cut == (levels or n_cut)
+            assert blocks == [(1, min(n_cut, head) + 1)]
+            assert closed == ([(1, head + 3)] if n_cut > head else [])
+        assert summarize(wide).n_cut == 12743
         for well in (WellSpec(1e7, 1.05), WellSpec(1e-302, 1.02)):
             blocks.clear()
+            closed.clear()
             with pytest.raises(FracStirlingError):
                 summarize(ThermalState(well, 4.0))
-            assert blocks == []
+            assert blocks == [] and closed == []
 
     @pytest.mark.parametrize("t", [0.1, 0.01])
     def test_levels_near_the_float_maximum_warn_nothing(self, t):
@@ -345,8 +357,10 @@ def one_row_reference(state, levels=None):
 
     The levels come from `spectrum.energy_levels` at the cut of `thermo._cut`
     and go through `_row_sums` and `_summary_fields` as one 1-D row, with no
-    grouping or blocking.  A level count past MAX_LEVELS fails with
-    TruncationLimitError, a level past the float range with FracStirlingError.
+    grouping or blocking; a cut past `thermo._HEAD` goes through
+    `_closed_row_sums`, given the head and the top two of those levels.  A
+    level count past MAX_LEVELS fails with TruncationLimitError, a level past
+    the float range with FracStirlingError.
     """
     well, t = state.well, state.temperature
     with np.errstate(over="ignore", divide="ignore"):
@@ -360,7 +374,11 @@ def one_row_reference(state, levels=None):
             return FracStirlingError
         if not energies[-1] < math.inf:
             return FracStirlingError
-        sums = thermo._row_sums(energies[None, :], 1.0 / t)
+        if n_cut > thermo._HEAD:
+            block = np.concatenate((energies[:thermo._HEAD + 1], energies[-2:]))[None, :]
+            sums = thermo._closed_row_sums(block, np.array([n_cut]), np.array([well.alpha]), 1.0 / t)
+        else:
+            sums = thermo._row_sums(energies[None, :], 1.0 / t)
         row = thermo._summary_fields(*(float(v[0]) for v in sums), t)
     return {"n_cut": n_cut, **row}
 
@@ -551,6 +569,95 @@ class TestQuadraticEquivalence:
             assert s.partition_function == pytest.approx(z0, rel=1e-12)
             assert s.internal_energy == pytest.approx(u0, rel=1e-12)
             assert s.entropy == pytest.approx(s0, rel=1e-12)
+
+
+def state_at(alpha, x, t=1.0):
+    """The unit-mass state at temperature t whose ground level is E_1 = x t."""
+    return ThermalState(WellSpec(math.pi / (2.0 * (x * t / 0.5 ** (0.5 * alpha)) ** (1.0 / alpha)), alpha), t)
+
+
+def explicit_sums(state, n):
+    """Z_s, U - E_1, S and C of `state` as plain numpy sums over levels 1 .. n."""
+    beta = 1.0 / state.temperature
+    energies = energy_levels(state.well, n)
+    delta = energies - energies[0]
+    weights = np.exp(-beta * delta)
+    z = float(np.sum(weights))
+    excess = float(np.dot(weights, delta)) / z
+    square = float(np.dot(weights, delta * delta)) / z
+    return z, excess, beta * excess + math.log(z), beta * beta * (square - excess * excess)
+
+
+def kernel_sums(state, rel_tol=thermo.DEFAULT_REL_TOL, levels=None):
+    """Z_s, U - E_1, S and C of `state` from `summarize`, with its n_cut."""
+    s = summarize(state, rel_tol, levels)
+    well, beta = state.well, 1.0 / state.temperature
+    e1 = level_scale(well.width, well.alpha, well.mass)
+    z = s.partition_function * math.exp(beta * e1)
+    return (z, s.internal_energy - e1, s.entropy, s.heat_capacity), s.n_cut
+
+
+class TestClosure:
+    def test_gamma_ratios_match_mpmath_and_scipy(self):
+        # the incomplete gammas of s + j, j = 0, 1, 2, over y^(s+j) e^-y:
+        # the lower one below the split, the upper one above it
+        mpmath = pytest.importorskip("mpmath")
+        special = pytest.importorskip("scipy.special")
+        base = np.linspace(0.5, 1.5, 11)[1:]
+        y = np.concatenate((np.geomspace(1e-10, thermo._GAMMA_SPLIT, 15, endpoint=False),
+                            np.geomspace(thermo._GAMMA_SPLIT, 700.0, 15)))
+        s, y = (v.ravel() for v in np.meshgrid(base, y))
+        below = y < thermo._GAMMA_SPLIT
+        lower, upper = thermo._gamma_ratios(s, y)
+        for j in range(3):
+            got = np.where(below, lower[j], upper[j])
+            for s_i, y_i, got_i, low in zip((s + j).tolist(), y.tolist(), got.tolist(), below.tolist()):
+                with mpmath.workdps(50):
+                    scale = mpmath.mpf(y_i) ** s_i * mpmath.exp(-mpmath.mpf(y_i))
+                    exact = mpmath.gammainc(s_i, 0, y_i) if low else mpmath.gammainc(s_i, y_i)
+                    exact = float(exact / scale)
+                assert got_i == pytest.approx(exact, rel=1e-15), (s_i, y_i)
+                regularised = special.gammainc(s_i, y_i) if low else special.gammaincc(s_i, y_i)
+                scipy = regularised * special.gamma(s_i) / (y_i**s_i * math.exp(-y_i))
+                assert got_i == pytest.approx(scipy, rel=1e-13), (s_i, y_i)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alpha=st.floats(1.0, 2.0, exclude_min=True),
+        log_n=st.floats(math.log10(600.0), math.log10(MAX_LEVELS)),
+        shift=st.floats(-4.0, 1.5),
+        t=st.floats(0.5, 100.0),
+        fixed=st.booleans(),
+    )
+    def test_closure_matches_the_explicit_sum(self, alpha, log_n, shift, t, fixed):
+        # x puts the adaptive cut between about n/2 and n, past the head; a
+        # fixed cut of n levels sees x moved by 10^shift, from weights near 1
+        # at level n to a tail that underflows
+        n = min(round(10.0**log_n), MAX_LEVELS)
+        x = 60.0 / (n**alpha - 1.0)
+        if fixed:
+            x *= 10.0**shift
+        got, n_cut = kernel_sums(state_at(alpha, x, t), levels=n if fixed else None)
+        assert n_cut > thermo._HEAD and (not fixed or n_cut == n)
+        want = explicit_sums(state_at(alpha, x, t), n_cut)
+        for name, g, w in zip(("Z_s", "U - E_1", "S", "C"), got, want):
+            assert g == pytest.approx(w, rel=1e-12), (name, n_cut)
+
+    @pytest.mark.parametrize("x", [1e-10, 1e-8, 1e-6, 1e-5, 1e-4])
+    def test_quadratic_states_match_poisson_summation(self, x):
+        # at alpha = 2, sum_{n>=1} e^(-x n^2) = (sqrt(pi/x) - 1)/2
+        # + sqrt(pi/x) sum_k e^(-pi^2 k^2/x); its -d/dx is sum n^2 e^(-x n^2)
+        root = math.sqrt(math.pi / x)
+        images = [math.exp(-math.pi**2 * k * k / x) for k in (1, 2, 3)]
+        z = 0.5 * (root - 1.0) + root * sum(images)
+        moment = 0.25 * root / x + sum(
+            root * e * (0.5 / x - math.pi**2 * k * k / x**2) for k, e in zip((1, 2, 3), images)
+        )
+        state = state_at(2.0, x)
+        s = summarize(state, rel_tol=1e-15)
+        assert s.n_cut > thermo._HEAD
+        assert s.partition_function == pytest.approx(z, rel=1e-13)
+        assert s.internal_energy == pytest.approx(x * moment / z, rel=1e-13)
 
 
 class TestThermalStateValidation:
