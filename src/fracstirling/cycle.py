@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .spectrum import _INF, WellSpec
-from .thermo import (  # summarize: unused here, but bench/tracer.py rebinds cycle.summarize
+from .thermo import (  # summarize: tracer-only import, bench/tracer.py rebinds cycle.summarize
     DEFAULT_REL_TOL, FracStirlingError, ThermalState, _check_beta, _state_error, summarize, summarize_many,
 )
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cycle import (  # evaluate: unused here, but bench/tracer.py rebinds solver.evaluate
+from .cycle import (  # evaluate: tracer-only import, bench/tracer.py rebinds solver.evaluate
     CycleParams, CycleReport, _corner_summaries, _node_arrays, _node_error, _regenerator_heats,
     _reports, carnot_efficiency, evaluate, regenerator_heat,
 )

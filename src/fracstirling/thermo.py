@@ -1,26 +1,27 @@
 """Canonical-ensemble quantities of a particle in a fractional well.
 
 Each level sum is cut at a level count N computed in closed form from alpha,
-beta E_1 and the relative tolerance before any level is computed (see `_cut`;
-`summarize_many` forms it as arrays, with the same result), so a state
-computes one block of levels and searches for nothing.  A state cut at N <=
-_HEAD levels sums all N; one cut past it sums its first _HEAD levels and
+x = E_1/T and the relative tolerance before any level is computed (see
+`_cut`; `summarize_many` forms it as arrays, with the same result), so a
+state computes one block of levels and searches for nothing.  A state cut at
+N <= _HEAD levels sums all N; one cut past it sums its first _HEAD levels and
 closes levels _HEAD + 1 .. N with Euler-Maclaurin (`_tail_sums`), to about
 1e-15 of the explicit sum, so it computes _HEAD + 3 levels whatever N is.
 
-There is one ensemble kernel: `_row_sums` sums a 2-D block of levels, one
-state per row, `_closed_row_sums` adds the closure to a block of heads, and
-`_summary_fields` turns the row sums into U, S, F, Z, C and the tail bound.
-`summarize_many` groups any number of states by their cut and sums each group
-in capped blocks; `summarize` is it on one state.  Every reduction runs along
-a row and the closure is elementwise, so a state's sums do not depend on the
-block it lands in.
-
-All sums are accumulated after factoring out e^(-beta E_1); beta E_1 can
-exceed 700 in narrow wells, where the unshifted weights underflow.  In the
-shifted representation S = beta (U - E_1) + ln Z_s, which is nonnegative by
-construction and needs no per-term x ln x guard.  Nothing is memoised;
-`occupations` recomputes the kept weights on demand.
+There is one ensemble kernel, and it sees a state only through alpha, x and
+N.  A level enters as g_n = n^alpha - 1, its weight relative to the ground
+level as e^(-x g_n): `_row_sums` sums a 2-D block of them, one state per row,
+into T_k = sum g_n^k e^(-x g_n), k = 0, 1, 2, a closed row adds the T_k of
+`_tail_sums`, and `_summary_fields`, the one place E_1 and T enter, turns
+them into U, S, F, Z, C and the tail bound.  The ground weight is 1, so the
+sums hold where x exceeds 700 in narrow wells and e^(-x) underflows, and no
+energy E_n is formed: levels past the float range weigh 0.  S = x <g> +
+ln T_0 is nonnegative by construction and needs no per-term p ln p guard.
+`summarize_many` groups any number of states by their cut and sums each
+group in capped blocks; `summarize` is it on one state.  Every reduction
+runs along a row and the closure is elementwise, so a state's sums do not
+depend on the block it lands in.  Nothing is memoised; `occupations`
+recomputes the kept weights on demand.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import _INF, WellSpec, energy_levels, level_scale
+from .spectrum import (  # energy_levels: tracer-only import, bench/tracer.py rebinds thermo.energy_levels
+    _INF, WellSpec, energy_levels, level_scale,
+)
 
 DEFAULT_REL_TOL = 1e-12
 
@@ -59,6 +62,10 @@ _GAMMA_SPLIT, _SERIES_TERMS, _FRACTION_TERMS = 10.0, 50, 14
 
 # The smallest temperature whose reciprocal, beta, is a finite float
 _T_MIN = math.nextafter(1.0 / np.finfo(float).max, 1.0)
+
+# x = E_1/T past the float range is held at its maximum: every level but the
+# ground one still weighs 0, and x g_1 = x 0 stays 0 instead of nan
+_X_MAX = np.finfo(float).max
 
 
 class FracStirlingError(RuntimeError):
@@ -133,10 +140,13 @@ def occupations(
     levels: int | None = None,
 ) -> np.ndarray:
     """P_1 .. P_{n_cut} at the cut `summarize` takes, recomputed on each call."""
-    energies = energy_levels(state.well, summarize(state, rel_tol, levels).n_cut + 1)
+    n_cut = summarize(state, rel_tol, levels).n_cut  # raises where the state fails
+    well = state.well
+    x = min(level_scale(float(well.width), float(well.alpha), float(well.mass)) / state.temperature, _X_MAX)
+    g = np.power(np.arange(1.0, n_cut + 1.0), float(well.alpha)) - 1.0
     with np.errstate(over="ignore"):
-        _, weights, _ = _weights(energies[None, :], 1.0 / state.temperature)
-    return weights[0] / float(np.sum(weights))
+        weights = np.exp(g * -x)
+    return weights / float(np.sum(weights))
 
 
 def summarize_many(
@@ -153,10 +163,11 @@ def summarize_many(
     temperature[i]); the four arguments are equal-length 1-D sequences.
     `levels` is None, one count for all states or a sequence of one per
     state.  `failure` is 0, or TRUNCATED where no cut up to MAX_LEVELS meets
-    rel_tol and FLOAT_RANGE where a level leaves the float range; there n_cut
-    is 0 and the other fields are nan.  The states are grouped by their cut,
-    all those cut past _HEAD levels in one group that computes the head and
-    E_N, E_{N+1} of each, and each group is summed in blocks of at most
+    rel_tol and FLOAT_RANGE where E_1 is not a finite float; there n_cut is 0
+    and the other fields are nan.  Levels above a finite E_1 that pass the
+    float range weigh 0 and fail nothing.  The states are grouped by their
+    cut, all those cut past _HEAD levels in one group that computes the head
+    and g_N, g_{N+1} of each, and each group is summed in blocks of at most
     _BLOCK_ENTRIES levels (or one row), so the memory held is bounded for any
     number of states.
     """
@@ -181,7 +192,7 @@ def summarize_many(
         raise ValueError(f"need one integer level count in [1, {MAX_LEVELS}] per state")
     count = temperature.size
     # E_1 in Python floats, so a power past the float range raises instead of
-    # warning, and is nan here; the lists die before the level sums
+    # warning; a non-finite E_1 is nan here.  The lists die before the level sums
     columns = (width, alpha, mass)
     try:
         scale = np.array(list(map(level_scale, *(v.tolist() for v in columns))))
@@ -190,23 +201,24 @@ def summarize_many(
         for i, state in enumerate(zip(*(v.tolist() for v in columns))):
             with suppress(OverflowError):
                 scale[i] = level_scale(*state)
-    if levels is not None:
-        n_cut = np.where(np.isnan(scale), 0, fixed).astype(np.int64)
-    else:  # `_cut` as arrays: numpy's log and power move N by a few ulps, so `_cut`
-        # decides within 1e-9 of an integer up to MAX_LEVELS; x = 0 or a nan E_1 cuts 0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            x = scale / temperature
+    scale[scale == _INF] = np.nan
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = np.minimum(scale / temperature, _X_MAX)
+        if levels is not None:
+            n_cut = np.where(np.isnan(scale), 0, fixed).astype(np.int64)
+        else:  # `_cut` as arrays: numpy's log and power move N by a few ulps, so `_cut`
+            # decides within 1e-9 of an integer up to MAX_LEVELS; x = 0 or a nan E_1 cuts 0
             n_real = _real_cut(alpha, x, rel_tol, np.log, np.log1p, np.minimum)
             n_cut = np.where(n_real <= MAX_LEVELS, np.ceil(n_real), 0).astype(np.int64)
             near = (np.abs(n_real - np.rint(n_real)) <= 1e-9 * n_real) & (n_real < MAX_LEVELS + 1)
-        for i in np.flatnonzero(near).tolist():
-            n_cut[i] = _cut(float(alpha[i]), float(x[i]), rel_tol)
+            for i in np.flatnonzero(near).tolist():
+                n_cut[i] = _cut(float(alpha[i]), float(x[i]), rel_tol)
     # no cut: a float-range failure at a nan E_1, else (only adaptive) a truncation
     failure = np.where(n_cut == 0, np.where(np.isnan(scale), FLOAT_RANGE, TRUNCATED), 0).astype(np.int8)
 
-    # per state: E_1, E_{N+1} - E_N, the last kept weight and the three sums;
-    # every cut past _HEAD falls in one group
-    sums = np.full((6, count), np.nan)
+    # per state: g_{N+1} - g_N, the last kept weight and T_0, T_1, T_2; every
+    # cut past _HEAD falls in one group
+    sums = np.full((5, count), np.nan)
     group = np.minimum(n_cut, _HEAD + 1)
     order = np.argsort(group, kind="stable")
     cuts, starts = np.unique(group[order], return_index=True)
@@ -224,18 +236,21 @@ def summarize_many(
                 if closed:  # levels 1 .. _HEAD + 1, then N and N + 1 of each state
                     numbers = np.broadcast_to(ladder, (idx.size, ladder.size)).copy()
                     numbers[:, -2:] = n_cut[idx, None] + np.array([0, 1])
-                energies = np.power(numbers, alpha[idx, None])
-                energies *= scale[idx, None]
-                finite = energies[:, -1] < _INF
-                if not finite.all():
-                    n_cut[idx[~finite]], failure[idx[~finite]] = 0, FLOAT_RANGE
-                    idx, energies = idx[finite], energies[finite]
-                beta = 1.0 / temperature[idx, None]
-                sums[:, idx] = (
-                    _closed_row_sums(energies, n_cut[idx], alpha[idx], beta) if closed
-                    else _row_sums(energies, beta)
-                )
-        return {"n_cut": n_cut, "failure": failure, **_summary_fields(*sums, temperature)}
+                g = np.power(numbers, alpha[idx, None])
+                g -= 1.0
+                if not closed:
+                    sums[:, idx] = _row_sums(g, x[idx, None])
+                    continue
+                # the head, levels 1 .. _HEAD, plus the closed levels past it;
+                # past a head whose last weight underflows every one weighs 0
+                _, head_weight, *head = _row_sums(g[:, :-2], x[idx, None])
+                live = head_weight > 0.0
+                idx_live = idx[live]
+                tails = np.zeros((3, idx.size))
+                tails[:, live] = _tail_sums(alpha[idx_live], x[idx_live], n_cut[idx_live])
+                tails += head
+                sums[:, idx] = g[:, -1] - g[:, -2], np.exp(-x[idx] * g[:, -2]), *tails
+        return {"n_cut": n_cut, "failure": failure, **_summary_fields(scale, temperature, x, *sums)}
 
 
 def _check_beta(temperature: float) -> None:
@@ -297,73 +312,26 @@ def _state_error(width, alpha, mass, temperature, rel_tol, kind) -> FracStirling
     )
 
 
-def _weights(energies: np.ndarray, beta):
-    """Shift a level block to E_n - E_1 in place; return E_1 and the weights.
-
-    `beta` is a float or a column of one per row.  Returns the column of
-    E_1, the weights e^(-beta (E_n - E_1)) of all but the last level, 0
-    where beta (E_n - E_1) overflows, and a view of the shifted levels they
-    belong to.
-    """
-    e1 = energies[:, :1].copy()
-    energies -= e1
-    delta = energies[:, :-1]
-    weights = np.multiply(delta, -beta)
-    np.exp(weights, out=weights)
-    return e1, weights, delta
-
-
-def _row_sums(energies: np.ndarray, beta):
+def _row_sums(g: np.ndarray, x):
     """The level sums of the ensemble kernel, one state per row of a block.
 
-    Row i of the (rows, N + 1) block holds E_1 .. E_{N+1} of a state; the
-    first N levels are kept.  For a state cut past _HEAD levels this is its
-    head, N = _HEAD, and `_closed_row_sums` adds the levels past it.  `beta`
-    is a float or a column of one per row.  Returns per row E_1,
-    E_{N+1} - E_N, the last kept weight w_N, Z_s = sum w_n, U - E_1 and
-    beta <(E_n - E_1)^2>.  The block is overwritten.  Every reduction runs
-    along a row, so a row sums bit for bit as the 1-D array of its own
-    levels would, in whatever block it is.
+    Row i of the (rows, N + 1) block holds g_n = n^alpha - 1 of levels
+    1 .. N + 1 of a state; the first N are kept, with weights e^(-x g_n).
+    For a state cut past _HEAD levels this is its head, N = _HEAD.  `x` is
+    E_1/T, a float or a column of one per row.  Returns per row g_{N+1} -
+    g_N, the last kept weight w_N and T_k = sum g_n^k w_n, k = 0, 1, 2.
+    Every reduction runs along a row, so a row sums bit for bit as the 1-D
+    array of its own levels would, in whatever block it is.
     """
-    spacing = energies[:, -1] - energies[:, -2]
-    e1, weights, delta = _weights(energies, beta)
+    spacing = g[:, -1] - g[:, -2]
+    kept = g[:, :-1]
+    weights = np.multiply(kept, -x)
+    np.exp(weights, out=weights)
     last_weight = weights[:, -1].copy()
-    z_shifted = np.add.reduce(weights, axis=1, keepdims=True)
-    weights /= z_shifted
-    weights *= delta
-    excess = np.add.reduce(weights, axis=1)  # U - E_1, free of cancellation
-    # moments about E_1: their mean square exceeds Var(E) by a small factor
-    # only; scaling the terms by beta first keeps the dot finite
-    weights *= beta
-    moment = np.vecdot(weights, delta)
-    return e1[:, 0], spacing, last_weight, z_shifted[:, 0], excess, moment
-
-
-def _closed_row_sums(energies, n, alpha, beta):
-    """`_row_sums` of states cut past _HEAD levels, the levels past it closed in form.
-
-    Row i of the (rows, _HEAD + 3) block holds E_1 .. E_{_HEAD+1}, E_N and
-    E_{N+1} of a state cut at N = n[i] > _HEAD levels, with exponent
-    alpha[i]; `beta` is a float or a column of one per row.  `_row_sums` sums
-    the head, E_1 .. E_{_HEAD}, and `_tail_sums` adds levels _HEAD + 1 .. N.
-    Returns what `_row_sums` returns for the (rows, N + 1) block of all
-    levels, to the closure's error, and overwrites the head.  The closure is
-    elementwise, so a row's sums do not depend on the block it is in.
-    """
-    beta = np.reshape(beta, -1)
-    spacing = energies[:, -1] - energies[:, -2]
-    e1, _, head_weight, z_head, excess, moment = _row_sums(energies[:, :-2], beta[:, None])
-    x = beta * e1
-    # past a head whose last weight underflows every closed weight is 0
-    live = head_weight > 0.0
-    tails = np.zeros((3, e1.size))
-    tails[:, live] = _tail_sums(alpha[live], x[live], n[live])
-    z_shifted = z_head + tails[0]
-    # E_n - E_1 = E_1 g_n, so the tails add E_1 T_1 and beta E_1^2 T_2
-    excess = (excess * z_head + e1 * tails[1]) / z_shifted
-    moment = (moment * z_head + x * tails[2] * e1) / z_shifted
-    last_weight = np.exp(-beta * (energies[:, -2] - e1))
-    return e1, spacing, last_weight, z_shifted, excess, moment
+    t0 = np.add.reduce(weights, axis=1)
+    weights *= kept
+    t1 = np.add.reduce(weights, axis=1)
+    return spacing, last_weight, t0, t1, np.vecdot(weights, kept)
 
 
 def _tail_sums(alpha, x, n):
@@ -456,24 +424,24 @@ def _gamma_ratios(s, y):
     return np.array(lower), np.array(upper)
 
 
-def _summary_fields(e1, spacing, last_weight, z_shifted, excess, moment, temperature):
-    """The EnsembleSummary fields other than n_cut, from `_row_sums`.
+def _summary_fields(e1, temperature, x, spacing, last_weight, t0, t1, t2):
+    """The EnsembleSummary fields other than n_cut, from x = E_1/T and `_row_sums`.
 
     Floats or arrays alike, in one operation order.  Call under
-    np.errstate(over="ignore", divide="ignore"): beta E_1 and beta dE may
-    overflow, to a weight of 0, and the tail bound may divide by 0.
+    np.errstate(over="ignore", divide="ignore"): x and x dg may be large
+    enough that a weight is 0, and the tail bound may divide by 0.
     """
-    beta = 1.0 / temperature
-    log_z = np.log(z_shifted)
-    ratio = np.exp(-beta * spacing)  # a numpy float, so x / 0 is inf
-    beta_excess = beta * excess
+    log_z = np.log(t0)
+    mean = t1 / t0  # <g>, so U - E_1 = E_1 <g>, free of cancellation
+    x_mean = x * mean
+    ratio = np.exp(-x * spacing)  # a numpy float, so a division by 0 is inf
     return {
-        "partition_function": np.exp(-beta * e1) * z_shifted,
-        "internal_energy": e1 + excess,
-        "entropy": beta_excess + log_z,
+        "partition_function": np.exp(-x) * t0,
+        "internal_energy": e1 + e1 * mean,
+        "entropy": x_mean + log_z,
         "free_energy": e1 - temperature * log_z,
         # a fixed cut at a level spacing far below T rounds the ratio to 1
         # and leaves an unbounded tail
-        "tail_bound": last_weight * ratio / ((1.0 - ratio) * z_shifted),
-        "heat_capacity": beta * moment - beta_excess * beta_excess,
+        "tail_bound": last_weight * ratio / ((1.0 - ratio) * t0),
+        "heat_capacity": x * (x * t2 / t0) - x_mean * x_mean,
     }

@@ -36,18 +36,22 @@ from fracstirling.spectrum import level_scale
 def reference_error(state, rel_tol, levels):
     """The error of a state that `summarize_many` cuts at 0 levels; computes no level.
 
-    Without a cut, fixed or from `_cut`, no level count up to MAX_LEVELS
-    meets rel_tol; with one, a level left the float range.
+    Where E_1 is not a finite float, the levels leave the float range;
+    otherwise there is no cut, fixed or from `_cut`: no level count up to
+    MAX_LEVELS meets rel_tol.
     """
     well = state.well
+    scale = math.inf
     with suppress(OverflowError):
         scale = level_scale(float(well.width), float(well.alpha), float(well.mass))
-        if not (levels or thermo._cut(float(well.alpha), scale / float(state.temperature), rel_tol)):
-            return TruncationLimitError(
-                f"partition sum for width={well.width}, alpha={well.alpha}, mass={well.mass}, "
-                f"T={state.temperature} still unconverged at {MAX_LEVELS} levels (rel_tol={rel_tol})"
-            )
-    return FracStirlingError(f"energy levels of {well} exceed the float range")
+    if not scale < math.inf:
+        return FracStirlingError(f"energy levels of {well} exceed the float range")
+    # a finite E_1 fails only without a cut
+    assert not (levels or thermo._cut(float(well.alpha), scale / float(state.temperature), rel_tol))
+    return TruncationLimitError(
+        f"partition sum for width={well.width}, alpha={well.alpha}, mass={well.mass}, "
+        f"T={state.temperature} still unconverged at {MAX_LEVELS} levels (rel_tol={rel_tol})"
+    )
 
 
 def fails(state, rel_tol, levels):

@@ -633,9 +633,9 @@ class TestSweep:
         rows = []
         row_sums = thermo._row_sums
 
-        def counting_row_sums(energies, beta):
-            rows.append(len(energies))
-            return row_sums(energies, beta)
+        def counting_row_sums(g, x):
+            rows.append(len(g))
+            return row_sums(g, x)
 
         monkeypatch.setattr(thermo, "_row_sums", counting_row_sums)
         default = sweep(base, ax, ay, levels=10)

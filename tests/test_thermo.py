@@ -1,5 +1,6 @@
 import math
 import warnings
+from contextlib import suppress
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -239,39 +240,31 @@ class TestTruncation:
 
     def test_one_block_per_miss(self, monkeypatch):
         # nothing is memoised: every call sums one block of n_cut + 1 levels,
-        # or, cut past the head, the head's block and computes _HEAD + 3
-        # levels in all; a failing state sums none
+        # or, cut past the head, the head's _HEAD + 1 levels as a view of a
+        # block of _HEAD + 3, the rest closed in form; a failing state sums none
         blocks, row_sums = [], thermo._row_sums
-        closed, closed_row_sums = [], thermo._closed_row_sums
 
-        def counting(energies, beta):
-            if len(energies):  # a block whose states all overflow keeps no row
-                blocks.append(energies.shape)
-            return row_sums(energies, beta)
-
-        def counting_closed(energies, n, alpha, beta):
-            closed.append(energies.shape)
-            return closed_row_sums(energies, n, alpha, beta)
+        def counting(g, x):
+            blocks.append((g.shape, (g if g.base is None else g.base).shape))
+            return row_sums(g, x)
 
         monkeypatch.setattr(thermo, "_row_sums", counting)
-        monkeypatch.setattr(thermo, "_closed_row_sums", counting_closed)
         head = thermo._HEAD
         wide = ThermalState(WellSpec(300.0, 1.3), 4.0)
         for state, levels in ((UNIT_STATE, None), (wide, None), (UNIT_STATE, None),
                               (UNIT_STATE, 10), (UNIT_STATE, 1000), (wide, head)):
             blocks.clear()
-            closed.clear()
             n_cut = summarize(state, levels=levels).n_cut
             assert n_cut == (levels or n_cut)
-            assert blocks == [(1, min(n_cut, head) + 1)]
-            assert closed == ([(1, head + 3)] if n_cut > head else [])
+            entries = head + 3 if n_cut > head else n_cut + 1
+            assert blocks == [((1, min(n_cut, head) + 1), (1, entries))]
         assert summarize(wide).n_cut == 12743
-        for well in (WellSpec(1e7, 1.05), WellSpec(1e-302, 1.02)):
+        # no cut, and an E_1 past the float range
+        for well in (WellSpec(1e7, 1.05), WellSpec(1e-200, 1.6)):
             blocks.clear()
-            closed.clear()
             with pytest.raises(FracStirlingError):
                 summarize(ThermalState(well, 4.0))
-            assert blocks == [] and closed == []
+            assert blocks == []
 
     @pytest.mark.parametrize("t", [0.1, 0.01])
     def test_levels_near_the_float_maximum_warn_nothing(self, t):
@@ -304,7 +297,7 @@ class TestTruncation:
         "well, levels",
         [
             (WellSpec(1e-200, 1.6), None),  # (pi/2L)^alpha raises OverflowError
-            (WellSpec(1e-302, 1.02), None),  # E_1 ~ 1e308, E_2 overflows to inf
+            (WellSpec(1e-302, 1.02), None),  # E_1 ~ 1e308 is finite, E_2 overflows to inf
             (WellSpec(1.0, 2.0, 1e-320), 10),  # (1/2m)^(alpha/2) is inf
             # numpy floats, whose powers overflow with a warning, not an error
             (WellSpec(np.float64(1e-200), 1.6), None),
@@ -312,9 +305,18 @@ class TestTruncation:
         ],
     )
     def test_unrepresentable_levels_raise(self, well, levels):
-        # the error alone reports the overflow: numpy warns about nothing
+        # only an E_1 past the float range raises, and the error alone reports
+        # it; above a finite E_1 the levels past it weigh 0, leaving the ground
+        # state.  numpy warns about nothing
+        e1 = math.inf
+        with suppress(OverflowError):
+            e1 = level_scale(float(well.width), float(well.alpha), float(well.mass))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            if e1 < math.inf:
+                s = summarize(ThermalState(well, 4.0), levels=levels)
+                assert s.internal_energy == e1 and s.entropy == 0.0
+                return
             with pytest.raises(FracStirlingError, match="float range"):
                 summarize(ThermalState(well, 4.0), levels=levels)
 
@@ -355,31 +357,37 @@ class TestTruncation:
 def one_row_reference(state, levels=None):
     """The summary fields of one state summed as a lone row, or the error type where it fails.
 
-    The levels come from `spectrum.energy_levels` at the cut of `thermo._cut`
-    and go through `_row_sums` and `_summary_fields` as one 1-D row, with no
-    grouping or blocking; a cut past `thermo._HEAD` goes through
-    `_closed_row_sums`, given the head and the top two of those levels.  A
-    level count past MAX_LEVELS fails with TruncationLimitError, a level past
+    With x = E_1/T the cut comes from `thermo._cut`, and the levels g_n =
+    n^alpha - 1 go through `_row_sums` and `_summary_fields` as one 1-D row,
+    with no grouping or blocking; a cut past `thermo._HEAD` sums the head's
+    row, given the head and the top two levels, and adds `_tail_sums`.  A
+    level count past MAX_LEVELS fails with TruncationLimitError, an E_1 past
     the float range with FracStirlingError.
     """
-    well, t = state.well, state.temperature
+    well, t, head = state.well, state.temperature, thermo._HEAD
     with np.errstate(over="ignore", divide="ignore"):
         try:
-            x = level_scale(well.width, well.alpha, well.mass) / t
-            n_cut = levels or thermo._cut(well.alpha, x, thermo.DEFAULT_REL_TOL)
-            if not n_cut:
-                return TruncationLimitError
-            energies = energy_levels(well, n_cut + 1)
+            e1 = level_scale(well.width, well.alpha, well.mass)
         except OverflowError:
             return FracStirlingError
-        if not energies[-1] < math.inf:
+        if not e1 < math.inf:
             return FracStirlingError
-        if n_cut > thermo._HEAD:
-            block = np.concatenate((energies[:thermo._HEAD + 1], energies[-2:]))[None, :]
-            sums = thermo._closed_row_sums(block, np.array([n_cut]), np.array([well.alpha]), 1.0 / t)
+        x = min(e1 / t, thermo._X_MAX)
+        n_cut = levels or thermo._cut(well.alpha, x, thermo.DEFAULT_REL_TOL)
+        if not n_cut:
+            return TruncationLimitError
+        numbers = np.arange(1.0, n_cut + 2.0)
+        if n_cut > head:
+            numbers = np.concatenate((numbers[:head + 1], numbers[-2:]))
+        g = np.power(numbers, well.alpha)[None, :] - 1.0
+        if n_cut > head:
+            _, head_weight, *sums = thermo._row_sums(g[:, :-2], x)
+            if head_weight[0] > 0.0:
+                sums = np.array(sums) + thermo._tail_sums(np.array([well.alpha]), np.array([x]), np.array([n_cut]))
+            sums = (g[:, -1] - g[:, -2], np.exp(-x * g[:, -2]), *sums)
         else:
-            sums = thermo._row_sums(energies[None, :], 1.0 / t)
-        row = thermo._summary_fields(*(float(v[0]) for v in sums), t)
+            sums = thermo._row_sums(g, x)
+        row = thermo._summary_fields(e1, t, x, *(float(v[0]) for v in sums))
     return {"n_cut": n_cut, **row}
 
 
@@ -423,12 +431,38 @@ class TestSummarizeMany:
                 assert np.float64(getattr(single, field.name)).tobytes() == np.float64(want).tobytes()
         assert 0 < failed < 50
 
-    def test_an_overflowing_top_level_fails_only_its_state(self):
-        # E_1 ~ 1e308 is finite but E_2 overflows; the other state is kept
+    def test_an_overflowing_top_level_weighs_nothing(self):
+        # E_1 ~ 1e308 is finite but E_2 overflows: the state is kept in its
+        # ground state, beside an ordinary one
         table = summarize_many([1e-302, 1.0], [1.02, 1.5], [1.0, 1.0], [4.0, 4.0])
         kept = summarize(ThermalState(WellSpec(1.0, 1.5), 4.0))
-        assert table["n_cut"].tolist() == [0, kept.n_cut]
-        assert np.isnan(table["internal_energy"][0]) and np.isfinite(table["internal_energy"][1])
+        assert table["n_cut"].tolist() == [1, kept.n_cut]
+        assert table["failure"].tolist() == [0, 0]
+        assert table["internal_energy"][0] == level_scale(1e-302, 1.02, 1.0)
+        assert table["entropy"][0] == 0.0 and table["internal_energy"][1] == kept.internal_energy
+
+    def test_a_state_enters_only_through_alpha_and_x(self):
+        # states with bitwise-equal alpha and x = E_1/T but other widths and
+        # temperatures share every field that E_1 and T do not scale
+        rng = np.random.default_rng(41)
+        width, alpha, temperature = [], [], []
+        for _ in range(300):
+            a, w1, w2 = float(rng.uniform(1.2, 2.0)), *(float(10.0**v) for v in rng.uniform(-2.0, 2.0, 2))
+            t1 = level_scale(w1, a, 1.0) / 10.0 ** rng.uniform(-4.0, 2.0)
+            x, e2 = level_scale(w1, a, 1.0) / t1, level_scale(w2, a, 1.0)
+            # the temperature of the second well at x, or one an ulp away
+            t2 = e2 / x
+            match = [t for t in (t2, math.nextafter(t2, 0.0), math.nextafter(t2, math.inf)) if e2 / t == x]
+            if match:
+                width += [w1, w2]
+                alpha += [a, a]
+                temperature += [t1, match[0]]
+        assert len(width) >= 2 * 250
+        table = summarize_many(width, alpha, [1.0] * len(width), temperature)
+        assert not table["failure"].any() and (table["n_cut"] > thermo._HEAD).any()
+        for name in ("n_cut", "partition_function", "entropy", "heat_capacity", "tail_bound"):
+            first, second = table[name][0::2], table[name][1::2]
+            assert first.tobytes() == second.tobytes(), name
 
     @pytest.mark.parametrize(
         "width, alpha, mass, temperature",
