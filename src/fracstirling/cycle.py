@@ -161,8 +161,10 @@ def evaluate(
     at the corner temperatures, and two inside the interval go unseen.
 
     This is the cycle evaluator of `sweep` on one node.  Where a corner
-    fails, the first of A, B, C, D to fail raises as in `summarize`; a
-    vanishing q_h with net work raises DegenerateCycleError.
+    fails, the first of A, B, C, D to fail raises as in `summarize`; a heat,
+    the work or the efficiency past the float range, as T dS may be at
+    baths near the float maximum, raises FracStirlingError; a vanishing q_h
+    with net work raises DegenerateCycleError.
     """
     table, ids, columns, failed = _node_arrays(params, {}, rel_tol, levels)
     if failed[0]:
@@ -181,7 +183,12 @@ def _node_error(base: CycleParams, node, kinds, rel_tol, columns=None, k=0) -> F
         if kind:
             width, alpha, temperature = (node.get(p, getattr(base, p)) for p in fields)
             return _state_error(width, alpha, base.mass, temperature, rel_tol, kind)
-    q_h, work = columns["q_h"][k].item(), columns["work"][k].item()
+    values = {name: v[k].item() for name, v in columns.items()}
+    if lost := [f"{name}={v}" for name, v in values.items() if not math.isfinite(v)]:
+        return FracStirlingError(
+            f"cycle quantities leave the float range ({', '.join(lost)}) for {replace(base, **node)}"
+        )
+    q_h, work = values["q_h"], values["work"]
     return DegenerateCycleError(
         f"hot-bath heat vanishes (q_h={q_h}) while work={work}; "
         f"efficiency is undefined for {replace(base, **node)}"
@@ -224,13 +231,17 @@ def _regenerator_heats(table, ids):
     return (uc - ub) + (ua - ud), energies, table["failure"][ids].any(axis=0)
 
 
+# at baths near the float maximum T dS and the sums may overflow; such a node
+# fails, with no warning
+@np.errstate(over="ignore", invalid="ignore")
 def _node_arrays(base: CycleParams, nodes, rel_tol, levels):
     """The array stage of the cycle evaluator: every node quantity as an array.
 
     `nodes` is as in `_corner_summaries`; the heat-capacity crossings of all
     nodes are searched in lockstep.  Returns the corner table and ids, the
     columns q_ab .. efficiency by name in CycleReport order, and the mask of
-    failed nodes: a corner fails, or |q_h| < _QH_ZERO with net work.
+    failed nodes: a corner fails, a column is not finite, or |q_h| <
+    _QH_ZERO with net work.
     """
     table, ids = _corner_summaries(base, nodes, rel_tol, levels)
     q_r, (ua, ub, uc, ud), failing = _regenerator_heats(table, ids)
@@ -256,11 +267,13 @@ def _node_arrays(base: CycleParams, nodes, rel_tol, levels):
     # below rounding noise at the corner-energy scale counts as zero
     scale = np.maximum(abs(table["internal_energy"]), abs(base.t_hot * table["entropy"]))
     degenerate = zero & (abs(work) > 1e-12 * np.maximum(scale[ids].max(axis=0), 1.0))
-    failed = failing | degenerate
     efficiency = np.divide(work, q_h, out=np.zeros_like(q_h), where=~zero)
     columns = dict(q_ab=q_ab, q_bc=q_bc, q_cd=q_cd, q_da=q_da, work=work, q_r=q_r, q_h=q_h,
                    efficiency=efficiency)
-    return table, ids, columns, failed
+    # q_bc, q_da and q_r are differences of finite positive energies, and an
+    # overflowing q_ab or q_cd leaves the work non-finite
+    finite = np.isfinite(work) & np.isfinite(q_h) & np.isfinite(efficiency)
+    return table, ids, columns, failing | degenerate | ~finite
 
 
 def _reports(energy, entropy, ids, columns, carnot: float, row: int):

@@ -204,7 +204,8 @@ def _clip_bracket(parameter: str, lo: float, hi: float) -> tuple[float, float]:
 def find_brackets(f, lo: float, hi: float, points: int = DEFAULT_SCAN_POINTS):
     """Scan f at 2 to MAX_NODES uniform points; return the sign-change subintervals."""
     xs = _scan_points(lo, hi, points)
-    return [(xs[i], xs[j]) for i, j in _sign_changes([f(x) for x in xs])]
+    _, left, right = _sign_changes(np.array([[f(x) for x in xs]], dtype=float))
+    return [(xs[i], xs[j]) for i, j in zip(left.tolist(), right.tolist())]
 
 
 def _scan_points(lo: float, hi: float, points: int) -> list[float]:
@@ -213,21 +214,24 @@ def _scan_points(lo: float, hi: float, points: int) -> list[float]:
     return _uniform(lo, hi, points)
 
 
-def _sign_changes(vals) -> list[tuple[int, int]]:
-    """Index pairs of the sign-change subintervals of a scan, in order.
+def _sign_changes(scans: np.ndarray):
+    """Row, left and right indices of the sign-change subintervals of each scan row.
 
     (i, i) where the value at point i is 0, and (i, i + 1) where the values
-    at points i and i + 1 have strictly opposite signs.
+    at points i and i + 1 have strictly opposite signs; ordered by row, then
+    by i.  A nan changes no sign.
     """
-    out = []
-    for i in range(len(vals) - 1):
-        if vals[i] == 0.0:
-            out.append((i, i))
-        elif vals[i] * vals[i + 1] < 0.0:
-            out.append((i, i + 1))
-    if vals[-1] == 0.0:
-        out.append((len(vals) - 1, len(vals) - 1))
-    return out
+    zero = scans == 0.0
+    change = np.zeros_like(zero)
+    np.less(scans[:, :-1] * scans[:, 1:], 0.0, out=change[:, :-1])
+    row, left = np.nonzero(zero | change)
+    return row, left, left + change[row, left]
+
+
+def _in_domain(parameter: str, values: np.ndarray) -> np.ndarray:
+    """Whether each value passes CycleParams' check of `parameter`."""
+    lo, hi = _DOMAIN[parameter]
+    return (lo < values) & (values <= hi) & (values < _INF)
 
 
 def _illinois(q_r, a, b, fa, fb, tol, max_iter=200):
@@ -383,23 +387,27 @@ def trace_curve(
     if sweep_parameter == solve_parameter:
         raise ValueError("sweep and solve parameters must differ")
     grid = list(grid)
-    if len(grid) > 1:
-        diffs = [b - a for a, b in zip(grid, grid[1:])]
-        if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-            raise ValueError("grid must be strictly monotone")
+    values = np.array(grid, dtype=float)
+    steps = np.diff(values)
+    if not (np.all(steps > 0) or np.all(steps < 0)):
+        raise ValueError("grid must be strictly monotone")
     _check_tol(tol)
     lo, hi = _clip_bracket(solve_parameter, *bracket)
     xs = _scan_points(lo, hi, scan_points)
     if grid:
-        # CycleParams words the messages; they raise in the order a scan node
-        # by node meets them: the first grid value, the scan points, the cut
-        # arguments, then the other grid values
-        first = replace(base, **{sweep_parameter: grid[0]})
-        for x in xs:
-            replace(first, **{solve_parameter: x})
+        # one array test of every value; where one fails, CycleParams words the
+        # message, raised in the order a scan node by node meets them: the
+        # first grid value, the scan points, the cut arguments, then the other
+        # grid values
+        valid = _in_domain(sweep_parameter, values)
+        if not (valid[0] and _in_domain(solve_parameter, np.array(xs)).all()):
+            first = replace(base, **{sweep_parameter: grid[0]})
+            for x in xs:
+                replace(first, **{solve_parameter: x})
         _check_cut_args(rel_tol, levels)
-        for g in grid[1:]:
-            replace(base, **{sweep_parameter: g})
+        if not valid.all():
+            for g in grid[1:]:
+                replace(base, **{sweep_parameter: g})
 
     points: list[RegenerationPoint | None] = []
     prev_root: float | None = None
@@ -410,30 +418,29 @@ def trace_curve(
         nodes[solve_parameter] = np.tile(xs, len(chunk))
         q_r, energies, failing = _regenerator_heats(*_corner_summaries(base, nodes, rel_tol, levels))
         scans = q_r.reshape(len(chunk), scan_points)  # one row per grid node
-        failing = failing.reshape(scans.shape).any(axis=1).tolist()
-        candidates = [[] if bad else _sign_changes(v) for v, bad in zip(scans.tolist(), failing)]
+        # a node with a failing corner anywhere on its scan has no candidate
+        scans[failing.reshape(scans.shape).any(axis=1)] = np.nan
+        row, left, right = _sign_changes(scans)
         # every candidate is solved, as the one that counts depends on the root before
-        row, left, right = np.array(
-            [(r, i, j) for r, intervals in enumerate(candidates) for i, j in intervals], dtype=int
-        ).reshape(-1, 3).T
         roots, residuals, failures = _illinois(
             _step_heats(base, solve_parameter, {sweep_parameter: np.array(chunk)[row]},
                         energies[:, row * scan_points + left], rel_tol, levels),
             np.take(xs, left), np.take(xs, right), scans[row, left], scans[row, right], tol,
         )
-        offset = 0
-        for g, intervals in zip(chunk, candidates):
+        middles = (0.5 * (np.take(xs, left) + np.take(xs, right))).tolist()
+        ends = np.searchsorted(row, np.arange(1, len(chunk) + 1)).tolist()
+        start = 0
+        for g, end in zip(chunk, ends):
             point = None
-            if intervals:
+            if end > start:
                 target = prev_root if prev_root is not None else 0.5 * (lo + hi)
-                i, j = min(intervals, key=lambda ij: abs(0.5 * (xs[ij[0]] + xs[ij[1]]) - target))
-                k = offset + intervals.index((i, j))
-                offset += len(intervals)
+                k = min(range(start, end), key=lambda k: abs(middles[k] - target))
                 if failures[k] is None:  # a failed solve leaves the node a gap
                     prev_root = roots[k]
                     params = replace(base, **{sweep_parameter: g, solve_parameter: prev_root})
                     point = RegenerationPoint(params=params, residual=residuals[k])
             points.append(point)
+            start = end
 
     if points and all(p is None for p in points):
         warnings.warn(

@@ -17,11 +17,14 @@ them into U, S, F, Z, C and the tail bound.  The ground weight is 1, so the
 sums hold where x exceeds 700 in narrow wells and e^(-x) underflows, and no
 energy E_n is formed: levels past the float range weigh 0.  S = x <g> +
 ln T_0 is nonnegative by construction and needs no per-term p ln p guard.
-`summarize_many` groups any number of states by their cut and sums each
-group in capped blocks; `summarize` is it on one state.  Every reduction
-runs along a row and the closure is elementwise, so a state's sums do not
-depend on the block it lands in.  Nothing is memoised; `occupations`
-recomputes the kept weights on demand.
+`summarize_many` pads each state's row of explicit levels, min(N, _HEAD) of
+them, with zero weights to the multiple of _PAD above that count, and sums
+all states of one padded length in one capped block, so a call holding
+dozens of distinct cuts sums a few blocks; `summarize` is it on one state.
+A row's length depends on its own cut alone, every reduction runs along a
+row and the closure is elementwise, so a state's sums do not depend on the
+block it lands in or the states beside it.  Nothing is memoised;
+`occupations` recomputes the kept weights on demand.
 """
 
 from __future__ import annotations
@@ -46,8 +49,14 @@ MAX_LEVELS = 10**6
 TRUNCATED, FLOAT_RANGE = 1, 2  # the failure kinds of `summarize_many` besides 0
 
 # Cap on the level entries of one kernel block: a group of states that share a
-# cut is summed in blocks of at most this many entries, or of one row.
+# padded length is summed in blocks of at most this many entries, or of one row.
 _BLOCK_ENTRIES = 1 << 16
+
+# A state's row of explicit levels is padded to the multiple of this just
+# above its kept count, so states with nearby cuts share one block.
+_PAD = 16
+# row k: 1 for the first k of the last _PAD entries of a row, 0 past them
+_KEEP = np.tri(_PAD, k=-1)
 
 # The levels summed explicitly by a state cut past them; the rest of its sum
 # is closed in form.  Past it the step x alpha n^(alpha-1) of the exponent
@@ -66,6 +75,11 @@ _T_MIN = math.nextafter(1.0 / np.finfo(float).max, 1.0)
 # x = E_1/T past the float range is held at its maximum: every level but the
 # ground one still weighs 0, and x g_1 = x 0 stays 0 instead of nan
 _X_MAX = np.finfo(float).max
+
+# Bounds of a valid width, alpha, mass and temperature, one row each: one
+# comparison checks every state, and `_check_states` words a failure
+_LOWEST = np.array([[math.ulp(0.0)], [math.nextafter(1.0, 2.0)], [math.ulp(0.0)], [_T_MIN]])
+_HIGHEST = np.array([[_X_MAX], [2.0], [_X_MAX], [_X_MAX]])
 
 
 class FracStirlingError(RuntimeError):
@@ -163,33 +177,32 @@ def summarize_many(
     temperature[i]); the four arguments are equal-length 1-D sequences.
     `levels` is None, one count for all states or a sequence of one per
     state.  `failure` is 0, or TRUNCATED where no cut up to MAX_LEVELS meets
-    rel_tol and FLOAT_RANGE where E_1 is not a finite float; there n_cut is 0
-    and the other fields are nan.  Levels above a finite E_1 that pass the
-    float range weigh 0 and fail nothing.  The states are grouped by their
-    cut, all those cut past _HEAD levels in one group that computes the head
-    and g_N, g_{N+1} of each, and each group is summed in blocks of at most
-    _BLOCK_ENTRIES levels (or one row), so the memory held is bounded for any
-    number of states.
+    rel_tol and FLOAT_RANGE where E_1 is not a finite float or U, S or F
+    leaves the float range; there n_cut is 0 and the other fields are nan.
+    Levels above a finite E_1 that pass the float range weigh 0 and fail
+    nothing.  A state sums min(N, _HEAD) levels explicitly, as a row padded
+    to the multiple of _PAD above that count; the states are grouped by that
+    padded length, so a call sums a few blocks however many distinct cuts it
+    holds, and each group in blocks of at most _BLOCK_ENTRIES entries (or one
+    row), so the memory held is bounded for any number of states.  A state's
+    row depends on that state alone, so its fields are the same bit for bit
+    whatever other states share the call.
     """
-    per_state = np.ndim(levels) > 0
+    per_state = levels is not None and np.ndim(levels) > 0
     _check_cut_args(rel_tol, None if per_state else levels)
-    width, alpha, mass, temperature = (
-        np.asarray(v, dtype=float) for v in (width, alpha, mass, temperature)
-    )
-    if width.ndim != 1 or len({v.shape for v in (width, alpha, mass, temperature)}) > 1:
+    try:
+        states = np.array((width, alpha, mass, temperature), dtype=float)
+    except ValueError:
+        states = None
+    if states is None or states.ndim != 2:
         raise ValueError("need four 1-D sequences of equal length")
-    if not (
-        np.all((0.0 < width) & (width < _INF)) and np.all((1.0 < alpha) & (alpha <= 2.0))
-        and np.all((0.0 < mass) & (mass < _INF))
-        and np.all((0.0 < temperature) & (temperature < _INF))
-    ):
-        raise ValueError(
-            "need finite positive widths, masses and temperatures and alphas in (1, 2]"
-        )
-    _check_beta(temperature.min(initial=_INF))
-    fixed = np.broadcast_to(levels if per_state else levels or 0, temperature.shape)
-    if per_state and not np.all((1 <= fixed) & (fixed <= MAX_LEVELS) & (fixed % 1 == 0)):
-        raise ValueError(f"need one integer level count in [1, {MAX_LEVELS}] per state")
+    if not ((_LOWEST <= states) & (states <= _HIGHEST)).all():
+        _check_states(*states)
+    width, alpha, mass, temperature = states
+    if per_state:
+        fixed = np.broadcast_to(levels, temperature.shape)
+        if not np.all((1 <= fixed) & (fixed <= MAX_LEVELS) & (fixed % 1 == 0)):
+            raise ValueError(f"need one integer level count in [1, {MAX_LEVELS}] per state")
     count = temperature.size
     # E_1 in Python floats, so a power past the float range raises instead of
     # warning; a non-finite E_1 is nan here.  The lists die before the level sums
@@ -205,52 +218,64 @@ def summarize_many(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = np.minimum(scale / temperature, _X_MAX)
         if levels is not None:
-            n_cut = np.where(np.isnan(scale), 0, fixed).astype(np.int64)
+            n_cut = np.where(np.isnan(scale), 0, fixed if per_state else levels).astype(np.int64)
         else:  # `_cut` as arrays: numpy's log and power move N by a few ulps, so `_cut`
             # decides within 1e-9 of an integer up to MAX_LEVELS; x = 0 or a nan E_1 cuts 0
             n_real = _real_cut(alpha, x, rel_tol, np.log, np.log1p, np.minimum)
             n_cut = np.where(n_real <= MAX_LEVELS, np.ceil(n_real), 0).astype(np.int64)
             near = (np.abs(n_real - np.rint(n_real)) <= 1e-9 * n_real) & (n_real < MAX_LEVELS + 1)
-            for i in np.flatnonzero(near).tolist():
+            for i in near.nonzero()[0].tolist():
                 n_cut[i] = _cut(float(alpha[i]), float(x[i]), rel_tol)
-    # no cut: a float-range failure at a nan E_1, else (only adaptive) a truncation
-    failure = np.where(n_cut == 0, np.where(np.isnan(scale), FLOAT_RANGE, TRUNCATED), 0).astype(np.int8)
+        # no cut: a float-range failure at a nan E_1, else (only adaptive) a truncation
+        failure = np.where(n_cut == 0, np.int8(TRUNCATED), np.int8(0))
+        failure[np.isnan(scale)] = FLOAT_RANGE
 
-    # per state: g_{N+1} - g_N, the last kept weight and T_0, T_1, T_2; every
-    # cut past _HEAD falls in one group
-    sums = np.full((5, count), np.nan)
-    group = np.minimum(n_cut, _HEAD + 1)
-    order = np.argsort(group, kind="stable")
-    cuts, starts = np.unique(group[order], return_index=True)
-    ends = [*starts[1:].tolist(), count]
-    with np.errstate(over="ignore", divide="ignore"):
-        for n, lo, hi in zip(cuts.tolist(), starts.tolist(), ends):
-            if n == 0:
-                continue
-            closed = n > _HEAD
-            ladder = np.arange(1, n + (3 if closed else 2), dtype=float)
-            rows = max(1, _BLOCK_ENTRIES // ladder.size)
-            for start in range(lo, hi, rows):
-                idx = order[start:min(start + rows, hi)]
-                numbers = ladder
-                if closed:  # levels 1 .. _HEAD + 1, then N and N + 1 of each state
-                    numbers = np.broadcast_to(ladder, (idx.size, ladder.size)).copy()
-                    numbers[:, -2:] = n_cut[idx, None] + np.array([0, 1])
-                g = np.power(numbers, alpha[idx, None])
+        # per state: g_{N+1} - g_N, the last kept weight and T_0, T_1, T_2
+        sums = np.full((5, count), np.nan)
+        kept = np.minimum(n_cut, _HEAD)
+        padded = np.where(kept > 0, (kept | (_PAD - 1)) + 1, 0)  # _PAD a power of 2
+        for length in sorted(set(padded.tolist()) - {0}):
+            group = (padded == length).nonzero()[0]
+            ladder = np.arange(1.0, length + 1.0)
+            rows = max(1, _BLOCK_ENTRIES // length)
+            for start in range(0, group.size, rows):
+                idx = group[start:start + rows]
+                g = np.power(ladder, alpha[idx, None])
                 g -= 1.0
-                if not closed:
-                    sums[:, idx] = _row_sums(g, x[idx, None])
-                    continue
-                # the head, levels 1 .. _HEAD, plus the closed levels past it;
-                # past a head whose last weight underflows every one weighs 0
-                _, head_weight, *head = _row_sums(g[:, :-2], x[idx, None])
-                live = head_weight > 0.0
-                idx_live = idx[live]
-                tails = np.zeros((3, idx.size))
-                tails[:, live] = _tail_sums(alpha[idx_live], x[idx_live], n_cut[idx_live])
-                tails += head
-                sums[:, idx] = g[:, -1] - g[:, -2], np.exp(-x[idx] * g[:, -2]), *tails
-        return {"n_cut": n_cut, "failure": failure, **_summary_fields(scale, temperature, x, *sums)}
+                sums[:, idx] = _row_sums(g, x[idx, None], kept[idx])
+        # a state cut past _HEAD adds levels _HEAD + 1 .. N in closed form to
+        # its head; past a head whose last weight underflows every one weighs 0
+        closed = (n_cut > _HEAD).nonzero()[0]
+        if closed.size:
+            live = closed[sums[1, closed] > 0.0]
+            sums[2:, live] += _tail_sums(alpha[live], x[live], n_cut[live])
+            g = np.power(n_cut[closed, None] + np.array([0.0, 1.0]), alpha[closed, None])
+            g -= 1.0
+            sums[:2, closed] = g[:, 1] - g[:, 0], np.exp(-x[closed] * g[:, 0])
+        fields = _summary_fields(scale, temperature, x, *sums)
+    # U, S or F past the float range, as T ln T_0 or E_1 (1 + <g>) may be
+    # where E_1 or T is near the float maximum
+    finite = np.isfinite(fields["internal_energy"]) & np.isfinite(fields["entropy"])
+    finite &= np.isfinite(fields["free_energy"])
+    failure[~finite & (failure == 0)] = FLOAT_RANGE
+    if not finite.all():  # one nan, whatever sign the arithmetic left
+        n_cut[~finite] = 0
+        for v in fields.values():
+            v[~finite] = np.nan
+    return {"n_cut": n_cut, "failure": failure, **fields}
+
+
+def _check_states(width, alpha, mass, temperature) -> None:
+    """Raise the ValueError that a state outside the kernel's domain gives."""
+    if not (
+        np.all((0.0 < width) & (width < _INF)) and np.all((1.0 < alpha) & (alpha <= 2.0))
+        and np.all((0.0 < mass) & (mass < _INF))
+        and np.all((0.0 < temperature) & (temperature < _INF))
+    ):
+        raise ValueError(
+            "need finite positive widths, masses and temperatures and alphas in (1, 2]"
+        )
+    _check_beta(temperature.min(initial=_INF))
 
 
 def _check_beta(temperature: float) -> None:
@@ -312,26 +337,29 @@ def _state_error(width, alpha, mass, temperature, rel_tol, kind) -> FracStirling
     )
 
 
-def _row_sums(g: np.ndarray, x):
+def _row_sums(g: np.ndarray, x, n):
     """The level sums of the ensemble kernel, one state per row of a block.
 
-    Row i of the (rows, N + 1) block holds g_n = n^alpha - 1 of levels
-    1 .. N + 1 of a state; the first N are kept, with weights e^(-x g_n).
-    For a state cut past _HEAD levels this is its head, N = _HEAD.  `x` is
-    E_1/T, a float or a column of one per row.  Returns per row g_{N+1} -
-    g_N, the last kept weight w_N and T_k = sum g_n^k w_n, k = 0, 1, 2.
-    Every reduction runs along a row, so a row sums bit for bit as the 1-D
-    array of its own levels would, in whatever block it is.
+    Row i of the (rows, P) block holds g_m = m^alpha - 1 of levels 1 .. P of
+    a state, of which the first n[i] < P are kept, with weights e^(-x g_m);
+    the entries past them weigh exactly 0.  For a state cut past _HEAD
+    levels this is its head, n[i] = _HEAD.  `x` is E_1/T, a column of one
+    per row.  Returns per row g_{N+1} - g_N and the last kept weight w_N at
+    N = n[i], and T_k = sum g_m^k w_m, k = 0, 1, 2.  Every reduction runs
+    along a row of P entries, so a row sums bit for bit as it would alone,
+    in whatever block it is.
     """
-    spacing = g[:, -1] - g[:, -2]
-    kept = g[:, :-1]
-    weights = np.multiply(kept, -x)
+    weights = np.multiply(g, -x)
     np.exp(weights, out=weights)
-    last_weight = weights[:, -1].copy()
+    # a row keeps all but some of its last _PAD entries
+    weights[:, -_PAD:] *= _KEEP.take(n - (g.shape[1] - _PAD), axis=0)
+    at = np.arange(0, g.size, g.shape[1]) + n  # the flat index of level N + 1
+    spacing = g.take(at) - g.take(at - 1)
+    last_weight = weights.take(at - 1)
     t0 = np.add.reduce(weights, axis=1)
-    weights *= kept
+    weights *= g
     t1 = np.add.reduce(weights, axis=1)
-    return spacing, last_weight, t0, t1, np.vecdot(weights, kept)
+    return spacing, last_weight, t0, t1, np.vecdot(weights, g)
 
 
 def _tail_sums(alpha, x, n):

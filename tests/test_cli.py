@@ -488,6 +488,15 @@ class TestTraceCommand:
         assert code == 1
         assert out == "" and "error: width_a must be positive" in err
 
+    @pytest.mark.parametrize("levels", [[], ["--levels", "0"]])
+    def test_width_solve_from_zero_words_its_first_scan_point(self, capsys, levels):
+        # the scan points are checked before the cut arguments
+        code, out, err = run_cli(
+            capsys, "trace", "--solve", "la", "--bracket", "0:1",
+            "--sweep", "lb=1.2:1.4:2", "--a1", "1.5", "--a2", "1.6", *levels,
+        )
+        assert (code, out, err) == (1, "", "error: width_a must be positive and finite, got 0.0\n")
+
     def test_width_solve_requires_bracket(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["trace", "--sweep", "lb=1.0:1.4:2", "--solve", "la"])

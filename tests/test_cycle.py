@@ -1,6 +1,6 @@
 import math
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from fracstirling import (
     CycleParams,
     DegenerateCycleError,
+    FracStirlingError,
     REGIME_ENGINE,
     REGIME_NON_ENGINE,
     SweepAxis,
     ThermalState,
+    WellSpec,
     carnot_efficiency,
     corners,
     evaluate,
@@ -383,6 +385,59 @@ class TestCarnot:
         report = evaluate(CycleParams(1.4, 1.7, 1.9668174427971263, 2.0, **BATHS))
         assert report.regime == REGIME_ENGINE
         assert report.efficiency <= report.carnot
+
+
+def width_at(e1, alpha):
+    """The width whose ground level E_1 is e1 at unit mass, in log space."""
+    return 0.5 * math.pi * math.exp(-(math.log(e1) + 0.5 * alpha * math.log(2.0)) / alpha)
+
+
+# finite corners, yet t_hot (S_B - S_A) overflows
+OVERFLOWING_HEAT = CycleParams(5.396213407367219e-163, 6.249555681888716e-206, 1.4909226804659963,
+                               1.8969205580688384, 6.133004409319363e307, 9.949864204156054e306)
+
+
+class TestFloatRange:
+    def test_extreme_baths_give_a_finite_report_or_an_error(self):
+        # baths and ground levels near the float maximum: every cycle ends in
+        # a report of finite numbers or a FracStirlingError, and numpy warns
+        # nothing (the suite turns warnings into errors)
+        rng = np.random.default_rng(53)
+        outcomes = {"finite": 0, "corner": 0, "cycle": 0}
+        for _ in range(300):
+            alpha_1, alpha_2, high, low, spread_a, spread_b = rng.uniform(0.0, 1.0, 6).tolist()
+            t_hot = 10.0 ** (306.0 + 2.25 * high)
+            widths = (width_at(min(t_hot * 10.0 ** (4.0 * spread - 3.0), 1.7e308), 1.01 + 0.99 * a)
+                      for spread, a in ((spread_a, alpha_2), (spread_b, alpha_1)))
+            params = CycleParams(*widths, 1.01 + 0.99 * alpha_1, 1.01 + 0.99 * alpha_2,
+                                 t_hot, t_hot * 10.0 ** -(0.01 + low))
+            try:
+                report = evaluate(params)
+            except FracStirlingError as err:
+                outcomes["corner" if "energy levels" in str(err) else "cycle"] += 1
+                continue
+            assert all(map(math.isfinite, astuple(report)[:9])), params
+            outcomes["finite"] += 1
+        assert outcomes["finite"] > 100 and outcomes["corner"] > 30, outcomes
+
+    def test_an_overflowing_heat_fails_the_node(self):
+        with pytest.raises(FracStirlingError, match=r"leave the float range \(q_ab=inf, ") as err:
+            evaluate(OVERFLOWING_HEAT)
+        assert type(err.value) is FracStirlingError
+        # a sweep words the node as `evaluate` does
+        ax = SweepAxis("width_a", OVERFLOWING_HEAT.width_a, OVERFLOWING_HEAT.width_a * 1.000001, 2)
+        ay = SweepAxis("alpha_2", OVERFLOWING_HEAT.alpha_2, OVERFLOWING_HEAT.alpha_2 + 1e-9, 2)
+        grid = sweep(OVERFLOWING_HEAT, ax, ay)
+        assert grid.errors[0, 0] == str(err.value)
+        for (i, j), message in grid.errors.items():
+            with pytest.raises(FracStirlingError) as node:
+                evaluate(replace(OVERFLOWING_HEAT, width_a=ax.values()[i], alpha_2=ay.values()[j]))
+            assert message == str(node.value)
+
+    def test_a_free_energy_past_the_float_range_fails_the_state(self):
+        # T ln Z_s overflows though E_1 is finite
+        with pytest.raises(FracStirlingError, match="exceed the float range"):
+            summarize(ThermalState(WellSpec(1.2167709697834425e-304, 1.01), 1e308))
 
 
 class TestParamsValidation:

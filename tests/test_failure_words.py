@@ -9,6 +9,7 @@ failure kinds, and the messages worded from them by `summarize`, `evaluate`,
 import math
 from contextlib import suppress
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,11 +35,13 @@ from fracstirling.spectrum import level_scale
 
 
 def reference_error(state, rel_tol, levels):
-    """The error of a state that `summarize_many` cuts at 0 levels; computes no level.
+    """The error of a state that `summarize_many` fails.
 
-    Where E_1 is not a finite float, the levels leave the float range;
-    otherwise there is no cut, fixed or from `_cut`: no level count up to
-    MAX_LEVELS meets rel_tol.
+    Where E_1 is not a finite float, the levels leave the float range, and
+    so do U = E_1 (1 + <g>) or F = E_1 - T ln T_0 where they overflow, with
+    T_k summed over the cut's levels as one plain numpy row; otherwise
+    there is no cut, fixed or from `_cut`: no level count up to MAX_LEVELS
+    meets rel_tol.
     """
     well = state.well
     scale = math.inf
@@ -46,8 +49,15 @@ def reference_error(state, rel_tol, levels):
         scale = level_scale(float(well.width), float(well.alpha), float(well.mass))
     if not scale < math.inf:
         return FracStirlingError(f"energy levels of {well} exceed the float range")
-    # a finite E_1 fails only without a cut
-    assert not (levels or thermo._cut(float(well.alpha), scale / float(state.temperature), rel_tol))
+    temperature = float(state.temperature)
+    if n := levels or thermo._cut(float(well.alpha), scale / temperature, rel_tol):
+        # a finite E_1 with a cut fails only where U or F overflows
+        g = np.arange(1.0, n + 1.0) ** float(well.alpha) - 1.0
+        with np.errstate(over="ignore"):
+            weights = np.exp(g * -min(scale / temperature, thermo._X_MAX))
+        t0, t1 = float(np.sum(weights)), float(np.dot(g, weights))
+        assert not (math.isfinite(scale + scale * (t1 / t0)) and math.isfinite(scale - temperature * math.log(t0)))
+        return FracStirlingError(f"energy levels of {well} exceed the float range")
     return TruncationLimitError(
         f"partition sum for width={well.width}, alpha={well.alpha}, mass={well.mass}, "
         f"T={state.temperature} still unconverged at {MAX_LEVELS} levels (rel_tol={rel_tol})"

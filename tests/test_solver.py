@@ -153,6 +153,29 @@ class TestFindBrackets:
             find_brackets(f, 0.0, 1.0, points)
 
 
+    def test_array_rule_equals_the_scan_loop(self):
+        # the rule as a loop over one scan, which the array rule replaced
+        def loop(vals):
+            out = []
+            for i in range(len(vals) - 1):
+                if vals[i] == 0.0:
+                    out.append((i, i))
+                elif vals[i] * vals[i + 1] < 0.0:
+                    out.append((i, i + 1))
+            if vals[-1] == 0.0:
+                out.append((len(vals) - 1, len(vals) - 1))
+            return out
+
+        rng = np.random.default_rng(61)
+        for points in (2, 3, 8, 64):
+            scans = rng.choice([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0, math.nan], (40, points))
+            scans[::3, -1] = 0.0  # a zero in the last column
+            row, left, right = solver._sign_changes(scans)
+            want = [(r, i, j) for r, vals in enumerate(scans.tolist()) for i, j in loop(vals)]
+            assert list(zip(row.tolist(), left.tolist(), right.tolist())) == want
+            assert any(i == j == points - 1 for _, i, j in want)
+
+
 class TestSolveAlpha1:
     def test_benchmark_row_10_14(self):
         point = solve_regeneration(
@@ -424,6 +447,19 @@ class TestTraceCurve:
         solved = sum(p is not None for p in whole)
         assert solved >= 2 and whole_steps < len(steps) <= 10 * solved
 
+    @pytest.mark.parametrize("levels", [10, None])
+    def test_every_scan_value_is_regenerator_heat_bitwise(self, monkeypatch, levels):
+        # the batched scan sums each corner state beside hundreds of others,
+        # with other cuts; a lone `regenerator_heat` gives the same bits
+        scans, heats = [], solver._regenerator_heats
+        monkeypatch.setattr(solver, "_regenerator_heats", lambda *args: scans.append(heats(*args)[0]) or heats(*args))
+        grid, bracket, points = [1.55, 1.6, 1.7], (1.3, 2.0), 16
+        trace_curve(BASE, "alpha_2", "alpha_1", grid, bracket, levels=levels, scan_points=points)
+        (scan,) = scans
+        xs = solver._scan_points(*bracket, points)
+        want = [regenerator_heat(replace(BASE, alpha_2=g, alpha_1=x), levels=levels) for g in grid for x in xs]
+        assert scan.tolist() == want and [v.hex() for v in scan.tolist()] == [v.hex() for v in want]
+
     def test_exact_root_at_scan_point_is_solved(self):
         # equal widths and exponents make q_r vanish exactly at the scan's end
         base = CycleParams(1.0, 1.0, 2.0, 2.0, **BATHS)
@@ -431,6 +467,35 @@ class TestTraceCurve:
             base, "alpha_2", "alpha_1", [1.9, 2.0], (1.000001, 2.0), levels=10
         )
         assert points[1] == RegenerationPoint(params=base, residual=0.0)
+
+    @pytest.mark.parametrize(
+        "sweep_parameter, solve_parameter, grid, bracket, levels",
+        [
+            ("alpha_2", "width_a", [1.6, 1.7], (0.0, 1.0), None),  # the first scan point
+            ("alpha_2", "width_a", [2.5, 1.7], (0.0, 1.0), 0),  # the first grid value
+            ("alpha_2", "width_a", [1.6, 2.5], (0.0, 1.0), 0),  # a scan point before the cut
+            ("alpha_2", "alpha_1", [1.6, 2.5, 3.0], (1.4, 2.0), 0),  # the cut before the grid
+            ("alpha_2", "alpha_1", [1.6, 1.8, 2.5, 3.0], (1.4, 2.0), None),  # the first bad grid value
+            ("width_b", "alpha_1", [1.0, math.inf], (1.4, 2.0), None),
+            ("width_b", "alpha_1", [1.0, -1.0], (1.4, 2.0), None),
+            ("width_b", "alpha_1", [math.nan], (1.4, 2.0), None),
+        ],
+    )
+    def test_argument_errors_raise_in_scan_order(self, sweep_parameter, solve_parameter, grid, bracket, levels):
+        # the scalar checks the array test replaced: CycleParams on the first
+        # grid value and each scan point, the cut arguments, then the other
+        # grid values
+        lo, hi = solver._clip_bracket(solve_parameter, *bracket)
+        with pytest.raises(ValueError) as want:
+            first = replace(BASE, **{sweep_parameter: grid[0]})
+            for x in solver._scan_points(lo, hi, solver.DEFAULT_SCAN_POINTS):
+                replace(first, **{solve_parameter: x})
+            thermo._check_cut_args(DEFAULT_REL_TOL, levels)
+            for g in grid[1:]:
+                replace(BASE, **{sweep_parameter: g})
+        with pytest.raises(ValueError) as err:
+            trace_curve(BASE, sweep_parameter, solve_parameter, grid, bracket, levels=levels)
+        assert str(err.value) == str(want.value)
 
     def test_bracket_outside_the_domain_raises(self):
         # a width bracket is not clipped below; its first scan point is invalid
@@ -625,17 +690,17 @@ class TestSweep:
                 assert grid.reports[i][j] == NodeError(str(err.value))
 
     def test_block_cap_splits_a_same_cut_grid(self, monkeypatch):
-        # with ten levels every corner state shares one cut, so the default
-        # cap sums them in one block; a one-row cap must give the same bits
+        # with ten levels every corner state shares one padded length, so the
+        # default cap sums them in one block; a one-row cap must give the same bits
         base = CycleParams(1.0, 1.4, 1.5, 1.579, **BATHS)
         ax = SweepAxis("width_a", 0.8, 1.2, 20)
         ay = SweepAxis("alpha_2", 1.3, 1.9, 20)
         rows = []
         row_sums = thermo._row_sums
 
-        def counting_row_sums(g, x):
+        def counting_row_sums(g, *args):
             rows.append(len(g))
-            return row_sums(g, x)
+            return row_sums(g, *args)
 
         monkeypatch.setattr(thermo, "_row_sums", counting_row_sums)
         default = sweep(base, ax, ay, levels=10)

@@ -239,25 +239,15 @@ class TestTruncation:
             checked += 1
 
     def test_one_block_per_miss(self, monkeypatch):
-        # nothing is memoised: every call sums one block of n_cut + 1 levels,
-        # or, cut past the head, the head's _HEAD + 1 levels as a view of a
-        # block of _HEAD + 3, the rest closed in form; a failing state sums none
-        blocks, row_sums = [], thermo._row_sums
-
-        def counting(g, x):
-            blocks.append((g.shape, (g if g.base is None else g.base).shape))
-            return row_sums(g, x)
-
-        monkeypatch.setattr(thermo, "_row_sums", counting)
-        head = thermo._HEAD
+        # nothing is memoised: every one-state call sums one block of one row,
+        # cut past the head or not, fixed or adaptive; a failing state sums none
+        blocks = count_blocks(monkeypatch)
         wide = ThermalState(WellSpec(300.0, 1.3), 4.0)
         for state, levels in ((UNIT_STATE, None), (wide, None), (UNIT_STATE, None),
-                              (UNIT_STATE, 10), (UNIT_STATE, 1000), (wide, head)):
+                              (UNIT_STATE, 10), (UNIT_STATE, 1000), (wide, thermo._HEAD)):
             blocks.clear()
             n_cut = summarize(state, levels=levels).n_cut
-            assert n_cut == (levels or n_cut)
-            entries = head + 3 if n_cut > head else n_cut + 1
-            assert blocks == [((1, min(n_cut, head) + 1), (1, entries))]
+            assert blocks == [1] and n_cut == (levels or n_cut)
         assert summarize(wide).n_cut == 12743
         # no cut, and an E_1 past the float range
         for well in (WellSpec(1e7, 1.05), WellSpec(1e-200, 1.6)):
@@ -265,6 +255,16 @@ class TestTruncation:
             with pytest.raises(FracStirlingError):
                 summarize(ThermalState(well, 4.0))
             assert blocks == []
+
+    def test_a_call_sums_a_few_blocks_for_many_cuts(self, monkeypatch):
+        # a lockstep trace step of a Table-1 well, 21 exponents at both baths:
+        # its eleven distinct cuts share at most three padded blocks
+        alpha = np.tile(np.linspace(1.28, 1.38, 21), 2)
+        args = (np.full(42, 0.6), alpha, np.ones(42), np.repeat([4.0, 3.0], 21))
+        assert len(set(summarize_many(*args)["n_cut"].tolist())) == 11
+        blocks = count_blocks(monkeypatch)
+        summarize_many(*args)
+        assert 1 <= len(blocks) <= 3 and sum(blocks) == 42
 
     @pytest.mark.parametrize("t", [0.1, 0.01])
     def test_levels_near_the_float_maximum_warn_nothing(self, t):
@@ -354,49 +354,34 @@ class TestTruncation:
         )
 
 
-def one_row_reference(state, levels=None):
-    """The summary fields of one state summed as a lone row, or the error type where it fails.
+def count_blocks(monkeypatch):
+    """The row count of each block `thermo._row_sums` sums from here on."""
+    blocks, row_sums = [], thermo._row_sums
 
-    With x = E_1/T the cut comes from `thermo._cut`, and the levels g_n =
-    n^alpha - 1 go through `_row_sums` and `_summary_fields` as one 1-D row,
-    with no grouping or blocking; a cut past `thermo._HEAD` sums the head's
-    row, given the head and the top two levels, and adds `_tail_sums`.  A
-    level count past MAX_LEVELS fails with TruncationLimitError, an E_1 past
-    the float range with FracStirlingError.
-    """
-    well, t, head = state.well, state.temperature, thermo._HEAD
-    with np.errstate(over="ignore", divide="ignore"):
-        try:
-            e1 = level_scale(well.width, well.alpha, well.mass)
-        except OverflowError:
-            return FracStirlingError
-        if not e1 < math.inf:
-            return FracStirlingError
-        x = min(e1 / t, thermo._X_MAX)
-        n_cut = levels or thermo._cut(well.alpha, x, thermo.DEFAULT_REL_TOL)
-        if not n_cut:
-            return TruncationLimitError
-        numbers = np.arange(1.0, n_cut + 2.0)
-        if n_cut > head:
-            numbers = np.concatenate((numbers[:head + 1], numbers[-2:]))
-        g = np.power(numbers, well.alpha)[None, :] - 1.0
-        if n_cut > head:
-            _, head_weight, *sums = thermo._row_sums(g[:, :-2], x)
-            if head_weight[0] > 0.0:
-                sums = np.array(sums) + thermo._tail_sums(np.array([well.alpha]), np.array([x]), np.array([n_cut]))
-            sums = (g[:, -1] - g[:, -2], np.exp(-x * g[:, -2]), *sums)
-        else:
-            sums = thermo._row_sums(g, x)
-        row = thermo._summary_fields(e1, t, x, *(float(v[0]) for v in sums))
-    return {"n_cut": n_cut, **row}
+    def counting(g, *args):
+        blocks.append(len(g))
+        return row_sums(g, *args)
+
+    monkeypatch.setattr(thermo, "_row_sums", counting)
+    return blocks
+
+
+def plain_sums(alpha, x, n_cut):
+    """T_0 and T_1 of a state's kept levels, summed as one plain numpy row."""
+    g = np.arange(1.0, n_cut + 1.0) ** alpha - 1.0
+    with np.errstate(over="ignore"):
+        weights = np.exp(g * -x)
+    return float(np.sum(weights)), float(np.dot(g, weights))
 
 
 class TestSummarizeMany:
     @pytest.mark.parametrize("levels", [None, 10])
     def test_every_field_matches_summarize_bitwise(self, levels):
-        # the grouped, blocked kernel against a plain one-row sum, and
-        # `summarize` against both; 450 ordinary states and 50 across the
-        # float range, some of which fail
+        # a state's fields do not depend on the states beside it: a batch, the
+        # same batch shuffled, the batch split over several calls and
+        # `summarize` on each state alone agree bit for bit.  450 ordinary
+        # states and 50 across the float range, some of which fail; cut past
+        # the head or not
         rng = np.random.default_rng(31)
         count = 500
         width = 10.0 ** np.concatenate(
@@ -406,30 +391,50 @@ class TestSummarizeMany:
         mass = 10.0 ** rng.uniform(-1.0, 1.0, count)
         temperature = 10.0 ** rng.uniform(-2.0, 2.0, count)
         table = summarize_many(width, alpha, mass, temperature, levels=levels)
-        failed = 0
+        shuffle = rng.permutation(count)
+        shuffled = summarize_many(width[shuffle], alpha[shuffle], mass[shuffle], temperature[shuffle], levels=levels)
+        cuts = np.sort(rng.choice(np.arange(1, count), 7, replace=False))
+        parts = [summarize_many(width[i], alpha[i], mass[i], temperature[i], levels=levels)
+                 for i in np.split(np.arange(count), cuts)]
+        for name, column in table.items():
+            assert shuffled[name].tobytes() == column[shuffle].tobytes(), name
+            assert np.concatenate([part[name] for part in parts]).tobytes() == column.tobytes(), name
+        kinds = {thermo.TRUNCATED: TruncationLimitError, thermo.FLOAT_RANGE: FracStirlingError}
         for i in range(count):
             state = ThermalState(WellSpec(width[i], alpha[i], mass[i]), temperature[i])
-            expected = one_row_reference(state, levels)
-            if isinstance(expected, type):
-                failed += 1
+            if table["failure"][i]:
                 assert table["n_cut"][i] == 0
                 assert all(np.isnan(table[name][i]) for name in table if name not in ("n_cut", "failure"))
-                # the kind names the type the lone row fails with, and `summarize` raises it
-                kind = {thermo.TRUNCATED: TruncationLimitError, thermo.FLOAT_RANGE: FracStirlingError}
-                assert kind[table["failure"][i]] is expected
                 with pytest.raises(FracStirlingError) as err:
                     summarize(state, levels=levels)
-                assert type(err.value) is expected
+                assert type(err.value) is kinds[table["failure"][i]]
                 continue
-            assert table["failure"][i] == 0
             single = summarize(state, levels=levels)
             for field in fields(EnsembleSummary):
-                got, want = table[field.name][i], expected[field.name]
-                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (
-                    state, field.name, got, want,
-                )
-                assert np.float64(getattr(single, field.name)).tobytes() == np.float64(want).tobytes()
-        assert 0 < failed < 50
+                got = np.float64(getattr(single, field.name)).tobytes()
+                assert got == np.float64(table[field.name][i]).tobytes(), (state, field.name)
+        n_cut = table["n_cut"]
+        assert 0 < (n_cut == 0).sum() < 50
+        assert (n_cut > thermo._HEAD).any() == (levels is None) and (n_cut > 0).sum() > 400
+
+    def test_padded_rows_sum_the_kept_levels(self):
+        # the entries past a row's own cut weigh nothing: U and S of every
+        # state cut within the head match a plain sum of its kept levels
+        rng = np.random.default_rng(37)
+        count = 400
+        width = 10.0 ** rng.uniform(-1.0, 1.0, count)
+        alpha = rng.uniform(1.0001, 2.0, count)
+        temperature = 10.0 ** rng.uniform(-1.0, 1.5, count)
+        for levels in (None, 10, 33):
+            table = summarize_many(width, alpha, np.ones(count), temperature, levels=levels)
+            head = np.flatnonzero((table["n_cut"] > 0) & (table["n_cut"] <= thermo._HEAD))
+            assert head.size > 200
+            for i in head.tolist():
+                e1 = level_scale(width[i], alpha[i], 1.0)
+                x = e1 / temperature[i]
+                t0, t1 = plain_sums(alpha[i], x, table["n_cut"][i])
+                assert table["internal_energy"][i] == pytest.approx(e1 + e1 * t1 / t0, rel=1e-14)
+                assert table["entropy"][i] == pytest.approx(x * t1 / t0 + math.log(t0), rel=1e-13, abs=1e-15)
 
     def test_an_overflowing_top_level_weighs_nothing(self):
         # E_1 ~ 1e308 is finite but E_2 overflows: the state is kept in its
