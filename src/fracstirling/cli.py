@@ -13,7 +13,9 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import astuple
-from itertools import repeat
+from itertools import chain, repeat
+
+import numpy as np
 
 from .cycle import REGIME_ENGINE, REGIME_NON_ENGINE, CycleParams, carnot_efficiency, evaluate
 from .reference import (
@@ -112,41 +114,56 @@ def cmd_sweep(args, parser) -> int:
 
 
 def _sweep_csv(grid: SweepGrid):
-    """The sweep CSV by columns: the header, then the rows of one x value per item.
+    """The sweep CSV: the header, then the rows of one x value per item.
 
-    Formats each distinct corner state, axis value and `carnot` once and each
-    per-node column by `_column_rows`; one x value at a time bounds the
-    strings held.
+    Every field is an (nx, ny) array in CSV order.  A field whose bits repeat
+    along y is formatted once per x value (a grid constant once) and written
+    into that x value's row template; one whose bits repeat along x is
+    formatted once per y value and passed to a `%s` slot; any other gets a
+    `%.17g` slot.  The ny rows of an x value are one `%` of the template
+    repeated ny times, and one x value at a time bounds the strings held.
+    The text written into a template is formatted floats and regime words,
+    free of `%`; error messages may hold one, so error rows replace their
+    rows after formatting.
     """
     yield "x,y," + ",".join(_REPORT_COLUMNS) + ",error"
-    ys = list(map(_fmt, grid.axis_y.values()))
-    u, s = (list(map(_fmt, v.tolist())) for v in (grid.state_energy, grid.state_entropy))
-    carnot = repeat(_fmt(carnot_efficiency(grid.base)))
-    columns = [_column_rows(v) for v in grid.columns.values()]
+    nx, ny = grid.axis_x.count, grid.axis_y.count
+    xs, ys = grid.axis_x.values(), grid.axis_y.values()
+    fields = [
+        np.broadcast_to(np.array(xs)[:, None], (nx, ny)), np.broadcast_to(np.array(ys), (nx, ny)),
+        *grid.columns.values(), np.broadcast_to(carnot_efficiency(grid.base), (nx, ny)),
+        np.where(grid.columns["work"] > 0, REGIME_ENGINE, REGIME_NON_ENGINE),
+        *grid.state_entropy[grid.corner_states], *grid.state_energy[grid.corner_states],
+    ]
+    pieces, slots = [], []  # per field its nx texts or a slot; per slot its ny texts or its array
+    for field in fields:
+        floats = field.dtype == float
+        bits = field.view("int64") if floats else field  # 0.0 == -0.0, but they print apart
+        fmt = _fmt if floats else str
+        if (bits == bits[:, :1]).all():
+            if (bits == bits.flat[0]).all():
+                pieces.append([fmt(field.flat[0].item())] * nx)
+            else:
+                pieces.append(list(map(fmt, field[:, 0].tolist())))
+        elif (bits == bits[:1]).all():
+            pieces.append("%s")
+            slots.append(list(map(fmt, field[0].tolist())))
+        else:
+            pieces.append("%.17g" if floats else "%s")
+            slots.append(field)
     errors = {}
     for (i, j), message in grid.errors.items():
         errors.setdefault(i, []).append((j, message.replace(",", ";")))
-    for i, x in enumerate(map(_fmt, grid.axis_x.values())):
-        nodes = [next(column) for column in columns]
-        regime = [REGIME_ENGINE if w > 0 else REGIME_NON_ENGINE for w in grid.columns["work"][i].tolist()]
-        corners = grid.corner_states[:, i].tolist()
-        rows = list(map(",".join, zip(
-            repeat(x), ys, *nodes, carnot, regime, *([s[k] for k in c] for c in corners),
-            *([u[k] for k in c] for c in corners), repeat(""),
-        )))
-        for j, message in errors.get(i, ()):
-            rows[j] = f"{x},{ys[j]},{_ERROR_FIELDS},{message}"
-        yield "\n".join(rows)
-
-
-def _column_rows(column):
-    """The strings of an (nx, ny) column row by row; a repeated row or column is formatted once."""
-    bits = column.view("int64")  # repeats bit for bit: 0.0 == -0.0, but they print apart
-    if (bits == bits[:1]).all():
-        return repeat(list(map(_fmt, column[0].tolist())))
-    if (bits == bits[:, :1]).all():
-        return map(repeat, map(_fmt, column[:, 0].tolist()))
-    return (map(_fmt, row.tolist()) for row in column)
+    for i in range(nx):
+        row = ",".join([p if isinstance(p, str) else p[i] for p in pieces]) + ","
+        values = [s if isinstance(s, list) else s[i].tolist() for s in slots]
+        block = "\n".join(repeat(row, ny)) % tuple(chain.from_iterable(zip(*values)))
+        if i in errors:
+            rows = block.split("\n")
+            for j, message in errors[i]:
+                rows[j] = f"{_fmt(xs[i])},{_fmt(ys[j])},{_ERROR_FIELDS},{message}"
+            block = "\n".join(rows)
+        yield block
 
 
 def cmd_trace(args, parser) -> int:

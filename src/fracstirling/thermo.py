@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -204,18 +205,22 @@ def summarize_many(
         if not np.all((1 <= fixed) & (fixed <= MAX_LEVELS) & (fixed % 1 == 0)):
             raise ValueError(f"need one integer level count in [1, {MAX_LEVELS}] per state")
     count = temperature.size
-    # E_1 in Python floats, so a power past the float range raises instead of
-    # warning; a non-finite E_1 is nan here.  The lists die before the level sums
-    columns = (width, alpha, mass)
-    try:
-        scale = np.array(list(map(level_scale, *(v.tolist() for v in columns))))
-    except OverflowError:
-        scale = np.full(count, np.nan)
-        for i, state in enumerate(zip(*(v.tolist() for v in columns))):
-            with suppress(OverflowError):
-                scale[i] = level_scale(*state)
-    scale[scale == _INF] = np.nan
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # E_1 as `level_scale` forms it, bit for bit: numpy rounds the operands
+        # alike, but its power differs from Python's `**` in the last bit on
+        # some pairs, so the powers and their product are Python's, and a power
+        # past the float range raises.  A non-finite E_1 is nan here
+        try:
+            scale = np.array(list(map(
+                mul, map(pow, (0.5 / mass).tolist(), (0.5 * alpha).tolist()),
+                map(pow, (np.pi / (2.0 * width)).tolist(), alpha.tolist()),
+            )))
+        except OverflowError:
+            scale = np.full(count, np.nan)
+            for i, state in enumerate(zip(width.tolist(), alpha.tolist(), mass.tolist())):
+                with suppress(OverflowError):
+                    scale[i] = level_scale(*state)
+        scale[scale == _INF] = np.nan
         x = np.minimum(scale / temperature, _X_MAX)
         if levels is not None:
             n_cut = np.where(np.isnan(scale), 0, fixed if per_state else levels).astype(np.int64)

@@ -17,6 +17,7 @@ from fracstirling import (
     DEFAULT_REL_TOL, CycleParams, FracStirlingError, SweepAxis, SweepGrid, cli, evaluate, thermo,
 )
 from fracstirling.cli import main
+from fracstirling.cycle import carnot_efficiency
 from fracstirling.solver import MAX_NODES, sweep
 from fracstirling.spectrum import level_scale
 
@@ -221,6 +222,12 @@ AXIS_RANGES = {
 }
 
 
+def error_row(xv, yv, message):
+    """The sweep CSV row of a failed node."""
+    fields = ["nan"] * 9 + ["error"] + ["nan"] * 8 + [message.replace(",", ";")]
+    return ",".join([f"{xv:.17g}", f"{yv:.17g}", *fields])
+
+
 def reference_sweep_csv(base, x, y, rel_tol, levels):
     """The sweep CSV built row by row from `evaluate`, each float as `.17g`."""
     lines = [SWEEP_HEADER]
@@ -229,12 +236,29 @@ def reference_sweep_csv(base, x, y, rel_tol, levels):
             try:
                 report = evaluate(replace(base, **{x.parameter: xv, y.parameter: yv}), rel_tol, levels)
             except FracStirlingError as exc:
-                fields = ["nan"] * 9 + ["error"] + ["nan"] * 8 + [str(exc).replace(",", ";")]
-                lines.append(",".join([f"{xv:.17g}", f"{yv:.17g}", *fields]))
+                lines.append(error_row(xv, yv, str(exc)))
                 continue
             values = (
                 xv, yv, *(getattr(report, name) for name in REPORT_FIELDS), report.carnot,
                 report.regime, *report.corner_entropies, *report.corner_energies, "",
+            )
+            lines.append(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in values))
+    return "\n".join(lines) + "\n"
+
+
+def rowwise_sweep_csv(grid):
+    """The sweep CSV of `grid` written one row at a time, each float as `.17g`."""
+    lines = [SWEEP_HEADER]
+    for i, xv in enumerate(grid.axis_x.values()):
+        for j, yv in enumerate(grid.axis_y.values()):
+            if (i, j) in grid.errors:
+                lines.append(error_row(xv, yv, grid.errors[i, j]))
+                continue
+            corners = grid.corner_states[:, i, j]
+            values = (
+                xv, yv, *(grid.columns[name][i, j] for name in REPORT_FIELDS), carnot_efficiency(grid.base),
+                "engine" if grid.columns["work"][i, j] > 0 else "non_engine",
+                *grid.state_entropy[corners], *grid.state_energy[corners], "",
             )
             lines.append(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in values))
     return "\n".join(lines) + "\n"
@@ -343,17 +367,68 @@ class TestSweepCommand:
         assert target.read_bytes() == first
         assert first.decode().startswith("x,y,")
 
-    def test_formats_one_well_columns_once_per_axis_value(self, capsys, monkeypatch):
-        # on an alpha_1 x alpha_2 grid q_bc depends on x only and q_da on y
-        # only, so each takes 20 `.17g` calls, not 400
+    @pytest.mark.parametrize("x, y, per_node, literal_formats", [
+        # q_bc, s_b, s_c, u_b, u_c depend on x only and q_da, s_a, s_d, u_a, u_d
+        # on y only: x, y and these ten once per axis value, carnot once
+        ("alpha1=1.1:1.9:20", "alpha2=1.2:2:20", 6, 20 + 20 + 10 * 20 + 1),
+        # q_bc and the B and C corners are grid constants, as carnot is
+        ("la=0.5:1.5:20", "alpha2=1.2:2:20", 11, 20 + 20 + 6),
+    ], ids=["alpha-square", "width-alpha"])
+    def test_formats_each_float_once(self, capsys, monkeypatch, x, y, per_node, literal_formats):
+        # a field that repeats along an axis goes through `_fmt` once per value
+        # of the other axis, a grid constant once and a per-node field never:
+        # each of its floats is converted once, by the `%` of its x value's rows
         grids, calls = [], []
         monkeypatch.setattr(cli, "sweep", lambda *args: grids.append(sweep(*args)) or grids[-1])
         monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or f"{v:.17g}")
-        code, _, _ = run_cli(capsys, "sweep", "--x", "alpha1=1.1:1.9:20", "--y", "alpha2=1.2:2:20")
-        assert code == 0 and grids[0].errors == {}
-        states = grids[0].state_energy.size
-        # axes, carnot, the corner U and S, six columns per node and q_bc, q_da
-        assert len(calls) == 20 + 20 + 1 + 2 * states + 6 * 400 + 20 + 20
+        code, out, err = run_cli(capsys, "sweep", "--x", x, "--y", y, "--lb", "1.5", "--a1", "1.5")
+        grid = grids[0]
+        assert code == 0 and err == "" and grid.errors == {}
+        corners = [v[grid.corner_states] for v in (grid.state_entropy, grid.state_energy)]
+        bits = [v.view("int64") for v in (*grid.columns.values(), *corners[0], *corners[1])]
+        assert sum(((b != b[:1]).any() and (b != b[:, :1]).any()) for b in bits) == per_node
+        assert len(calls) == literal_formats
+        assert out == rowwise_sweep_csv(grid)
+
+    @pytest.mark.parametrize("nx, ny", [(3, 4), (2, 3), (4, 2)])
+    def test_hand_built_grid_matches_a_row_by_row_writer(self, nx, ny):
+        # signed zeros, nan and +-inf in fields that repeat along y, along x,
+        # everywhere or, but for one -0.0 against 0.0, along an axis; error rows
+        # at the first and last node, with ',' and '%' in their messages
+        rng = np.random.default_rng(nx * 10 + ny)
+        along_x = np.broadcast_to(np.array([0.0, np.nan, np.inf, -np.inf])[:ny], (nx, ny))
+        along_y = np.broadcast_to(np.array([[0.0], [-np.inf], [2.5], [0.0]])[:nx], (nx, ny))
+        but_one_x, but_one_y = along_x.copy(), along_y.copy()
+        but_one_x[-1, 0] = but_one_y[0, -1] = -0.0
+        work = rng.normal(size=(nx, ny))
+        work[0, -1] = np.nan
+        columns = dict(zip(REPORT_FIELDS, [
+            but_one_x, along_y, along_x, np.full((nx, ny), -0.0), work, but_one_y,
+            rng.normal(size=(nx, ny)), rng.normal(size=(nx, ny)),
+        ]))
+        energy = np.array([1.0, -0.0, np.nan, np.inf, -np.inf, 0.1])
+        entropy = rng.permutation(energy)
+        errors = {(0, 0): "a, b at 5% of %s", (nx - 1, ny - 1): "100%% of %d, %(x)s"}
+        grid = SweepGrid(
+            SweepAxis("width_a", 0.5, 1.5, nx), SweepAxis("alpha_2", 1.2, 1.8, ny),
+            CycleParams(1.0, 1.5, 1.5, 2.0, 4.0, 3.0), columns, energy, entropy,
+            rng.integers(0, energy.size, (4, nx, ny)), errors,
+        )
+        assert "\n".join(cli._sweep_csv(grid)) + "\n" == rowwise_sweep_csv(grid)
+
+    def test_holds_one_x_value_at_a_time(self, capsys, monkeypatch, tmp_path):
+        # the header, then one item of ny rows per x value: a 1001-wide axis
+        # is never one string; --out and stdout get the same bytes
+        writes, write = [], cli._write
+        monkeypatch.setattr(cli, "_write", lambda lines, out: write(writes.append(list(lines)) or writes[-1], out))
+        argv = ["sweep", "--x", "alpha1=1.2:1.8:1001", "--y", "alpha2=1.3:1.9:3"]
+        code, out, _ = run_cli(capsys, *argv)
+        items = writes[0]
+        assert code == 0 and items[0] == SWEEP_HEADER
+        assert len(items) == 1 + 1001 and all(item.count("\n") == 2 for item in items[1:])
+        target = tmp_path / "grid.csv"
+        assert main([*argv, "--out", str(target)]) == 0
+        assert target.read_bytes() == out.encode()
 
     def test_axis_over_max_nodes_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -446,6 +446,29 @@ class TestSummarizeMany:
         assert table["internal_energy"][0] == level_scale(1e-302, 1.02, 1.0)
         assert table["entropy"][0] == 0.0 and table["internal_energy"][1] == kept.internal_energy
 
+    def test_ground_level_is_level_scale_bitwise(self):
+        # at one level U is E_1 itself: over random widths and masses across
+        # the float range E_1 equals `level_scale` bit for bit, and a state
+        # where that raises or is not finite, as at width 1e-200, fails FLOAT_RANGE
+        rng = np.random.default_rng(43)
+        width = np.append(10.0 ** rng.uniform(-300.0, 300.0, 3000), [1e-200, 1e-302, 1.0, 1e300])
+        alpha = np.append(rng.uniform(1.0001, 2.0, 3000), [2.0, 1.02, 1.5, 2.0])
+        mass = np.append(10.0 ** rng.uniform(-300.0, 300.0, 3000), [1.0, 1.0, 5e-324, 5e-324])
+        table = summarize_many(width, alpha, mass, np.ones(width.size), levels=1)
+        finite = raised = 0
+        for i, state in enumerate(zip(width.tolist(), alpha.tolist(), mass.tolist())):
+            try:
+                e1 = level_scale(*state)
+            except OverflowError:
+                e1, raised = math.inf, raised + 1
+            if math.isfinite(e1):
+                finite += 1
+                assert table["internal_energy"][i].tobytes() == np.float64(e1).tobytes(), state
+            else:
+                assert table["failure"][i] == thermo.FLOAT_RANGE, state
+        assert finite > 2000 and raised > 300
+        assert table["failure"][-4:].tolist() == [thermo.FLOAT_RANGE, 0, thermo.FLOAT_RANGE, thermo.FLOAT_RANGE]
+
     def test_a_state_enters_only_through_alpha_and_x(self):
         # states with bitwise-equal alpha and x = E_1/T but other widths and
         # temperatures share every field that E_1 and T do not scale
