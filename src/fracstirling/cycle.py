@@ -9,11 +9,11 @@ hot-bath charge for the regenerator also needs the two isochore states at
 the one temperature, if any, where their heat capacities cross.
 
 There is one cycle evaluator.  Its array stage, `_node_arrays`, takes the
-cycle nodes as parameter columns, sums their distinct corner states in one
-`summarize_many` call, forms every report quantity as an array and searches
-the crossings of all nodes in lockstep; `_reports` builds CycleReports from
-those arrays.  `evaluate` runs both on one node, `solver.sweep` the array
-stage on a grid.  `_regenerator_heats` forms q_r there and for
+cycle nodes as parameter columns, sums each well once per value of the
+columns that move it in one `summarize_many` call, forms every report
+quantity as an array and searches the crossings of all nodes in lockstep;
+`_reports` builds CycleReports from those arrays.  `evaluate` runs both on
+one node, `solver.sweep` the array stage on a grid.  `_regenerator_heats` forms q_r there and for
 `regenerator_heat`, `solve_regeneration` and the scan of `trace_curve`.
 """
 
@@ -196,28 +196,32 @@ def _node_error(base: CycleParams, node, kinds, rel_tol, columns=None, k=0) -> F
 
 
 def _corner_summaries(base: CycleParams, nodes, rel_tol, levels):
-    """The summaries of the distinct corner states of many cycle nodes.
+    """The summaries of the corner states of many cycle nodes.
 
-    `nodes` maps some of width_a, width_b, alpha_1 and alpha_2 to a value
-    per node, the others come from `base`.  Corners A and D share the well
-    (width_a, alpha_2), and B and C the well (width_b, alpha_1); A and B sit
-    at t_hot, C and D at t_cold.  Every distinct well is summed at both
-    temperatures in one `summarize_many` call.  Returns its table, with the
-    width and alpha of each state, and a (4, nodes) array of indices into
-    it for corners A, B, C, D.
+    `nodes` maps some of width_a, width_b, alpha_1 and alpha_2 to node
+    columns that broadcast against each other, the others come from `base`;
+    the nodes form the broadcast grid, read in C order.  Corners A and D
+    share the well (width_a, alpha_2), and B and C the well (width_b,
+    alpha_1); A and B sit at t_hot, C and D at t_cold.  Each well is summed
+    over the broadcast of its own two columns only, so it holds one state
+    per value the axes that move it take, and no sort finds them.  Both
+    wells are summed at both temperatures in one `summarize_many` call.
+    Returns its table, with the width and alpha of each state, and a (4,
+    nodes) array of indices into it for corners A, B, C, D.
     """
-    columns = (nodes.get(p, getattr(base, p)) for p in ("width_a", "alpha_2", "width_b", "alpha_1"))
-    wells = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, 2)
-    # one 16-byte key per well: the values are positive and finite, so equal
-    # bytes mean equal wells; np.unique(axis=0) sorts several times slower
-    _, first, inverse = np.unique(
-        wells.view(np.dtype((np.void, 16))).ravel(), return_index=True, return_inverse=True
-    )
-    count = first.size
-    width, alpha = np.tile(wells[first].T, 2)
+    columns = {p: np.asarray(nodes.get(p, getattr(base, p)), dtype=float)
+               for p in ("width_a", "alpha_2", "width_b", "alpha_1")}
+    shape = np.broadcast_shapes(*(v.shape for v in columns.values()))
+    wells, states, count = [], [], 0
+    for w, a in (("width_a", "alpha_2"), ("width_b", "alpha_1")):
+        width, alpha = np.broadcast_arrays(columns[w], columns[a])
+        wells.append((width.ravel(), alpha.ravel()))
+        states.append(np.broadcast_to(np.arange(count, count + width.size).reshape(width.shape), shape))
+        count += width.size
+    width, alpha = (np.tile(np.concatenate(v), 2) for v in zip(*wells))
     temperature = np.repeat([base.t_hot, base.t_cold], count)
     table = summarize_many(width, alpha, np.full(2 * count, base.mass), temperature, rel_tol, levels)
-    ad, bc = inverse.reshape(-1, 2).T
+    ad, bc = (v.ravel() for v in states)
     return {**table, "width": width, "alpha": alpha}, np.stack((ad, bc, count + bc, count + ad))
 
 
@@ -282,7 +286,7 @@ def _reports(energy, entropy, ids, columns, carnot: float, row: int):
     `energy` and `entropy` hold U and S of the table's states; `ids` and the
     `columns` may hold their nodes in any shape, read in C order.
     """
-    # each distinct state's floats are shared by its nodes
+    # each state's floats are shared by its nodes
     energy, entropy = energy.tolist(), entropy.tolist()
     ids, outputs = ids.reshape(4, -1), [v.ravel() for v in columns.values()]
     for start in range(0, ids.shape[1], row):

@@ -1,13 +1,14 @@
 """Parameter sweeps and root finding on the perfect-regeneration locus.
 
 A sweep and the bracket scan of a trace are both grids of cycle nodes, one
-parameter column per node, whose distinct corner states are summed in one
+parameter column per node, whose corner states are summed in one
 `summarize_many` call: a sweep runs the cycle evaluator behind `evaluate` on
 them, a scan forms q_r.  The roots of the locus q_r = 0 are then solved in
 lockstep, one `summarize_many` call per step for all of a scan's brackets.
 The solver uses no derivative, as q_r is not monotone in the kinetic
-exponents: each solve works on a sign-change bracket by the Illinois method,
-a false position that halves a stalled end's value.
+exponents: each solve works on a sign-change bracket by the Anderson-Bjorck
+method, a false position that scales down the value of an end kept twice in
+a row.
 """
 
 from __future__ import annotations
@@ -111,9 +112,10 @@ class SweepGrid:
 
     Node (i, j) sits at the i-th axis_x value and the j-th axis_y value.
     `columns` maps the CycleReport fields q_ab .. efficiency to (nx, ny)
-    arrays.  The grid's distinct corner states have U `state_energy` and S
-    `state_entropy`; `corner_states[k, i, j]` indexes them for corner k (A,
-    B, C, D) of node (i, j).  `errors[i, j]` is the message of a node whose
+    arrays.  The grid's corner states, each well's once per value of the axes
+    that move it, have U `state_energy` and S `state_entropy`;
+    `corner_states[k, i, j]` indexes them for corner k (A, B, C, D) of node
+    (i, j).  `errors[i, j]` is the message of a node whose
     evaluation failed, where the arrays hold no meaningful value.
     `reports[i][j]`, built on first use, is the CycleReport of node (i, j),
     equal to `evaluate` there, or a NodeError.
@@ -146,8 +148,8 @@ def sweep(
     """Evaluate the cycle on the full axis_x times axis_y grid.
 
     All nodes go through the array stage of the cycle evaluator that
-    `evaluate` runs on one node: their distinct corner states are summed in
-    one `summarize_many` call and their heat-capacity crossings searched in
+    `evaluate` runs on one node: their corner states are summed in one
+    `summarize_many` call and their heat-capacity crossings searched in
     lockstep, so a report equals `evaluate` at its node bit for bit.  A node
     that fails keeps the message `evaluate` raises there, worded from the
     kernel's failure kinds, rather than aborting the grid.  A usage error
@@ -160,7 +162,7 @@ def sweep(
     if axis_x.count * axis_y.count > MAX_NODES:
         raise ValueError(f"a {axis_x.count} x {axis_y.count} grid exceeds {MAX_NODES} nodes")
     xs, ys = axis_x.values(), axis_y.values()
-    nodes = {px: np.repeat(xs, len(ys)), py: np.tile(ys, len(xs))}
+    nodes = {px: np.array(xs)[:, None], py: np.array(ys)}
     table, ids, columns, failed = _node_arrays(base, nodes, rel_tol, levels)
     kinds = table["failure"][ids]
     first = (kinds != 0).argmax(axis=0)  # each node's first failing corner, if any
@@ -234,8 +236,8 @@ def _in_domain(parameter: str, values: np.ndarray) -> np.ndarray:
     return (lo < values) & (values <= hi) & (values < _INF)
 
 
-def _illinois(q_r, a, b, fa, fb, tol, max_iter=200):
-    """The Illinois method on many brackets in lockstep, one step of each per iteration.
+def _false_position(q_r, a, b, fa, fb, tol, max_iter=200):
+    """The Anderson-Bjorck method on many brackets in lockstep, one step of each per iteration.
 
     Problem k is the bracket [a[k], b[k]] with finite q_r values fa[k] and
     fb[k] at its ends; `q_r(active, x)` gives q_r of the problems `active`
@@ -245,9 +247,12 @@ def _illinois(q_r, a, b, fa, fb, tol, max_iter=200):
     the failure message.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
-    # Illinois method (Dowell & Jarratt, BIT 11, 1971): false position that halves
-    # the stored value of an end surviving two steps in a row, so neither stalls
-    kept = np.zeros(a.size, dtype=int)  # +1 after a step that kept a, -1 after one that kept b
+    # Anderson & Bjorck (BIT 13, 1973): false position that scales the stored
+    # value of an end kept a second step in a row by m = 1 - f(x) / f(replaced
+    # end), or by 1/2 where m <= 0 so the value keeps its sign; neither end stalls.
+    # kept is +1 after a step that kept a, -1 after one that kept b, and a
+    # counts as kept once before the first step
+    kept = np.ones(a.size, dtype=int)
     at_a = abs(fa) <= tol
     root, residual = np.where(at_a, a, b), np.where(at_a, abs(fa), abs(fb))
     failure = [None] * a.size
@@ -261,10 +266,13 @@ def _illinois(q_r, a, b, fa, fb, tol, max_iter=200):
         fx = q_r(active, x)
         root[active], residual[active] = x, abs(fx)
         left = f_lo * fx < 0  # x becomes the upper end
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = 1.0 - fx / np.where(left, f_hi, f_lo)
+        m = np.where(m > 0, m, 0.5)
         a[active] = lo = np.where(left, lo, x)
         b[active] = hi = np.where(left, x, hi)
-        fa[active] = np.where(left, np.where(k > 0, 0.5 * f_lo, f_lo), fx)
-        fb[active] = np.where(left, fx, np.where(k < 0, 0.5 * f_hi, f_hi))
+        fa[active] = np.where(left, np.where(k > 0, m * f_lo, f_lo), fx)
+        fb[active] = np.where(left, fx, np.where(k < 0, m * f_hi, f_hi))
         kept[active] = np.where(left, 1, -1)
         done = abs(fx) <= tol
         failed = ~np.isfinite(fx) | ~done & (hi - lo <= 1e-15 * np.maximum(abs(lo), abs(hi)))
@@ -321,7 +329,7 @@ def solve_regeneration(
         )
     # U of the well the solve leaves alone, from the corners of the lower end
     step = _step_heats(base, parameter, {}, energies[:, :1], rel_tol, levels)
-    (root,), (residual,), (failure,) = _illinois(step, [lo], [hi], [f_lo], [f_hi], tol)
+    (root,), (residual,), (failure,) = _false_position(step, [lo], [hi], [f_lo], [f_hi], tol)
     params = replace(base, **{parameter: root})
     if failure:
         regenerator_heat(params, rel_tol, levels)  # a failing corner raises its own error
@@ -338,16 +346,20 @@ def _step_heats(base: CycleParams, solve_parameter: str, columns, energies, rel_
     """
     ad = solve_parameter in ("width_a", "alpha_2")
     well, moving = (("width_a", "alpha_2"), [0, 3]) if ad else (("width_b", "alpha_1"), [1, 2])
+    (other,) = (p for p in well if p != solve_parameter)
+    count = energies.shape[1]
+    # the well's other parameter, mass and T of every problem's hot state, then its cold one
+    fixed = np.tile(np.broadcast_to(columns.get(other, getattr(base, other)), count), 2)
+    mass = np.full(2 * count, base.mass)
+    temperature = np.repeat([base.t_hot, base.t_cold], count)
 
     def q_r(active, x):
-        nodes = {**{p: v[active] for p, v in columns.items()}, solve_parameter: x}
-        width, alpha = np.broadcast_arrays(*(nodes.get(p, getattr(base, p)) for p in well))
-        table = summarize_many(
-            np.tile(width, 2), np.tile(alpha, 2), np.full(2 * x.size, base.mass),
-            np.repeat([base.t_hot, base.t_cold], x.size), rel_tol, levels,
-        )
+        states = np.concatenate((active, active + count))
+        moved = np.concatenate((x, x))
+        width, alpha = (moved, fixed[states]) if other == well[1] else (fixed[states], moved)
+        table = summarize_many(width, alpha, mass[states], temperature[states], rel_tol, levels)
         u = energies[:, active]
-        u[moving] = np.split(table["internal_energy"], 2)
+        u[moving] = table["internal_energy"].reshape(2, -1)
         ua, ub, uc, ud = u
         return (uc - ub) + (ua - ud)
 
@@ -370,15 +382,17 @@ def trace_curve(
     At every grid node the solve parameter is scanned at `scan_points`
     uniform points across `bracket`, and each sign-change interval is a root
     candidate.  The scans of all nodes form one sweep grid, grid values
-    times scan points, whose distinct corner states are summed by one
+    times scan points, whose corner states are summed by one
     `summarize_many` call per chunk of at most _SCAN_CHUNK scan nodes, so
     every scan value equals `regenerator_heat` at its point bit for bit.
     All candidates of a chunk are solved in lockstep from the scan values at
-    their ends; the one nearest the previous root counts (nearest the
-    bracket midpoint at the first node), which keeps the trace on one branch
-    when the locus has several.  Nodes without any sign change, nodes with a
-    failing corner anywhere on their scan and nodes whose solve fails are
-    reported as None, preserving order.  A usage error (ValueError), such as
+    their ends by the Anderson-Bjorck false position, as `solve_regeneration`
+    solves one bracket; each lockstep step is one `summarize_many` call on
+    the well the solve parameter moves.  The candidate nearest the previous
+    root counts (nearest the bracket midpoint at the first node), which keeps
+    the trace on one branch when the locus has several.  Nodes without any
+    sign change, nodes with a failing corner anywhere on their scan and nodes
+    whose solve fails are reported as None, preserving order.  A usage error (ValueError), such as
     a bad `tol`, `rel_tol`, `levels`, `scan_points`, grid value or bracket,
     raises before any node.
     """
@@ -414,15 +428,14 @@ def trace_curve(
     rows = max(1, _SCAN_CHUNK // scan_points)
     for start in range(0, len(grid), rows):
         chunk = grid[start:start + rows]
-        nodes = {sweep_parameter: np.repeat(chunk, scan_points)}
-        nodes[solve_parameter] = np.tile(xs, len(chunk))
+        nodes = {sweep_parameter: np.array(chunk)[:, None], solve_parameter: np.array(xs)}
         q_r, energies, failing = _regenerator_heats(*_corner_summaries(base, nodes, rel_tol, levels))
         scans = q_r.reshape(len(chunk), scan_points)  # one row per grid node
         # a node with a failing corner anywhere on its scan has no candidate
         scans[failing.reshape(scans.shape).any(axis=1)] = np.nan
         row, left, right = _sign_changes(scans)
         # every candidate is solved, as the one that counts depends on the root before
-        roots, residuals, failures = _illinois(
+        roots, residuals, failures = _false_position(
             _step_heats(base, solve_parameter, {sweep_parameter: np.array(chunk)[row]},
                         energies[:, row * scan_points + left], rel_tol, levels),
             np.take(xs, left), np.take(xs, right), scans[row, left], scans[row, right], tol,

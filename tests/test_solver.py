@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -29,7 +30,7 @@ from fracstirling import (
     trace_curve,
 )
 from fracstirling.reference import BENCH_ROWS
-from fracstirling.solver import DEFAULT_REL_TOL, MAX_NODES, _illinois
+from fracstirling.solver import DEFAULT_REL_TOL, MAX_NODES, _false_position
 
 BATHS = dict(t_hot=4.0, t_cold=3.0)
 BASE = CycleParams(1.0, 1.4, 1.5, 1.579, **BATHS)
@@ -42,7 +43,7 @@ def crosses(params, levels=None):
 
 
 def lockstep(fs, a, b, tol, max_iter=200):
-    """`_illinois` on problems k = 0, 1, ... with scalar q_r functions fs[k].
+    """`_false_position` on problems k = 0, 1, ... with scalar q_r functions fs[k].
 
     Returns its result and the number of lockstep iterations.
     """
@@ -55,7 +56,7 @@ def lockstep(fs, a, b, tol, max_iter=200):
 
     fa = [f(v) for f, v in zip(fs, a)]
     fb = [f(v) for f, v in zip(fs, b)]
-    return _illinois(q_r, a, b, fa, fb, tol, max_iter), steps
+    return _false_position(q_r, a, b, fa, fb, tol, max_iter), steps
 
 
 def solve_one(f, lo, hi, tol):
@@ -127,7 +128,7 @@ class TestRootHybrid:
         assert len({n for _, n in solo}) >= 3
         assert failures[4] == "q_r evaluated to a non-finite value at 0.5"
         if max_iter == 200:
-            assert failures[5].startswith("bracket collapsed at 0.29999")
+            assert failures[5] == "bracket collapsed at 0.30000000000000016 with residual 1.0 above tol=1e-12"
             assert [f is None for f in failures] == [True] * 4 + [False] * 2 + [True]
         else:
             assert "no convergence within 4 iterations" in failures
@@ -277,6 +278,76 @@ class TestSolveAlpha1:
         assert len(calls) >= 75
         assert min(calls) >= 2 and max(calls) <= 10, calls
         assert sum(calls) > 2 * len(calls)  # the steps are counted
+        assert sum(calls) <= 4 * len(calls)  # Anderson-Bjorck: about two steps a solve
+
+
+class TestCornerSummaries:
+    """Each well holds one state per node value of the axes that move it, unsorted."""
+
+    @staticmethod
+    def corner_call(monkeypatch, run):
+        """The kernel arguments and the result of the one corner summary that `run` makes."""
+        calls, summaries, kernel = [], cycle._corner_summaries, cycle.summarize_many
+
+        def recording(base, nodes, rel_tol, levels):
+            args = []
+            monkeypatch.setattr(cycle, "summarize_many", lambda *a: args.append(a) or kernel(*a))
+            result = summaries(base, nodes, rel_tol, levels)
+            monkeypatch.setattr(cycle, "summarize_many", kernel)
+            calls.append((*args, result))
+            return result
+
+        monkeypatch.setattr(cycle, "_corner_summaries", recording)
+        monkeypatch.setattr(solver, "_corner_summaries", recording)
+        run()
+        ((_, _, mass, temperature, *_), (table, ids)), = calls
+        return table, ids, mass, temperature
+
+    @staticmethod
+    def check(call, nodes, moving):
+        """Every node's corners, and `moving[w]` states in well w at each temperature."""
+        table, ids, mass, temperature = call
+        assert ids.shape == (4, len(nodes))
+        for k, params in enumerate(nodes):
+            for corner, state in zip(corners(params), ids[:, k].tolist()):
+                well = corner.well
+                got = (table["width"][state], table["alpha"][state], mass[state], temperature[state])
+                assert got == (well.width, well.alpha, well.mass, corner.temperature), (k, state)
+        ad, bc = moving
+        assert table["width"].size == table["alpha"].size == 2 * (ad + bc)
+        assert np.unique(ids[[0, 3]]).size == 2 * ad and np.unique(ids[[1, 2]]).size == 2 * bc
+
+    @pytest.mark.parametrize("command", ["sweep", "trace"])
+    @pytest.mark.parametrize("px, py", itertools.permutations(solver.SWEEPABLE, 2))
+    def test_sweep_and_scan_wells_follow_their_axes(self, monkeypatch, command, px, py):
+        xs, ys = [1.1, 1.3, 1.6], [1.2, 1.7]
+
+        def run():
+            if command == "sweep":
+                sweep(BASE, SweepAxis(px, 1.1, 1.6, 3), SweepAxis(py, 1.2, 1.7, 2), levels=10)
+            else:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # a trace without any root warns
+                    trace_curve(BASE, px, py, xs, (1.2, 1.7), levels=10, scan_points=2)
+
+        if command == "sweep":
+            xs = SweepAxis(px, 1.1, 1.6, 3).values()
+        call = self.corner_call(monkeypatch, run)
+        nodes = [replace(BASE, **{px: x, py: y}) for x in xs for y in ys]
+        # the states of a well: the product of the lengths of the axes that move it
+        moving = [math.prod(len(v) for p, v in ((px, xs), (py, ys)) if p in well)
+                  for well in (("width_a", "alpha_2"), ("width_b", "alpha_1"))]
+        self.check(call, nodes, moving)
+
+    @pytest.mark.parametrize("parameter", solver.SWEEPABLE)
+    def test_solve_with_equal_ends_sums_each_end(self, monkeypatch, parameter):
+        def run():
+            with pytest.raises(NoRootError):
+                solve_regeneration(BASE, parameter, 1.3, 1.3, levels=10)
+
+        call = self.corner_call(monkeypatch, run)
+        ad = parameter in ("width_a", "alpha_2")
+        self.check(call, [replace(BASE, **{parameter: 1.3})] * 2, (2, 1) if ad else (1, 2))
 
 
 class TestRootCertificate:
@@ -396,7 +467,7 @@ class TestTraceCurve:
 
     @pytest.mark.parametrize("levels", [10, None])
     def test_scan_makes_no_scalar_q_r_call(self, monkeypatch, levels):
-        # the 64-point scans and the Illinois steps run in the batched
+        # the 64-point scans and the false-position steps run in the batched
         # kernel: no one-state `summarize` call, and at most ten lockstep
         # steps, each one kernel call on every candidate still unsolved
         kernel = solver.summarize_many
