@@ -30,14 +30,13 @@ from .solver import (
     sweep,
     trace_curve,
 )
-from .spectrum import WellSpec, energy_level, energy_levels, scale_coefficient
+from .spectrum import WellSpec, energy_level, energy_levels
 from .thermo import (
     DEFAULT_REL_TOL,
     EnsembleSummary,
     FracStirlingError,
     MAX_LEVELS,
     ThermalState,
-    TruncationLimitError,
     occupations,
     summarize,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "SweepAxis",
     "SweepGrid",
     "ThermalState",
-    "TruncationLimitError",
     "WellSpec",
     "carnot_efficiency",
     "corners",
@@ -71,7 +69,6 @@ __all__ = [
     "find_brackets",
     "occupations",
     "regenerator_heat",
-    "scale_coefficient",
     "solve_regeneration",
     "summarize",
     "sweep",

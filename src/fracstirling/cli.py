@@ -116,27 +116,23 @@ def cmd_sweep(args, parser) -> int:
 def _sweep_csv(grid: SweepGrid):
     """The sweep CSV: the header, then the rows of one x value per item.
 
-    Every field is an (nx, ny) array in CSV order.  A field whose bits repeat
-    along y is formatted once per x value (a grid constant once) and written
-    into that x value's row template; one whose bits repeat along x is
-    formatted once per y value and passed to a `%s` slot; any other gets a
-    `%.17g` slot.  The ny rows of an x value are one `%` of the template
-    repeated ny times, and one x value at a time bounds the strings held.
-    The text written into a template is formatted floats and regime words,
-    free of `%`; error messages may hold one, so error rows replace their
-    rows after formatting.
+    Every field is an (nx, ny) array in CSV order, which `_sweep_fields`
+    builds one at a time, so a field that fills no slot is dropped once
+    classified.  A field whose bits repeat along y is formatted once per x
+    value (a grid constant once) and written into that x value's row
+    template; one whose bits repeat along x is formatted once per y value
+    and passed to a `%s` slot; any other gets a `%.17g` slot.  The ny rows
+    of an x value are one `%` of the template repeated ny times, and one x
+    value at a time bounds the strings held.  The text written into a
+    template is formatted floats and regime words, free of `%`; error
+    messages may hold one, so error rows replace their rows after
+    formatting.
     """
     yield "x,y," + ",".join(_REPORT_COLUMNS) + ",error"
     nx, ny = grid.axis_x.count, grid.axis_y.count
     xs, ys = grid.axis_x.values(), grid.axis_y.values()
-    fields = [
-        np.broadcast_to(np.array(xs)[:, None], (nx, ny)), np.broadcast_to(np.array(ys), (nx, ny)),
-        *grid.columns.values(), np.broadcast_to(carnot_efficiency(grid.base), (nx, ny)),
-        np.where(grid.columns["work"] > 0, REGIME_ENGINE, REGIME_NON_ENGINE),
-        *grid.state_entropy[grid.corner_states], *grid.state_energy[grid.corner_states],
-    ]
     pieces, slots = [], []  # per field its nx texts or a slot; per slot its ny texts or its array
-    for field in fields:
+    for field in _sweep_fields(grid, xs, ys):
         floats = field.dtype == float
         bits = field.view("int64") if floats else field  # 0.0 == -0.0, but they print apart
         fmt = _fmt if floats else str
@@ -164,6 +160,19 @@ def _sweep_csv(grid: SweepGrid):
                 rows[j] = f"{_fmt(xs[i])},{_fmt(ys[j])},{_ERROR_FIELDS},{message}"
             block = "\n".join(rows)
         yield block
+
+
+def _sweep_fields(grid: SweepGrid, xs, ys):
+    """The sweep CSV's fields but the error column, (nx, ny) arrays in CSV order."""
+    shape = (len(xs), len(ys))
+    yield np.broadcast_to(np.array(xs)[:, None], shape)
+    yield np.broadcast_to(np.array(ys), shape)
+    yield from grid.columns.values()
+    yield np.broadcast_to(carnot_efficiency(grid.base), shape)
+    yield np.where(grid.columns["work"] > 0, REGIME_ENGINE, REGIME_NON_ENGINE)
+    for values in (grid.state_entropy, grid.state_energy):
+        for states in grid.corner_states:
+            yield values[states]
 
 
 def cmd_trace(args, parser) -> int:

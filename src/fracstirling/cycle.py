@@ -135,7 +135,7 @@ def regenerator_heat(
     """
     table, ids = _corner_summaries(params, {}, rel_tol, levels)
     if table["failure"][ids].any():
-        raise _node_error(params, {}, table["failure"][ids[:, 0]], rel_tol)
+        raise _node_error(params, {}, table["failure"][ids[:, 0]])
     return _regenerator_heats(table, ids)[0].item()
 
 
@@ -168,12 +168,12 @@ def evaluate(
     """
     table, ids, columns, failed = _node_arrays(params, {}, rel_tol, levels)
     if failed[0]:
-        raise _node_error(params, {}, table["failure"][ids[:, 0]], rel_tol, columns, 0)
+        raise _node_error(params, {}, table["failure"][ids[:, 0]], columns, 0)
     energy, entropy = table["internal_energy"], table["entropy"]
     return next(_reports(energy, entropy, ids, columns, carnot_efficiency(params), 1))[0]
 
 
-def _node_error(base: CycleParams, node, kinds, rel_tol, columns=None, k=0) -> FracStirlingError:
+def _node_error(base: CycleParams, node, kinds, columns=None, k=0) -> FracStirlingError:
     """The error `evaluate` raises at failed node k, in the values the caller gave.
 
     `node` overrides parameters of `base`; `kinds` holds the `summarize_many`
@@ -181,8 +181,8 @@ def _node_error(base: CycleParams, node, kinds, rel_tol, columns=None, k=0) -> F
     """
     for fields, kind in zip(_CORNER_FIELDS, kinds.tolist()):
         if kind:
-            width, alpha, temperature = (node.get(p, getattr(base, p)) for p in fields)
-            return _state_error(width, alpha, base.mass, temperature, rel_tol, kind)
+            width, alpha, _ = (node.get(p, getattr(base, p)) for p in fields)
+            return _state_error(width, alpha, base.mass)
     values = {name: v[k].item() for name, v in columns.items()}
     if lost := [f"{name}={v}" for name, v in values.items() if not math.isfinite(v)]:
         return FracStirlingError(

@@ -171,7 +171,7 @@ def sweep(
         i, j = divmod(k, len(ys))
         state = ids[first[k], k].item()
         if state not in raised or not kinds[first[k], k]:  # a failing state is worded once
-            raised[state] = _node_error(base, {px: xs[i], py: ys[j]}, kinds[:, k], rel_tol, columns, k)
+            raised[state] = _node_error(base, {px: xs[i], py: ys[j]}, kinds[:, k], columns, k)
         errors[i, j] = str(raised[state])
     shape = (len(xs), len(ys))
     grid = SweepGrid(
@@ -318,7 +318,7 @@ def solve_regeneration(
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
         for params, kinds in zip(ends, table["failure"][ids].T):
             if kinds.any():
-                raise _node_error(params, {}, kinds, rel_tol)
+                raise _node_error(params, {}, kinds)
         raise SolverError(f"non-finite q_r at bracket endpoints [{lo}, {hi}]")
     if f_lo * f_hi > 0 and abs(f_lo) > tol and abs(f_hi) > tol:
         raise NoRootError(

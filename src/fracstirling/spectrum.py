@@ -37,11 +37,6 @@ class WellSpec:
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
 
 
-def scale_coefficient(spec: WellSpec) -> float:
-    """Kinetic prefactor (1/(2m))^(alpha/2) of the |p|^alpha term."""
-    return (0.5 / spec.mass) ** (0.5 * spec.alpha)
-
-
 def level_scale(width: float, alpha: float, mass: float) -> float:
     """E_1 = (1/(2m))^(alpha/2) (pi/(2L))^alpha, the factor of n^alpha in E_n.
 

@@ -2,11 +2,13 @@
 
 Each level sum is cut at a level count N computed in closed form from alpha,
 x = E_1/T and the relative tolerance before any level is computed (see
-`_cut`; `summarize_many` forms it as arrays, with the same result), so a
-state computes one block of levels and searches for nothing.  A state cut at
-N <= _HEAD levels sums all N; one cut past it sums its first _HEAD levels and
-closes levels _HEAD + 1 .. N with Euler-Maclaurin (`_tail_sums`), to about
-1e-15 of the explicit sum, so it computes _HEAD + 3 levels whatever N is.
+`_level_count`), so a state computes one block of levels and searches for
+nothing.  A state cut at N <= _HEAD levels sums all N; one cut past it sums
+its first _HEAD levels and closes levels _HEAD + 1 .. N with Euler-Maclaurin
+(`_tail_sums`), to about 1e-15 of the explicit sum, so it computes _HEAD + 3
+levels whatever N is.  The adaptive cut has no cap: N is finite for x down
+to about 1e-305, far below the x of about 1e-103 where the sums leave the
+float range, so a state fails only where they do.
 
 There is one ensemble kernel, and it sees a state only through alpha, x and
 N.  A level enters as g_n = n^alpha - 1, its weight relative to the ground
@@ -42,12 +44,11 @@ from .spectrum import (  # energy_levels: tracer-only import, bench/tracer.py re
 
 DEFAULT_REL_TOL = 1e-12
 
-# Hard cap on the truncation index.  A cut beyond it means the spectrum is
-# so dense relative to T that the single-particle picture is pushed far
-# outside its intended regime; fail before any level is computed.
+# Cap on a level count that a caller fixes and on the levels `occupations`
+# forms one by one; an adaptive cut has none
 MAX_LEVELS = 10**6
 
-TRUNCATED, FLOAT_RANGE = 1, 2  # the failure kinds of `summarize_many` besides 0
+FLOAT_RANGE = 1  # the failure kind of `summarize_many` besides 0
 
 # Cap on the level entries of one kernel block: a group of states that share a
 # padded length is summed in blocks of at most this many entries, or of one row.
@@ -90,10 +91,6 @@ class FracStirlingError(RuntimeError):
     """
 
 
-class TruncationLimitError(FracStirlingError):
-    """The level sum needs more than MAX_LEVELS levels; no level is computed."""
-
-
 @dataclass(frozen=True)
 class ThermalState:
     """A well in equilibrium with a bath at fixed temperature."""
@@ -113,9 +110,12 @@ class ThermalState:
 class EnsembleSummary:
     """Derived equilibrium quantities of one ThermalState, all scalars.
 
-    `tail_bound` is the rigorous upper bound on the neglected partition
-    function tail, relative to the kept sum.  `heat_capacity` is
-    dU/dT = beta^2 Var(E) over the kept levels.  See `occupations` for P_n.
+    `n_cut` is the level count N the sums run to, an int of any size: an
+    adaptive cut in a wide or hot well may pass 1e100.  `tail_bound` is the
+    rigorous upper bound on the neglected partition function tail, relative
+    to the kept sum; it is at most rel_tol at an adaptive cut.
+    `heat_capacity` is dU/dT = beta^2 Var(E) over the kept levels.  See
+    `occupations` for P_n.
     """
 
     partition_function: float
@@ -139,14 +139,15 @@ def summarize(
     exactly that many levels, at most MAX_LEVELS; the reported tail_bound
     then simply records how much spectrum the fixed cut ignores.  Either cut
     past _HEAD levels is summed as the head plus a closed form, to about
-    1e-15 of the explicit sum.  This is `summarize_many` on one state as
-    Python scalars, or the error its `failure` names.
+    1e-15 of the explicit sum, so the adaptive cut needs no cap.  This is
+    `summarize_many` on one state as Python scalars, or FracStirlingError
+    where its `failure` is FLOAT_RANGE.
     """
     well = state.well
     row = summarize_many([well.width], [well.alpha], [well.mass], [state.temperature], rel_tol, levels)
-    if kind := row.pop("failure")[0]:
-        raise _state_error(well.width, well.alpha, well.mass, state.temperature, rel_tol, kind)
-    return EnsembleSummary(**{name: v.item() for name, v in row.items()})
+    if row.pop("failure")[0]:
+        raise _state_error(well.width, well.alpha, well.mass)
+    return EnsembleSummary(n_cut=int(row.pop("n_cut")[0]), **{name: v.item() for name, v in row.items()})
 
 
 def occupations(
@@ -154,8 +155,13 @@ def occupations(
     rel_tol: float = DEFAULT_REL_TOL,
     levels: int | None = None,
 ) -> np.ndarray:
-    """P_1 .. P_{n_cut} at the cut `summarize` takes, recomputed on each call."""
+    """P_1 .. P_{n_cut} at the cut `summarize` takes, recomputed on each call.
+
+    Raises ValueError where that cut passes MAX_LEVELS levels.
+    """
     n_cut = summarize(state, rel_tol, levels).n_cut  # raises where the state fails
+    if n_cut > MAX_LEVELS:
+        raise ValueError(f"occupations hold at most {MAX_LEVELS} levels, {state} is cut at {n_cut}")
     well = state.well
     x = min(level_scale(float(well.width), float(well.alpha), float(well.mass)) / state.temperature, _X_MAX)
     g = np.power(np.arange(1.0, n_cut + 1.0), float(well.alpha)) - 1.0
@@ -177,17 +183,21 @@ def summarize_many(
     State i is ThermalState(WellSpec(width[i], alpha[i], mass[i]),
     temperature[i]); the four arguments are equal-length 1-D sequences.
     `levels` is None, one count for all states or a sequence of one per
-    state.  `failure` is 0, or TRUNCATED where no cut up to MAX_LEVELS meets
-    rel_tol and FLOAT_RANGE where E_1 is not a finite float or U, S or F
-    leaves the float range; there n_cut is 0 and the other fields are nan.
-    Levels above a finite E_1 that pass the float range weigh 0 and fail
-    nothing.  A state sums min(N, _HEAD) levels explicitly, as a row padded
-    to the multiple of _PAD above that count; the states are grouped by that
-    padded length, so a call sums a few blocks however many distinct cuts it
-    holds, and each group in blocks of at most _BLOCK_ENTRIES entries (or one
-    row), so the memory held is bounded for any number of states.  A state's
-    row depends on that state alone, so its fields are the same bit for bit
-    whatever other states share the call.
+    state; the per-state counts, which the cycle's crossing search takes from
+    a table, have no upper bound.  `n_cut` is float64, each value an integer
+    that may pass the int64 range.  `failure` is 0, or FLOAT_RANGE where E_1
+    is not a finite float, where an adaptive cut has no finite N because x =
+    E_1/T underflows, or where U, S, F or C leaves the float range (T_2, the
+    sum behind C, is the first to overflow, at x below about 1e-103); there
+    n_cut is 0 and the other fields are nan.  Levels above a finite E_1 that
+    pass the float range weigh 0 and fail nothing.  A state sums min(N,
+    _HEAD) levels explicitly, as a row padded to the multiple of _PAD above
+    that count; the states are grouped by that padded length, so a call sums
+    a few blocks however many distinct cuts it holds, and each group in
+    blocks of at most _BLOCK_ENTRIES entries (or one row), so the memory held
+    is bounded for any number of states.  A state's row depends on that
+    state alone, so its fields are the same bit for bit whatever other
+    states share the call.
     """
     per_state = levels is not None and np.ndim(levels) > 0
     _check_cut_args(rel_tol, None if per_state else levels)
@@ -202,8 +212,8 @@ def summarize_many(
     width, alpha, mass, temperature = states
     if per_state:
         fixed = np.broadcast_to(levels, temperature.shape)
-        if not np.all((1 <= fixed) & (fixed <= MAX_LEVELS) & (fixed % 1 == 0)):
-            raise ValueError(f"need one integer level count in [1, {MAX_LEVELS}] per state")
+        if not np.all((1 <= fixed) & (fixed % 1 == 0)):
+            raise ValueError("need one positive integer level count per state")
     count = temperature.size
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # E_1 as `level_scale` forms it, bit for bit: numpy rounds the operands
@@ -222,22 +232,15 @@ def summarize_many(
                     scale[i] = level_scale(*state)
         scale[scale == _INF] = np.nan
         x = np.minimum(scale / temperature, _X_MAX)
-        if levels is not None:
-            n_cut = np.where(np.isnan(scale), 0, fixed if per_state else levels).astype(np.int64)
-        else:  # `_cut` as arrays: numpy's log and power move N by a few ulps, so `_cut`
-            # decides within 1e-9 of an integer up to MAX_LEVELS; x = 0 or a nan E_1 cuts 0
-            n_real = _real_cut(alpha, x, rel_tol, np.log, np.log1p, np.minimum)
-            n_cut = np.where(n_real <= MAX_LEVELS, np.ceil(n_real), 0).astype(np.int64)
-            near = (np.abs(n_real - np.rint(n_real)) <= 1e-9 * n_real) & (n_real < MAX_LEVELS + 1)
-            for i in near.nonzero()[0].tolist():
-                n_cut[i] = _cut(float(alpha[i]), float(x[i]), rel_tol)
-        # no cut: a float-range failure at a nan E_1, else (only adaptive) a truncation
-        failure = np.where(n_cut == 0, np.int8(TRUNCATED), np.int8(0))
-        failure[np.isnan(scale)] = FLOAT_RANGE
+        if levels is None:  # a nan E_1, or an x that underflows to 0, has no finite N
+            n_cut = np.ceil(_level_count(alpha, x, rel_tol))
+        else:
+            n_cut = np.where(np.isnan(scale), np.nan, fixed if per_state else levels)
+        n_cut[~np.isfinite(n_cut)] = 0.0  # no level is summed, and every field is nan
 
         # per state: g_{N+1} - g_N, the last kept weight and T_0, T_1, T_2
         sums = np.full((5, count), np.nan)
-        kept = np.minimum(n_cut, _HEAD)
+        kept = np.minimum(n_cut, _HEAD).astype(np.int64)
         padded = np.where(kept > 0, (kept | (_PAD - 1)) + 1, 0)  # _PAD a power of 2
         for length in sorted(set(padded.tolist()) - {0}):
             group = (padded == length).nonzero()[0]
@@ -254,15 +257,20 @@ def summarize_many(
         if closed.size:
             live = closed[sums[1, closed] > 0.0]
             sums[2:, live] += _tail_sums(alpha[live], x[live], n_cut[live])
-            g = np.power(n_cut[closed, None] + np.array([0.0, 1.0]), alpha[closed, None])
-            g -= 1.0
-            sums[:2, closed] = g[:, 1] - g[:, 0], np.exp(-x[closed] * g[:, 0])
+            n, a = n_cut[closed], alpha[closed]
+            power = n**a
+            # g_{N+1} - g_N as N^alpha ((1 + 1/N)^alpha - 1): the plain
+            # difference of two powers is 0 once N passes 2^53
+            sums[:2, closed] = power * np.expm1(a * np.log1p(1.0 / n)), np.exp(-x[closed] * (power - 1.0))
         fields = _summary_fields(scale, temperature, x, *sums)
-    # U, S or F past the float range, as T ln T_0 or E_1 (1 + <g>) may be
-    # where E_1 or T is near the float maximum
+        if closed.size:  # 1 - r as -expm1: where x dg is below 1e-16, 1 - r rounds to 0
+            step = x[closed] * sums[0, closed]
+            fields["tail_bound"][closed] = sums[1, closed] * np.exp(-step) / (-np.expm1(-step) * sums[2, closed])
+    # no cut, or U, S, F or C past the float range, as T ln T_0 or E_1 (1 + <g>)
+    # may be where E_1 or T is near the float maximum, and T_2 is where x underflows
     finite = np.isfinite(fields["internal_energy"]) & np.isfinite(fields["entropy"])
-    finite &= np.isfinite(fields["free_energy"])
-    failure[~finite & (failure == 0)] = FLOAT_RANGE
+    finite &= np.isfinite(fields["free_energy"]) & np.isfinite(fields["heat_capacity"])
+    failure = np.where(finite, np.int8(0), np.int8(FLOAT_RANGE))
     if not finite.all():  # one nan, whatever sign the arithmetic left
         n_cut[~finite] = 0
         for v in fields.values():
@@ -299,8 +307,8 @@ def _check_cut_args(rel_tol: float, levels: int | None) -> None:
         raise ValueError(f"levels must be an integer, got {levels}")
 
 
-def _cut(alpha: float, x: float, rel_tol: float) -> int:
-    """A level count N whose neglected tails are certified below rel_tol.
+def _level_count(alpha, x, rel_tol):
+    """The real level count N, as arrays, whose neglected tails are certified below rel_tol.
 
     With x = beta E_1 the weights are w_n = e^(-u_n), u_n = x(n^alpha - 1).
     Write y = x(N^alpha - 1) and D = x alpha N^(alpha-1), the slope du/dn at
@@ -309,37 +317,23 @@ def _cut(alpha: float, x: float, rel_tol: float) -> int:
     sum u_n w_n, by e^(-y)(1 + y)/D.  The kept sums are at least w_1 = 1, so
     both tails are below rel_tol once e^(-y)(1 + y) <= rel_tol D.  Take
     N_L = (1 + ln(1/rel_tol)/x)^(1/alpha), D_L = x alpha N_L^(alpha-1),
-    L = -ln(rel_tol min(1, D_L)) and y = L + ln(1 + 2L).  Then
-    e^(-y)(1 + y) <= e^(-L), as ln(1 + 2L) <= L for L >= ln(1e6), and
-    N = (1 + y/x)^(1/alpha) >= N_L, so D >= D_L.  N is rounded up; where y/x
-    is near the float resolution it may round to 1, and the first neglected
-    weight, e^(-x(2^alpha - 1)), then underflows to 0.
-
-    Returns 0 when x underflows to 0 or N is not finite or exceeds
-    MAX_LEVELS: no cut exists, and no level may be computed.
+    L = -ln(rel_tol) - ln(min(1, D_L)) and y = L + ln(1 + 2L).  Then
+    e^(-y)(1 + y) = e^(-L)(1 + y)/(1 + 2L) <= 0.64 e^(-L) for L >= ln(1e6),
+    and N = (1 + y/x)^(1/alpha) >= N_L, so D >= D_L; the slack leaves a
+    few-ulp shift of N harmless.  L is a sum of logs, so it stays finite at
+    any rel_tol, and N is finite for x above about 1e-305.  Callers round N
+    up; where y/x is near the float resolution it may round to 1, and the
+    first neglected weight, e^(-x(2^alpha - 1)), then underflows to 0.  N is
+    inf at x = 0 and nan at a nan x.
     """
-    if x > 0.0:
-        n_real = _real_cut(alpha, x, rel_tol, math.log, math.log1p, min)
-        if n_real <= MAX_LEVELS:  # before ceil, which fails on inf
-            return math.ceil(n_real)
-    return 0
+    n_l = (1.0 + np.log(1.0 / rel_tol) / x) ** (1.0 / alpha)
+    big_l = -np.log(rel_tol) - np.log(np.minimum(1.0, x * alpha * n_l ** (alpha - 1.0)))
+    return (1.0 + (big_l + np.log1p(2.0 * big_l)) / x) ** (1.0 / alpha)
 
 
-def _real_cut(alpha, x, rel_tol, log, log1p, least):
-    """The real N of `_cut`, before rounding, with the given log, log1p and min."""
-    n_l = (1.0 + log(1.0 / rel_tol) / x) ** (1.0 / alpha)
-    big_l = -log(rel_tol * least(1.0, x * alpha * n_l ** (alpha - 1.0)))
-    return (1.0 + (big_l + log1p(2.0 * big_l)) / x) ** (1.0 / alpha)
-
-
-def _state_error(width, alpha, mass, temperature, rel_tol, kind) -> FracStirlingError:
-    """The error of a state whose `summarize_many` failure is `kind`, in the given values."""
-    if kind == FLOAT_RANGE:
-        return FracStirlingError(f"energy levels of {WellSpec(width, alpha, mass)} exceed the float range")
-    return TruncationLimitError(
-        f"partition sum for width={width}, alpha={alpha}, mass={mass}, "
-        f"T={temperature} still unconverged at {MAX_LEVELS} levels (rel_tol={rel_tol})"
-    )
+def _state_error(width, alpha, mass) -> FracStirlingError:
+    """The error of a state that `summarize_many` fails, in the given values."""
+    return FracStirlingError(f"energy levels of {WellSpec(width, alpha, mass)} exceed the float range")
 
 
 def _row_sums(g: np.ndarray, x, n):

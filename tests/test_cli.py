@@ -142,12 +142,23 @@ class TestCycleCommand:
         assert first == second
 
     def test_computational_failure_exits_1(self, capsys):
+        # wells this wide have level sums past the float range
         code, _, err = run_cli(
-            capsys, "cycle", "--la", "3e7", "--lb", "3e7",
+            capsys, "cycle", "--la", "1e200", "--lb", "1e200",
             "--a1", "1.05", "--a2", "1.06",
         )
         assert code == 1
         assert "error" in err
+
+    def test_wells_past_a_million_levels_exit_0(self, capsys):
+        # an adaptive cut near 1e9 levels sums like any other
+        code, out, err = run_cli(
+            capsys, "cycle", "--la", "3e7", "--lb", "3e7",
+            "--a1", "1.05", "--a2", "1.06",
+        )
+        assert code == 0 and err == ""
+        _, (row,) = csv_rows(out)
+        assert all(math.isfinite(float(v)) for v in row[:-1])
 
     def test_unrepresentable_level_scale_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "cycle", "--la", "1e-200")
@@ -163,7 +174,7 @@ class TestCycleCommand:
             (("--la", "1e-303", "--lb", "1e-303", "--a1", "1.01", "--a2", "1.011",
               "--th", "0.2", "--tc", "0.1"), 0, None),
             # E_1 underflows to 0: the cut is infinite and no level is computed
-            (("--la", "1e200", "--lb", "1e200"), 1, "error: partition sum"),
+            (("--la", "1e200", "--lb", "1e200"), 1, "error: energy levels"),
             # level spacings near 1e200: (E_n - E_1)^2 would overflow in C
             (("--la", "1e-100", "--lb", "2e-100", "--th", "1e200", "--tc", "5e199"),
              0, None),
@@ -213,10 +224,10 @@ SWEEP_HEADER = (
     "s_a,s_b,s_c,s_d,u_a,u_b,u_c,u_d,error"
 )
 AXIS_RANGES = {
-    # widths that pass, that overflow the level scale and that need more
-    # than MAX_LEVELS levels
-    "la": [(0.6, 1.4), (1e-200, 1.0), (1.0, 3e7)],
-    "lb": [(0.9, 1.5), (1e-250, 2.0), (0.5, 3e7)],
+    # widths that pass, that overflow the level scale, that need far more
+    # than a million levels and whose level sums leave the float range
+    "la": [(0.6, 1.4), (1e-200, 1.0), (1.0, 3e7), (1.0, 1e200)],
+    "lb": [(0.9, 1.5), (1e-250, 2.0), (0.5, 3e7), (0.5, 1e200)],
     "alpha1": [(1.2, 1.9), (1.01, 2.0)],
     "alpha2": [(1.3, 1.8), (1.5, 2.0)],
 }
@@ -306,8 +317,9 @@ class TestSweepCommand:
         ([("la", 1e-200, 1.0, 3), ("alpha2", 1.3, 1.6, 2)], {}, None),
         ([("lb", 1.0, 3e7, 2), ("alpha2", 1.4, 1.6, 2)], {"la": 0.5, "a2": 1.5}, None),
         ([("alpha1", 1.01, 2.0, 4), ("alpha2", 1.01, 2.0, 4)], {"lb": 1.5}, 10),
-        # good rows and both kinds of error row: level scale overflow and too many levels
-        ([("la", 1e-200, 1.0, 3), ("lb", 0.5, 3e7, 2)], {"a1": 1.5, "a2": 1.7}, None),
+        # good rows and error rows from both ends of the float range: a level
+        # scale that overflows and level sums that do
+        ([("la", 1e-200, 1.0, 3), ("lb", 0.5, 1e200, 2)], {"a1": 1.5, "a2": 1.7}, None),
     ])
     def test_csv_equals_evaluate_on_known_grids(self, axes, fixed, levels):
         check_sweep_against_reference(axes, {"la": 1.0, "lb": 1.0, "a1": 2.0, "a2": 2.0, **fixed}, levels)
@@ -477,7 +489,7 @@ class TestSweepCommand:
                        "c": (60.0, 1.05, 60.0), "d": (la, a2, 60.0)}
             for corner, (width, alpha, t) in corners.items():
                 e1 = level_scale(width, alpha, 1.0)
-                n_cut = thermo._cut(alpha, e1 / t, DEFAULT_REL_TOL)
+                n_cut = math.ceil(thermo._level_count(alpha, e1 / t, DEFAULT_REL_TOL))
                 closed += n_cut > thermo._HEAD
                 delta = e1 * np.arange(1, n_cut + 1, dtype=float) ** alpha - e1
                 weights = np.exp(-delta / t)
@@ -531,7 +543,7 @@ class TestTraceCommand:
 
     def test_failing_node_is_a_gap_row(self, capsys):
         code, out, _ = run_cli(
-            capsys, "trace", "--sweep", "lb=1.4:3e7:2", "--solve", "alpha1",
+            capsys, "trace", "--sweep", "lb=1.4:1e200:2", "--solve", "alpha1",
             "--la", "1", "--a2", "1.6", "--bracket", "1.3:2.0",
         )
         assert code == 0

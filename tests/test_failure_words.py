@@ -1,9 +1,10 @@
-"""The words of a failing state, against the scalar rule they replaced.
+"""The words of a failing state, against a recheck in Python floats.
 
-`reference_error` is the scalar path that once worded every failure: it
-recomputes E_1 and the cut of one state in Python floats.  The kernel's
-failure kinds, and the messages worded from them by `summarize`, `evaluate`,
-`regenerator_heat` and `sweep`, must match it type for type and byte for byte.
+`reference_error` rechecks one state: its E_1 in Python floats and, where
+the cut is short enough to sum, its level sums as one plain numpy row.  The
+kernel's failure kinds, and the messages worded from them by `summarize`,
+`evaluate`, `regenerator_heat` and `sweep`, must match it type for type and
+byte for byte.
 """
 
 import math
@@ -20,7 +21,6 @@ from fracstirling import (
     FracStirlingError,
     SweepAxis,
     ThermalState,
-    TruncationLimitError,
     WellSpec,
     corners,
     cycle,
@@ -37,31 +37,31 @@ from fracstirling.spectrum import level_scale
 def reference_error(state, rel_tol, levels):
     """The error of a state that `summarize_many` fails.
 
-    Where E_1 is not a finite float, the levels leave the float range, and
-    so do U = E_1 (1 + <g>) or F = E_1 - T ln T_0 where they overflow, with
-    T_k summed over the cut's levels as one plain numpy row; otherwise
-    there is no cut, fixed or from `_cut`: no level count up to MAX_LEVELS
-    meets rel_tol.
+    Every failure is one of the float range: E_1 is not a finite float, an
+    adaptive cut has no finite N, or U, S, F or C leaves the float range.
+    Where the cut, fixed or adaptive, holds at most MAX_LEVELS levels, the
+    last is rechecked with T_k summed over its levels as one plain numpy row.
     """
     well = state.well
+    error = FracStirlingError(f"energy levels of {well} exceed the float range")
     scale = math.inf
     with suppress(OverflowError):
         scale = level_scale(float(well.width), float(well.alpha), float(well.mass))
     if not scale < math.inf:
-        return FracStirlingError(f"energy levels of {well} exceed the float range")
+        return error
     temperature = float(state.temperature)
-    if n := levels or thermo._cut(float(well.alpha), scale / temperature, rel_tol):
-        # a finite E_1 with a cut fails only where U or F overflows
-        g = np.arange(1.0, n + 1.0) ** float(well.alpha) - 1.0
+    x = min(scale / temperature, thermo._X_MAX)
+    with np.errstate(all="ignore"):  # x may be 0
+        n = levels or thermo._level_count(float(well.alpha), x, rel_tol)
+    if n <= MAX_LEVELS:  # False at an infinite or nan N
+        g = np.arange(1.0, math.ceil(n) + 1.0) ** float(well.alpha) - 1.0
         with np.errstate(over="ignore"):
-            weights = np.exp(g * -min(scale / temperature, thermo._X_MAX))
-        t0, t1 = float(np.sum(weights)), float(np.dot(g, weights))
-        assert not (math.isfinite(scale + scale * (t1 / t0)) and math.isfinite(scale - temperature * math.log(t0)))
-        return FracStirlingError(f"energy levels of {well} exceed the float range")
-    return TruncationLimitError(
-        f"partition sum for width={well.width}, alpha={well.alpha}, mass={well.mass}, "
-        f"T={state.temperature} still unconverged at {MAX_LEVELS} levels (rel_tol={rel_tol})"
-    )
+            weights = np.exp(g * -x)
+        t0, t1, t2 = float(np.sum(weights)), float(np.dot(g, weights)), float(np.dot(g * g, weights))
+        fields = (scale + scale * (t1 / t0), x * (t1 / t0) + math.log(t0), scale - temperature * math.log(t0),
+                  x * (x * t2 / t0) - (x * t1 / t0) ** 2)
+        assert not all(map(math.isfinite, fields))
+    return error
 
 
 def fails(state, rel_tol, levels):
@@ -72,24 +72,7 @@ def fails(state, rel_tol, levels):
     return table["n_cut"][0] == 0
 
 
-def expected_error(state, rel_tol, levels):
-    """`reference_error`, or None where the scalar rule itself fails.
-
-    With rel_tol below about 1e-16 and a tiny beta E_1, `_cut` takes the log
-    of rel_tol * D after it underflows to 0 and raises "math domain error";
-    no cut exists there, and `summarize` raises TruncationLimitError.
-    """
-    try:
-        return reference_error(state, rel_tol, levels)
-    except ValueError:
-        assert levels is None and rel_tol < 1e-15
-        return None
-
-
 def assert_same_error(raised, want):
-    if want is None:
-        assert type(raised) is TruncationLimitError and "still unconverged" in str(raised)
-        return
     assert type(raised) is type(want)
     assert str(raised) == str(want)
 
@@ -123,13 +106,18 @@ class TestFailureWords:
             return
         with pytest.raises(FracStirlingError) as err:
             summarize(state, rel_tol, levels)
-        assert_same_error(err.value, expected_error(state, rel_tol, levels))
+        assert_same_error(err.value, reference_error(state, rel_tol, levels))
 
-    def test_no_cut_at_a_tiny_tolerance_is_a_truncation(self):
-        # the scalar rule raised ValueError("math domain error") here
-        state = ThermalState(WellSpec(1.0, 1.0000000000000002, 2.02162423844596e47), 1.0)
-        with pytest.raises(TruncationLimitError, match="rel_tol=1e-300"):
-            summarize(state, 1e-300)
+    @pytest.mark.parametrize("well, temperature, n_cut", [
+        (WellSpec(1.0, 1.5), 4.0, 179),
+        # rel_tol D underflows to 0 here, so only a sum of logs keeps L finite
+        (WellSpec(1.0, 1.0000000000000002, 2.02162423844596e47), 1.0, 3.05e26),
+    ], ids=["unit-width", "heavy-mass"])
+    def test_a_tiny_tolerance_has_a_finite_cut(self, well, temperature, n_cut):
+        # L sums -ln(rel_tol) and -ln(min(1, D_L)) as logs, so it stays finite
+        s = summarize(ThermalState(well, temperature), 1e-300)
+        assert s.n_cut == pytest.approx(n_cut, rel=0.01) and 0.0 <= s.tail_bound <= 1e-300
+        assert all(map(math.isfinite, (s.internal_energy, s.entropy, s.free_energy, s.heat_capacity)))
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(widths, alphas, temperatures, rel_tols, st.sampled_from([None, 10]))
@@ -142,7 +130,7 @@ class TestFailureWords:
         failing = [s for s in corners(params) if fails(s, rel_tol, levels)]
         if not failing:
             return
-        want = expected_error(failing[0], rel_tol, levels)
+        want = reference_error(failing[0], rel_tol, levels)
         for call in (evaluate, regenerator_heat):
             with pytest.raises(FracStirlingError) as err:
                 call(params, rel_tol, levels)
@@ -151,9 +139,9 @@ class TestFailureWords:
     @pytest.mark.parametrize("base", [CycleParams(1.0, 1.0, 2.0, 2.0, 4.0, 3.0), CycleParams(1, 1, 2, 2, 4, 3)])
     @pytest.mark.parametrize("levels", [None, 10])
     def test_sweep_nodes_word_as_the_scalar_rule(self, base, levels):
-        # narrow wells leave the float range, wide ones truncate without a
-        # fixed cut; an int base keeps its ints in the words
-        ax = SweepAxis("width_a", 1e-302, 3e7, 4)
+        # narrow wells leave the float range, and so do the sums of wide ones
+        # without a fixed cut; an int base keeps its ints in the words
+        ax = SweepAxis("width_a", 1e-302, 1e200, 4)
         ay = SweepAxis("alpha_2", 1.01, 1.6, 3)
         grid = sweep(base, ax, ay, levels=levels)
         assert len(grid.errors) == (11 if levels is None else 2)
@@ -165,10 +153,11 @@ class TestFailureWords:
 
 
 def test_all_failing_sweep_makes_one_kernel_call(monkeypatch):
-    # every node has two truncating corners, A and D; their words come from
-    # the failure kinds of the sweep's one kernel call
+    # every node has two corners, A and D, whose level sums leave the float
+    # range; their words come from the failure kinds of the sweep's one
+    # kernel call
     base = CycleParams(1.0, 1.0, 2.0, 2.0, 4.0, 3.0)
-    ax, ay = SweepAxis("width_a", 1e7, 3e7, 10), SweepAxis("alpha_2", 1.05, 1.95, 10)
+    ax, ay = SweepAxis("width_a", 1e200, 3e200, 10), SweepAxis("alpha_2", 1.05, 1.95, 10)
     kernel, calls = thermo.summarize_many, []
 
     def counting(*args, **kwargs):
@@ -186,6 +175,6 @@ def test_all_failing_sweep_makes_one_kernel_call(monkeypatch):
     monkeypatch.undo()
     assert len(grid.errors) == 100
     for (i, j), message in grid.errors.items():
-        with pytest.raises(TruncationLimitError) as err:
+        with pytest.raises(FracStirlingError) as err:
             evaluate(CycleParams(ax.values()[i], 1.0, 2.0, ay.values()[j], 4.0, 3.0))
         assert message == str(err.value)

@@ -17,7 +17,6 @@ from fracstirling import (
     NoRootError,
     RegenerationPoint,
     SweepAxis,
-    TruncationLimitError,
     cycle,
     evaluate,
     find_brackets,
@@ -223,16 +222,15 @@ class TestSolveAlpha1:
             solve_regeneration(BASE, "t_hot", 3.5, 4.5)
 
     def test_failing_bracket_end_raises_its_first_failing_corner(self):
-        # corner A needs more than MAX_LEVELS levels at width_a = 1e7 and
-        # leaves the float range at 1e-300; the lower end raises first
+        # corner A leaves the float range at width_a = 1e200, where its
+        # adaptive sums overflow, and at 1e-300, where E_1 does; the lower
+        # end raises first
         base = replace(BASE, alpha_2=1.05)
-        for lo, failing_width, error in (
-            (1.0, 1e7, TruncationLimitError), (1e-300, 1e-300, FracStirlingError),
-        ):
-            with pytest.raises(error) as want:
+        for lo, failing_width in ((1.0, 1e200), (1e-300, 1e-300)):
+            with pytest.raises(FracStirlingError) as want:
                 summarize(corners(replace(base, width_a=failing_width))[0])
-            with pytest.raises(error) as err:
-                solve_regeneration(base, "width_a", lo, 1e7)
+            with pytest.raises(FracStirlingError) as err:
+                solve_regeneration(base, "width_a", lo, 1e200)
             assert type(err.value) is type(want.value) and str(err.value) == str(want.value)
 
     def test_efficiency_near_carnot_at_root(self):
@@ -432,21 +430,23 @@ class TestTraceCurve:
         assert points[1] is not None and points[2] is not None
 
     def test_failing_node_becomes_gap(self):
-        # at L_B = 3e7 the level sum outgrows MAX_LEVELS; only that node is lost
+        # at L_B = 1e200 the level sum leaves the float range; only that node is lost
         base = CycleParams(1.0, 1.4, 1.5, 1.6, **BATHS)
-        points = trace_curve(base, "width_b", "alpha_1", [1.4, 3e7], (1.3, 2.0))
+        points = trace_curve(base, "width_b", "alpha_1", [1.4, 1e200], (1.3, 2.0))
         assert isinstance(points[0], RegenerationPoint)
         assert points[1] is None
 
     def test_failing_scan_point_makes_the_node_a_gap(self):
-        # q_r changes sign between the first two scan points, but widths
-        # near 1e5 outgrow MAX_LEVELS further along the scan
+        # q_r changes sign between the first two scan points, 1 and 1.6e76,
+        # but the level sums of widths past about 4e76 leave the float range
+        # further along the scan; a bracket that stops short of them has a root
         base = CycleParams(1.0, 1.4, 1.502, 1.579, **BATHS)
         with pytest.warns(UserWarning, match="no regeneration root"):
-            points = trace_curve(base, "alpha_2", "width_b", [1.579], (1.0, 1e5))
+            points = trace_curve(base, "alpha_2", "width_b", [1.579], (1.0, 1e78))
         assert points == [None]
-        (point,) = trace_curve(base, "alpha_2", "width_b", [1.579], (1.0, 1e3))
-        assert abs(regenerator_heat(point.params)) <= 1e-8
+        for hi in (1e3, 3e76):
+            (point,) = trace_curve(base, "alpha_2", "width_b", [1.579], (1.0, hi))
+            assert abs(regenerator_heat(point.params)) <= 1e-8
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -677,17 +677,17 @@ class TestSweep:
             sweep(base, ax, SweepAxis("alpha_1", 1.3, 1.9, 2))
 
     def test_error_nodes_recorded_in_place(self):
-        # the widest nodes need more than the level cap and must not abort;
-        # the (1.0, 1.6) node takes the heat-capacity crossing search
+        # the widest nodes, whose E_1 underflows to 0, fail and must not
+        # abort; the (1.0, 1.6) node takes the heat-capacity crossing search
         base = CycleParams(0.5, 1.0, 2.0, 1.5, **BATHS)
-        ax = SweepAxis("width_b", 1.0, 3e7, 2)
+        ax = SweepAxis("width_b", 1.0, 1e200, 2)
         ay = SweepAxis("alpha_2", 1.4, 1.6, 2)
         grid = sweep(base, ax, ay)
         for j, y in enumerate(ay.values()):
             direct = evaluate(replace(base, width_b=1.0, alpha_2=y))
             assert repr(grid.reports[0][j]) == repr(direct)
             assert isinstance(grid.reports[1][j], NodeError)
-            assert "unconverged" in grid.reports[1][j].message
+            assert "float range" in grid.reports[1][j].message
         assert crosses(replace(base, alpha_2=ay.values()[1]))
 
     def test_unrepresentable_level_scale_is_an_error_node(self):
@@ -725,10 +725,10 @@ class TestSweep:
             assert repr(report) == repr(evaluate(params, levels=levels))
 
     def test_failing_corner_raises_once_per_state_without_evaluate(self, monkeypatch):
-        # corner B, (width_b, alpha_1) at t_hot, needs more than MAX_LEVELS
-        # levels at every node; it is the first corner to fail at each, and
+        # corner B, (width_b, alpha_1) at t_hot, has an E_1 that underflows
+        # to 0 at every node; it is the first corner to fail at each, and
         # its words come from the sweep's kernel call: no one-state call
-        base = CycleParams(1.0, 3e7, 2.0, 1.5, **BATHS)
+        base = CycleParams(1.0, 1e200, 2.0, 1.5, **BATHS)
         ax = SweepAxis("width_a", 0.8, 1.2, 3)
         ay = SweepAxis("alpha_2", 1.4, 1.6, 3)
         calls = []
@@ -741,8 +741,9 @@ class TestSweep:
         monkeypatch.undo()
         for i, x in enumerate(ax.values()):
             for j, y in enumerate(ay.values()):
-                with pytest.raises(TruncationLimitError) as err:
+                with pytest.raises(FracStirlingError) as err:
                     evaluate(replace(base, width_a=x, alpha_2=y))
+                assert type(err.value) is FracStirlingError
                 assert grid.errors[i, j] == str(err.value)
 
     def test_degenerate_node_is_an_error_node(self, monkeypatch):

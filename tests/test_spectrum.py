@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracstirling import WellSpec, energy_level, energy_levels, scale_coefficient
+from fracstirling import WellSpec, energy_level, energy_levels
 
 # Frozen oracle values, evaluated independently with mpmath at 40 digits.
 E_L2_A15_N3 = 2.1505235726947667  # (1/2)^0.75 * (pi/4)^1.5 * 3^1.5
@@ -9,15 +9,20 @@ E_GROUND_UNIT_WELL = np.pi**2 / 8.0
 
 
 class TestScaleCoefficient:
+    """The kinetic prefactor (1/(2m))^(alpha/2), as E_1 of a well of width pi/2.
+
+    There pi/(2L) is 1 exactly, so E_1 is the prefactor itself.
+    """
+
     def test_quadratic_unit_mass(self):
-        assert scale_coefficient(WellSpec(1.0, 2.0, 1.0)) == 0.5
+        assert energy_level(WellSpec(np.pi / 2.0, 2.0, 1.0), 1) == 0.5
 
     def test_fractional_unit_mass(self):
-        got = scale_coefficient(WellSpec(1.0, 1.5, 1.0))
+        got = energy_level(WellSpec(np.pi / 2.0, 1.5, 1.0), 1)
         assert got == pytest.approx(0.5946035575013605, rel=1e-15)
 
     def test_half_mass(self):
-        assert scale_coefficient(WellSpec(1.0, 2.0, 0.5)) == 1.0
+        assert energy_level(WellSpec(np.pi / 2.0, 2.0, 0.5), 1) == 1.0
 
 
 class TestEnergyLevel:

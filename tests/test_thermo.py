@@ -13,7 +13,6 @@ from fracstirling import (
     EnsembleSummary,
     FracStirlingError,
     ThermalState,
-    TruncationLimitError,
     WellSpec,
     occupations,
     summarize,
@@ -198,13 +197,11 @@ class TestTruncation:
         assert p.size == 10
         assert float(np.sum(p)) == pytest.approx(1.0, abs=1e-14)
 
-    def test_resource_error(self):
-        # a kilometre-wide well at this temperature needs > 1e6 levels
-        state = ThermalState(WellSpec(1e7, 1.05), 4.0)
-        with pytest.raises(TruncationLimitError) as err:
-            summarize(state)
-        assert "1e+07" in str(err.value) or "10000000" in str(err.value)
-        assert str(MAX_LEVELS) in str(err.value)
+    def test_kilometre_wide_well_sums_past_a_million_levels(self):
+        # the adaptive cut has no cap: 1.4e9 levels cost what 300 do
+        s = summarize(ThermalState(WellSpec(1e7, 1.05), 4.0))
+        assert s.n_cut == 1379465363 and 0.0 < s.tail_bound <= thermo.DEFAULT_REL_TOL
+        assert all(map(math.isfinite, astuple(s)))
 
     def test_neglected_tail_is_below_rel_tol(self):
         # sum each neglected tail directly, over 20 n_cut levels past the cut,
@@ -218,10 +215,9 @@ class TestTruncation:
             # the width whose ground level (1/2)^(alpha/2) (pi/2L)^alpha is x T
             width = math.pi / (2.0 * (x * t / 0.5 ** (0.5 * alpha)) ** (1.0 / alpha))
             state = ThermalState(WellSpec(width, alpha), t)
-            try:
-                n_cut = summarize(state, rel_tol).n_cut
-            except TruncationLimitError:
-                continue  # the cut lies beyond MAX_LEVELS
+            n_cut = summarize(state, rel_tol).n_cut
+            if n_cut > MAX_LEVELS:
+                continue  # too many levels to sum here, 21 times over
             x = 0.5 ** (0.5 * alpha) * (math.pi / (2.0 * width)) ** alpha / t
             sums = []
             for lo, hi in ((1, n_cut + 1), (n_cut + 1, 21 * n_cut + 1)):
@@ -249,8 +245,8 @@ class TestTruncation:
             n_cut = summarize(state, levels=levels).n_cut
             assert blocks == [1] and n_cut == (levels or n_cut)
         assert summarize(wide).n_cut == 12743
-        # no cut, and an E_1 past the float range
-        for well in (WellSpec(1e7, 1.05), WellSpec(1e-200, 1.6)):
+        # no cut, as E_1 underflows to 0, and an E_1 past the float range
+        for well in (WellSpec(1e200, 2.0), WellSpec(1e-200, 1.6)):
             blocks.clear()
             with pytest.raises(FracStirlingError):
                 summarize(ThermalState(well, 4.0))
@@ -399,7 +395,6 @@ class TestSummarizeMany:
         for name, column in table.items():
             assert shuffled[name].tobytes() == column[shuffle].tobytes(), name
             assert np.concatenate([part[name] for part in parts]).tobytes() == column.tobytes(), name
-        kinds = {thermo.TRUNCATED: TruncationLimitError, thermo.FLOAT_RANGE: FracStirlingError}
         for i in range(count):
             state = ThermalState(WellSpec(width[i], alpha[i], mass[i]), temperature[i])
             if table["failure"][i]:
@@ -407,7 +402,7 @@ class TestSummarizeMany:
                 assert all(np.isnan(table[name][i]) for name in table if name not in ("n_cut", "failure"))
                 with pytest.raises(FracStirlingError) as err:
                     summarize(state, levels=levels)
-                assert type(err.value) is kinds[table["failure"][i]]
+                assert type(err.value) is FracStirlingError and table["failure"][i] == thermo.FLOAT_RANGE
                 continue
             single = summarize(state, levels=levels)
             for field in fields(EnsembleSummary):
@@ -523,16 +518,19 @@ def scalar_cuts(width, alpha, temperature, rel_tol=thermo.DEFAULT_REL_TOL):
 
 
 def real_cut(alpha, x, rel_tol):
-    """The real level count `thermo._cut` rounds up, in Python floats."""
-    return thermo._real_cut(alpha, x, rel_tol, math.log, math.log1p, min)
+    """The real level count the kernel rounds up, at one state."""
+    return float(thermo._level_count(alpha, x, rel_tol))
 
 
-@pytest.fixture
-def scalar_cut_calls(monkeypatch):
-    """The arguments of each scalar `thermo._cut` call from here on."""
-    calls, cut = [], thermo._cut
-    monkeypatch.setattr(thermo, "_cut", lambda *args: calls.append(args) or cut(*args))
-    return calls
+def assert_certified(width, alpha, temperature, rel_tol, n):
+    """The integral-test certificate at a cut of n levels: e^(-y)(1 + y) <= rel_tol D.
+
+    y = x(n^alpha - 1) and D = x alpha n^(alpha-1) with x = E_1/T, in Python
+    floats; it bounds both neglected tails below rel_tol.
+    """
+    x = level_scale(width, alpha, 1.0) / temperature
+    y = x * (float(n) ** alpha - 1.0)
+    assert math.exp(-y) * (1.0 + y) <= rel_tol * x * alpha * float(n) ** (alpha - 1.0), (width, alpha, temperature, n)
 
 
 def temperatures_around_cut(width, alpha, n, rel_tol, ulps=3):
@@ -563,22 +561,24 @@ class TestArrayCut:
         temperature = [10.0 ** t for _, _, t in states]
         table = summarize_many(width, alpha, [1.0] * len(states), temperature, rel_tol)
         assert table["n_cut"].tolist() == scalar_cuts(width, alpha, temperature, rel_tol)
+        for w, a, t, n in zip(width, alpha, temperature, table["n_cut"].tolist()):
+            assert_certified(w, a, t, rel_tol, n)
 
     @pytest.mark.parametrize("width, alpha, n, rel_tol", [
         (1.0, 2.0, 7, 1e-12), (0.3, 1.3, 40, 1e-6), (2.0, 1.7, 1000, 1e-15),
-        (1.0, 1.5, 2, 1e-12), (1.0, 1.05, MAX_LEVELS, 1e-6),
+        (1.0, 1.5, 2, 1e-12), (1.0, 1.05, 10**6, 1e-6),
     ])
-    def test_real_cut_within_ulps_of_an_integer(self, scalar_cut_calls, width, alpha, n, rel_tol):
+    def test_real_cut_within_ulps_of_an_integer(self, width, alpha, n, rel_tol):
         # the real N of these states lies on both sides of n, a few ulps away;
-        # each goes to the scalar `_cut`
+        # the array cut rounds each up to n or n + 1, and the certificate's
+        # slack holds at either
         temperature = temperatures_around_cut(width, alpha, n, rel_tol)
         count = len(temperature)
-        want = scalar_cuts([width] * count, [alpha] * count, temperature, rel_tol)
-        assert {n, n + 1 if n < MAX_LEVELS else 0} <= set(want)
-        scalar_cut_calls.clear()
         table = summarize_many([width] * count, [alpha] * count, [1.0] * count, temperature, rel_tol)
-        assert table["n_cut"].tolist() == want
-        assert len(scalar_cut_calls) == count
+        assert set(table["n_cut"].tolist()) == {n, n + 1}
+        for t, cut in zip(temperature, table["n_cut"].tolist()):
+            assert_certified(width, alpha, t, rel_tol, cut)
+        assert table["n_cut"].tolist() == scalar_cuts([width] * count, [alpha] * count, temperature, rel_tol)
 
     def test_narrow_cold_wells_cut_at_one_level(self):
         # y/x near the float resolution: N rounds to 1 or just above it
@@ -595,30 +595,29 @@ class TestArrayCut:
         table = summarize_many(width, [2.0] * 3, [1.0] * 3, [4.0] * 3)
         assert table["n_cut"].tolist() == scalar_cuts(width, [2.0] * 3, [4.0] * 3)
         assert table["n_cut"][[0, 2]].tolist() == [0, 0] and table["n_cut"][1] > 0
+        assert table["failure"].tolist() == [thermo.FLOAT_RANGE, 0, thermo.FLOAT_RANGE]
 
-    def test_scalar_cut_only_near_an_integer(self, scalar_cut_calls):
-        # the array cut decides every state whose real N is not within 1e-9
-        # of an integer (one state of these)
+    def test_certificate_holds_at_every_random_cut(self):
+        # 1000 states across six decades of width and four of temperature
         rng = np.random.default_rng(13)
         width = 10.0 ** rng.uniform(-3.0, 3.0, 1000)
         alpha = rng.uniform(1.01, 2.0, 1000)
         temperature = 10.0 ** rng.uniform(-1.0, 3.0, 1000)
-        near = 0
-        for w, a, t in zip(width.tolist(), alpha.tolist(), temperature.tolist()):
-            n_real = real_cut(a, level_scale(w, a, 1.0) / t, thermo.DEFAULT_REL_TOL)
-            near += abs(n_real - round(n_real)) <= 1e-9 * n_real
         table = summarize_many(width, alpha, np.ones(1000), temperature)
-        assert len(scalar_cut_calls) == near == 1
+        assert not table["failure"].any()
+        for w, a, t, n in zip(width.tolist(), alpha.tolist(), temperature.tolist(), table["n_cut"].tolist()):
+            assert_certified(w, a, t, thermo.DEFAULT_REL_TOL, n)
         assert table["n_cut"].tolist() == scalar_cuts(width, alpha, temperature)
 
-    def test_no_scalar_cut_past_the_level_cap(self, scalar_cut_calls):
-        # a real N of 1e9 or more is within 1e-9 of an integer, yet far past
-        # MAX_LEVELS: the array cut decides it
+    def test_cuts_past_a_million_levels_are_certified(self):
+        # real cuts from 1.4e9 to 1.7e14 levels: each is a finite integer
+        # that meets the certificate, and the summed tail bound is below rel_tol
         width = np.geomspace(1e7, 1e12, 50)
         table = summarize_many(width, [1.05] * 50, [1.0] * 50, [4.0] * 50)
-        assert scalar_cut_calls == []
-        assert table["n_cut"].tolist() == [0] * 50
-        assert table["failure"].tolist() == [thermo.TRUNCATED] * 50
+        assert not table["failure"].any() and (table["n_cut"] > 1e9).all()
+        assert (table["n_cut"] % 1 == 0).all() and (table["tail_bound"] <= thermo.DEFAULT_REL_TOL).all()
+        for w, n in zip(width.tolist(), table["n_cut"].tolist()):
+            assert_certified(w, 1.05, 4.0, thermo.DEFAULT_REL_TOL, n)
 
 
 class TestQuadraticEquivalence:
@@ -720,6 +719,63 @@ class TestClosure:
         assert s.n_cut > thermo._HEAD
         assert s.partition_function == pytest.approx(z, rel=1e-13)
         assert s.internal_energy == pytest.approx(x * moment / z, rel=1e-13)
+
+
+class TestPastAMillionLevels:
+    """Adaptive cuts past a million levels, where the sum is closed in form."""
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.3, 1.5, 2.0])
+    def test_classical_limit_matches_the_gamma_oracle(self, alpha):
+        # sum_n e^(-x n^alpha) = Gamma(1 + 1/alpha) x^(-1/alpha) - 1/2 + O(x),
+        # and sum_n n^alpha e^(-x n^alpha) = Gamma(1 + 1/alpha) x^(-1 - 1/alpha)/alpha
+        # up to O(1): at x <= 1e-8 both corrections fall below 1e-16 relative
+        t = 4.0
+        for target in np.geomspace(1e-8, 1e-100, 12).tolist():
+            state = state_at(alpha, target, t)
+            x = level_scale(state.well.width, alpha, 1.0) / t
+            s = summarize(state)
+            bulk = math.gamma(1.0 + 1.0 / alpha) * x ** (-1.0 / alpha)
+            z = bulk - 0.5
+            assert s.n_cut > thermo._HEAD and s.partition_function == pytest.approx(z, rel=1e-13), x
+            assert s.internal_energy == pytest.approx(t * (bulk / alpha) / z, rel=1e-13), x
+
+    @pytest.mark.parametrize("alpha, x", [(1.05, 1e-5), (1.3, 2.8e-7), (1.7, 1e-9)])
+    def test_closure_matches_an_fsum_at_two_million_levels(self, alpha, x):
+        # an exactly rounded sum of every level up to the adaptive cut
+        state = state_at(alpha, x, 4.0)
+        got, n = kernel_sums(state)
+        assert 1.5e6 < n < 2.5e6
+        x = level_scale(state.well.width, alpha, 1.0) / 4.0
+        g = np.arange(1.0, n + 1.0) ** alpha - 1.0
+        weights = np.exp(-x * g)
+        t0 = math.fsum(weights)
+        mean = math.fsum(g * weights) / t0
+        square = math.fsum(g * g * weights) / t0
+        want = (t0, 4.0 * x * mean, x * mean + math.log(t0), x * x * (square - mean * mean))
+        for name, g_, w in zip(("Z_s", "U - E_1", "S", "C"), got, want):
+            assert g_ == pytest.approx(w, rel=1e-14), name
+
+    def test_tail_bound_past_two_to_the_53_levels(self):
+        # g_{N+1} - g_N and 1 - r are formed without cancellation, where the
+        # difference of two powers of N would round to 0 and the bound to inf
+        for well in (WellSpec(1e20, 1.5), WellSpec(1e100, 1.01)):
+            s = summarize(ThermalState(well, 4.0))
+            assert s.n_cut > 2**53 and 0.0 < s.tail_bound <= thermo.DEFAULT_REL_TOL, well
+
+    @pytest.mark.parametrize("well", [WellSpec(1e110, 1.01), WellSpec(1e200, 2.0)])
+    def test_sums_past_the_float_range_fail(self, well):
+        # T_2 overflows at 1e110; E_1 underflows to 0 at 1e200, so x = 0 has no finite cut
+        with pytest.raises(FracStirlingError, match="exceed the float range") as err:
+            summarize(ThermalState(well, 4.0))
+        assert type(err.value) is FracStirlingError
+        table = summarize_many([well.width], [well.alpha], [1.0], [4.0])
+        assert table["failure"].tolist() == [thermo.FLOAT_RANGE] and table["n_cut"].tolist() == [0]
+
+    def test_occupations_past_max_levels_raise(self):
+        state = ThermalState(WellSpec(1e7, 1.05), 4.0)
+        assert summarize(state).n_cut > MAX_LEVELS
+        with pytest.raises(ValueError, match="at most"):
+            occupations(state)
 
 
 class TestThermalStateValidation:
