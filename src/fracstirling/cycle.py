@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spectrum import _INF, WellSpec
+from .spectrum import _DOMAIN, WellSpec, _check_beta, _check_domain
 from .thermo import (  # summarize: tracer-only import, bench/tracer.py rebinds cycle.summarize
-    DEFAULT_REL_TOL, FracStirlingError, ThermalState, _check_beta, _state_error, summarize, summarize_many,
+    DEFAULT_REL_TOL, FracStirlingError, ThermalState, _state_error, summarize, summarize_many,
 )
 
 REGIME_ENGINE = "engine"
@@ -39,6 +39,10 @@ _QH_ZERO = 1e-15
 # rounding.
 _CROSSING_T_TOL = 1e-5
 _CROSSING_MAX_STEPS = 100
+
+# The domain quantity of each CycleParams field but the temperatures, in the
+# order CycleParams checks them
+_QUANTITIES = {"width_a": "width", "width_b": "width", "mass": "mass", "alpha_1": "alpha", "alpha_2": "alpha"}
 
 # The CycleParams fields of the width, alpha and temperature of corners A .. D
 _CORNER_FIELDS = (("width_a", "alpha_2", "t_hot"), ("width_b", "alpha_1", "t_hot"),
@@ -67,22 +71,12 @@ class CycleParams:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
-        if not _INF > self.t_hot > self.t_cold > 0.0:
-            raise ValueError(
-                f"need finite t_hot > t_cold > 0, got t_hot={self.t_hot}, "
-                f"t_cold={self.t_cold}"
-            )
+        lo, hi = _DOMAIN["temperature"]
+        if not hi >= self.t_hot > self.t_cold > lo:
+            raise ValueError(f"need finite t_hot > t_cold > 0, got t_hot={self.t_hot}, t_cold={self.t_cold}")
         _check_beta(self.t_cold)
-        for name in ("width_a", "width_b", "mass"):
-            if not 0.0 < getattr(self, name) < _INF:
-                raise ValueError(
-                    f"{name} must be positive and finite, got {getattr(self, name)}"
-                )
-        for name in ("alpha_1", "alpha_2"):
-            if not 1.0 < getattr(self, name) <= 2.0:
-                raise ValueError(
-                    f"{name} must lie in (1, 2], got {getattr(self, name)}"
-                )
+        for name, quantity in _QUANTITIES.items():
+            _check_domain(name, getattr(self, name), quantity)
 
 
 @dataclass(frozen=True)

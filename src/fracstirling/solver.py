@@ -14,6 +14,7 @@ a row.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -21,10 +22,10 @@ from functools import cached_property
 import numpy as np
 
 from .cycle import (  # evaluate: tracer-only import, bench/tracer.py rebinds solver.evaluate
-    CycleParams, CycleReport, _corner_summaries, _node_arrays, _node_error, _regenerator_heats,
+    _QUANTITIES, CycleParams, CycleReport, _corner_summaries, _node_arrays, _node_error, _regenerator_heats,
     _reports, carnot_efficiency, evaluate, regenerator_heat,
 )
-from .spectrum import _INF
+from .spectrum import _DOMAIN, _INF, _check_domain
 from .thermo import DEFAULT_REL_TOL, FracStirlingError, _check_cut_args, summarize_many
 
 SWEEPABLE = ("width_a", "width_b", "alpha_1", "alpha_2")
@@ -39,15 +40,6 @@ MAX_NODES = 10**6
 # Cap on the scan nodes (grid nodes times scan points) of one batched trace
 # scan; a longer trace is scanned in chunks of whole grid nodes
 _SCAN_CHUNK = 1 << 16
-
-# Validity domain of each sweepable parameter: alphas live in (1, 2],
-# widths in (0, inf).  Brackets are clipped to these before any evaluation.
-_DOMAIN = {
-    "width_a": (0.0, _INF),
-    "width_b": (0.0, _INF),
-    "alpha_1": (1.0, 2.0),
-    "alpha_2": (1.0, 2.0),
-}
 
 
 class SolverError(FracStirlingError):
@@ -65,7 +57,11 @@ class NoRootError(SolverError):
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """One swept cycle parameter with an inclusive uniform grid."""
+    """One swept cycle parameter with an inclusive grid of `count` uniform nodes.
+
+    `count` must be an integer from 2 to MAX_NODES and both ends in the
+    parameter's validity domain, else construction raises ValueError.
+    """
 
     parameter: str
     lo: float
@@ -80,17 +76,19 @@ class SweepAxis:
             )
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if not 2 <= self.count <= MAX_NODES:
-            raise ValueError(f"need 2 to {MAX_NODES} grid nodes, got {self.count}")
-        dlo, dhi = _DOMAIN[self.parameter]
-        if self.lo <= dlo or self.hi > dhi or self.hi == _INF:
-            raise ValueError(
-                f"range [{self.lo}, {self.hi}] must be finite and inside the "
-                f"validity domain ({dlo}, {dhi}] of {self.parameter}"
-            )
+        _check_count(self.count, "grid nodes")
+        for end in (self.lo, self.hi):
+            _check_domain(self.parameter, end, _QUANTITIES[self.parameter])
 
     def values(self) -> list[float]:
         return _uniform(self.lo, self.hi, self.count)
+
+
+def _check_count(count: int, what: str) -> None:
+    if not 2 <= count <= MAX_NODES:
+        raise ValueError(f"need 2 to {MAX_NODES} {what}, got {count}")
+    if not isinstance(count, numbers.Integral):
+        raise ValueError(f"need an integer number of {what}, got {count}")
 
 
 def _uniform(lo: float, hi: float, count: int) -> list[float]:
@@ -192,9 +190,9 @@ class RegenerationPoint:
 
 
 def _clip_bracket(parameter: str, lo: float, hi: float) -> tuple[float, float]:
-    hi = min(hi, _DOMAIN[parameter][1])
-    if parameter.startswith("alpha"):
-        lo = max(lo, 1.0 + 1e-9)
+    if _QUANTITIES[parameter] == "alpha":  # a width bracket is not clipped
+        dlo, dhi = _DOMAIN["alpha"]
+        lo, hi = max(lo, dlo + 1e-9), min(hi, dhi)
     if not lo <= hi:
         raise ValueError(
             f"bracket [{lo}, {hi}] is empty after clipping to the validity "
@@ -204,15 +202,14 @@ def _clip_bracket(parameter: str, lo: float, hi: float) -> tuple[float, float]:
 
 
 def find_brackets(f, lo: float, hi: float, points: int = DEFAULT_SCAN_POINTS):
-    """Scan f at 2 to MAX_NODES uniform points; return the sign-change subintervals."""
+    """Scan f at an integer 2 to MAX_NODES uniform points; return the sign-change subintervals."""
     xs = _scan_points(lo, hi, points)
     _, left, right = _sign_changes(np.array([[f(x) for x in xs]], dtype=float))
     return [(xs[i], xs[j]) for i, j in zip(left.tolist(), right.tolist())]
 
 
 def _scan_points(lo: float, hi: float, points: int) -> list[float]:
-    if not 2 <= points <= MAX_NODES:
-        raise ValueError(f"need 2 to {MAX_NODES} scan points, got {points}")
+    _check_count(points, "scan points")
     return _uniform(lo, hi, points)
 
 
@@ -228,12 +225,6 @@ def _sign_changes(scans: np.ndarray):
     np.less(scans[:, :-1] * scans[:, 1:], 0.0, out=change[:, :-1])
     row, left = np.nonzero(zero | change)
     return row, left, left + change[row, left]
-
-
-def _in_domain(parameter: str, values: np.ndarray) -> np.ndarray:
-    """Whether each value passes CycleParams' check of `parameter`."""
-    lo, hi = _DOMAIN[parameter]
-    return (lo < values) & (values <= hi) & (values < _INF)
 
 
 def _false_position(q_r, a, b, fa, fb, tol, max_iter=200):
@@ -393,7 +384,8 @@ def trace_curve(
     the trace on one branch when the locus has several.  Nodes without any
     sign change, nodes with a failing corner anywhere on their scan and nodes
     whose solve fails are reported as None, preserving order.  A usage error (ValueError), such as
-    a bad `tol`, `rel_tol`, `levels`, `scan_points`, grid value or bracket,
+    a bad `tol`, `rel_tol`, `levels`, a `scan_points` that is no integer from
+    2 to MAX_NODES, a grid value or bracket outside the validity domain,
     raises before any node.
     """
     if sweep_parameter not in SWEEPABLE or solve_parameter not in SWEEPABLE:
@@ -401,27 +393,20 @@ def trace_curve(
     if sweep_parameter == solve_parameter:
         raise ValueError("sweep and solve parameters must differ")
     grid = list(grid)
-    values = np.array(grid, dtype=float)
-    steps = np.diff(values)
+    steps = np.diff(np.array(grid, dtype=float))
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise ValueError("grid must be strictly monotone")
     _check_tol(tol)
     lo, hi = _clip_bracket(solve_parameter, *bracket)
     xs = _scan_points(lo, hi, scan_points)
-    if grid:
-        # one array test of every value; where one fails, CycleParams words the
-        # message, raised in the order a scan node by node meets them: the
-        # first grid value, the scan points, the cut arguments, then the other
-        # grid values
-        valid = _in_domain(sweep_parameter, values)
-        if not (valid[0] and _in_domain(solve_parameter, np.array(xs)).all()):
-            first = replace(base, **{sweep_parameter: grid[0]})
-            for x in xs:
-                replace(first, **{solve_parameter: x})
+    if grid:  # in the order a scan node by node meets them
+        swept, solved = _QUANTITIES[sweep_parameter], _QUANTITIES[solve_parameter]
+        _check_domain(sweep_parameter, grid[0], swept)
+        for x in xs:
+            _check_domain(solve_parameter, x, solved)
         _check_cut_args(rel_tol, levels)
-        if not valid.all():
-            for g in grid[1:]:
-                replace(base, **{sweep_parameter: g})
+        for g in grid[1:]:
+            _check_domain(sweep_parameter, g, swept)
 
     points: list[RegenerationPoint | None] = []
     prev_root: float | None = None

@@ -3,15 +3,47 @@
 The kinetic term is D_alpha |p|^alpha with D_alpha = (1/(2m))^(alpha/2) and
 1 < alpha <= 2; alpha = 2 recovers the ordinary quadratic dispersion.  All
 quantities use natural units, hbar = k_B = 1.
+
+The model's validity domain is one table here, `_DOMAIN`, with the floor
+`_T_MIN` of a temperature; every check of a width, alpha, mass or
+temperature reads it and words a failure with `_check_domain` or `_check_beta`.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-_INF = float("inf")  # bounds the finite floats in one-comparison range checks
+_INF = float("inf")
+_MAX = sys.float_info.max
+
+# The validity domain: each quantity lies in the (lo, hi] interval of its
+# row, and a row (0, _MAX] admits the positive finite floats.  The rows
+# follow the argument order of `summarize_many`.
+_DOMAIN = {"width": (0.0, _MAX), "alpha": (1.0, 2.0), "mass": (0.0, _MAX), "temperature": (0.0, _MAX)}
+
+# The smallest temperature whose reciprocal, beta, is a finite float
+_T_MIN = math.nextafter(1.0 / _MAX, 1.0)
+
+
+def _check_domain(name: str, value, quantity: str | None = None) -> None:
+    """Raise the ValueError of a field `name` whose value lies outside `_DOMAIN`.
+
+    `quantity`, the row of the table, defaults to `name`.
+    """
+    lo, hi = _DOMAIN[quantity or name]
+    if not lo < value <= hi:
+        if hi < _MAX:
+            raise ValueError(f"{name} must lie in ({lo:g}, {hi:g}], got {value}")
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_beta(temperature: float) -> None:
+    if not temperature >= _T_MIN:
+        raise ValueError(f"temperature must be at least {_T_MIN}, where 1/T is finite, got {temperature}")
 
 
 @dataclass(frozen=True)
@@ -29,12 +61,8 @@ class WellSpec:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.width < _INF:
-            raise ValueError(f"width must be positive and finite, got {self.width}")
-        if not 1.0 < self.alpha <= 2.0:
-            raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
-        if not 0.0 < self.mass < _INF:
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        for name in ("width", "alpha", "mass"):
+            _check_domain(name, getattr(self, name))
 
 
 def level_scale(width: float, alpha: float, mass: float) -> float:

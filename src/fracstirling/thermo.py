@@ -27,6 +27,8 @@ A row's length depends on its own cut alone, every reduction runs along a
 row and the closure is elementwise, so a state's sums do not depend on the
 block it lands in or the states beside it.  Nothing is memoised;
 `occupations` recomputes the kept weights on demand.
+A state's validity domain is `spectrum._DOMAIN`, from which `_LOWEST` and
+`_HIGHEST` take the smallest and largest valid values.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from operator import mul
 import numpy as np
 
 from .spectrum import (  # energy_levels: tracer-only import, bench/tracer.py rebinds thermo.energy_levels
-    _INF, WellSpec, energy_levels, level_scale,
+    _DOMAIN, _INF, _T_MIN, WellSpec, _check_beta, _check_domain, energy_levels, level_scale,
 )
 
 DEFAULT_REL_TOL = 1e-12
@@ -71,17 +73,15 @@ _HEAD = 256
 # within 1e-15 relative on their side of it.
 _GAMMA_SPLIT, _SERIES_TERMS, _FRACTION_TERMS = 10.0, 50, 14
 
-# The smallest temperature whose reciprocal, beta, is a finite float
-_T_MIN = math.nextafter(1.0 / np.finfo(float).max, 1.0)
-
 # x = E_1/T past the float range is held at its maximum: every level but the
 # ground one still weighs 0, and x g_1 = x 0 stays 0 instead of nan
 _X_MAX = np.finfo(float).max
 
-# Bounds of a valid width, alpha, mass and temperature, one row each: one
-# comparison checks every state, and `_check_states` words a failure
-_LOWEST = np.array([[math.ulp(0.0)], [math.nextafter(1.0, 2.0)], [math.ulp(0.0)], [_T_MIN]])
-_HIGHEST = np.array([[_X_MAX], [2.0], [_X_MAX], [_X_MAX]])
+# The smallest and largest valid width, alpha, mass and temperature, one row
+# each, from the validity domain: one comparison checks every state
+_LOWEST = np.array([[math.nextafter(lo, _INF)] for lo, _ in _DOMAIN.values()])
+_LOWEST[-1] = _T_MIN  # where 1/T is finite
+_HIGHEST = np.array([[hi] for _, hi in _DOMAIN.values()])
 
 
 class FracStirlingError(RuntimeError):
@@ -99,10 +99,7 @@ class ThermalState:
     temperature: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.temperature < _INF:
-            raise ValueError(
-                f"temperature must be positive and finite, got {self.temperature}"
-            )
+        _check_domain("temperature", self.temperature)
         _check_beta(self.temperature)
 
 
@@ -197,7 +194,9 @@ def summarize_many(
     blocks of at most _BLOCK_ENTRIES entries (or one row), so the memory held
     is bounded for any number of states.  A state's row depends on that
     state alone, so its fields are the same bit for bit whatever other
-    states share the call.
+    states share the call.  The first state outside the validity domain
+    raises the ValueError ThermalState(WellSpec(...), T) raises on it, naming
+    the field; a bad `rel_tol`, `levels` or shape raises ValueError too.
     """
     per_state = levels is not None and np.ndim(levels) > 0
     _check_cut_args(rel_tol, None if per_state else levels)
@@ -207,8 +206,12 @@ def summarize_many(
         states = None
     if states is None or states.ndim != 2:
         raise ValueError("need four 1-D sequences of equal length")
-    if not ((_LOWEST <= states) & (states <= _HIGHEST)).all():
-        _check_states(*states)
+    valid = (_LOWEST <= states) & (states <= _HIGHEST)
+    if not valid.all():  # the first invalid state raises as ThermalState(WellSpec(...), T) would
+        state = states[:, valid.all(axis=0).argmin()].tolist()
+        for name, value in zip(_DOMAIN, state):
+            _check_domain(name, value)
+        _check_beta(state[-1])
     width, alpha, mass, temperature = states
     if per_state:
         fixed = np.broadcast_to(levels, temperature.shape)
@@ -278,26 +281,6 @@ def summarize_many(
     return {"n_cut": n_cut, "failure": failure, **fields}
 
 
-def _check_states(width, alpha, mass, temperature) -> None:
-    """Raise the ValueError that a state outside the kernel's domain gives."""
-    if not (
-        np.all((0.0 < width) & (width < _INF)) and np.all((1.0 < alpha) & (alpha <= 2.0))
-        and np.all((0.0 < mass) & (mass < _INF))
-        and np.all((0.0 < temperature) & (temperature < _INF))
-    ):
-        raise ValueError(
-            "need finite positive widths, masses and temperatures and alphas in (1, 2]"
-        )
-    _check_beta(temperature.min(initial=_INF))
-
-
-def _check_beta(temperature: float) -> None:
-    if not temperature >= _T_MIN:
-        raise ValueError(
-            f"temperature must be at least {_T_MIN}, where 1/T is finite, got {temperature}"
-        )
-
-
 def _check_cut_args(rel_tol: float, levels: int | None) -> None:
     if not 0.0 < rel_tol <= 1e-6:
         raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol}")
@@ -332,8 +315,14 @@ def _level_count(alpha, x, rel_tol):
 
 
 def _state_error(width, alpha, mass) -> FracStirlingError:
-    """The error of a state that `summarize_many` fails, in the given values."""
-    return FracStirlingError(f"energy levels of {WellSpec(width, alpha, mass)} exceed the float range")
+    """The error of a state `summarize_many` fails: of its level sums where 0 < E_1 < inf, else of E_1."""
+    scale = 0.0
+    with suppress(OverflowError):
+        scale = level_scale(float(width), float(alpha), float(mass))
+    well = WellSpec(width, alpha, mass)
+    if 0.0 < scale < _INF:
+        return FracStirlingError(f"level sums of {well} leave the float range")
+    return FracStirlingError(f"energy levels of {well} exceed the float range")
 
 
 def _row_sums(g: np.ndarray, x, n):

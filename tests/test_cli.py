@@ -165,6 +165,17 @@ class TestCycleCommand:
         assert code == 1
         assert out == "" and "error: energy levels" in err
 
+    @pytest.mark.parametrize("argv, error", [
+        # E_1 of a narrow well overflows: the levels leave the float range
+        (("--la", "1e-302"), "energy levels of WellSpec(width=1e-302, alpha=2.0, mass=1.0) exceed the float range"),
+        # E_1 is about 1e-201, finite: x = E_1/T underflows and the sums leave it
+        (("--la", "1e200", "--lb", "1e200", "--a1", "1.05", "--a2", "1.06"),
+         "level sums of WellSpec(width=1e+200, alpha=1.06, mass=1.0) leave the float range"),
+    ], ids=["levels", "sums"])
+    def test_float_range_failure_names_the_end_it_leaves(self, capsys, argv, error):
+        code, out, err = run_cli(capsys, "cycle", *argv)
+        assert (code, out, err) == (1, "", f"error: {error}\n")
+
     @pytest.mark.parametrize(
         "argv, code, error",
         [

@@ -37,21 +37,21 @@ from fracstirling.spectrum import level_scale
 def reference_error(state, rel_tol, levels):
     """The error of a state that `summarize_many` fails.
 
-    Every failure is one of the float range: E_1 is not a finite float, an
+    Every failure is one of the float range.  Where E_1 is no positive finite
+    float, the energy levels leave it; elsewhere the level sums do: an
     adaptive cut has no finite N, or U, S, F or C leaves the float range.
     Where the cut, fixed or adaptive, holds at most MAX_LEVELS levels, the
     last is rechecked with T_k summed over its levels as one plain numpy row.
     """
     well = state.well
-    error = FracStirlingError(f"energy levels of {well} exceed the float range")
     scale = math.inf
     with suppress(OverflowError):
         scale = level_scale(float(well.width), float(well.alpha), float(well.mass))
-    if not scale < math.inf:
-        return error
+    if not 0.0 < scale < math.inf:
+        return FracStirlingError(f"energy levels of {well} exceed the float range")
     temperature = float(state.temperature)
     x = min(scale / temperature, thermo._X_MAX)
-    with np.errstate(all="ignore"):  # x may be 0
+    with np.errstate(all="ignore"):  # x may underflow to 0
         n = levels or thermo._level_count(float(well.alpha), x, rel_tol)
     if n <= MAX_LEVELS:  # False at an infinite or nan N
         g = np.arange(1.0, math.ceil(n) + 1.0) ** float(well.alpha) - 1.0
@@ -61,7 +61,7 @@ def reference_error(state, rel_tol, levels):
         fields = (scale + scale * (t1 / t0), x * (t1 / t0) + math.log(t0), scale - temperature * math.log(t0),
                   x * (x * t2 / t0) - (x * t1 / t0) ** 2)
         assert not all(map(math.isfinite, fields))
-    return error
+    return FracStirlingError(f"level sums of {well} leave the float range")
 
 
 def fails(state, rel_tol, levels):

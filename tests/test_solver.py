@@ -581,6 +581,12 @@ class TestTraceCurve:
         with pytest.raises(ValueError):
             trace_curve(BASE, "alpha_1", "alpha_1", [1.5], (1.4, 2.0))
 
+    @pytest.mark.parametrize("scan_points", [9.5, 9.0])
+    def test_rejects_scan_points_that_are_no_integer(self, scan_points):
+        # a float count would reach the scan's reshape as a TypeError
+        with pytest.raises(ValueError, match="need an integer number of scan points, got 9"):
+            trace_curve(BASE, "alpha_2", "alpha_1", [1.6, 1.7], (1.4, 2.0), scan_points=scan_points)
+
 
 class TestSweepAxis:
     def test_values_hit_endpoints(self):
@@ -604,6 +610,15 @@ class TestSweepAxis:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SweepAxis(**kwargs)
+
+    @pytest.mark.parametrize("count", [4.5, 4.0, np.float64(4.0)])
+    def test_rejects_a_count_that_is_no_integer(self, count):
+        # `values` would meet a float count in range() as a TypeError
+        with pytest.raises(ValueError, match="need an integer number of grid nodes, got 4"):
+            SweepAxis("alpha_1", 1.2, 1.8, count)
+
+    def test_accepts_a_numpy_integer_count(self):
+        assert SweepAxis("alpha_1", 1.2, 1.8, np.int64(4)).values() == SweepAxis("alpha_1", 1.2, 1.8, 4).values()
 
 
 class TestSweep:

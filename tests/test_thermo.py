@@ -764,8 +764,11 @@ class TestPastAMillionLevels:
 
     @pytest.mark.parametrize("well", [WellSpec(1e110, 1.01), WellSpec(1e200, 2.0)])
     def test_sums_past_the_float_range_fail(self, well):
-        # T_2 overflows at 1e110; E_1 underflows to 0 at 1e200, so x = 0 has no finite cut
-        with pytest.raises(FracStirlingError, match="exceed the float range") as err:
+        # T_2 overflows at 1e110, where E_1 is finite, so the sums are worded;
+        # E_1 underflows to 0 at 1e200, so x = 0 has no finite cut, and the
+        # levels are worded
+        words = {1e110: "level sums of WellSpec", 1e200: "energy levels of WellSpec"}[well.width]
+        with pytest.raises(FracStirlingError, match=f"^{words}.* the float range$") as err:
             summarize(ThermalState(well, 4.0))
         assert type(err.value) is FracStirlingError
         table = summarize_many([well.width], [well.alpha], [1.0], [4.0])
