@@ -11,10 +11,11 @@ the one temperature, if any, where their heat capacities cross.
 There is one cycle evaluator.  Its array stage, `_node_arrays`, takes the
 cycle nodes as parameter columns, sums each well once per value of the
 columns that move it in one `summarize_many` call, forms every report
-quantity as an array and searches the crossings of all nodes in lockstep;
-`_reports` builds CycleReports from those arrays.  `evaluate` runs both on
-one node, `solver.sweep` the array stage on a grid.  `_regenerator_heats` forms q_r there and for
-`regenerator_heat`, `solve_regeneration` and the scan of `trace_curve`.
+quantity as an array and steps the crossing searches of all nodes as array
+columns, with no loop over nodes; `_reports` builds CycleReports from those
+arrays.  `evaluate` runs both on one node, `solver.sweep` the array stage on
+a grid.  `_regenerator_heats` forms q_r there and for `regenerator_heat`,
+`solve_regeneration` and the scan of `trace_curve`.
 """
 
 from __future__ import annotations
@@ -251,15 +252,14 @@ def _node_arrays(base: CycleParams, nodes, rel_tol, levels):
     q_h = np.where(q_r > 0, q_ab + q_r, q_ab)
     gap_cold, gap_hot = capacities[3] - capacities[2], capacities[0] - capacities[1]
     crossing = np.flatnonzero(gap_cold * gap_hot < 0.0)
-    if crossing.size:
-        h_cold, h_hot = (ud - uc)[crossing], (ua - ub)[crossing]
-        h_star = _h_at_crossings(
-            table, ids[0, crossing], ids[1, crossing], base.mass,
-            [(base.t_cold, *v) for v in zip(h_cold.tolist(), gap_cold[crossing].tolist())],
-            [(base.t_hot, *v) for v in zip(h_hot.tolist(), gap_hot[crossing].tolist())],
-        )
-        q_h[crossing] = q_ab[crossing] + np.maximum(h_star - h_cold, 0.0)
-        q_h[crossing] += np.maximum(h_hot - h_star, 0.0)
+    h_cold, h_hot = (ud - uc)[crossing], (ua - ub)[crossing]
+    h_star = _h_at_crossings(
+        table, ids[0, crossing], ids[1, crossing], base.mass,
+        np.stack((np.full(crossing.size, base.t_cold), h_cold, gap_cold[crossing])),
+        np.stack((np.full(crossing.size, base.t_hot), h_hot, gap_hot[crossing])),
+    )
+    q_h[crossing] = q_ab[crossing] + np.maximum(h_star - h_cold, 0.0)
+    q_h[crossing] += np.maximum(h_hot - h_star, 0.0)
     zero = abs(q_h) < _QH_ZERO
     # distinguish a genuinely workless cycle from a pathological one; work
     # below rounding noise at the corner-energy scale counts as zero
@@ -308,58 +308,57 @@ def _h_at_crossings(table, ad, bc, mass, lo, hi):
     T falls, so the hot corner's cut meets the corners' tolerance at every
     temperature in between.  A cut past the kernel's head is closed in form
     whether fixed or adaptive, so at the corners these sums equal the table's
-    bit for bit.  `lo` and `hi` list (T, h, slope) at the ends of
-    brackets whose slopes have opposite signs.  Each step evaluates h at the
+    bit for bit.  `lo` and `hi` are (3, nodes) arrays of T, h and slope at the
+    ends of brackets whose slopes have opposite signs; each step writes the
+    new point over the end it replaces.  A step evaluates h at the
     stationary point of the cubic Hermite interpolant and keeps the end that
     preserves the sign change.  h is stationary at the crossing, so its error
-    is quadratic in that of T; a search stops once its next step would move
-    T by less than _CROSSING_T_TOL relative.
+    is quadratic in that of T; a node stops at a slope of exactly 0, or once
+    its next step would move T by less than _CROSSING_T_TOL relative.
     """
-    t = [_stationary_point(*ends) for ends in zip(lo, hi)]
-    h = [0.0] * len(t)
-    active = list(range(len(t)))
+    t = _stationary_point(lo, hi)
+    h = np.zeros(t.size)
+    active = np.arange(t.size)
     for _ in range(_CROSSING_MAX_STEPS):
-        states = np.concatenate((ad[active], bc[active]))
+        if not active.size:
+            break
+        states, t_a = np.concatenate((ad[active], bc[active])), t[active]
         s = summarize_many(
             table["width"][states], table["alpha"][states], np.full(states.size, mass),
-            [t[i] for i in active] * 2, levels=table["n_cut"][states],
+            np.tile(t_a, 2), levels=table["n_cut"][states],
         )
         u, c = (np.split(s[name], 2) for name in ("internal_energy", "heat_capacity"))
-        still = []
-        for i, h_i, g in zip(active, (u[0] - u[1]).tolist(), (c[0] - c[1]).tolist()):
-            h[i] = h_i
-            if g == 0.0:
-                continue
-            if (g < 0.0) == (lo[i][2] < 0.0):
-                lo[i] = (t[i], h_i, g)
-            else:
-                hi[i] = (t[i], h_i, g)
-            t_next = _stationary_point(lo[i], hi[i])
-            if abs(t_next - t[i]) > _CROSSING_T_TOL * t[i]:
-                t[i] = t_next
-                still.append(i)
-        active = still
-        if not active:
-            break
-    return np.array(h)
+        h[active] = h_a = u[0] - u[1]
+        g = c[0] - c[1]
+        point = np.stack((t_a, h_a, g))
+        left = (g < 0.0) == (lo[2, active] < 0.0)
+        lo[:, active] = np.where(left, point, lo[:, active])
+        hi[:, active] = np.where(left, hi[:, active], point)
+        t_next = _stationary_point(lo[:, active], hi[:, active])
+        going = (g != 0.0) & (abs(t_next - t_a) > _CROSSING_T_TOL * t_a)
+        active = active[going]
+        t[active] = t_next[going]
+    return h
 
 
-def _stationary_point(lo, hi) -> float:
-    """The T strictly inside a bracket where the Hermite cubic of h is flat.
+@np.errstate(divide="ignore", invalid="ignore")
+def _stationary_point(lo, hi):
+    """The T strictly inside each bracket where the Hermite cubic of h is flat.
 
-    With s = (T - T_lo) / w the cubic's slope is the quadratic
-    g0 + (g1 - g0) s + k s (1 - s); g0 and g1 differ in sign, so it has
-    exactly one root in (0, 1).
+    `lo` and `hi` are as in `_h_at_crossings`.  With s = (T - T_lo) / w the
+    cubic's slope is the quadratic g0 + (g1 - g0) s + k s (1 - s); g0 and g1
+    differ in sign, so it has exactly one root in (0, 1).
     """
     (t0, h0, g0), (t1, h1, g1) = lo, hi
     w = t1 - t0
     k = 6.0 * ((h1 - h0) / w - 0.5 * (g0 + g1))
     c1, c2 = g1 - g0 + k, -k
-    disc = max(c1 * c1 - 4.0 * c2 * g0, 0.0)
-    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
-    roots = (g0 / q, q / c2) if c2 else (g0 / q,)
+    disc = np.maximum(c1 * c1 - 4.0 * c2 * g0, 0.0)
+    q = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1))
+    first, second = g0 / q, q / c2  # q / c2 is inf or nan where c2 == 0, never inside (0, 1)
     # rounding can push the root onto an end; false position stays inside
-    s = next((r for r in roots if 0.0 < r < 1.0), g0 / (g0 - g1))
+    s = np.where((0.0 < first) & (first < 1.0), first,
+                 np.where((0.0 < second) & (second < 1.0), second, g0 / (g0 - g1)))
     return t0 + w * s
 
 

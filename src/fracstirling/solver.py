@@ -386,27 +386,29 @@ def trace_curve(
     whose solve fails are reported as None, preserving order.  A usage error (ValueError), such as
     a bad `tol`, `rel_tol`, `levels`, a `scan_points` that is no integer from
     2 to MAX_NODES, a grid value or bracket outside the validity domain,
-    raises before any node.
+    raises before any node, and on an empty grid too.
     """
     if sweep_parameter not in SWEEPABLE or solve_parameter not in SWEEPABLE:
         raise ValueError(f"parameters must be among {SWEEPABLE}")
     if sweep_parameter == solve_parameter:
         raise ValueError("sweep and solve parameters must differ")
     grid = list(grid)
-    steps = np.diff(np.array(grid, dtype=float))
-    if not (np.all(steps > 0) or np.all(steps < 0)):
+    # Python's < orders a grid value past the float range exactly; the domain rejects it below
+    steps = list(zip(grid, grid[1:]))
+    if not (all(a < b for a, b in steps) or all(a > b for a, b in steps)):
         raise ValueError("grid must be strictly monotone")
     _check_tol(tol)
     lo, hi = _clip_bracket(solve_parameter, *bracket)
     xs = _scan_points(lo, hi, scan_points)
-    if grid:  # in the order a scan node by node meets them
-        swept, solved = _QUANTITIES[sweep_parameter], _QUANTITIES[solve_parameter]
+    # in the order a scan node by node meets them; an empty grid checks all but grid values
+    swept, solved = _QUANTITIES[sweep_parameter], _QUANTITIES[solve_parameter]
+    if grid:
         _check_domain(sweep_parameter, grid[0], swept)
-        for x in xs:
-            _check_domain(solve_parameter, x, solved)
-        _check_cut_args(rel_tol, levels)
-        for g in grid[1:]:
-            _check_domain(sweep_parameter, g, swept)
+    for x in xs:
+        _check_domain(solve_parameter, x, solved)
+    _check_cut_args(rel_tol, levels)
+    for g in grid[1:]:
+        _check_domain(sweep_parameter, g, swept)
 
     points: list[RegenerationPoint | None] = []
     prev_root: float | None = None

@@ -78,11 +78,14 @@ def energy_level(spec: WellSpec, n: int) -> float:
     """Return the n-th eigenvalue, E_n = (1/(2m))^(a/2) (pi/(2L))^a n^a.
 
     Strictly increasing in n and strictly decreasing in the well width.
-    n starts at 1 (the ground state).
+    n starts at 1 (the ground state).  n^a is numpy's array power, as in
+    `energy_levels` and the kernel, so E_n equals `energy_levels(spec, n)[n - 1]`
+    bit for bit; Python's `**` differs from it in the last bit on some pairs.
     """
     if n < 1:
         raise ValueError(f"level index must be a positive integer, got {n}")
-    return level_scale(spec.width, spec.alpha, spec.mass) * float(n) ** spec.alpha
+    power = (np.array([float(n)]) ** spec.alpha).item()
+    return level_scale(spec.width, spec.alpha, spec.mass) * power
 
 
 def energy_levels(spec: WellSpec, n_max: int) -> np.ndarray:

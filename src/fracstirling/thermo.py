@@ -41,7 +41,7 @@ from operator import mul
 import numpy as np
 
 from .spectrum import (  # energy_levels: tracer-only import, bench/tracer.py rebinds thermo.energy_levels
-    _DOMAIN, _INF, _T_MIN, WellSpec, _check_beta, _check_domain, energy_levels, level_scale,
+    _DOMAIN, _INF, _MAX, _T_MIN, WellSpec, _check_beta, _check_domain, energy_levels, level_scale,
 )
 
 DEFAULT_REL_TOL = 1e-12
@@ -181,7 +181,7 @@ def summarize_many(
     temperature[i]); the four arguments are equal-length 1-D sequences.
     `levels` is None, one count for all states or a sequence of one per
     state; the per-state counts, which the cycle's crossing search takes from
-    a table, have no upper bound.  `n_cut` is float64, each value an integer
+    a table, have no upper bound but the float range.  `n_cut` is float64, each value an integer
     that may pass the int64 range.  `failure` is 0, or FLOAT_RANGE where E_1
     is not a finite float, where an adaptive cut has no finite N because x =
     E_1/T underflows, or where U, S, F or C leaves the float range (T_2, the
@@ -194,14 +194,17 @@ def summarize_many(
     blocks of at most _BLOCK_ENTRIES entries (or one row), so the memory held
     is bounded for any number of states.  A state's row depends on that
     state alone, so its fields are the same bit for bit whatever other
-    states share the call.  The first state outside the validity domain
-    raises the ValueError ThermalState(WellSpec(...), T) raises on it, naming
-    the field; a bad `rel_tol`, `levels` or shape raises ValueError too.
+    states share the call.  The first state outside the validity domain, a
+    Python int past the float range too, raises the ValueError
+    ThermalState(WellSpec(...), T) raises on it, naming the field; a bad
+    `rel_tol`, `levels` or shape raises ValueError too.
     """
     per_state = levels is not None and np.ndim(levels) > 0
     _check_cut_args(rel_tol, None if per_state else levels)
     try:
         states = np.array((width, alpha, mass, temperature), dtype=float)
+    except OverflowError:  # a Python int past the float range: compared exactly below
+        states = np.array((width, alpha, mass, temperature), dtype=object)
     except ValueError:
         states = None
     if states is None or states.ndim != 2:
@@ -215,7 +218,8 @@ def summarize_many(
     width, alpha, mass, temperature = states
     if per_state:
         fixed = np.broadcast_to(levels, temperature.shape)
-        if not np.all((1 <= fixed) & (fixed % 1 == 0)):
+        # a count past the float range fails before the remainder, which warns on inf
+        if not (np.all((1 <= fixed) & (fixed <= _MAX)) and np.all(fixed % 1 == 0)):
             raise ValueError("need one positive integer level count per state")
     count = temperature.size
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -24,7 +24,7 @@ from fracstirling import (
     sweep,
 )
 from fracstirling import cycle as cycle_mod
-from fracstirling.cycle import _CROSSING_MAX_STEPS, _CROSSING_T_TOL, _stationary_point
+from fracstirling.cycle import _CROSSING_MAX_STEPS, _CROSSING_T_TOL
 from fracstirling.reference import BENCH_ROWS
 
 BATHS = dict(t_hot=4.0, t_cold=3.0)
@@ -85,31 +85,60 @@ def dense_regenerator_deficit(params, levels=None, points=2001, n_terms=400):
     return float(np.sum(np.maximum(np.diff(h), 0.0)))
 
 
-def scalar_h_at_crossing(ad, bc, lo, hi):
-    """The crossing search one node at a time, on the one-state `summarize`.
+def scalar_stationary_point(lo, hi):
+    """One Hermite step of the crossing search on one bracket, in Python floats.
 
-    `ad` and `bc` are (well, level count) of the two isochores, `lo` and
-    `hi` are (T, h, slope) at the bracket ends; the steps and the stopping
-    rule are those of the lockstep search in `cycle`.
+    `lo` and `hi` are (T, h, slope) at the bracket ends; the root of the
+    cubic's slope strictly inside, or the false-position point.
     """
-    (well_ad, n_ad), (well_bc, n_bc) = ad, bc
-    t = _stationary_point(lo, hi)
-    for _ in range(_CROSSING_MAX_STEPS):
-        s_ad = summarize(ThermalState(well_ad, t), levels=n_ad)
-        s_bc = summarize(ThermalState(well_bc, t), levels=n_bc)
-        g = s_ad.heat_capacity - s_bc.heat_capacity
-        h = s_ad.internal_energy - s_bc.internal_energy
+    (t0, h0, g0), (t1, h1, g1) = lo, hi
+    w = t1 - t0
+    k = 6.0 * ((h1 - h0) / w - 0.5 * (g0 + g1))
+    c1, c2 = g1 - g0 + k, -k
+    disc = max(c1 * c1 - 4.0 * c2 * g0, 0.0)
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    roots = (g0 / q, q / c2) if c2 else (g0 / q,)
+    s = next((r for r in roots if 0.0 < r < 1.0), g0 / (g0 - g1))
+    return t0 + w * s
+
+
+def scalar_crossing_search(state_at, lo, hi):
+    """The crossing search of one node, with the steps and stopping rule of `cycle`'s.
+
+    `state_at(T)` gives (h, slope) at T, `lo` and `hi` are (T, h, slope) at
+    the bracket ends.  Returns h at the last step, the number of steps and
+    the last slope.
+    """
+    t = scalar_stationary_point(lo, hi)
+    for step in range(1, _CROSSING_MAX_STEPS + 1):
+        h, g = state_at(t)
         if g == 0.0:
             break
         if (g < 0.0) == (lo[2] < 0.0):
             lo = (t, h, g)
         else:
             hi = (t, h, g)
-        t_next = _stationary_point(lo, hi)
+        t_next = scalar_stationary_point(lo, hi)
         if abs(t_next - t) <= _CROSSING_T_TOL * t:
             break
         t = t_next
-    return h
+    return h, step, g
+
+
+def scalar_h_at_crossing(ad, bc, lo, hi):
+    """The crossing search one node at a time, on the one-state `summarize`.
+
+    `ad` and `bc` are (well, level count) of the two isochores, `lo` and
+    `hi` are (T, h, slope) at the bracket ends.
+    """
+    (well_ad, n_ad), (well_bc, n_bc) = ad, bc
+
+    def state_at(t):
+        s_ad = summarize(ThermalState(well_ad, t), levels=n_ad)
+        s_bc = summarize(ThermalState(well_bc, t), levels=n_bc)
+        return s_ad.internal_energy - s_bc.internal_energy, s_ad.heat_capacity - s_bc.heat_capacity
+
+    return scalar_crossing_search(state_at, lo, hi)[0]
 
 
 def reference_crossing_q_h(params, levels=None):
@@ -362,6 +391,62 @@ class TestDegenerateError:
         monkeypatch.setattr(cycle_mod, "summarize_many", fake_corner_table)
         with pytest.raises(DegenerateCycleError):
             cycle_mod.evaluate(CycleParams(0.8, 1.2, 1.5, 1.5, **BATHS))
+
+
+def closed_form_isochores(width, alpha, mass, temperature, rel_tol=1e-12, levels=None):
+    """Crafted isochore states whose U(T) and C(T) = dU/dT are polynomials in T.
+
+    alpha 1 marks a state with U = C = 0, alpha 2 one with U = (T - w)^2,
+    alpha 1.5 one with U = T^6 / 6 - w T and alpha 1.2 one with C = (T - 2.9)
+    (T - w), w being the width.  Only + - * / on each element, so every value
+    is the same whatever the call holds.
+    """
+    w, a, t = (np.asarray(v, dtype=float) for v in (width, alpha, temperature))
+    t5 = t * t * t * t * t
+    kinds = [a == 2.0, a == 1.5, a == 1.2]
+    u = np.select(kinds, [(t - w) * (t - w), t5 * t / 6.0 - w * t,
+                          t * t * t / 3.0 - (2.9 + w) * t * t / 2.0 + 2.9 * w * t], 0.0)
+    c = np.select(kinds, [2.0 * (t - w), t5 - w, (t - 2.9) * (t - w)], 0.0)
+    return {"internal_energy": u, "heat_capacity": c}
+
+
+class TestCrossingSearch:
+    # row 0 is the zero state every node's BC isochore shares; the AD
+    # isochores' h' changes sign in [3, 4] at 3.5 (row 1), at w^(1/5) (rows
+    # 2 to 5) and at 3.6 (row 6), where the Hermite slope's root inside is
+    # the quadratic's second root
+    WIDTHS = [0.0, 3.5, 250.0, 400.0, 650.0, 1000.0, 3.6]
+    ALPHAS = [1.0, 2.0, 1.5, 1.5, 1.5, 1.5, 1.2]
+
+    def test_lockstep_search_equals_the_scalar_loop(self, monkeypatch):
+        table = {"width": np.array(self.WIDTHS), "alpha": np.array(self.ALPHAS), "n_cut": np.ones(7)}
+        ad, bc = np.arange(1, 7), np.zeros(6, dtype=int)
+
+        def state_at(node, t):
+            s = closed_form_isochores([self.WIDTHS[node], 0.0], [self.ALPHAS[node], 1.0], [1.0, 1.0], [t, t])
+            u, c = s["internal_energy"].tolist(), s["heat_capacity"].tolist()
+            return u[0] - u[1], c[0] - c[1]
+
+        lo = np.array([(3.0, *state_at(node, 3.0)) for node in ad.tolist()]).T
+        hi = np.array([(4.0, *state_at(node, 4.0)) for node in ad.tolist()]).T
+        want = [
+            scalar_crossing_search(lambda t: state_at(node, t), tuple(lo[:, k]), tuple(hi[:, k]))
+            for k, node in enumerate(ad.tolist())
+        ]
+        active = []
+        monkeypatch.setattr(
+            cycle_mod, "summarize_many",
+            lambda width, *args, **kwargs: active.append(len(width) // 2) or closed_form_isochores(width, *args),
+        )
+        got = cycle_mod._h_at_crossings(table, ad, bc, 1.0, lo, hi)
+        assert [v.hex() for v in got.tolist()] == [h.hex() for h, _, _ in want]
+        # one call per step, on the nodes whose scalar search had not stopped
+        steps = [n for _, n, _ in want]
+        assert active == [sum(n > i for n in steps) for i in range(max(steps))]
+        # the quadratic node stops at an exact zero slope after one step while
+        # the others step on, and they stop after different step counts
+        assert want[0][1:] == (1, 0.0) and all(g != 0.0 for _, _, g in want[1:])
+        assert len(set(steps[1:])) > 1
 
 
 class TestCarnot:

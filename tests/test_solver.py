@@ -568,6 +568,29 @@ class TestTraceCurve:
             trace_curve(BASE, sweep_parameter, solve_parameter, grid, bracket, levels=levels)
         assert str(err.value) == str(want.value)
 
+    @pytest.mark.parametrize(
+        "solve_parameter, bracket, kwargs, message",
+        [
+            ("alpha_1", (1.3, 2.0), dict(rel_tol=5.0), "rel_tol must lie in"),
+            ("alpha_1", (1.3, 2.0), dict(levels=0), "levels must lie in"),
+            ("width_a", (0.0, 1.0), {}, "width_a must be positive and finite, got 0.0"),
+        ],
+        ids=["rel_tol", "levels", "scan point"],
+    )
+    def test_an_empty_grid_checks_its_other_arguments(self, solve_parameter, bracket, kwargs, message):
+        # as `sweep` does; only grid values are left to check
+        with pytest.raises(ValueError, match=message):
+            trace_curve(BASE, "alpha_2", solve_parameter, [], bracket, **kwargs)
+
+    def test_grid_value_past_the_float_range_raises_as_cycle_params(self):
+        # a Python int that numpy cannot hold as a float
+        with pytest.raises(ValueError) as want:
+            replace(BASE, width_a=10**400)
+        for grid in ([1.0, 10**400], [10**400, 1.0]):
+            with pytest.raises(ValueError) as err:
+                trace_curve(BASE, "width_a", "alpha_1", grid, (1.3, 2.0))
+            assert str(err.value) == str(want.value)
+
     def test_bracket_outside_the_domain_raises(self):
         # a width bracket is not clipped below; its first scan point is invalid
         with pytest.raises(ValueError, match="width_a must be positive"):

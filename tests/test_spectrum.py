@@ -65,6 +65,16 @@ class TestEnergyLevels:
         for i in range(12):
             assert batch[i] == pytest.approx(energy_level(spec, i + 1), rel=1e-15)
 
+    def test_scalar_form_is_the_array_element_bit_for_bit(self):
+        # Python's ** differs from numpy's array power in the last bit on
+        # some (alpha, n) pairs; energy_level takes numpy's
+        rng = np.random.default_rng(1)
+        for _ in range(8):
+            spec = WellSpec(float(rng.uniform(0.1, 10.0)), float(rng.uniform(1.0, 2.0)), float(rng.uniform(0.1, 10.0)))
+            batch = energy_levels(spec, 10**6)
+            ns = np.concatenate((np.arange(1, 201), rng.integers(1, 10**6 + 1, 800), [10**6])).tolist()
+            assert [energy_level(spec, n).hex() for n in ns] == [batch[n - 1].item().hex() for n in ns]
+
     def test_singleton(self):
         spec = WellSpec(2.0, 1.3)
         assert energy_levels(spec, 1).tolist() == [energy_level(spec, 1)]

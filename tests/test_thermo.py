@@ -289,6 +289,14 @@ class TestTruncation:
             summarize_many([1.0, 1.0], [1.5, 1.5], [1.0, 1.0], [4.0, 4.0], levels=[10, 10.5])
         assert summarize(UNIT_STATE, levels=10.0) == summarize(UNIT_STATE, levels=10)
 
+    @pytest.mark.parametrize("count", [math.inf, -math.inf, math.nan, 10**400], ids=["inf", "-inf", "nan", "10**400"])
+    def test_rejects_a_per_state_count_past_the_float_range_without_a_warning(self, count):
+        # the remainder that tests a count for an integer warns on inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="need one positive integer level count per state"):
+                summarize_many([1.0, 1.0], [1.5, 1.5], [1.0, 1.0], [4.0, 4.0], levels=[10, count])
+
     @pytest.mark.parametrize(
         "well, levels",
         [
