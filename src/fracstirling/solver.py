@@ -399,7 +399,10 @@ def trace_curve(
         raise ValueError("grid must be strictly monotone")
     _check_tol(tol)
     lo, hi = _clip_bracket(solve_parameter, *bracket)
-    xs = _scan_points(lo, hi, scan_points)
+    try:
+        xs = _scan_points(lo, hi, scan_points)
+    except OverflowError:  # an end is a Python int past the float range: the domain rejects it below
+        xs = [lo, hi]
     # in the order a scan node by node meets them; an empty grid checks all but grid values
     swept, solved = _QUANTITIES[sweep_parameter], _QUANTITIES[solve_parameter]
     if grid:
@@ -411,7 +414,7 @@ def trace_curve(
         _check_domain(sweep_parameter, g, swept)
 
     points: list[RegenerationPoint | None] = []
-    prev_root: float | None = None
+    prev_root = 0.5 * (lo + hi)  # the first node chooses the candidate nearest the bracket midpoint
     rows = max(1, _SCAN_CHUNK // scan_points)
     for start in range(0, len(grid), rows):
         chunk = grid[start:start + rows]
@@ -433,8 +436,7 @@ def trace_curve(
         for g, end in zip(chunk, ends):
             point = None
             if end > start:
-                target = prev_root if prev_root is not None else 0.5 * (lo + hi)
-                k = min(range(start, end), key=lambda k: abs(middles[k] - target))
+                k = min(range(start, end), key=lambda k: abs(middles[k] - prev_root))
                 if failures[k] is None:  # a failed solve leaves the node a gap
                     prev_root = roots[k]
                     params = replace(base, **{sweep_parameter: g, solve_parameter: prev_root})

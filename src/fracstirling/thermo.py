@@ -5,20 +5,20 @@ x = E_1/T and the relative tolerance before any level is computed (see
 `_level_count`), so a state computes one block of levels and searches for
 nothing.  A state cut at N <= _HEAD levels sums all N; one cut past it sums
 its first _HEAD levels and closes levels _HEAD + 1 .. N with Euler-Maclaurin
-(`_tail_sums`), to about 1e-15 of the explicit sum, so it computes _HEAD + 3
-levels whatever N is.  The adaptive cut has no cap: N is finite for x down
-to about 1e-305, far below the x of about 1e-103 where the sums leave the
-float range, so a state fails only where they do.
+(`_tail_sums`) to about 1e-15 of the explicit sum: 274 levels whatever N is,
+a row of _HEAD + _PAD and the closure's two ends.  The adaptive cut has no
+cap: N is finite for x down to about 1e-305, far below the x of about 1e-103
+where the sums leave the float range, so a state fails only where they do.
 
 There is one ensemble kernel, and it sees a state only through alpha, x and
 N.  A level enters as g_n = n^alpha - 1, its weight relative to the ground
 level as e^(-x g_n): `_row_sums` sums a 2-D block of them, one state per row,
 into T_k = sum g_n^k e^(-x g_n), k = 0, 1, 2, a closed row adds the T_k of
 `_tail_sums`, and `_summary_fields`, the one place E_1 and T enter, turns
-them into U, S, F, Z, C and the tail bound.  The ground weight is 1, so the
-sums hold where x exceeds 700 in narrow wells and e^(-x) underflows, and no
-energy E_n is formed: levels past the float range weigh 0.  S = x <g> +
-ln T_0 is nonnegative by construction and needs no per-term p ln p guard.
+them and N into U, S, F, Z, C and the tail bound.  The ground weight is 1,
+so the sums hold where x exceeds 700 in narrow wells and e^(-x) underflows,
+and no energy E_n is formed: levels past the float range weigh 0.  S = x <g>
++ ln T_0 is nonnegative by construction and needs no per-term p ln p guard.
 `summarize_many` pads each state's row of explicit levels, min(N, _HEAD) of
 them, with zero weights to the multiple of _PAD above that count, and sums
 all states of one padded length in one capped block, so a call holding
@@ -110,7 +110,10 @@ class EnsembleSummary:
     `n_cut` is the level count N the sums run to, an int of any size: an
     adaptive cut in a wide or hot well may pass 1e100.  `tail_bound` is the
     rigorous upper bound on the neglected partition function tail, relative
-    to the kept sum; it is at most rel_tol at an adaptive cut.
+    to the kept sum T_0: the weights w_n = e^(-x(n^alpha - 1)), x = E_1/T,
+    past N fall at least as fast as a geometric series of ratio r =
+    e^(-x dg), dg = N^alpha ((1 + 1/N)^alpha - 1), so the tail is at most
+    w_N r / ((1 - r) T_0).  It is at most rel_tol at an adaptive cut.
     `heat_capacity` is dU/dT = beta^2 Var(E) over the kept levels.  See
     `occupations` for P_n.
     """
@@ -245,10 +248,12 @@ def summarize_many(
             n_cut = np.where(np.isnan(scale), np.nan, fixed if per_state else levels)
         n_cut[~np.isfinite(n_cut)] = 0.0  # no level is summed, and every field is nan
 
-        # per state: g_{N+1} - g_N, the last kept weight and T_0, T_1, T_2
-        sums = np.full((5, count), np.nan)
+        # per state: T_0, T_1, T_2
+        sums = np.full((3, count), np.nan)
         kept = np.minimum(n_cut, _HEAD).astype(np.int64)
-        padded = np.where(kept > 0, (kept | (_PAD - 1)) + 1, 0)  # _PAD a power of 2
+        # a row's length fixes the pairwise tree of its sums, so this rule, the
+        # multiple of _PAD (a power of 2) above the kept count, keeps their bits
+        padded = np.where(kept > 0, (kept | (_PAD - 1)) + 1, 0)
         for length in sorted(set(padded.tolist()) - {0}):
             group = (padded == length).nonzero()[0]
             ladder = np.arange(1.0, length + 1.0)
@@ -261,18 +266,10 @@ def summarize_many(
         # a state cut past _HEAD adds levels _HEAD + 1 .. N in closed form to
         # its head; past a head whose last weight underflows every one weighs 0
         closed = (n_cut > _HEAD).nonzero()[0]
-        if closed.size:
-            live = closed[sums[1, closed] > 0.0]
-            sums[2:, live] += _tail_sums(alpha[live], x[live], n_cut[live])
-            n, a = n_cut[closed], alpha[closed]
-            power = n**a
-            # g_{N+1} - g_N as N^alpha ((1 + 1/N)^alpha - 1): the plain
-            # difference of two powers is 0 once N passes 2^53
-            sums[:2, closed] = power * np.expm1(a * np.log1p(1.0 / n)), np.exp(-x[closed] * (power - 1.0))
-        fields = _summary_fields(scale, temperature, x, *sums)
-        if closed.size:  # 1 - r as -expm1: where x dg is below 1e-16, 1 - r rounds to 0
-            step = x[closed] * sums[0, closed]
-            fields["tail_bound"][closed] = sums[1, closed] * np.exp(-step) / (-np.expm1(-step) * sums[2, closed])
+        if closed.size:  # a call with no closed row skips the closure's fixed cost
+            live = closed[np.exp(-x[closed] * (_HEAD ** alpha[closed] - 1.0)) > 0.0]
+            sums[:, live] += _tail_sums(alpha[live], x[live], n_cut[live])
+        fields = _summary_fields(scale, temperature, alpha, x, n_cut, *sums)
     # no cut, or U, S, F or C past the float range, as T ln T_0 or E_1 (1 + <g>)
     # may be where E_1 or T is near the float maximum, and T_2 is where x underflows
     finite = np.isfinite(fields["internal_energy"]) & np.isfinite(fields["entropy"])
@@ -336,22 +333,18 @@ def _row_sums(g: np.ndarray, x, n):
     a state, of which the first n[i] < P are kept, with weights e^(-x g_m);
     the entries past them weigh exactly 0.  For a state cut past _HEAD
     levels this is its head, n[i] = _HEAD.  `x` is E_1/T, a column of one
-    per row.  Returns per row g_{N+1} - g_N and the last kept weight w_N at
-    N = n[i], and T_k = sum g_m^k w_m, k = 0, 1, 2.  Every reduction runs
-    along a row of P entries, so a row sums bit for bit as it would alone,
-    in whatever block it is.
+    per row.  Returns per row T_k = sum g_m^k w_m, k = 0, 1, 2.  Every
+    reduction runs along a row of P entries, so a row sums bit for bit as it
+    would alone, in whatever block it is.
     """
     weights = np.multiply(g, -x)
     np.exp(weights, out=weights)
     # a row keeps all but some of its last _PAD entries
     weights[:, -_PAD:] *= _KEEP.take(n - (g.shape[1] - _PAD), axis=0)
-    at = np.arange(0, g.size, g.shape[1]) + n  # the flat index of level N + 1
-    spacing = g.take(at) - g.take(at - 1)
-    last_weight = weights.take(at - 1)
     t0 = np.add.reduce(weights, axis=1)
     weights *= g
     t1 = np.add.reduce(weights, axis=1)
-    return spacing, last_weight, t0, t1, np.vecdot(weights, g)
+    return t0, t1, np.vecdot(weights, g)
 
 
 def _tail_sums(alpha, x, n):
@@ -444,24 +437,26 @@ def _gamma_ratios(s, y):
     return np.array(lower), np.array(upper)
 
 
-def _summary_fields(e1, temperature, x, spacing, last_weight, t0, t1, t2):
-    """The EnsembleSummary fields other than n_cut, from x = E_1/T and `_row_sums`.
+def _summary_fields(e1, temperature, alpha, x, n, t0, t1, t2):
+    """The EnsembleSummary fields other than n_cut, from x = E_1/T, the cut N and the T_k.
 
-    Floats or arrays alike, in one operation order.  Call under
-    np.errstate(over="ignore", divide="ignore"): x and x dg may be large
-    enough that a weight is 0, and the tail bound may divide by 0.
+    Call under np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    x and x dg may be large enough that a weight is 0, the tail bound may
+    divide by 0, and a state with no cut, N = 0, has nan sums.
     """
     log_z = np.log(t0)
     mean = t1 / t0  # <g>, so U - E_1 = E_1 <g>, free of cancellation
     x_mean = x * mean
-    ratio = np.exp(-x * spacing)  # a numpy float, so a division by 0 is inf
+    power = n**alpha
+    # x dg with dg = g_{N+1} - g_N as N^alpha ((1 + 1/N)^alpha - 1), as the
+    # plain difference of two powers is 0 once N passes 2^53, and 1 - r as
+    # -expm1, as 1 - r rounds to 0 where x dg is below 1e-16
+    step = x * (power * np.expm1(alpha * np.log1p(1.0 / n)))
     return {
         "partition_function": np.exp(-x) * t0,
         "internal_energy": e1 + e1 * mean,
         "entropy": x_mean + log_z,
         "free_energy": e1 - temperature * log_z,
-        # a fixed cut at a level spacing far below T rounds the ratio to 1
-        # and leaves an unbounded tail
-        "tail_bound": last_weight * ratio / ((1.0 - ratio) * t0),
+        "tail_bound": np.exp(-x * (power - 1.0)) * np.exp(-step) / (-np.expm1(-step) * t0),
         "heat_capacity": x * (x * t2 / t0) - x_mean * x_mean,
     }

@@ -2,7 +2,7 @@
 
 Each quantity is probed at each bound of its domain, one float to each side
 of it, nan, +-inf and a Python int past the float range.  WellSpec, ThermalState, CycleParams, a SweepAxis end,
-`summarize_many`, a `trace_curve` grid value and a width scan point must all
+`summarize_many`, a `trace_curve` grid value and a width scan point or bracket end must all
 accept it or all raise ValueError, as the domain stated here says; where two
 of them word a failure by the same field, their messages are byte-identical.
 """
@@ -77,9 +77,10 @@ def verdicts(quantity, v):
         out[f"SweepAxis.{field}"] = words(lambda: SweepAxis(field, *ends, 3))
         out[f"trace grid {field}"] = words(
             lambda: trace_curve(BASE, field, OTHER[field], [v], (1.3, 2.0), levels=10, scan_points=4))
-        # an alpha bracket is clipped into the domain; a scan of a bracket past the float range is not probed
-        if quantity == "width" and v != BIG and math.isfinite(v):
-            assert v in solver._scan_points(*ends, 2)
+        # an alpha bracket is clipped into the domain; a width bracket's end is a scan point,
+        # or past the float range, where the scan is worded by that end
+        if quantity == "width" and (v is BIG or math.isfinite(v)):
+            assert v is BIG or v in solver._scan_points(*ends, 2)
             out[f"trace scan {field}"] = words(
                 lambda: trace_curve(BASE, OTHER[field], field, [1.5], ends, levels=10, scan_points=2))
     return out

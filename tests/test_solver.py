@@ -591,6 +591,19 @@ class TestTraceCurve:
                 trace_curve(BASE, "width_a", "alpha_1", grid, (1.3, 2.0))
             assert str(err.value) == str(want.value)
 
+    @pytest.mark.parametrize(
+        "grid, field, value",
+        [([1.5], "width_a", 10**400), ([3.0], "alpha_2", 3.0)],
+        ids=["the bracket end", "the first grid value"],
+    )
+    def test_bracket_end_past_the_float_range_raises_in_scan_order(self, grid, field, value):
+        # no uniform scan spans [1, 10**400]: its end is checked as the scan point it would be
+        with pytest.raises(ValueError) as want:
+            replace(BASE, **{field: value})
+        with pytest.raises(ValueError) as err:
+            trace_curve(BASE, "alpha_2", "width_a", grid, (1.0, 10**400))
+        assert str(err.value) == str(want.value)
+
     def test_bracket_outside_the_domain_raises(self):
         # a width bracket is not clipped below; its first scan point is invalid
         with pytest.raises(ValueError, match="width_a must be positive"):

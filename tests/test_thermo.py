@@ -325,9 +325,11 @@ class TestTruncation:
                 summarize(ThermalState(well, 4.0), levels=levels)
 
     def test_fixed_cut_far_below_temperature(self):
-        # level spacings below T/1e17 round the weight ratio to 1
+        # level spacings below T/1e17 round the weight ratio r to 1, yet 1 - r
+        # is formed as -expm1 and the bound is finite: w_N r / ((1 - r) T_0)
+        # in mpmath at 50 digits
         s = summarize(ThermalState(WellSpec(1.0, 2.0), 1e19), levels=10)
-        assert s.tail_bound == math.inf
+        assert s.tail_bound == pytest.approx(3.8598546149462008e16, rel=1e-15)
         assert all(math.isfinite(v) for v in (s.internal_energy, s.entropy))
 
     @pytest.mark.parametrize(
@@ -727,6 +729,68 @@ class TestClosure:
         assert s.n_cut > thermo._HEAD
         assert s.partition_function == pytest.approx(z, rel=1e-13)
         assert s.internal_energy == pytest.approx(x * moment / z, rel=1e-13)
+
+
+def geometric_bound(state, n):
+    """w_N r / ((1 - r) T_0) over the kept levels 1 .. N, r = w_{N+1} / w_N, in mpmath at 40 digits.
+
+    x = E_1/T is the float the kernel forms; the rest is exact to 40 digits.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    well = state.well
+    x = level_scale(well.width, well.alpha, well.mass) / state.temperature
+    with mpmath.workdps(40):
+        g = [mpmath.mpf(k) ** well.alpha - 1 for k in range(1, n + 2)]
+        t0 = mpmath.fsum(mpmath.exp(-x * gk) for gk in g[:n])
+        step = x * (g[n] - g[n - 1])
+        return float(mpmath.exp(-x * g[n - 1] - step) / (-mpmath.expm1(-step) * t0))
+
+
+class TestCutEdge:
+    """Every state's tail bound is one closed form in alpha, x and N, head row or closed."""
+
+    @pytest.mark.parametrize(
+        "well, t, levels",
+        [
+            (WellSpec(1.0, 2.0), 4.0, 10),  # head rows, fixed
+            (WellSpec(1.2, 1.6), 3.0, 10),
+            (WellSpec(5.0, 1.1), 4.0, 100),
+            (WellSpec(1.0, 2.0), 4.0, None),  # head rows, adaptive
+            (WellSpec(1.8, 1.4), 4.0, None),
+            (WellSpec(0.3, 1.9, 2.0), 1.0, None),
+            (WellSpec(5.0, 1.1), 4.0, 300),  # closed rows, fixed
+            (WellSpec(20.0, 1.05), 60.0, 2000),
+            (WellSpec(5.0, 1.1), 4.0, None),  # closed rows, adaptive
+            (WellSpec(3.0, 1.6), 400.0, None),
+            (WellSpec(1.0, 2.0), 1e19, 10),  # x dg near 1e-18: r rounds to 1
+            (WellSpec(1.0, 2.0), 1e19, 300),
+            (WellSpec(1.0, 1.5), 1e14, 20),
+            (WellSpec(3.0, 1.6), 400.0, thermo._HEAD),  # both sides of the head on one state
+            (WellSpec(3.0, 1.6), 400.0, thermo._HEAD + 1),
+        ],
+    )
+    def test_matches_the_geometric_bound(self, well, t, levels):
+        state = ThermalState(well, t)
+        s = summarize(state, levels=levels)
+        assert s.n_cut == levels or levels is None
+        assert s.n_cut <= 5000  # the oracle sums every kept level
+        assert 0.0 < s.tail_bound == pytest.approx(geometric_bound(state, s.n_cut), rel=1e-14)
+
+    def test_a_call_without_a_closed_row_skips_the_closure(self, monkeypatch):
+        # the closure costs a fixed time per call, paid only where a row needs it
+        calls, tail_sums = [], thermo._tail_sums
+
+        def counting(alpha, *args):
+            calls.append(alpha.size)
+            return tail_sums(alpha, *args)
+
+        monkeypatch.setattr(thermo, "_tail_sums", counting)
+        widths, alphas, masses = [1.0, 3.0], [2.0, 1.6], [1.0, 1.0]
+        assert summarize_many(widths, alphas, masses, [4.0, 3.0])["n_cut"].max() <= thermo._HEAD
+        summarize_many(widths, alphas, masses, [4.0, 400.0], levels=thermo._HEAD)
+        assert calls == []
+        assert summarize_many(widths, alphas, masses, [4.0, 400.0])["n_cut"].tolist() == [11, 1051]
+        assert calls == [1]
 
 
 class TestPastAMillionLevels:
