@@ -13,7 +13,6 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import astuple
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -43,12 +42,17 @@ _ERROR_FIELDS = ",".join(["nan"] * 9 + ["error"] + ["nan"] * 8)
 
 _fmt = "%.17g".__mod__
 
+# rows of the sweep CSV formatted and held at a time, whatever the grid's shape
+_ROWS = 384
+
 
 def _write(lines, out_path: str | None) -> None:
     """Write each item of `lines`, one or more lines of text, and a newline."""
     try:
         with open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout) as fh:
-            fh.writelines(f"{line}\n" for line in lines)
+            for line in lines:  # two writes: a copy of a long item to end it would fragment the heap
+                fh.write(line)
+                fh.write("\n")
             fh.flush()
     except BrokenPipeError:  # the reader quit early, as `| head` does: drop the rest
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -114,52 +118,95 @@ def cmd_sweep(args, parser) -> int:
 
 
 def _sweep_csv(grid: SweepGrid):
-    """The sweep CSV: the header, then the rows of one x value per item.
+    """The sweep CSV: the header, then items of at most _ROWS rows each.
 
     Every field is an (nx, ny) array in CSV order, which `_sweep_fields`
-    builds one at a time, so a field that fills no slot is dropped once
-    classified.  A field whose bits repeat along y is formatted once per x
-    value (a grid constant once) and written into that x value's row
-    template; one whose bits repeat along x is formatted once per y value
-    and passed to a `%s` slot; any other gets a `%.17g` slot.  The ny rows
-    of an x value are one `%` of the template repeated ny times, and one x
-    value at a time bounds the strings held.  The text written into a
-    template is formatted floats and regime words, free of `%`; error
-    messages may hold one, so error rows replace their rows after
-    formatting.
+    builds one at a time.  A field whose bits repeat along y (x) is formatted
+    per x (y) value, a grid constant once, and any other once per node.  Each
+    field fills fixed byte slots padded with NUL, so an item's rows are one
+    uint8 matrix, and deleting its NULs leaves their text (`_sweep_rows`).
+    An item holds whole x values' rows if an x value has at most _ROWS, else
+    _ROWS of one x value's rows, so the arrays formatted and held at a time
+    are bounded whatever the grid's shape: an axis field is formatted once
+    per value where its axis has at most _ROWS values, else the slice an item
+    spans per item.  Error rows replace their rows after formatting.
     """
     yield "x,y," + ",".join(_REPORT_COLUMNS) + ",error"
     nx, ny = grid.axis_x.count, grid.axis_y.count
     xs, ys = grid.axis_x.values(), grid.axis_y.values()
-    pieces, slots = [], []  # per field its nx texts or a slot; per slot its ny texts or its array
+    fields = []  # per field: the axis it follows ("x", "y", "grid") or None, and its values or texts
     for field in _sweep_fields(grid, xs, ys):
-        floats = field.dtype == float
-        bits = field.view("int64") if floats else field  # 0.0 == -0.0, but they print apart
-        fmt = _fmt if floats else str
+        bits = field.view("int64") if field.dtype == float else field  # 0.0 == -0.0, but they print apart
         if (bits == bits[:, :1]).all():
-            if (bits == bits.flat[0]).all():
-                pieces.append([fmt(field.flat[0].item())] * nx)
-            else:
-                pieces.append(list(map(fmt, field[:, 0].tolist())))
+            axis, values = ("grid", field.flat[:1]) if (bits == bits.flat[0]).all() else ("x", field[:, 0])
         elif (bits == bits[:1]).all():
-            pieces.append("%s")
-            slots.append(list(map(fmt, field[0].tolist())))
+            axis, values = "y", field[0]
         else:
-            pieces.append("%.17g" if floats else "%s")
-            slots.append(field)
-    errors = {}
-    for (i, j), message in grid.errors.items():
-        errors.setdefault(i, []).append((j, message.replace(",", ";")))
-    for i in range(nx):
-        row = ",".join([p if isinstance(p, str) else p[i] for p in pieces]) + ","
-        values = [s if isinstance(s, list) else s[i].tolist() for s in slots]
-        block = "\n".join(repeat(row, ny)) % tuple(chain.from_iterable(zip(*values)))
-        if i in errors:
-            rows = block.split("\n")
-            for j, message in errors[i]:
-                rows[j] = f"{_fmt(xs[i])},{_fmt(ys[j])},{_ERROR_FIELDS},{message}"
-            block = "\n".join(rows)
-        yield block
+            axis, values = None, field.reshape(-1)
+        fields.append((axis, _slots(values) if axis and values.size <= _ROWS else values))
+    errors = sorted(grid.errors.items())  # in row order; a row is formatted where it is written
+    k, step = 0, max(1, _ROWS // ny)
+    for i0 in range(0, nx, step):
+        for j0 in range(0, ny, _ROWS):  # once where ny <= _ROWS
+            i1, j1 = min(i0 + step, nx), min(j0 + _ROWS, ny)
+            start, stop = i0 * ny + j0, (i1 - 1) * ny + j1  # i * ny + j over the box
+            text = _sweep_rows(fields, start, stop, (i0, i1, j0, j1))
+            if k < len(errors) and errors[k][0] < (i1 - 1, j1):
+                rows = text.split("\n")
+                while k < len(errors) and errors[k][0] < (i1 - 1, j1):
+                    (i, j), message = errors[k]
+                    message = message.replace(",", ";")
+                    rows[i * ny + j - start] = f"{_fmt(xs[i])},{_fmt(ys[j])},{_ERROR_FIELDS},{message}"
+                    k += 1
+                text = "\n".join(rows)
+            yield text
+
+
+def _sweep_rows(fields, start, stop, box):
+    """The rows of nodes i0 <= i < i1, j0 <= j < j1 but error rows, as one text.
+
+    `box` is (i0, i1, j0, j1): whole x values' rows or a part of one x
+    value's, so its nodes are start .. stop - 1 of the flat index i * ny + j.
+    All per-node floats there go through one `_slots` call.  The rows are one
+    uint8 matrix, each field's slot and a comma and then a newline; the last
+    newline is left to `_write`.  The arrays live in this call alone, so none
+    outlives the text.
+    """
+    i0, i1, j0, j1 = box
+    i, j = np.divmod(np.arange(stop - start), j1 - j0)
+    nodes = [values[start:stop] for axis, values in fields if axis is None and values.dtype == float]
+    floats = iter(_slots(np.concatenate(nodes)).reshape(len(nodes), stop - start, -1) if nodes else ())
+    spans = {"x": (i0, i1, i), "y": (j0, j1, j)}
+    texts = []  # per field, its slots row by row, or one row for all
+    for axis, values in fields:
+        if axis is None:
+            texts.append(next(floats) if values.dtype == float else _slots(values[start:stop]))
+        elif axis == "grid":
+            texts.append(values)
+        else:  # an axis with at most _ROWS values holds its texts
+            lo, hi, index = spans[axis]
+            texts.append((values[lo:hi] if values.ndim == 2 else _slots(values[lo:hi])).take(index, axis=0))
+    ends = np.cumsum([t.shape[1] + 1 for t in texts])
+    block = np.zeros((stop - start, ends[-1] + 1), np.uint8)
+    for t, end in zip(texts, ends):
+        block[:, end - 1 - t.shape[1]:end - 1] = t
+    block[:, ends - 1] = ord(",")
+    block[:-1, -1] = ord("\n")
+    return block.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _slots(values):
+    """The NUL-padded texts of a 1-D array of floats or words: a (size, width) uint8 array.
+
+    A float's is its "%.17g" in `g17.slots`, the array form of "%"; a word's
+    its ASCII.
+    """
+    if values.dtype != float:  # ASCII words: a code point per 4 bytes, as one byte
+        codes = np.ascontiguousarray(values).view(np.uint32)
+        return codes.reshape(values.size, values.itemsize // 4).astype(np.uint8)
+    from . import g17  # its tables take milliseconds to build; only a sweep needs them
+
+    return g17.slots(values)
 
 
 def _sweep_fields(grid: SweepGrid, xs, ys):

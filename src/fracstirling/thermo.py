@@ -266,8 +266,8 @@ def summarize_many(
         # a state cut past _HEAD adds levels _HEAD + 1 .. N in closed form to
         # its head; past a head whose last weight underflows every one weighs 0
         closed = (n_cut > _HEAD).nonzero()[0]
-        if closed.size:  # a call with no closed row skips the closure's fixed cost
-            live = closed[np.exp(-x[closed] * (_HEAD ** alpha[closed] - 1.0)) > 0.0]
+        live = closed[np.exp(-x[closed] * (_HEAD ** alpha[closed] - 1.0)) > 0.0]
+        if live.size:  # a call with no live closed row skips the closure's fixed cost
             sums[:, live] += _tail_sums(alpha[live], x[live], n_cut[live])
         fields = _summary_fields(scale, temperature, alpha, x, n_cut, *sums)
     # no cut, or U, S, F or C past the float range, as T ln T_0 or E_1 (1 + <g>)

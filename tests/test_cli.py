@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracstirling import (
-    DEFAULT_REL_TOL, CycleParams, FracStirlingError, SweepAxis, SweepGrid, cli, evaluate, thermo,
+    DEFAULT_REL_TOL, CycleParams, FracStirlingError, SweepAxis, SweepGrid, cli, evaluate, g17, thermo,
 )
 from fracstirling.cli import main
 from fracstirling.cycle import carnot_efficiency
@@ -390,27 +390,35 @@ class TestSweepCommand:
         assert target.read_bytes() == first
         assert first.decode().startswith("x,y,")
 
-    @pytest.mark.parametrize("x, y, per_node, literal_formats", [
+    @pytest.mark.parametrize("x, y, per_node, axis_values", [
         # q_bc, s_b, s_c, u_b, u_c depend on x only and q_da, s_a, s_d, u_a, u_d
         # on y only: x, y and these ten once per axis value, carnot once
         ("alpha1=1.1:1.9:20", "alpha2=1.2:2:20", 6, 20 + 20 + 10 * 20 + 1),
         # q_bc and the B and C corners are grid constants, as carnot is
         ("la=0.5:1.5:20", "alpha2=1.2:2:20", 11, 20 + 20 + 6),
     ], ids=["alpha-square", "width-alpha"])
-    def test_formats_each_float_once(self, capsys, monkeypatch, x, y, per_node, literal_formats):
-        # a field that repeats along an axis goes through `_fmt` once per value
-        # of the other axis, a grid constant once and a per-node field never:
-        # each of its floats is converted once, by the `%` of its x value's rows
-        grids, calls = [], []
+    def test_formats_no_per_node_float_in_python(self, capsys, monkeypatch, x, y, per_node, axis_values):
+        # every float goes through the array formatter once: a field that
+        # repeats along an axis once per value of the other axis, a grid
+        # constant once and a per-node field once per node, a chunk of rows
+        # in one call; none goes through Python's "%"
+        grids, sizes, percent = [], [], []
+        slots = g17.slots
         monkeypatch.setattr(cli, "sweep", lambda *args: grids.append(sweep(*args)) or grids[-1])
-        monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or f"{v:.17g}")
+        monkeypatch.setattr(g17, "slots", lambda values: sizes.append(len(values)) or slots(values))
+        monkeypatch.setattr(g17, "_fmt", lambda v: percent.append(v) or f"{v:.17g}")
+        monkeypatch.setattr(cli, "_fmt", lambda v: percent.append(v) or f"{v:.17g}")
         code, out, err = run_cli(capsys, "sweep", "--x", x, "--y", y, "--lb", "1.5", "--a1", "1.5")
         grid = grids[0]
         assert code == 0 and err == "" and grid.errors == {}
         corners = [v[grid.corner_states] for v in (grid.state_entropy, grid.state_energy)]
         bits = [v.view("int64") for v in (*grid.columns.values(), *corners[0], *corners[1])]
         assert sum(((b != b[:1]).any() and (b != b[:, :1]).any()) for b in bits) == per_node
-        assert len(calls) == literal_formats
+        assert sum(sizes) == per_node * 400 + axis_values and percent == []
+        # an item holds whole x values' rows, all its per-node floats in one call
+        step = cli._ROWS // 20
+        chunks = [per_node * 20 * min(step, 20 - i0) for i0 in range(0, 20, step)]
+        assert sizes[-len(chunks):] == chunks
         assert out == rowwise_sweep_csv(grid)
 
     @pytest.mark.parametrize("nx, ny", [(3, 4), (2, 3), (4, 2)])
@@ -439,16 +447,26 @@ class TestSweepCommand:
         )
         assert "\n".join(cli._sweep_csv(grid)) + "\n" == rowwise_sweep_csv(grid)
 
-    def test_holds_one_x_value_at_a_time(self, capsys, monkeypatch, tmp_path):
-        # the header, then one item of ny rows per x value: a 1001-wide axis
-        # is never one string; --out and stdout get the same bytes
-        writes, write = [], cli._write
+    @pytest.mark.parametrize("nx, ny", [(2, 5000), (700, 3)])
+    def test_holds_at_most_the_row_cap_per_item(self, capsys, monkeypatch, tmp_path, nx, ny):
+        # the header, then items of at most cli._ROWS rows: whole x values'
+        # rows, or a part of an x value's 5000; an axis longer than cli._ROWS
+        # is formatted a slice per item; --out and stdout get the same bytes
+        grids, writes, write = [], [], cli._write
+        monkeypatch.setattr(cli, "sweep", lambda *args: grids.append(sweep(*args)) or grids[-1])
         monkeypatch.setattr(cli, "_write", lambda lines, out: write(writes.append(list(lines)) or writes[-1], out))
-        argv = ["sweep", "--x", "alpha1=1.2:1.8:1001", "--y", "alpha2=1.3:1.9:3"]
+        argv = ["sweep", "--x", f"alpha1=1.2:1.8:{nx}", "--y", f"alpha2=1.3:1.9:{ny}"]
         code, out, _ = run_cli(capsys, *argv)
         items = writes[0]
         assert code == 0 and items[0] == SWEEP_HEADER
-        assert len(items) == 1 + 1001 and all(item.count("\n") == 2 for item in items[1:])
+        rows = [item.count("\n") + 1 for item in items[1:]]
+        assert sum(rows) == nx * ny and max(rows) <= cli._ROWS
+        if ny <= cli._ROWS:
+            step = cli._ROWS // ny
+            assert rows == [min(step, nx - i0) * ny for i0 in range(0, nx, step)]
+        else:
+            assert rows == [min(cli._ROWS, ny - j0) for j0 in range(0, ny, cli._ROWS)] * nx
+        assert out == rowwise_sweep_csv(grids[0])
         target = tmp_path / "grid.csv"
         assert main([*argv, "--out", str(target)]) == 0
         assert target.read_bytes() == out.encode()

@@ -792,6 +792,28 @@ class TestCutEdge:
         assert summarize_many(widths, alphas, masses, [4.0, 400.0])["n_cut"].tolist() == [11, 1051]
         assert calls == [1]
 
+    def test_closed_rows_whose_head_weight_underflows_skip_the_closure(self, monkeypatch):
+        # at T = 3 the weight of level _HEAD underflows, so levels past it weigh
+        # 0: a cut past the head adds nothing to the head's sums, calls no
+        # closure and keeps every field of the cut at the head, bit for bit
+        calls, tail_sums = [], thermo._tail_sums
+
+        def counting(alpha, *args):
+            calls.append(alpha.size)
+            return tail_sums(alpha, *args)
+
+        monkeypatch.setattr(thermo, "_tail_sums", counting)
+        state = [1.2], [1.6], [1.0], [3.0]
+        past = summarize_many(*state, levels=thermo._HEAD + 44)
+        assert calls == []
+        head = summarize_many(*state, levels=thermo._HEAD)
+        assert past.pop("n_cut").tolist() == [thermo._HEAD + 44] and head.pop("n_cut").tolist() == [thermo._HEAD]
+        for name, values in head.items():
+            assert past[name].tobytes() == values.tobytes(), name
+        # beside a row that needs it, the closure sums that row alone
+        summarize_many([1.2, 3.0], [1.6, 1.6], [1.0, 1.0], [3.0, 400.0], levels=thermo._HEAD + 44)
+        assert calls == [1]
+
 
 class TestPastAMillionLevels:
     """Adaptive cuts past a million levels, where the sum is closed in form."""
