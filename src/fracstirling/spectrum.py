@@ -65,32 +65,53 @@ class WellSpec:
             _check_domain(name, getattr(self, name))
 
 
-def level_scale(width: float, alpha: float, mass: float) -> float:
+class FracStirlingError(RuntimeError):
+    """A computation failed on valid inputs; invalid ones raise ValueError.
+
+    A sweep records it as a NodeError, a trace as a gap, the CLI as exit 1.
+    """
+
+
+def _levels_error(spec: WellSpec) -> FracStirlingError:
+    return FracStirlingError(f"energy levels of {spec} exceed the float range")
+
+
+def level_scale(width, alpha, mass):
     """E_1 = (1/(2m))^(alpha/2) (pi/(2L))^alpha, the factor of n^alpha in E_n.
 
-    Computed in Python floats: a power past the float range raises
-    OverflowError, while a product past it is inf.
+    numpy's power, on floats and arrays alike: the one formula of E_1, so the
+    kernel and every level function agree bit for bit.  Past the float range
+    a power is inf, and inf times a power that underflows to 0 is nan, without
+    a warning.
     """
-    return (0.5 / mass) ** (0.5 * alpha) * (np.pi / (2.0 * width)) ** alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.power(0.5 / mass, 0.5 * alpha) * np.power(np.pi / (2.0 * width), alpha)
 
 
 def energy_level(spec: WellSpec, n: int) -> float:
     """Return the n-th eigenvalue, E_n = (1/(2m))^(a/2) (pi/(2L))^a n^a.
 
     Strictly increasing in n and strictly decreasing in the well width.
-    n starts at 1 (the ground state).  n^a is numpy's array power, as in
-    `energy_levels` and the kernel, so E_n equals `energy_levels(spec, n)[n - 1]`
-    bit for bit; Python's `**` differs from it in the last bit on some pairs.
+    n starts at 1 (the ground state).  E_n equals `energy_levels(spec, n)[n - 1]`
+    bit for bit.  Raises FracStirlingError, "energy levels of ... exceed the
+    float range", where E_n is not a finite float.
     """
     if n < 1:
         raise ValueError(f"level index must be a positive integer, got {n}")
-    power = (np.array([float(n)]) ** spec.alpha).item()
-    return level_scale(spec.width, spec.alpha, spec.mass) * power
+    return float(_levels(spec, float(n)))
 
 
 def energy_levels(spec: WellSpec, n_max: int) -> np.ndarray:
-    """First `n_max` eigenvalues as a strictly increasing float array."""
+    """First `n_max` eigenvalues as a strictly increasing float array; raises as `energy_level` does."""
     if n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
-    n = np.arange(1, n_max + 1, dtype=float)
-    return level_scale(spec.width, spec.alpha, spec.mass) * n**spec.alpha
+    return _levels(spec, np.arange(1.0, n_max + 1.0))
+
+
+def _levels(spec: WellSpec, n):
+    """E_1 n^alpha with numpy's power, or the error of a level that is not a finite float."""
+    with np.errstate(over="ignore"):
+        levels = level_scale(spec.width, spec.alpha, spec.mass) * np.power(n, spec.alpha)
+    if not np.isfinite(levels).all():
+        raise _levels_error(spec)
+    return levels

@@ -19,6 +19,9 @@ them and N into U, S, F, Z, C and the tail bound.  The ground weight is 1,
 so the sums hold where x exceeds 700 in narrow wells and e^(-x) underflows,
 and no energy E_n is formed: levels past the float range weigh 0.  S = x <g>
 + ln T_0 is nonnegative by construction and needs no per-term p ln p guard.
+E_1 is `spectrum.level_scale`, numpy's power, which `summarize_many` calls
+once on the arrays of all its states, so the kernel, `energy_levels` and
+`occupations` share one formula bit for bit.
 `summarize_many` pads each state's row of explicit levels, min(N, _HEAD) of
 them, with zero weights to the multiple of _PAD above that count, and sums
 all states of one padded length in one capped block, so a call holding
@@ -34,14 +37,13 @@ A state's validity domain is `spectrum._DOMAIN`, from which `_LOWEST` and
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
 from .spectrum import (  # energy_levels: tracer-only import, bench/tracer.py rebinds thermo.energy_levels
-    _DOMAIN, _INF, _MAX, _T_MIN, WellSpec, _check_beta, _check_domain, energy_levels, level_scale,
+    _DOMAIN, _INF, _MAX, _T_MIN, FracStirlingError, WellSpec, _check_beta, _check_domain, _levels_error,
+    energy_levels, level_scale,
 )
 
 DEFAULT_REL_TOL = 1e-12
@@ -82,13 +84,6 @@ _X_MAX = np.finfo(float).max
 _LOWEST = np.array([[math.nextafter(lo, _INF)] for lo, _ in _DOMAIN.values()])
 _LOWEST[-1] = _T_MIN  # where 1/T is finite
 _HIGHEST = np.array([[hi] for _, hi in _DOMAIN.values()])
-
-
-class FracStirlingError(RuntimeError):
-    """A computation failed on valid inputs; invalid ones raise ValueError.
-
-    A sweep records it as a NodeError, a trace as a gap, the CLI as exit 1.
-    """
 
 
 @dataclass(frozen=True)
@@ -163,7 +158,7 @@ def occupations(
     if n_cut > MAX_LEVELS:
         raise ValueError(f"occupations hold at most {MAX_LEVELS} levels, {state} is cut at {n_cut}")
     well = state.well
-    x = min(level_scale(float(well.width), float(well.alpha), float(well.mass)) / state.temperature, _X_MAX)
+    x = min(level_scale(well.width, well.alpha, well.mass) / state.temperature, _X_MAX)
     g = np.power(np.arange(1.0, n_cut + 1.0), float(well.alpha)) - 1.0
     with np.errstate(over="ignore"):
         weights = np.exp(g * -x)
@@ -226,20 +221,7 @@ def summarize_many(
             raise ValueError("need one positive integer level count per state")
     count = temperature.size
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # E_1 as `level_scale` forms it, bit for bit: numpy rounds the operands
-        # alike, but its power differs from Python's `**` in the last bit on
-        # some pairs, so the powers and their product are Python's, and a power
-        # past the float range raises.  A non-finite E_1 is nan here
-        try:
-            scale = np.array(list(map(
-                mul, map(pow, (0.5 / mass).tolist(), (0.5 * alpha).tolist()),
-                map(pow, (np.pi / (2.0 * width)).tolist(), alpha.tolist()),
-            )))
-        except OverflowError:
-            scale = np.full(count, np.nan)
-            for i, state in enumerate(zip(width.tolist(), alpha.tolist(), mass.tolist())):
-                with suppress(OverflowError):
-                    scale[i] = level_scale(*state)
+        scale = level_scale(width, alpha, mass)  # every state's E_1 at once; nan where not finite
         scale[scale == _INF] = np.nan
         x = np.minimum(scale / temperature, _X_MAX)
         if levels is None:  # a nan E_1, or an x that underflows to 0, has no finite N
@@ -317,13 +299,10 @@ def _level_count(alpha, x, rel_tol):
 
 def _state_error(width, alpha, mass) -> FracStirlingError:
     """The error of a state `summarize_many` fails: of its level sums where 0 < E_1 < inf, else of E_1."""
-    scale = 0.0
-    with suppress(OverflowError):
-        scale = level_scale(float(width), float(alpha), float(mass))
     well = WellSpec(width, alpha, mass)
-    if 0.0 < scale < _INF:
+    if 0.0 < level_scale(width, alpha, mass) < _INF:
         return FracStirlingError(f"level sums of {well} leave the float range")
-    return FracStirlingError(f"energy levels of {well} exceed the float range")
+    return _levels_error(well)
 
 
 def _row_sums(g: np.ndarray, x, n):

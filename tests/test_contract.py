@@ -247,8 +247,9 @@ def assert_only_node_is_a_gap(traced, k, base, grid, bracket, **kwargs):
 
 def test_a_collapsed_solve_leaves_only_its_node_a_gap():
     # at tol = 0 most roots land on q_r == 0 exactly, but the bracket of
-    # alpha_2 = 1.61 collapses first
-    grid, bracket = [1.55 + 0.03 * i for i in range(6)], (1.000001, 2.0)
+    # alpha_2 = 1.61 collapses first; that of 1.7, one step past this grid,
+    # collapses too
+    grid, bracket = [1.55 + 0.03 * i for i in range(5)], (1.000001, 2.0)
     traced = trace_curve(GAP_BASE, "alpha_2", "alpha_1", grid, bracket, tol=0.0)
     assert_only_node_is_a_gap(traced, 2, GAP_BASE, grid, bracket, tol=0.0)
     node = replace(GAP_BASE, alpha_2=grid[2])

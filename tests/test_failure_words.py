@@ -1,14 +1,14 @@
 """The words of a failing state, against a recheck in Python floats.
 
-`reference_error` rechecks one state: its E_1 in Python floats and, where
-the cut is short enough to sum, its level sums as one plain numpy row.  The
+`reference_error` rechecks one state: its E_1 from `level_scale`, the one
+formula of E_1, and, where the cut is short enough to sum, its level sums as
+one plain numpy row.  The
 kernel's failure kinds, and the messages worded from them by `summarize`,
 `evaluate`, `regenerator_heat` and `sweep`, must match it type for type and
 byte for byte.
 """
 
 import math
-from contextlib import suppress
 
 import numpy as np
 import pytest
@@ -44,9 +44,7 @@ def reference_error(state, rel_tol, levels):
     last is rechecked with T_k summed over its levels as one plain numpy row.
     """
     well = state.well
-    scale = math.inf
-    with suppress(OverflowError):
-        scale = level_scale(float(well.width), float(well.alpha), float(well.mass))
+    scale = level_scale(well.width, well.alpha, well.mass)
     if not 0.0 < scale < math.inf:
         return FracStirlingError(f"energy levels of {well} exceed the float range")
     temperature = float(state.temperature)

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from fracstirling import WellSpec, energy_level, energy_levels
+from fracstirling import FracStirlingError, ThermalState, WellSpec, energy_level, energy_levels, occupations, thermo
 
 # Frozen oracle values, evaluated independently with mpmath at 40 digits.
 E_L2_A15_N3 = 2.1505235726947667  # (1/2)^0.75 * (pi/4)^1.5 * 3^1.5
@@ -98,6 +100,40 @@ class TestEnergyLevels:
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError):
             energy_levels(WellSpec(1.0, 1.5), 0)
+
+
+class TestPastTheFloatRange:
+    """A level past the float range raises the error `occupations` raises, in its words, without a warning."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            WellSpec(1e-200, 1.6),  # (pi/2L)^alpha overflows: E_1 is inf
+            WellSpec(1.0, 2.0, 1e-320),  # (1/2m)^(alpha/2) is inf
+            WellSpec(1e300, 2.0, 5e-324),  # inf times a power that underflows to 0: E_1 is nan
+        ],
+    )
+    def test_an_unrepresentable_ground_level_raises_the_state_error(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FracStirlingError) as state:
+                occupations(ThermalState(spec, 4.0), levels=10)
+            words = str(thermo._state_error(spec.width, spec.alpha, spec.mass))
+            assert str(state.value) == words == f"energy levels of {spec} exceed the float range"
+            for call in (lambda: energy_level(spec, 1), lambda: energy_level(spec, 2), lambda: energy_levels(spec, 3)):
+                with pytest.raises(FracStirlingError) as err:
+                    call()
+                assert type(err.value) is FracStirlingError and str(err.value) == words
+
+    def test_a_finite_ground_level_below_an_overflowing_one(self):
+        # E_1 ~ 1e308 is finite and E_2 is not: the ground level alone is returned
+        spec = WellSpec(1e-302, 1.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert energy_levels(spec, 1).tolist() == [energy_level(spec, 1)] and energy_level(spec, 1) < np.inf
+            for call in (lambda: energy_level(spec, 2), lambda: energy_levels(spec, 3)):
+                with pytest.raises(FracStirlingError, match=r"^energy levels of .* exceed the float range$"):
+                    call()
 
 
 class TestScalingLaws:

@@ -1,6 +1,5 @@
 import math
 import warnings
-from contextlib import suppress
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -18,7 +17,7 @@ from fracstirling import (
     summarize,
     thermo,
 )
-from fracstirling.spectrum import energy_levels, level_scale
+from fracstirling.spectrum import energy_level, energy_levels, level_scale
 from fracstirling.thermo import summarize_many
 
 # Frozen oracle for (L=1, alpha=2, m=1, T=4), mpmath at 50 digits over 200
@@ -300,10 +299,10 @@ class TestTruncation:
     @pytest.mark.parametrize(
         "well, levels",
         [
-            (WellSpec(1e-200, 1.6), None),  # (pi/2L)^alpha raises OverflowError
+            (WellSpec(1e-200, 1.6), None),  # (pi/2L)^alpha overflows to inf
             (WellSpec(1e-302, 1.02), None),  # E_1 ~ 1e308 is finite, E_2 overflows to inf
             (WellSpec(1.0, 2.0, 1e-320), 10),  # (1/2m)^(alpha/2) is inf
-            # numpy floats, whose powers overflow with a warning, not an error
+            # numpy floats take the same power as Python floats
             (WellSpec(np.float64(1e-200), 1.6), None),
             (WellSpec(np.float64(1e-302), 1.02), None),
         ],
@@ -312,11 +311,9 @@ class TestTruncation:
         # only an E_1 past the float range raises, and the error alone reports
         # it; above a finite E_1 the levels past it weigh 0, leaving the ground
         # state.  numpy warns about nothing
-        e1 = math.inf
-        with suppress(OverflowError):
-            e1 = level_scale(float(well.width), float(well.alpha), float(well.mass))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            e1 = level_scale(well.width, well.alpha, well.mass)
             if e1 < math.inf:
                 s = summarize(ThermalState(well, 4.0), levels=levels)
                 assert s.internal_energy == e1 and s.entropy == 0.0
@@ -452,26 +449,42 @@ class TestSummarizeMany:
         assert table["entropy"][0] == 0.0 and table["internal_energy"][1] == kept.internal_energy
 
     def test_ground_level_is_level_scale_bitwise(self):
-        # at one level U is E_1 itself: over random widths and masses across
-        # the float range E_1 equals `level_scale` bit for bit, and a state
-        # where that raises or is not finite, as at width 1e-200, fails FLOAT_RANGE
+        # one formula of E_1: over random widths and masses across the float
+        # range, as Python and as numpy floats, `level_scale` on one well and on
+        # arrays, the kernel's E_1 (U at one level), energy_level(spec, 1) and
+        # energy_levels(spec, 1)[0] share its bits, and nothing warns.  Where E_1
+        # is not finite, as at width 1e-200, the kernel fails FLOAT_RANGE and
+        # both level functions raise the words of `_state_error`
         rng = np.random.default_rng(43)
         width = np.append(10.0 ** rng.uniform(-300.0, 300.0, 3000), [1e-200, 1e-302, 1.0, 1e300])
         alpha = np.append(rng.uniform(1.0001, 2.0, 3000), [2.0, 1.02, 1.5, 2.0])
         mass = np.append(10.0 ** rng.uniform(-300.0, 300.0, 3000), [1.0, 1.0, 5e-324, 5e-324])
-        table = summarize_many(width, alpha, mass, np.ones(width.size), levels=1)
-        finite = raised = 0
-        for i, state in enumerate(zip(width.tolist(), alpha.tolist(), mass.tolist())):
-            try:
+        finite = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = summarize_many(width, alpha, mass, np.ones(width.size), levels=1)
+            whole, every_other = level_scale(width, alpha, mass), level_scale(width[::2], alpha[::2], mass[::2])
+            for i, state in enumerate(zip(width.tolist(), alpha.tolist(), mass.tolist())):
                 e1 = level_scale(*state)
-            except OverflowError:
-                e1, raised = math.inf, raised + 1
-            if math.isfinite(e1):
-                finite += 1
-                assert table["internal_energy"][i].tobytes() == np.float64(e1).tobytes(), state
-            else:
-                assert table["failure"][i] == thermo.FLOAT_RANGE, state
-        assert finite > 2000 and raised > 300
+                bits = np.float64(e1).tobytes()
+                assert whole[i].tobytes() == bits and (i % 2 or every_other[i // 2].tobytes() == bits), state
+                for spec in (WellSpec(*state), WellSpec(*map(np.float64, state))):
+                    assert np.float64(level_scale(spec.width, spec.alpha, spec.mass)).tobytes() == bits, state
+                    if math.isfinite(e1):
+                        assert np.float64(energy_level(spec, 1)).tobytes() == bits, state
+                        assert energy_levels(spec, 1)[0].tobytes() == bits, state
+                        continue
+                    words = str(thermo._state_error(spec.width, spec.alpha, spec.mass))
+                    for level in (energy_level, energy_levels):
+                        with pytest.raises(FracStirlingError) as err:
+                            level(spec, 1)
+                        assert str(err.value) == words, state
+                if math.isfinite(e1):
+                    finite += 1
+                    assert table["internal_energy"][i].tobytes() == bits, state
+                else:
+                    assert table["failure"][i] == thermo.FLOAT_RANGE, state
+        assert finite > 2000 and width.size - finite > 300
         assert table["failure"][-4:].tolist() == [thermo.FLOAT_RANGE, 0, thermo.FLOAT_RANGE, thermo.FLOAT_RANGE]
 
     def test_a_state_enters_only_through_alpha_and_x(self):
@@ -555,6 +568,83 @@ def temperatures_around_cut(width, alpha, n, rel_tol, ulps=3):
     while temps[-1] < hi:
         temps.append(math.nextafter(temps[-1], math.inf))
     return temps
+
+
+def exact_u_and_s(width, alpha, mass, temperature, n_cut):
+    """U and S over levels 1 .. n_cut in mpmath at 50 digits, E_1 formed from the same doubles.
+
+    A level weighing below e^-130 of the ground one is left out, far below
+    a double's resolution of sums that hold the ground weight 1.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        w, a, m, t = map(mpmath.mpf, (width, alpha, mass, temperature))
+        e1 = (1 / (2 * m)) ** (a / 2) * (mpmath.pi / (2 * w)) ** a
+        x = e1 / t
+        t0 = t1 = mpmath.mpf(0)
+        for n in range(1, int(n_cut) + 1):
+            g = mpmath.power(n, a) - 1
+            if x * g > 130:
+                break
+            weight = mpmath.exp(-x * g)
+            t0 += weight
+            t1 += g * weight
+        return e1 * (1 + t1 / t0), x * t1 / t0 + mpmath.log(t0)
+
+
+class TestOneFormula:
+    """E_1 is one `level_scale` call per kernel call, and U and S stay within a few ulps.
+
+    `TestSummarizeMany.test_ground_level_is_level_scale_bitwise` pins its bits.
+    """
+
+    def test_one_call_forms_every_e1_at_once(self, monkeypatch):
+        # the kernel calls `level_scale` once, on the arrays of all its states,
+        # those whose E_1 leaves the float range too: no state forms E_1 alone
+        calls, scale = [], thermo.level_scale
+
+        def counting(*args):
+            calls.append([np.shape(v) for v in args])
+            return scale(*args)
+
+        monkeypatch.setattr(thermo, "level_scale", counting)
+        rng = np.random.default_rng(53)
+        count = 400
+        width = 10.0 ** rng.uniform(-300.0, 300.0, count)
+        for levels in (None, 10):
+            table = summarize_many(width, rng.uniform(1.0001, 2.0, count), np.ones(count), np.ones(count), levels=levels)
+            assert 0 < table["failure"].sum() < count
+        assert calls == [[(count,)] * 3] * 2
+
+    @pytest.mark.parametrize("levels", [None, 10])
+    def test_u_and_s_within_a_few_ulps_of_mpmath(self, levels):
+        """U and S of 1 000 random states cut within the head, against mpmath at 50 digits.
+
+        Widths and masses span 1e-2 .. 1e2 and x = E_1/T 10^-1.3 .. 10^2
+        adaptive, 10^-2 .. 10^2 at ten levels.  E_1 is formed from the same
+        doubles at 50 digits, so the error counts its rounding too.  U is
+        measured in ulps of U, S in ulps of max(S, 1): ln T_0 of a T_0 near 1
+        carries T_0's rounding, an ulp of 1, so S in a cold well is exact to
+        an ulp of 1, not of itself.  Largest errors found: adaptive, U 3.1
+        and S 2.5 ulps; ten levels, U 2.8 and S 1.9 ulps.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(59 if levels is None else 61)
+        count = 1000
+        width = 10.0 ** rng.uniform(-2.0, 2.0, count)
+        alpha = rng.uniform(1.0001, 2.0, count)
+        mass = 10.0 ** rng.uniform(-2.0, 2.0, count)
+        x = 10.0 ** rng.uniform(-1.3 if levels is None else -2.0, 2.0, count)
+        temperature = level_scale(width, alpha, mass) / x
+        table = summarize_many(width, alpha, mass, temperature, levels=levels)
+        head = np.flatnonzero(table["n_cut"] <= thermo._HEAD)
+        assert head.size > 950 and not table["failure"].any()
+        worst_u = worst_s = 0.0
+        for i in head.tolist():
+            u, s = exact_u_and_s(width[i], alpha[i], mass[i], temperature[i], table["n_cut"][i])
+            worst_u = max(worst_u, abs(table["internal_energy"][i] - u) / np.spacing(float(u)))
+            worst_s = max(worst_s, abs(table["entropy"][i] - s) / np.spacing(max(float(s), 1.0)))
+        assert worst_u < 4.0 and worst_s < 3.0, (float(worst_u), float(worst_s))
 
 
 class TestArrayCut:
