@@ -118,18 +118,18 @@ def cmd_sweep(args, parser) -> int:
 
 
 def _sweep_csv(grid: SweepGrid):
-    """The sweep CSV: the header, then items of at most _ROWS rows each.
+    """The sweep CSV: the header, then items of _ROWS rows each, the last of the rest.
 
     Every field is an (nx, ny) array in CSV order, which `_sweep_fields`
     builds one at a time.  A field whose bits repeat along y (x) is formatted
     per x (y) value, a grid constant once, and any other once per node.  Each
     field fills fixed byte slots padded with NUL, so an item's rows are one
     uint8 matrix, and deleting its NULs leaves their text (`_sweep_rows`).
-    An item holds whole x values' rows if an x value has at most _ROWS, else
-    _ROWS of one x value's rows, so the arrays formatted and held at a time
-    are bounded whatever the grid's shape: an axis field is formatted once
-    per value where its axis has at most _ROWS values, else the slice an item
-    spans per item.  Error rows replace their rows after formatting.
+    Item m holds nodes m * _ROWS .. (m + 1) * _ROWS - 1 of the flat index
+    i * ny + j, whatever the grid's shape, so the arrays formatted and held
+    at a time are bounded: an axis field is formatted once per value where
+    its axis has at most _ROWS values, else at each item's nodes.  Error rows
+    replace their rows after formatting.
     """
     yield "x,y," + ",".join(_REPORT_COLUMNS) + ",error"
     nx, ny = grid.axis_x.count, grid.axis_y.count
@@ -144,48 +144,41 @@ def _sweep_csv(grid: SweepGrid):
         else:
             axis, values = None, field.reshape(-1)
         fields.append((axis, _slots(values) if axis and values.size <= _ROWS else values))
-    errors = sorted(grid.errors.items())  # in row order; a row is formatted where it is written
-    k, step = 0, max(1, _ROWS // ny)
-    for i0 in range(0, nx, step):
-        for j0 in range(0, ny, _ROWS):  # once where ny <= _ROWS
-            i1, j1 = min(i0 + step, nx), min(j0 + _ROWS, ny)
-            start, stop = i0 * ny + j0, (i1 - 1) * ny + j1  # i * ny + j over the box
-            text = _sweep_rows(fields, start, stop, (i0, i1, j0, j1))
-            if k < len(errors) and errors[k][0] < (i1 - 1, j1):
-                rows = text.split("\n")
-                while k < len(errors) and errors[k][0] < (i1 - 1, j1):
-                    (i, j), message = errors[k]
-                    message = message.replace(",", ";")
-                    rows[i * ny + j - start] = f"{_fmt(xs[i])},{_fmt(ys[j])},{_ERROR_FIELDS},{message}"
-                    k += 1
-                text = "\n".join(rows)
-            yield text
+    errors = sorted((i * ny + j, message) for (i, j), message in grid.errors.items())
+    k = 0  # the next error row; a row is formatted where it is written
+    for start in range(0, nx * ny, _ROWS):
+        stop = min(start + _ROWS, nx * ny)
+        text = _sweep_rows(fields, start, stop, ny)
+        if k < len(errors) and errors[k][0] < stop:
+            rows = text.split("\n")
+            while k < len(errors) and errors[k][0] < stop:
+                node, message = errors[k]
+                i, j = divmod(node, ny)
+                rows[node - start] = f"{_fmt(xs[i])},{_fmt(ys[j])},{_ERROR_FIELDS},{message.replace(',', ';')}"
+                k += 1
+            text = "\n".join(rows)
+        yield text
 
 
-def _sweep_rows(fields, start, stop, box):
-    """The rows of nodes i0 <= i < i1, j0 <= j < j1 but error rows, as one text.
+def _sweep_rows(fields, start, stop, ny):
+    """The rows of nodes start .. stop - 1 of the flat index i * ny + j but error rows, as one text.
 
-    `box` is (i0, i1, j0, j1): whole x values' rows or a part of one x
-    value's, so its nodes are start .. stop - 1 of the flat index i * ny + j.
-    All per-node floats there go through one `_slots` call.  The rows are one
-    uint8 matrix, each field's slot and a comma and then a newline; the last
+    All per-node floats there, an axis field's too where its axis has more
+    than _ROWS values, go through one `_slots` call.  The rows are one uint8
+    matrix, each field's slot and a comma and then a newline; the last
     newline is left to `_write`.  The arrays live in this call alone, so none
     outlives the text.
     """
-    i0, i1, j0, j1 = box
-    i, j = np.divmod(np.arange(stop - start), j1 - j0)
-    nodes = [values[start:stop] for axis, values in fields if axis is None and values.dtype == float]
-    floats = iter(_slots(np.concatenate(nodes)).reshape(len(nodes), stop - start, -1) if nodes else ())
-    spans = {"x": (i0, i1, i), "y": (j0, j1, j)}
+    i, j = np.divmod(np.arange(start, stop), ny)
+    at = {None: slice(start, stop), "x": i, "y": j}  # each field's values of the item's nodes
+    floats = [values[at[axis]] for axis, values in fields if values.ndim == 1 and values.dtype == float]
+    slotted = iter(_slots(np.concatenate(floats)).reshape(len(floats), stop - start, -1) if floats else ())
     texts = []  # per field, its slots row by row, or one row for all
     for axis, values in fields:
-        if axis is None:
-            texts.append(next(floats) if values.dtype == float else _slots(values[start:stop]))
-        elif axis == "grid":
-            texts.append(values)
-        else:  # an axis with at most _ROWS values holds its texts
-            lo, hi, index = spans[axis]
-            texts.append((values[lo:hi] if values.ndim == 2 else _slots(values[lo:hi])).take(index, axis=0))
+        if values.ndim == 2:  # texts formatted once per axis value, or once for the grid
+            texts.append(values if axis == "grid" else values.take(at[axis], axis=0))
+        else:
+            texts.append(next(slotted) if values.dtype == float else _slots(values[at[axis]]))
     ends = np.cumsum([t.shape[1] + 1 for t in texts])
     block = np.zeros((stop - start, ends[-1] + 1), np.uint8)
     for t, end in zip(texts, ends):

@@ -60,7 +60,9 @@ class SweepAxis:
     """One swept cycle parameter with an inclusive grid of `count` uniform nodes.
 
     `count` must be an integer from 2 to MAX_NODES and both ends in the
-    parameter's validity domain, else construction raises ValueError.
+    parameter's validity domain, else construction raises ValueError.  Node i
+    is lo + i * (hi - lo) / (count - 1), node 0 lo itself, and a node that
+    overflows to inf is hi, so every node lies in the domain.
     """
 
     parameter: str
@@ -92,9 +94,11 @@ def _check_count(count: int, what: str) -> None:
 
 
 def _uniform(lo: float, hi: float, count: int) -> list[float]:
-    """`count` points lo + i * step spaced evenly over [lo, hi]."""
+    """`count` points lo + i * step over [lo, hi]: point 0 is lo + 0.0, not nan at an
+    infinite step, and a point that overflows is hi.
+    """
     step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    return [lo + 0.0, *(hi if x == _INF else x for x in (lo + i * step for i in range(1, count)))]
 
 
 @dataclass(frozen=True)
@@ -213,17 +217,17 @@ def _scan_points(lo: float, hi: float, points: int) -> list[float]:
     return _uniform(lo, hi, points)
 
 
-def _sign_changes(scans: np.ndarray):
+def _sign_changes(scans: np.ndarray, tol: float = 0.0):
     """Row, left and right indices of the sign-change subintervals of each scan row.
 
-    (i, i) where the value at point i is 0, and (i, i + 1) where the values
-    at points i and i + 1 have strictly opposite signs; ordered by row, then
+    (i, i + 1) where the values at points i and i + 1 have strictly opposite
+    signs, else (i, i) where |value| <= tol at point i; ordered by row, then
     by i.  A nan changes no sign.
     """
-    zero = scans == 0.0
-    change = np.zeros_like(zero)
+    root = abs(scans) <= tol
+    change = np.zeros_like(root)
     np.less(scans[:, :-1] * scans[:, 1:], 0.0, out=change[:, :-1])
-    row, left = np.nonzero(zero | change)
+    row, left = np.nonzero(root | change)
     return row, left, left + change[row, left]
 
 
@@ -371,9 +375,10 @@ def trace_curve(
     """Trace the q_r = 0 locus along a grid of one parameter.
 
     At every grid node the solve parameter is scanned at `scan_points`
-    uniform points across `bracket`, and each sign-change interval is a root
-    candidate.  The scans of all nodes form one sweep grid, grid values
-    times scan points, whose corner states are summed by one
+    uniform points across `bracket`.  Each sign-change interval is a root
+    candidate, and so is each scan point with |q_r| <= tol, which
+    `solve_regeneration` accepts as a root.  The scans of all nodes form one
+    sweep grid, grid values times scan points, whose corner states are summed by one
     `summarize_many` call per chunk of at most _SCAN_CHUNK scan nodes, so
     every scan value equals `regenerator_heat` at its point bit for bit.
     All candidates of a chunk are solved in lockstep from the scan values at
@@ -423,7 +428,7 @@ def trace_curve(
         scans = q_r.reshape(len(chunk), scan_points)  # one row per grid node
         # a node with a failing corner anywhere on its scan has no candidate
         scans[failing.reshape(scans.shape).any(axis=1)] = np.nan
-        row, left, right = _sign_changes(scans)
+        row, left, right = _sign_changes(scans, tol)
         # every candidate is solved, as the one that counts depends on the root before
         roots, residuals, failures = _false_position(
             _step_heats(base, solve_parameter, {sweep_parameter: np.array(chunk)[row]},

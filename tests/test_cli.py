@@ -400,7 +400,7 @@ class TestSweepCommand:
     def test_formats_no_per_node_float_in_python(self, capsys, monkeypatch, x, y, per_node, axis_values):
         # every float goes through the array formatter once: a field that
         # repeats along an axis once per value of the other axis, a grid
-        # constant once and a per-node field once per node, a chunk of rows
+        # constant once and a per-node field once per node, an item's rows
         # in one call; none goes through Python's "%"
         grids, sizes, percent = [], [], []
         slots = g17.slots
@@ -415,10 +415,8 @@ class TestSweepCommand:
         bits = [v.view("int64") for v in (*grid.columns.values(), *corners[0], *corners[1])]
         assert sum(((b != b[:1]).any() and (b != b[:, :1]).any()) for b in bits) == per_node
         assert sum(sizes) == per_node * 400 + axis_values and percent == []
-        # an item holds whole x values' rows, all its per-node floats in one call
-        step = cli._ROWS // 20
-        chunks = [per_node * 20 * min(step, 20 - i0) for i0 in range(0, 20, step)]
-        assert sizes[-len(chunks):] == chunks
+        # an item holds the next cli._ROWS rows, all its per-node floats in one call
+        assert sizes[-2:] == [per_node * cli._ROWS, per_node * (400 - cli._ROWS)]
         assert out == rowwise_sweep_csv(grid)
 
     @pytest.mark.parametrize("nx, ny", [(3, 4), (2, 3), (4, 2)])
@@ -447,11 +445,39 @@ class TestSweepCommand:
         )
         assert "\n".join(cli._sweep_csv(grid)) + "\n" == rowwise_sweep_csv(grid)
 
+    @pytest.mark.parametrize("nx, ny", [(5, 500), (500, 7)])
+    def test_items_that_end_mid_row_match_a_row_by_row_writer(self, nx, ny):
+        # items end mid x-row here, and one axis is longer than cli._ROWS, so
+        # its fields, the regime among them, are formatted at each item's
+        # nodes; error rows sit on both sides of every item edge
+        assert nx * ny > cli._ROWS and cli._ROWS % ny and max(nx, ny) > cli._ROWS
+        rng = np.random.default_rng(nx * ny)
+        along_x = np.broadcast_to(rng.normal(size=ny), (nx, ny))
+        along_y = np.broadcast_to(rng.normal(size=(nx, 1)), (nx, ny))
+        work = along_x if ny > cli._ROWS else along_y  # the regime follows the longer axis
+        q_r = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5, -2.25e-300], (nx, ny))
+        columns = dict(zip(REPORT_FIELDS, [
+            along_x, along_y, np.full((nx, ny), -0.0), rng.normal(size=(nx, ny)), work, q_r,
+            rng.normal(size=(nx, ny)), rng.normal(size=(nx, ny)),
+        ]))
+        energy = np.array([1.0, -0.0, np.nan, np.inf, -np.inf, 0.1])
+        edges = range(cli._ROWS, nx * ny, cli._ROWS)
+        nodes = {0, nx * ny - 1, *edges, *(e - 1 for e in edges)}
+        errors = {divmod(n, ny): f"node {n}, at 5% of %s" for n in nodes}
+        grid = SweepGrid(
+            SweepAxis("width_a", 0.5, 1.5, nx), SweepAxis("alpha_2", 1.2, 1.8, ny),
+            CycleParams(1.0, 1.5, 1.5, 2.0, 4.0, 3.0), columns, energy, rng.permutation(energy),
+            rng.integers(0, energy.size, (4, nx, ny)), errors,
+        )
+        items = list(cli._sweep_csv(grid))
+        assert [item.count("\n") + 1 for item in items[1:-1]] == [cli._ROWS] * (len(items) - 2)
+        assert "\n".join(items) + "\n" == rowwise_sweep_csv(grid)
+
     @pytest.mark.parametrize("nx, ny", [(2, 5000), (700, 3)])
     def test_holds_at_most_the_row_cap_per_item(self, capsys, monkeypatch, tmp_path, nx, ny):
-        # the header, then items of at most cli._ROWS rows: whole x values'
-        # rows, or a part of an x value's 5000; an axis longer than cli._ROWS
-        # is formatted a slice per item; --out and stdout get the same bytes
+        # the header, then items of the next cli._ROWS rows in row order, the
+        # last of the rest; an axis longer than cli._ROWS is formatted at each
+        # item's nodes; --out and stdout get the same bytes
         grids, writes, write = [], [], cli._write
         monkeypatch.setattr(cli, "sweep", lambda *args: grids.append(sweep(*args)) or grids[-1])
         monkeypatch.setattr(cli, "_write", lambda lines, out: write(writes.append(list(lines)) or writes[-1], out))
@@ -460,16 +486,23 @@ class TestSweepCommand:
         items = writes[0]
         assert code == 0 and items[0] == SWEEP_HEADER
         rows = [item.count("\n") + 1 for item in items[1:]]
-        assert sum(rows) == nx * ny and max(rows) <= cli._ROWS
-        if ny <= cli._ROWS:
-            step = cli._ROWS // ny
-            assert rows == [min(step, nx - i0) * ny for i0 in range(0, nx, step)]
-        else:
-            assert rows == [min(cli._ROWS, ny - j0) for j0 in range(0, ny, cli._ROWS)] * nx
+        assert rows == [min(cli._ROWS, nx * ny - start) for start in range(0, nx * ny, cli._ROWS)]
         assert out == rowwise_sweep_csv(grids[0])
         target = tmp_path / "grid.csv"
         assert main([*argv, "--out", str(target)]) == 0
         assert target.read_bytes() == out.encode()
+
+    def test_axis_up_to_the_float_maximum_exits_0(self, capsys):
+        # 1 + 3 * step overflows; that node is the axis end, and the wells
+        # past the first x fail by node
+        code, out, err = run_cli(
+            capsys, "sweep", "--x", "la=1:1.7976931348623157e308:4", "--y", "alpha2=1.5:1.6:2",
+        )
+        header, rows = csv_rows(out)
+        assert (code, err, len(rows)) == (0, "", 8)
+        xs = SweepAxis("width_a", 1.0, sys.float_info.max, 4).values()
+        assert [r[0] for r in rows[::2]] == [f"{v:.17g}" for v in xs] and xs[-1] == sys.float_info.max
+        assert [r[11] != "error" for r in rows] == [True] * 2 + [False] * 6
 
     def test_axis_over_max_nodes_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

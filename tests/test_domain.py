@@ -78,9 +78,10 @@ def verdicts(quantity, v):
         out[f"trace grid {field}"] = words(
             lambda: trace_curve(BASE, field, OTHER[field], [v], (1.3, 2.0), levels=10, scan_points=4))
         # an alpha bracket is clipped into the domain; a width bracket's end is a scan point,
-        # or past the float range, where the scan is worded by that end
-        if quantity == "width" and (v is BIG or math.isfinite(v)):
-            assert v is BIG or v in solver._scan_points(*ends, 2)
+        # or past the float range, where the scan is worded by that end; nan fails the
+        # bracket check first, worded as a bracket
+        if quantity == "width":
+            assert v is BIG or v != v or v in solver._scan_points(*ends, 2)
             out[f"trace scan {field}"] = words(
                 lambda: trace_curve(BASE, OTHER[field], field, [1.5], ends, levels=10, scan_points=2))
     return out
@@ -97,10 +98,12 @@ def test_every_layer_gives_the_same_verdict(quantity, v):
     assert {name: w is None for name, w in got.items()} == dict.fromkeys(got, valid)
     if valid:
         return
-    # the messages that name the same field, by their first word, are one message
+    # the messages that name the same field, by their first word, are one message;
+    # a bracket's message names its field last
     by_field = {}
     for name, message in got.items():
-        by_field.setdefault(message.split()[0], set()).add(message)
+        first, *_, last = message.split()
+        by_field.setdefault((first, last) if first == "bracket" else first, set()).add(message)
     assert all(len(messages) == 1 for messages in by_field.values()), by_field
     # WellSpec, ThermalState and summarize_many name the quantity, CycleParams the field
     assert (got.get("WellSpec") or got["ThermalState"]).startswith(f"{quantity} must")

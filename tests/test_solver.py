@@ -1,10 +1,13 @@
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from fracstirling import (
@@ -33,6 +36,7 @@ from fracstirling.solver import DEFAULT_REL_TOL, MAX_NODES, _false_position
 
 BATHS = dict(t_hot=4.0, t_cold=3.0)
 BASE = CycleParams(1.0, 1.4, 1.5, 1.579, **BATHS)
+MAX = sys.float_info.max
 
 
 def crosses(params, levels=None):
@@ -387,6 +391,21 @@ class TestTraceCurve:
         )
         assert traced[0].residual <= 1e-9 and solved.residual <= 1e-9
 
+    def test_a_scan_point_within_tol_is_the_root_a_solve_accepts(self):
+        # q_r(1.502) = 4.5e-5 <= tol and q_r keeps its sign across the bracket:
+        # the solve takes the end as a root, and so does the trace's scan
+        solved = solve_regeneration(BASE, "alpha_1", 1.502, 1.9, tol=1e-4, levels=10)
+        traced = trace_curve(BASE, "alpha_2", "alpha_1", [1.579], (1.502, 1.9), tol=1e-4, levels=10,
+                             scan_points=2)
+        assert 0.0 < solved.residual <= 1e-4 and solved.params.alpha_1 == 1.502
+        assert repr(traced) == repr([solved])
+
+    def test_a_width_bracket_up_to_the_float_maximum_scans(self):
+        # the scan points that overflow are the end itself; every point past
+        # the first fails its level sum, so the node is a gap, not a ValueError
+        with pytest.warns(UserWarning, match="no regeneration root"):
+            assert trace_curve(BASE, "alpha_2", "width_a", [1.579], (1.0, MAX)) == [None]
+
     def test_follows_upper_branch_monotonically(self):
         grid = [1.579 + 0.05 * i for i in range(4)]
         points = trace_curve(
@@ -655,6 +674,26 @@ class TestSweepAxis:
 
     def test_accepts_a_numpy_integer_count(self):
         assert SweepAxis("alpha_1", 1.2, 1.8, np.int64(4)).values() == SweepAxis("alpha_1", 1.2, 1.8, 4).values()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        ends=st.tuples(st.floats(5e-324, MAX), st.one_of(st.just(MAX), st.floats(5e-324, MAX))).filter(
+            lambda ends: ends[0] < ends[1]),
+        count=st.integers(2, 64),
+    )
+    @example(ends=(1.0, MAX), count=4)
+    def test_every_node_of_a_valid_width_axis_is_valid(self, ends, count):
+        # lo + i * step may overflow where hi is near the float maximum: that
+        # node is hi, every other keeps its bits, and the sweep fails only by node
+        axis = SweepAxis("width_a", *ends, count)
+        values = axis.values()
+        step = (ends[1] - ends[0]) / (count - 1)
+        assert values == [v if v < math.inf else ends[1] for v in (ends[0] + i * step for i in range(count))]
+        assert all(0.0 < v <= MAX for v in values)
+        grid = sweep(BASE, axis, SweepAxis("alpha_2", 1.5, 1.6, 2), levels=10)
+        for i, row in enumerate(grid.reports):
+            for j, report in enumerate(row):
+                assert isinstance(report, NodeError) == ((i, j) in grid.errors)
 
 
 class TestSweep:
