@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from contextlib import nullcontext
 from dataclasses import astuple
 
@@ -226,19 +227,17 @@ def cmd_trace(args, parser) -> int:
         bracket = (1.000001, 2.0)
     else:
         parser.error("--bracket lo:hi is required when solving for a width")
-    base = _params_from_args(args)
-    points = trace_curve(
-        base,
-        sweep_axis.parameter,
-        solve_param,
-        sweep_axis.values(),
-        bracket,
-        tol=args.tol,
-        rel_tol=args.rtol,
-        levels=args.levels,
-    )
+    grid = sweep_axis.values()
+    with warnings.catch_warnings(record=True) as caught:  # worded as the CLI's own warnings
+        warnings.simplefilter("always")
+        points = trace_curve(
+            _params_from_args(args), sweep_axis.parameter, solve_param, grid, bracket,
+            tol=args.tol, rel_tol=args.rtol, levels=args.levels,
+        )
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     lines = [f"{sweep_axis.parameter},{solve_param},residual,status"]
-    for g, point in zip(sweep_axis.values(), points):
+    for g, point in zip(grid, points):
         if point is None:
             lines.append(f"{_fmt(g)},nan,nan,gap")
         else:

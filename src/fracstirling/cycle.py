@@ -128,10 +128,10 @@ def regenerator_heat(
     the rest of the report, notably the heat-capacity crossing solve behind
     q_h.  Where a corner fails, the first to fail raises as in `summarize`.
     """
-    table, ids = _corner_summaries(params, {}, rel_tol, levels)
-    if table["failure"][ids].any():
-        raise _node_error(params, {}, table["failure"][ids[:, 0]])
-    return _regenerator_heats(table, ids)[0].item()
+    q_r, energies = _regenerator_heats(*_corner_summaries(params, {}, rel_tol, levels))
+    if np.isnan(q_r[0]):
+        raise _node_error(params, {}, energies[:, 0])
+    return q_r[0].item()
 
 
 def evaluate(
@@ -162,20 +162,21 @@ def evaluate(
     with net work raises DegenerateCycleError.
     """
     table, ids, columns, failed = _node_arrays(params, {}, rel_tol, levels)
-    if failed[0]:
-        raise _node_error(params, {}, table["failure"][ids[:, 0]], columns, 0)
     energy, entropy = table["internal_energy"], table["entropy"]
+    if failed[0]:
+        raise _node_error(params, {}, energy[ids[:, 0]], columns, 0)
     return next(_reports(energy, entropy, ids, columns, carnot_efficiency(params), 1))[0]
 
 
-def _node_error(base: CycleParams, node, kinds, columns=None, k=0) -> FracStirlingError:
+def _node_error(base: CycleParams, node, energies, columns=None, k=0) -> FracStirlingError:
     """The error `evaluate` raises at failed node k, in the values the caller gave.
 
-    `node` overrides parameters of `base`; `kinds` holds the `summarize_many`
-    failure of corners A, B, C, D, `columns` the nodes' q_h and work.
+    `node` overrides parameters of `base`; `energies` holds U of corners A,
+    B, C, D, where the first nan marks the first failing corner, and
+    `columns` the nodes' q_h and work, which word a node whose corners hold.
     """
-    for fields, kind in zip(_CORNER_FIELDS, kinds.tolist()):
-        if kind:
+    for fields, energy in zip(_CORNER_FIELDS, energies.tolist()):
+        if math.isnan(energy):
             width, alpha, _ = (node.get(p, getattr(base, p)) for p in fields)
             return _state_error(width, alpha, base.mass)
     values = {name: v[k].item() for name, v in columns.items()}
@@ -223,11 +224,13 @@ def _corner_summaries(base: CycleParams, nodes, rel_tol, levels):
 def _regenerator_heats(table, ids):
     """q_r = (U_C - U_B) + (U_A - U_D) of the nodes of `_corner_summaries`.
 
-    Returns q_r per node, the (4, nodes) array of U at corners A, B, C, D
-    and the mask of nodes with a failing corner, where q_r is nan.
+    Returns q_r per node and the (4, nodes) array of U at corners A, B, C,
+    D.  A failing corner's U is nan, and q_r is nan exactly there: elsewhere
+    it adds two differences of finite positive energies, which may overflow
+    but never to nan.
     """
     ua, ub, uc, ud = energies = table["internal_energy"][ids]
-    return (uc - ub) + (ua - ud), energies, table["failure"][ids].any(axis=0)
+    return (uc - ub) + (ua - ud), energies
 
 
 # at baths near the float maximum T dS and the sums may overflow; such a node
@@ -239,11 +242,11 @@ def _node_arrays(base: CycleParams, nodes, rel_tol, levels):
     `nodes` is as in `_corner_summaries`; the heat-capacity crossings of all
     nodes are searched in lockstep.  Returns the corner table and ids, the
     columns q_ab .. efficiency by name in CycleReport order, and the mask of
-    failed nodes: a corner fails, a column is not finite, or |q_h| <
-    _QH_ZERO with net work.
+    failed nodes: a column is not finite, as the work is nan where a corner
+    fails, or |q_h| < _QH_ZERO with net work.
     """
     table, ids = _corner_summaries(base, nodes, rel_tol, levels)
-    q_r, (ua, ub, uc, ud), failing = _regenerator_heats(table, ids)
+    q_r, (ua, ub, uc, ud) = _regenerator_heats(table, ids)
     (sa, sb, sc, sd), capacities = (table[name][ids] for name in ("entropy", "heat_capacity"))
     q_ab, q_bc = base.t_hot * (sb - sa), uc - ub
     q_cd, q_da = base.t_cold * (sd - sc), ua - ud
@@ -251,7 +254,7 @@ def _node_arrays(base: CycleParams, nodes, rel_tol, levels):
     # q_ab + max(q_r, 0) wherever the capacities do not cross; H(0) = 0
     q_h = np.where(q_r > 0, q_ab + q_r, q_ab)
     gap_cold, gap_hot = capacities[3] - capacities[2], capacities[0] - capacities[1]
-    crossing = np.flatnonzero(gap_cold * gap_hot < 0.0)
+    crossing = np.flatnonzero(np.sign(gap_cold) * np.sign(gap_hot) < 0.0)  # a product may underflow
     h_cold, h_hot = (ud - uc)[crossing], (ua - ub)[crossing]
     h_star = _h_at_crossings(
         table, ids[0, crossing], ids[1, crossing], base.mass,
@@ -268,10 +271,10 @@ def _node_arrays(base: CycleParams, nodes, rel_tol, levels):
     efficiency = np.divide(work, q_h, out=np.zeros_like(q_h), where=~zero)
     columns = dict(q_ab=q_ab, q_bc=q_bc, q_cd=q_cd, q_da=q_da, work=work, q_r=q_r, q_h=q_h,
                    efficiency=efficiency)
-    # q_bc, q_da and q_r are differences of finite positive energies, and an
-    # overflowing q_ab or q_cd leaves the work non-finite
+    # q_bc and q_da are nan where a corner fails, else differences of finite
+    # positive energies, and an overflowing q_ab or q_cd leaves the work non-finite
     finite = np.isfinite(work) & np.isfinite(q_h) & np.isfinite(efficiency)
-    return table, ids, columns, failing | degenerate | ~finite
+    return table, ids, columns, degenerate | ~finite
 
 
 def _reports(energy, entropy, ids, columns, carnot: float, row: int):

@@ -154,7 +154,8 @@ def sweep(
     `summarize_many` call and their heat-capacity crossings searched in
     lockstep, so a report equals `evaluate` at its node bit for bit.  A node
     that fails keeps the message `evaluate` raises there, worded from the
-    kernel's failure kinds, rather than aborting the grid.  A usage error
+    table the sweep holds (its first corner with a nan U, else its q_h and
+    work), rather than aborting the grid.  A usage error
     (ValueError), such as a bad `rel_tol`, `levels` or more than MAX_NODES
     nodes, raises before any node.  The result is a pure function of the inputs.
     """
@@ -166,15 +167,11 @@ def sweep(
     xs, ys = axis_x.values(), axis_y.values()
     nodes = {px: np.array(xs)[:, None], py: np.array(ys)}
     table, ids, columns, failed = _node_arrays(base, nodes, rel_tol, levels)
-    kinds = table["failure"][ids]
-    first = (kinds != 0).argmax(axis=0)  # each node's first failing corner, if any
-    errors, raised = {}, {}
+    energies = table["internal_energy"][ids]
+    errors = {}
     for k in np.flatnonzero(failed).tolist():
         i, j = divmod(k, len(ys))
-        state = ids[first[k], k].item()
-        if state not in raised or not kinds[first[k], k]:  # a failing state is worded once
-            raised[state] = _node_error(base, {px: xs[i], py: ys[j]}, kinds[:, k], columns, k)
-        errors[i, j] = str(raised[state])
+        errors[i, j] = str(_node_error(base, {px: xs[i], py: ys[j]}, energies[:, k], columns, k))
     shape = (len(xs), len(ys))
     grid = SweepGrid(
         axis_x, axis_y, base, {name: v.reshape(shape) for name, v in columns.items()},
@@ -226,7 +223,8 @@ def _sign_changes(scans: np.ndarray, tol: float = 0.0):
     """
     root = abs(scans) <= tol
     change = np.zeros_like(root)
-    np.less(scans[:, :-1] * scans[:, 1:], 0.0, out=change[:, :-1])
+    signs = np.sign(scans)  # the product of two values may underflow to 0, that of their signs does not
+    np.less(signs[:, :-1] * signs[:, 1:], 0.0, out=change[:, :-1])
     row, left = np.nonzero(root | change)
     return row, left, left + change[row, left]
 
@@ -260,7 +258,7 @@ def _false_position(q_r, a, b, fa, fb, tol, max_iter=200):
         x = np.where(step > lo, step, lo)  # max(a, step); x <= b holds by itself
         fx = q_r(active, x)
         root[active], residual[active] = x, abs(fx)
-        left = f_lo * fx < 0  # x becomes the upper end
+        left = np.sign(f_lo) * np.sign(fx) < 0  # x becomes the upper end
         with np.errstate(divide="ignore", invalid="ignore"):
             m = 1.0 - fx / np.where(left, f_hi, f_lo)
         m = np.where(m > 0, m, 0.5)
@@ -307,15 +305,14 @@ def solve_regeneration(
     _check_tol(tol)
     lo, hi = _clip_bracket(parameter, bracket_lo, bracket_hi)
     ends = [replace(base, **{parameter: x}) for x in (lo, hi)]  # CycleParams checks both
-    table, ids = _corner_summaries(base, {parameter: np.array([lo, hi])}, rel_tol, levels)
-    q_r, energies, _ = _regenerator_heats(table, ids)
+    q_r, energies = _regenerator_heats(*_corner_summaries(base, {parameter: np.array([lo, hi])}, rel_tol, levels))
     f_lo, f_hi = q_r.tolist()
+    for params, f, u in zip(ends, (f_lo, f_hi), energies.T):
+        if math.isnan(f):  # a corner fails
+            raise _node_error(params, {}, u)
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
-        for params, kinds in zip(ends, table["failure"][ids].T):
-            if kinds.any():
-                raise _node_error(params, {}, kinds)
         raise SolverError(f"non-finite q_r at bracket endpoints [{lo}, {hi}]")
-    if f_lo * f_hi > 0 and abs(f_lo) > tol and abs(f_hi) > tol:
+    if np.sign(f_lo) * np.sign(f_hi) > 0 and abs(f_lo) > tol and abs(f_hi) > tol:
         raise NoRootError(
             f"q_r has the same sign at both ends of [{lo}, {hi}]: "
             f"q_r({lo})={f_lo}, q_r({hi})={f_hi}",
@@ -424,10 +421,10 @@ def trace_curve(
     for start in range(0, len(grid), rows):
         chunk = grid[start:start + rows]
         nodes = {sweep_parameter: np.array(chunk)[:, None], solve_parameter: np.array(xs)}
-        q_r, energies, failing = _regenerator_heats(*_corner_summaries(base, nodes, rel_tol, levels))
+        q_r, energies = _regenerator_heats(*_corner_summaries(base, nodes, rel_tol, levels))
         scans = q_r.reshape(len(chunk), scan_points)  # one row per grid node
-        # a node with a failing corner anywhere on its scan has no candidate
-        scans[failing.reshape(scans.shape).any(axis=1)] = np.nan
+        # a node with a failing corner, a nan q_r, anywhere on its scan has no candidate
+        scans[np.isnan(scans).any(axis=1)] = np.nan
         row, left, right = _sign_changes(scans, tol)
         # every candidate is solved, as the one that counts depends on the root before
         roots, residuals, failures = _false_position(

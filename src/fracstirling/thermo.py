@@ -52,8 +52,6 @@ DEFAULT_REL_TOL = 1e-12
 # forms one by one; an adaptive cut has none
 MAX_LEVELS = 10**6
 
-FLOAT_RANGE = 1  # the failure kind of `summarize_many` besides 0
-
 # Cap on the level entries of one kernel block: a group of states that share a
 # padded length is summed in blocks of at most this many entries, or of one row.
 _BLOCK_ENTRIES = 1 << 16
@@ -74,10 +72,6 @@ _HEAD = 256
 # to the continued fraction of the upper one, and the terms of each: both are
 # within 1e-15 relative on their side of it.
 _GAMMA_SPLIT, _SERIES_TERMS, _FRACTION_TERMS = 10.0, 50, 14
-
-# x = E_1/T past the float range is held at its maximum: every level but the
-# ground one still weighs 0, and x g_1 = x 0 stays 0 instead of nan
-_X_MAX = np.finfo(float).max
 
 # The smallest and largest valid width, alpha, mass and temperature, one row
 # each, from the validity domain: one comparison checks every state
@@ -136,11 +130,11 @@ def summarize(
     past _HEAD levels is summed as the head plus a closed form, to about
     1e-15 of the explicit sum, so the adaptive cut needs no cap.  This is
     `summarize_many` on one state as Python scalars, or FracStirlingError
-    where its `failure` is FLOAT_RANGE.
+    where the state fails there, its U being nan.
     """
     well = state.well
     row = summarize_many([well.width], [well.alpha], [well.mass], [state.temperature], rel_tol, levels)
-    if row.pop("failure")[0]:
+    if np.isnan(row["internal_energy"][0]):
         raise _state_error(well.width, well.alpha, well.mass)
     return EnsembleSummary(n_cut=int(row.pop("n_cut")[0]), **{name: v.item() for name, v in row.items()})
 
@@ -158,7 +152,7 @@ def occupations(
     if n_cut > MAX_LEVELS:
         raise ValueError(f"occupations hold at most {MAX_LEVELS} levels, {state} is cut at {n_cut}")
     well = state.well
-    x = min(level_scale(well.width, well.alpha, well.mass) / state.temperature, _X_MAX)
+    x = min(level_scale(well.width, well.alpha, well.mass) / state.temperature, _MAX)
     g = np.power(np.arange(1.0, n_cut + 1.0), float(well.alpha)) - 1.0
     with np.errstate(over="ignore"):
         weights = np.exp(g * -x)
@@ -180,11 +174,12 @@ def summarize_many(
     `levels` is None, one count for all states or a sequence of one per
     state; the per-state counts, which the cycle's crossing search takes from
     a table, have no upper bound but the float range.  `n_cut` is float64, each value an integer
-    that may pass the int64 range.  `failure` is 0, or FLOAT_RANGE where E_1
-    is not a finite float, where an adaptive cut has no finite N because x =
-    E_1/T underflows, or where U, S, F or C leaves the float range (T_2, the
-    sum behind C, is the first to overflow, at x below about 1e-103); there
-    n_cut is 0 and the other fields are nan.  Levels above a finite E_1 that
+    that may pass the int64 range.  A state fails where E_1 is not a finite
+    float, where an adaptive cut has no finite N because x = E_1/T
+    underflows, or where U, S, F or C leaves the float range (T_2, the sum
+    behind C, is the first to overflow, at x below about 1e-103); there n_cut
+    is 0 and every other field nan, so a failed state is one whose U is nan,
+    and elsewhere U, S, F and C are finite.  Levels above a finite E_1 that
     pass the float range weigh 0 and fail nothing.  A state sums min(N,
     _HEAD) levels explicitly, as a row padded to the multiple of _PAD above
     that count; the states are grouped by that padded length, so a call sums
@@ -223,7 +218,7 @@ def summarize_many(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         scale = level_scale(width, alpha, mass)  # every state's E_1 at once; nan where not finite
         scale[scale == _INF] = np.nan
-        x = np.minimum(scale / temperature, _X_MAX)
+        x = np.minimum(scale / temperature, _MAX)  # held at the maximum, x g_1 = x 0 stays 0, not nan
         if levels is None:  # a nan E_1, or an x that underflows to 0, has no finite N
             n_cut = np.ceil(_level_count(alpha, x, rel_tol))
         else:
@@ -256,12 +251,11 @@ def summarize_many(
     # may be where E_1 or T is near the float maximum, and T_2 is where x underflows
     finite = np.isfinite(fields["internal_energy"]) & np.isfinite(fields["entropy"])
     finite &= np.isfinite(fields["free_energy"]) & np.isfinite(fields["heat_capacity"])
-    failure = np.where(finite, np.int8(0), np.int8(FLOAT_RANGE))
     if not finite.all():  # one nan, whatever sign the arithmetic left
         n_cut[~finite] = 0
         for v in fields.values():
             v[~finite] = np.nan
-    return {"n_cut": n_cut, "failure": failure, **fields}
+    return {"n_cut": n_cut, **fields}
 
 
 def _check_cut_args(rel_tol: float, levels: int | None) -> None:

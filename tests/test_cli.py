@@ -593,15 +593,20 @@ class TestTraceCommand:
         assert abs(float(rows[0][1]) - 1.502) < 5e-3
 
     def test_gap_rows(self, capsys):
-        with pytest.warns(UserWarning):
-            code, out, _ = run_cli(
-                capsys, "trace", "--la", "1.0", "--lb", "1.4",
-                "--sweep", "alpha2=1.40:1.45:2", "--solve", "alpha1",
-                "--bracket", "1.3:2.0", "--levels", "10",
-            )
+        # the library's warning reaches stderr as one line in the CLI's words,
+        # free of the checkout's path and of a Python source line
+        code, out, err = run_cli(
+            capsys, "trace", "--la", "1.0", "--lb", "1.4",
+            "--sweep", "alpha2=1.40:1.45:2", "--solve", "alpha1",
+            "--bracket", "1.3:2.0", "--levels", "10",
+        )
         assert code == 0
         _, rows = csv_rows(out)
         assert all(r[3] == "gap" for r in rows)
+        assert err == (
+            "warning: no regeneration root found at any grid node; the locus does "
+            "not intersect the scanned bracket, or every node failed\n"
+        )
 
     def test_failing_node_is_a_gap_row(self, capsys):
         code, out, _ = run_cli(

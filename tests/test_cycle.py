@@ -379,7 +379,7 @@ def fake_corner_table(width, alpha, mass, temperature, rel_tol=1e-12, levels=Non
     s = np.select([hot & ~wide, hot & wide, ~hot & wide], [1.0, 1.0, 0.5], 2.0)
     zero = np.zeros_like(u)
     return {
-        "n_cut": np.ones(u.size, dtype=np.int64), "failure": np.zeros(u.size, dtype=np.int64),
+        "n_cut": np.ones(u.size, dtype=np.int64),
         "partition_function": zero + 1.0,
         "internal_energy": u, "entropy": s, "free_energy": u - temperature * s,
         "tail_bound": zero, "heat_capacity": zero,
@@ -447,6 +447,23 @@ class TestCrossingSearch:
         # the others step on, and they stop after different step counts
         assert want[0][1:] == (1, 0.0) and all(g != 0.0 for _, _, g in want[1:])
         assert len(set(steps[1:])) > 1
+
+
+    def test_capacities_whose_gaps_multiply_to_zero_are_searched(self, monkeypatch):
+        # heat capacity gaps of -1e-200 at t_hot and 1e-200 at t_cold: their
+        # product underflows to -0.0, which is not below 0, their signs cross
+        def tiny_gaps(width, alpha, mass, temperature, rel_tol=1e-12, levels=None):
+            hot, wide = np.asarray(temperature) == 4.0, np.asarray(width) > 1.0
+            ones = np.ones(hot.size)
+            return {"n_cut": ones, "internal_energy": ones, "entropy": ones,
+                    "heat_capacity": np.where(hot == wide, 2e-200, 1e-200)}
+
+        searched = []
+        monkeypatch.setattr(cycle_mod, "summarize_many", tiny_gaps)
+        monkeypatch.setattr(cycle_mod, "_h_at_crossings",
+                            lambda table, ad, bc, mass, lo, hi: searched.append(lo[2].tolist()) or np.zeros(ad.size))
+        cycle_mod._node_arrays(CycleParams(0.8, 1.2, 1.5, 1.5, **BATHS), {}, 1e-12, None)
+        assert searched == [[1e-200]]
 
 
 class TestCarnot:

@@ -2,10 +2,10 @@
 
 `reference_error` rechecks one state: its E_1 from `level_scale`, the one
 formula of E_1, and, where the cut is short enough to sum, its level sums as
-one plain numpy row.  The
-kernel's failure kinds, and the messages worded from them by `summarize`,
-`evaluate`, `regenerator_heat` and `sweep`, must match it type for type and
-byte for byte.
+one plain numpy row.  The kernel's failed states, those whose U is nan,
+and the messages worded from them by `summarize`, `evaluate`,
+`regenerator_heat` and `sweep`, must match it type for type and byte for
+byte.
 """
 
 import math
@@ -48,7 +48,7 @@ def reference_error(state, rel_tol, levels):
     if not 0.0 < scale < math.inf:
         return FracStirlingError(f"energy levels of {well} exceed the float range")
     temperature = float(state.temperature)
-    x = min(scale / temperature, thermo._X_MAX)
+    x = min(scale / temperature, thermo._MAX)
     with np.errstate(all="ignore"):  # x may underflow to 0
         n = levels or thermo._level_count(float(well.alpha), x, rel_tol)
     if n <= MAX_LEVELS:  # False at an infinite or nan N
@@ -152,8 +152,7 @@ class TestFailureWords:
 
 def test_all_failing_sweep_makes_one_kernel_call(monkeypatch):
     # every node has two corners, A and D, whose level sums leave the float
-    # range; their words come from the failure kinds of the sweep's one
-    # kernel call
+    # range; their words come from the nan U of the sweep's one kernel call
     base = CycleParams(1.0, 1.0, 2.0, 2.0, 4.0, 3.0)
     ax, ay = SweepAxis("width_a", 1e200, 3e200, 10), SweepAxis("alpha_2", 1.05, 1.95, 10)
     kernel, calls = thermo.summarize_many, []

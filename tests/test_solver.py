@@ -68,6 +68,21 @@ def solve_one(f, lo, hi, tol):
     return root, residual
 
 
+def scan_loop(values):
+    """The sign-change rule as a loop over one scan, which the array rule replaced.
+
+    (i, i) at each zero, else (i, i + 1) where values i and i + 1 have
+    strictly opposite signs; a nan changes no sign.
+    """
+    out = []
+    for i, v in enumerate(values):
+        if v == 0.0:
+            out.append((i, i))
+        elif i + 1 < len(values) and (v < 0.0 < values[i + 1] or v > 0.0 > values[i + 1]):
+            out.append((i, i + 1))
+    return out
+
+
 class TestRootHybrid:
     def test_agrees_with_brentq(self):
         f = lambda x: x**3 + x**2 - 3.0 * x - 3.0
@@ -108,6 +123,19 @@ class TestRootHybrid:
         assert root == pytest.approx(2e-20, rel=1e-12)
         assert min(seen) >= 1e-20
 
+    def test_values_whose_product_underflows_keep_their_bracket(self):
+        # q(x) = 1e-200 (x - 0.3): q(a) q(x) underflows to -0.0, which hid the
+        # sign change, moved the wrong end and left [0, 1]; their signs do not
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return 1e-200 * (x - 0.3)
+
+        root, residual = solve_one(f, 0.0, 1.0, 0.0)
+        assert root == pytest.approx(0.3, abs=1e-15) and residual <= 1e-215
+        assert min(seen) >= 0.0 and max(seen) <= 1.0
+
     @pytest.mark.parametrize("max_iter", [200, 4])
     def test_problems_in_lockstep_equal_one_problem_runs(self, max_iter):
         # they stop at different iterations, by convergence, an end root, a
@@ -145,6 +173,10 @@ class TestFindBrackets:
         for lo, hi in got:
             assert f(lo) * f(hi) <= 0
 
+    def test_values_whose_product_underflows_change_sign(self):
+        # (-1e-200)(1e-200) underflows to -0.0, which is not below 0
+        assert find_brackets(lambda x: 1e-200 * x, -1.0, 1.0, points=2) == [(-1.0, 1.0)]
+
     def test_none_when_single_signed(self):
         assert find_brackets(lambda x: 1.0 + x * x, -1.0, 1.0) == []
 
@@ -158,26 +190,63 @@ class TestFindBrackets:
 
 
     def test_array_rule_equals_the_scan_loop(self):
-        # the rule as a loop over one scan, which the array rule replaced
-        def loop(vals):
-            out = []
-            for i in range(len(vals) - 1):
-                if vals[i] == 0.0:
-                    out.append((i, i))
-                elif vals[i] * vals[i + 1] < 0.0:
-                    out.append((i, i + 1))
-            if vals[-1] == 0.0:
-                out.append((len(vals) - 1, len(vals) - 1))
-            return out
-
         rng = np.random.default_rng(61)
         for points in (2, 3, 8, 64):
             scans = rng.choice([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0, math.nan], (40, points))
             scans[::3, -1] = 0.0  # a zero in the last column
             row, left, right = solver._sign_changes(scans)
-            want = [(r, i, j) for r, vals in enumerate(scans.tolist()) for i, j in loop(vals)]
+            want = [(r, i, j) for r, vals in enumerate(scans.tolist()) for i, j in scan_loop(vals)]
             assert list(zip(row.tolist(), left.tolist(), right.tolist())) == want
             assert any(i == j == points - 1 for _, i, j in want)
+
+
+# rows of 2 to 12 values in [-10, 10] or nan, of one length
+SCANS = st.integers(2, 12).flatmap(lambda n: st.lists(
+    st.lists(st.floats(-10.0, 10.0) | st.just(math.nan), min_size=n, max_size=n), min_size=1, max_size=4))
+
+
+class TestSignsAtAnyScale:
+    # values scaled by 10^k, k in [-300, 300]: the product of two may
+    # underflow to 0, their signs do not
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(-300, 300), SCANS)
+    def test_every_strict_sign_change_is_reported(self, k, rows):
+        scans = np.array(rows) * 10.0**k
+        row, left, right = solver._sign_changes(scans)
+        want = [(r, i, j) for r, values in enumerate(scans.tolist()) for i, j in scan_loop(values)]
+        assert list(zip(row.tolist(), left.tolist(), right.tolist())) == want
+        # the first row as the values of a scan of [0, 1]
+        xs = solver._scan_points(0.0, 1.0, scans.shape[1])
+        at = dict(zip(xs, scans[0].tolist()))
+        want = [(xs[i], xs[j]) for i, j in scan_loop(scans[0].tolist())]
+        assert find_brackets(at.__getitem__, 0.0, 1.0, points=len(xs)) == want
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(-300, 300),
+           st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(1e-3, 1.0), st.floats(1e-3, 1.0),
+                              st.sampled_from([1.0, -1.0])), min_size=1, max_size=6),
+           st.booleans())
+    def test_false_position_evaluates_only_inside_each_bracket(self, k, problems, exact):
+        # problem p is q(x) = +-10^k (x - r) on [r - below, r + above], in lockstep
+        scale = 10.0**k
+        a = [r - below for r, below, _, _ in problems]
+        b = [r + above for r, _, above, _ in problems]
+        seen = [[] for _ in problems]
+
+        def q(p, x):
+            r, _, _, sign = problems[p]
+            return sign * scale * (x - r)
+
+        def q_r(active, x):
+            for p, v in zip(active.tolist(), x.tolist()):
+                seen[p].append(v)
+            return np.array([q(p, v) for p, v in zip(active.tolist(), x.tolist())])
+
+        fa, fb = [q(p, v) for p, v in enumerate(a)], [q(p, v) for p, v in enumerate(b)]
+        roots, _, _ = _false_position(q_r, a, b, fa, fb, 0.0 if exact else 1e-12 * scale)
+        for p in range(len(problems)):
+            assert all(a[p] <= v <= b[p] for v in seen[p] + [roots[p]]), (p, a[p], b[p], seen[p])
 
 
 class TestSolveAlpha1:
@@ -216,6 +285,16 @@ class TestSolveAlpha1:
         assert np.isfinite(err.value.residual_lo)
         assert np.isfinite(err.value.residual_hi)
         assert err.value.residual_lo * err.value.residual_hi > 0
+
+    def test_tiny_residuals_of_one_sign_raise(self):
+        # every energy scaled by 1e-170 (E_1 goes as width^-2 at alpha 2): q_r
+        # is about -1e-172 and -2e-172 at the ends, whose product underflows
+        s = 1e85
+        base = CycleParams(1.5 * s, 1.0 * s, 2.0, 2.0, 4e-170, 3e-170)
+        with pytest.raises(NoRootError) as err:
+            solve_regeneration(base, "width_a", 1.5 * s, 2.0 * s, tol=0.0)
+        assert err.value.residual_lo < 0.0 and err.value.residual_hi < 0.0
+        assert err.value.residual_lo * err.value.residual_hi == 0.0
 
     def test_bracket_clipped_to_admissible_alphas(self):
         with pytest.raises(ValueError):
@@ -814,7 +893,7 @@ class TestSweep:
         for params, report in nodes:
             assert repr(report) == repr(evaluate(params, levels=levels))
 
-    def test_failing_corner_raises_once_per_state_without_evaluate(self, monkeypatch):
+    def test_failing_corner_is_worded_without_evaluate(self, monkeypatch):
         # corner B, (width_b, alpha_1) at t_hot, has an E_1 that underflows
         # to 0 at every node; it is the first corner to fail at each, and
         # its words come from the sweep's kernel call: no one-state call

@@ -404,12 +404,12 @@ class TestSummarizeMany:
             assert np.concatenate([part[name] for part in parts]).tobytes() == column.tobytes(), name
         for i in range(count):
             state = ThermalState(WellSpec(width[i], alpha[i], mass[i]), temperature[i])
-            if table["failure"][i]:
+            if np.isnan(table["internal_energy"][i]):  # the state failed
                 assert table["n_cut"][i] == 0
-                assert all(np.isnan(table[name][i]) for name in table if name not in ("n_cut", "failure"))
+                assert all(np.isnan(table[name][i]) for name in table if name != "n_cut")
                 with pytest.raises(FracStirlingError) as err:
                     summarize(state, levels=levels)
-                assert type(err.value) is FracStirlingError and table["failure"][i] == thermo.FLOAT_RANGE
+                assert type(err.value) is FracStirlingError
                 continue
             single = summarize(state, levels=levels)
             for field in fields(EnsembleSummary):
@@ -438,13 +438,47 @@ class TestSummarizeMany:
                 assert table["internal_energy"][i] == pytest.approx(e1 + e1 * t1 / t0, rel=1e-14)
                 assert table["entropy"][i] == pytest.approx(x * t1 / t0 + math.log(t0), rel=1e-13, abs=1e-15)
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(
+        st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+        st.floats(1.0, 2.0, exclude_min=True),
+        # log-uniform up to 1e308, and both ends of the domain
+        st.one_of(st.sampled_from([thermo._T_MIN, thermo._MAX]),
+                  st.floats(math.log10(thermo._T_MIN), 308.0).map(lambda e: max(10.0**e, thermo._T_MIN))),
+        st.one_of(st.none(), st.integers(1, MAX_LEVELS)),
+    ), min_size=1, max_size=8))
+    def test_a_state_fails_exactly_where_its_u_is_nan(self, states):
+        # over the whole domain, one example holding adaptive and fixed cuts:
+        # a state has failed exactly where U is nan, and there S, F and C are
+        # nan, n_cut is 0 and `summarize` raises; elsewhere all four are finite
+        for levels in (None, "fixed"):
+            group = [s for s in states if (s[3] is None) == (levels is None)]
+            if not group:
+                continue
+            width, alpha, temperature, cuts = zip(*group)
+            table = summarize_many(width, alpha, [1.0] * len(group), temperature,
+                                   levels=None if levels is None else cuts)
+            failed = np.isnan(table["internal_energy"])
+            for name in ("entropy", "free_energy", "heat_capacity"):
+                assert (np.isnan(table[name]) == failed).all(), name
+            for name in ("internal_energy", "entropy", "free_energy", "heat_capacity"):
+                assert np.isfinite(table[name][~failed]).all(), name
+            assert ((table["n_cut"] == 0) == failed).all()
+            for (w, a, t, cut), fails in zip(group, failed.tolist()):
+                state = ThermalState(WellSpec(w, a), t)
+                if fails:
+                    with pytest.raises(FracStirlingError):
+                        summarize(state, levels=cut)
+                else:
+                    assert math.isfinite(summarize(state, levels=cut).internal_energy)
+
     def test_an_overflowing_top_level_weighs_nothing(self):
         # E_1 ~ 1e308 is finite but E_2 overflows: the state is kept in its
         # ground state, beside an ordinary one
         table = summarize_many([1e-302, 1.0], [1.02, 1.5], [1.0, 1.0], [4.0, 4.0])
         kept = summarize(ThermalState(WellSpec(1.0, 1.5), 4.0))
         assert table["n_cut"].tolist() == [1, kept.n_cut]
-        assert table["failure"].tolist() == [0, 0]
+        assert np.isfinite(table["internal_energy"]).all()
         assert table["internal_energy"][0] == level_scale(1e-302, 1.02, 1.0)
         assert table["entropy"][0] == 0.0 and table["internal_energy"][1] == kept.internal_energy
 
@@ -453,7 +487,7 @@ class TestSummarizeMany:
         # range, as Python and as numpy floats, `level_scale` on one well and on
         # arrays, the kernel's E_1 (U at one level), energy_level(spec, 1) and
         # energy_levels(spec, 1)[0] share its bits, and nothing warns.  Where E_1
-        # is not finite, as at width 1e-200, the kernel fails FLOAT_RANGE and
+        # is not finite, as at width 1e-200, the kernel fails the state and
         # both level functions raise the words of `_state_error`
         rng = np.random.default_rng(43)
         width = np.append(10.0 ** rng.uniform(-300.0, 300.0, 3000), [1e-200, 1e-302, 1.0, 1e300])
@@ -483,9 +517,9 @@ class TestSummarizeMany:
                     finite += 1
                     assert table["internal_energy"][i].tobytes() == bits, state
                 else:
-                    assert table["failure"][i] == thermo.FLOAT_RANGE, state
+                    assert np.isnan(table["internal_energy"][i]) and table["n_cut"][i] == 0, state
         assert finite > 2000 and width.size - finite > 300
-        assert table["failure"][-4:].tolist() == [thermo.FLOAT_RANGE, 0, thermo.FLOAT_RANGE, thermo.FLOAT_RANGE]
+        assert np.isnan(table["internal_energy"][-4:]).tolist() == [True, False, True, True]
 
     def test_a_state_enters_only_through_alpha_and_x(self):
         # states with bitwise-equal alpha and x = E_1/T but other widths and
@@ -505,7 +539,7 @@ class TestSummarizeMany:
                 temperature += [t1, match[0]]
         assert len(width) >= 2 * 250
         table = summarize_many(width, alpha, [1.0] * len(width), temperature)
-        assert not table["failure"].any() and (table["n_cut"] > thermo._HEAD).any()
+        assert np.isfinite(table["internal_energy"]).all() and (table["n_cut"] > thermo._HEAD).any()
         for name in ("n_cut", "partition_function", "entropy", "heat_capacity", "tail_bound"):
             first, second = table[name][0::2], table[name][1::2]
             assert first.tobytes() == second.tobytes(), name
@@ -613,7 +647,7 @@ class TestOneFormula:
         width = 10.0 ** rng.uniform(-300.0, 300.0, count)
         for levels in (None, 10):
             table = summarize_many(width, rng.uniform(1.0001, 2.0, count), np.ones(count), np.ones(count), levels=levels)
-            assert 0 < table["failure"].sum() < count
+            assert 0 < np.isnan(table["internal_energy"]).sum() < count
         assert calls == [[(count,)] * 3] * 2
 
     @pytest.mark.parametrize("levels", [None, 10])
@@ -638,7 +672,7 @@ class TestOneFormula:
         temperature = level_scale(width, alpha, mass) / x
         table = summarize_many(width, alpha, mass, temperature, levels=levels)
         head = np.flatnonzero(table["n_cut"] <= thermo._HEAD)
-        assert head.size > 950 and not table["failure"].any()
+        assert head.size > 950 and np.isfinite(table["internal_energy"]).all()
         worst_u = worst_s = 0.0
         for i in head.tolist():
             u, s = exact_u_and_s(width[i], alpha[i], mass[i], temperature[i], table["n_cut"][i])
@@ -695,7 +729,7 @@ class TestArrayCut:
         table = summarize_many(width, [2.0] * 3, [1.0] * 3, [4.0] * 3)
         assert table["n_cut"].tolist() == scalar_cuts(width, [2.0] * 3, [4.0] * 3)
         assert table["n_cut"][[0, 2]].tolist() == [0, 0] and table["n_cut"][1] > 0
-        assert table["failure"].tolist() == [thermo.FLOAT_RANGE, 0, thermo.FLOAT_RANGE]
+        assert np.isnan(table["internal_energy"]).tolist() == [True, False, True]
 
     def test_certificate_holds_at_every_random_cut(self):
         # 1000 states across six decades of width and four of temperature
@@ -704,7 +738,7 @@ class TestArrayCut:
         alpha = rng.uniform(1.01, 2.0, 1000)
         temperature = 10.0 ** rng.uniform(-1.0, 3.0, 1000)
         table = summarize_many(width, alpha, np.ones(1000), temperature)
-        assert not table["failure"].any()
+        assert np.isfinite(table["internal_energy"]).all()
         for w, a, t, n in zip(width.tolist(), alpha.tolist(), temperature.tolist(), table["n_cut"].tolist()):
             assert_certified(w, a, t, thermo.DEFAULT_REL_TOL, n)
         assert table["n_cut"].tolist() == scalar_cuts(width, alpha, temperature)
@@ -714,7 +748,7 @@ class TestArrayCut:
         # that meets the certificate, and the summed tail bound is below rel_tol
         width = np.geomspace(1e7, 1e12, 50)
         table = summarize_many(width, [1.05] * 50, [1.0] * 50, [4.0] * 50)
-        assert not table["failure"].any() and (table["n_cut"] > 1e9).all()
+        assert np.isfinite(table["internal_energy"]).all() and (table["n_cut"] > 1e9).all()
         assert (table["n_cut"] % 1 == 0).all() and (table["tail_bound"] <= thermo.DEFAULT_REL_TOL).all()
         for w, n in zip(width.tolist(), table["n_cut"].tolist()):
             assert_certified(w, 1.05, 4.0, thermo.DEFAULT_REL_TOL, n)
@@ -956,7 +990,7 @@ class TestPastAMillionLevels:
             summarize(ThermalState(well, 4.0))
         assert type(err.value) is FracStirlingError
         table = summarize_many([well.width], [well.alpha], [1.0], [4.0])
-        assert table["failure"].tolist() == [thermo.FLOAT_RANGE] and table["n_cut"].tolist() == [0]
+        assert np.isnan(table["internal_energy"]).tolist() == [True] and table["n_cut"].tolist() == [0]
 
     def test_occupations_past_max_levels_raise(self):
         state = ThermalState(WellSpec(1e7, 1.05), 4.0)
