@@ -15,7 +15,10 @@ quantity as an array and steps the crossing searches of all nodes as array
 columns, with no loop over nodes; `_reports` builds CycleReports from those
 arrays.  `evaluate` runs both on one node, `solver.sweep` the array stage on
 a grid.  `_regenerator_heats` forms q_r there and for `regenerator_heat`,
-`solve_regeneration` and the scan of `trace_curve`.
+`solve_regeneration` and the scan of `trace_curve`.  The corner table holds
+each state's width, alpha, mass and temperature: a lockstep search, of a
+heat-capacity crossing here or of a root in `solver`, re-sums its rows with
+one of them moved (`_moved`).
 """
 
 from __future__ import annotations
@@ -202,8 +205,8 @@ def _corner_summaries(base: CycleParams, nodes, rel_tol, levels):
     over the broadcast of its own two columns only, so it holds one state
     per value the axes that move it take, and no sort finds them.  Both
     wells are summed at both temperatures in one `summarize_many` call.
-    Returns its table, with the width and alpha of each state, and a (4,
-    nodes) array of indices into it for corners A, B, C, D.
+    Returns its table, with the width, alpha, mass and temperature of each
+    state, and a (4, nodes) array of indices into it for corners A, B, C, D.
     """
     columns = {p: np.asarray(nodes.get(p, getattr(base, p)), dtype=float)
                for p in ("width_a", "alpha_2", "width_b", "alpha_1")}
@@ -215,10 +218,16 @@ def _corner_summaries(base: CycleParams, nodes, rel_tol, levels):
         states.append(np.broadcast_to(np.arange(count, count + width.size).reshape(width.shape), shape))
         count += width.size
     width, alpha = (np.tile(np.concatenate(v), 2) for v in zip(*wells))
-    temperature = np.repeat([base.t_hot, base.t_cold], count)
-    table = summarize_many(width, alpha, np.full(2 * count, base.mass), temperature, rel_tol, levels)
+    mass, temperature = np.full(2 * count, base.mass), np.repeat([base.t_hot, base.t_cold], count)
+    table = summarize_many(width, alpha, mass, temperature, rel_tol, levels)
     ad, bc = (v.ravel() for v in states)
-    return {**table, "width": width, "alpha": alpha}, np.stack((ad, bc, count + bc, count + ad))
+    summed = dict(width=width, alpha=alpha, mass=mass, temperature=temperature)
+    return {**table, **summed}, np.stack((ad, bc, count + bc, count + ad))
+
+
+def _moved(table, rows, quantity, values):
+    """`summarize_many`'s width, alpha, mass and temperature of the table's `rows`, `quantity` set to `values`."""
+    return [values if q == quantity else table[q][rows] for q in ("width", "alpha", "mass", "temperature")]
 
 
 def _regenerator_heats(table, ids):
@@ -257,7 +266,7 @@ def _node_arrays(base: CycleParams, nodes, rel_tol, levels):
     crossing = np.flatnonzero(np.sign(gap_cold) * np.sign(gap_hot) < 0.0)  # a product may underflow
     h_cold, h_hot = (ud - uc)[crossing], (ua - ub)[crossing]
     h_star = _h_at_crossings(
-        table, ids[0, crossing], ids[1, crossing], base.mass,
+        table, ids[0, crossing], ids[1, crossing],
         np.stack((np.full(crossing.size, base.t_cold), h_cold, gap_cold[crossing])),
         np.stack((np.full(crossing.size, base.t_hot), h_hot, gap_hot[crossing])),
     )
@@ -301,13 +310,13 @@ def _reports(energy, entropy, ids, columns, carnot: float, row: int):
         )
 
 
-def _h_at_crossings(table, ad, bc, mass, lo, hi):
+def _h_at_crossings(table, ad, bc, lo, hi):
     """Extremum of h = U_AD - U_BC where its slope C_AD - C_BC changes sign.
 
     The searches of all nodes step in lockstep, each step one `summarize_many`
-    call on both isochore states of every active node.  `ad` and `bc` index
-    the table rows of the corners A and B, whose wells and cuts the
-    isochores keep: the neglected tail shrinks relative to the kept sums as
+    call on both isochore states of every active node: the table rows `ad`
+    and `bc` of corners A and B, re-summed at the step's T with their well,
+    mass and cut kept.  The neglected tail shrinks relative to the kept sums as
     T falls, so the hot corner's cut meets the corners' tolerance at every
     temperature in between.  A cut past the kernel's head is closed in form
     whether fixed or adaptive, so at the corners these sums equal the table's
@@ -326,10 +335,7 @@ def _h_at_crossings(table, ad, bc, mass, lo, hi):
         if not active.size:
             break
         states, t_a = np.concatenate((ad[active], bc[active])), t[active]
-        s = summarize_many(
-            table["width"][states], table["alpha"][states], np.full(states.size, mass),
-            np.tile(t_a, 2), levels=table["n_cut"][states],
-        )
+        s = summarize_many(*_moved(table, states, "temperature", np.tile(t_a, 2)), levels=table["n_cut"][states])
         u, c = (np.split(s[name], 2) for name in ("internal_energy", "heat_capacity"))
         h[active] = h_a = u[0] - u[1]
         g = c[0] - c[1]

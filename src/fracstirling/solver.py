@@ -22,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .cycle import (  # evaluate: tracer-only import, bench/tracer.py rebinds solver.evaluate
-    _QUANTITIES, CycleParams, CycleReport, _corner_summaries, _node_arrays, _node_error, _regenerator_heats,
-    _reports, carnot_efficiency, evaluate, regenerator_heat,
+    _CORNER_FIELDS, _QUANTITIES, CycleParams, CycleReport, _corner_summaries, _moved, _node_arrays, _node_error,
+    _regenerator_heats, _reports, carnot_efficiency, evaluate, regenerator_heat,
 )
 from .spectrum import _DOMAIN, _INF, _check_domain
 from .thermo import DEFAULT_REL_TOL, FracStirlingError, _check_cut_args, summarize_many
@@ -305,7 +305,8 @@ def solve_regeneration(
     _check_tol(tol)
     lo, hi = _clip_bracket(parameter, bracket_lo, bracket_hi)
     ends = [replace(base, **{parameter: x}) for x in (lo, hi)]  # CycleParams checks both
-    q_r, energies = _regenerator_heats(*_corner_summaries(base, {parameter: np.array([lo, hi])}, rel_tol, levels))
+    table, ids = _corner_summaries(base, {parameter: np.array([lo, hi])}, rel_tol, levels)
+    q_r, energies = _regenerator_heats(table, ids)
     f_lo, f_hi = q_r.tolist()
     for params, f, u in zip(ends, (f_lo, f_hi), energies.T):
         if math.isnan(f):  # a corner fails
@@ -319,8 +320,7 @@ def solve_regeneration(
             residual_lo=f_lo,
             residual_hi=f_hi,
         )
-    # U of the well the solve leaves alone, from the corners of the lower end
-    step = _step_heats(base, parameter, {}, energies[:, :1], rel_tol, levels)
+    step = _step_heats(table, ids[:, :1], parameter, rel_tol, levels)  # from the corners of the lower end
     (root,), (residual,), (failure,) = _false_position(step, [lo], [hi], [f_lo], [f_hi], tol)
     params = replace(base, **{parameter: root})
     if failure:
@@ -329,29 +329,21 @@ def solve_regeneration(
     return RegenerationPoint(params=params, residual=residual)
 
 
-def _step_heats(base: CycleParams, solve_parameter: str, columns, energies, rel_tol, levels):
-    """q_r(active, x), q_r of the problems `active` at solve parameter values x.
+def _step_heats(table, ids, parameter, rel_tol, levels):
+    """q_r(active, x), q_r of the problems `active` at values x of the solve parameter.
 
-    Only the well the solve parameter moves, that of corners A and D or of B
-    and C, is summed.  `energies` holds U at A, B, C and D of a point of
-    each problem, `columns` other parameters' values per problem.
+    `ids` holds the rows of corners A, B, C, D of a point of each problem in
+    `table`, a corner table of `_corner_summaries`.  A step re-sums only the
+    rows of the well the parameter moves, A and D or B and C, with its width
+    or alpha set to x.
     """
-    ad = solve_parameter in ("width_a", "alpha_2")
-    well, moving = (("width_a", "alpha_2"), [0, 3]) if ad else (("width_b", "alpha_1"), [1, 2])
-    (other,) = (p for p in well if p != solve_parameter)
-    count = energies.shape[1]
-    # the well's other parameter, mass and T of every problem's hot state, then its cold one
-    fixed = np.tile(np.broadcast_to(columns.get(other, getattr(base, other)), count), 2)
-    mass = np.full(2 * count, base.mass)
-    temperature = np.repeat([base.t_hot, base.t_cold], count)
+    moving = [k for k, fields in enumerate(_CORNER_FIELDS) if parameter in fields]
+    energies, rows = table["internal_energy"][ids], ids[moving]
 
     def q_r(active, x):
-        states = np.concatenate((active, active + count))
-        moved = np.concatenate((x, x))
-        width, alpha = (moved, fixed[states]) if other == well[1] else (fixed[states], moved)
-        table = summarize_many(width, alpha, mass[states], temperature[states], rel_tol, levels)
+        states = _moved(table, rows[:, active].ravel(), _QUANTITIES[parameter], np.concatenate((x, x)))
         u = energies[:, active]
-        u[moving] = table["internal_energy"].reshape(2, -1)
+        u[moving] = summarize_many(*states, rel_tol, levels)["internal_energy"].reshape(2, -1)
         ua, ub, uc, ud = u
         return (uc - ub) + (ua - ud)
 
@@ -421,15 +413,14 @@ def trace_curve(
     for start in range(0, len(grid), rows):
         chunk = grid[start:start + rows]
         nodes = {sweep_parameter: np.array(chunk)[:, None], solve_parameter: np.array(xs)}
-        q_r, energies = _regenerator_heats(*_corner_summaries(base, nodes, rel_tol, levels))
-        scans = q_r.reshape(len(chunk), scan_points)  # one row per grid node
+        table, ids = _corner_summaries(base, nodes, rel_tol, levels)
+        scans = _regenerator_heats(table, ids)[0].reshape(len(chunk), scan_points)  # one row per grid node
         # a node with a failing corner, a nan q_r, anywhere on its scan has no candidate
         scans[np.isnan(scans).any(axis=1)] = np.nan
         row, left, right = _sign_changes(scans, tol)
         # every candidate is solved, as the one that counts depends on the root before
         roots, residuals, failures = _false_position(
-            _step_heats(base, solve_parameter, {sweep_parameter: np.array(chunk)[row]},
-                        energies[:, row * scan_points + left], rel_tol, levels),
+            _step_heats(table, ids[:, row * scan_points + left], solve_parameter, rel_tol, levels),
             np.take(xs, left), np.take(xs, right), scans[row, left], scans[row, right], tol,
         )
         middles = (0.5 * (np.take(xs, left) + np.take(xs, right))).tolist()

@@ -419,7 +419,8 @@ class TestCrossingSearch:
     ALPHAS = [1.0, 2.0, 1.5, 1.5, 1.5, 1.5, 1.2]
 
     def test_lockstep_search_equals_the_scalar_loop(self, monkeypatch):
-        table = {"width": np.array(self.WIDTHS), "alpha": np.array(self.ALPHAS), "n_cut": np.ones(7)}
+        table = {"width": np.array(self.WIDTHS), "alpha": np.array(self.ALPHAS), "mass": np.ones(7),
+                 "n_cut": np.ones(7)}
         ad, bc = np.arange(1, 7), np.zeros(6, dtype=int)
 
         def state_at(node, t):
@@ -438,7 +439,7 @@ class TestCrossingSearch:
             cycle_mod, "summarize_many",
             lambda width, *args, **kwargs: active.append(len(width) // 2) or closed_form_isochores(width, *args),
         )
-        got = cycle_mod._h_at_crossings(table, ad, bc, 1.0, lo, hi)
+        got = cycle_mod._h_at_crossings(table, ad, bc, lo, hi)
         assert [v.hex() for v in got.tolist()] == [h.hex() for h, _, _ in want]
         # one call per step, on the nodes whose scalar search had not stopped
         steps = [n for _, n, _ in want]
@@ -461,7 +462,7 @@ class TestCrossingSearch:
         searched = []
         monkeypatch.setattr(cycle_mod, "summarize_many", tiny_gaps)
         monkeypatch.setattr(cycle_mod, "_h_at_crossings",
-                            lambda table, ad, bc, mass, lo, hi: searched.append(lo[2].tolist()) or np.zeros(ad.size))
+                            lambda table, ad, bc, lo, hi: searched.append(lo[2].tolist()) or np.zeros(ad.size))
         cycle_mod._node_arrays(CycleParams(0.8, 1.2, 1.5, 1.5, **BATHS), {}, 1e-12, None)
         assert searched == [[1e-200]]
 

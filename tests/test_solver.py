@@ -394,6 +394,8 @@ class TestCornerSummaries:
                 well = corner.well
                 got = (table["width"][state], table["alpha"][state], mass[state], temperature[state])
                 assert got == (well.width, well.alpha, well.mass, corner.temperature), (k, state)
+                # the rows a solve step re-sums are the arguments this call summed
+                assert (table["mass"][state], table["temperature"][state]) == (mass[state], temperature[state])
         ad, bc = moving
         assert table["width"].size == table["alpha"].size == 2 * (ad + bc)
         assert np.unique(ids[[0, 3]]).size == 2 * ad and np.unique(ids[[1, 2]]).size == 2 * bc
@@ -453,6 +455,39 @@ class TestRootCertificate:
         assert all(p is not None for p in points)
         for p in points:
             assert p.residual == abs(regenerator_heat(p.params, levels=levels)) <= 1e-11
+
+    @pytest.mark.parametrize("levels", [10, None])
+    @pytest.mark.parametrize("sweep_parameter, parameter", itertools.permutations(solver.SWEEPABLE, 2))
+    def test_every_step_is_regenerator_heat_bitwise(self, monkeypatch, sweep_parameter, parameter, levels):
+        # a step re-sums the moving well's rows of the scan table with the
+        # solved parameter set to x, whichever well the sweep moves; the
+        # scalar q_r at the grid value and x, all four corners summed afresh,
+        # must be the step's q_r bit for bit
+        base = solve_regeneration(BENCH_ROWS[5].pair_params(), "alpha_1", 1.49, 1.6, levels=levels).params
+        bracket = (1.000001, 2.0) if parameter.startswith("alpha") else (0.3, 3.0)
+        lockstep, steps = solver._false_position, []
+
+        def recording(q_r, *args):
+            def recorded(active, x):
+                fx = q_r(active, x)
+                steps.extend(zip(x.tolist(), fx.tolist()))
+                return fx
+
+            return lockstep(recorded, *args)
+
+        monkeypatch.setattr(solver, "_false_position", recording)
+        count = 0
+        # one-node traces around a point of the locus, where every parameter has a root
+        for g in (getattr(base, sweep_parameter) * (1.0 + d) for d in (-0.005, 0.0, 0.005)):
+            steps.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a node without a root warns
+                trace_curve(base, sweep_parameter, parameter, [g], bracket, levels=levels)
+            for x, f in steps:
+                params = replace(base, **{sweep_parameter: g, parameter: x})
+                assert f.hex() == regenerator_heat(params, levels=levels).hex(), (g, x)
+            count += len(steps)
+        assert count > 0
 
 
 class TestTraceCurve:
