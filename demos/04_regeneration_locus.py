@@ -33,23 +33,25 @@ print(f"  efficiency there = {report.efficiency:.6f} vs carnot {report.carnot}")
 
 print("\nTracing the locus alpha_1(alpha_2) upward from the solved point:")
 grid = [1.579 + 0.04 * i for i in range(6)]
-points = trace_curve(
+trace = trace_curve(
     base, "alpha_2", "alpha_1", grid, (1.482, 2.0), tol=1e-8,
     levels=BENCH_LEVELS,
 )
 print(f"  {'alpha_2':>8} {'alpha_1':>9} {'|q_r|':>9}")
-for g, p in zip(grid, points):
-    if p is None:
-        print(f"  {g:8.4f} {'gap':>9}")
+for g, root, residual, status in zip(trace.grid, trace.root, trace.residual, trace.status):
+    if status == "root":
+        print(f"  {g:8.4f} {root:9.5f} {residual:9.1e}")
     else:
-        print(f"  {g:8.4f} {p.params.alpha_1:9.5f} {p.residual:9.1e}")
+        print(f"  {g:8.4f} {status:>9}")
 print("  the curve rises monotonically: weaker fractional character at the")
 print("  wide well must be matched by weaker character at the narrow one")
+print(f"  trace.points holds each solved node as a cycle: {trace.points[-1].params}")
 
 print("\nBelow a fold in alpha_2 the locus does not exist for this width")
-print("pair; those nodes come back as gaps rather than errors:")
+print("pair; those nodes come back as gaps rather than errors, each with")
+print("the reason it is one:")
 low = trace_curve(
     base, "alpha_2", "alpha_1", [1.45, 1.50], (1.3, 2.0), tol=1e-8,
     levels=BENCH_LEVELS,
 )
-print(f"  alpha_2 in [1.45, 1.50] -> {['gap' if p is None else 'root' for p in low]}")
+print(f"  alpha_2 in [1.45, 1.50] -> {low.status.tolist()}")

@@ -25,6 +25,7 @@ from .solver import (
     SolverError,
     SweepAxis,
     SweepGrid,
+    TraceResult,
     find_brackets,
     solve_regeneration,
     sweep,
@@ -60,6 +61,7 @@ __all__ = [
     "SweepAxis",
     "SweepGrid",
     "ThermalState",
+    "TraceResult",
     "WellSpec",
     "carnot_efficiency",
     "corners",

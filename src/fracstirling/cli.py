@@ -24,7 +24,7 @@ from .reference import (
     QR_PAIR_TOL,
     QR_QUADRATIC_TOL,
 )
-from .solver import DEFAULT_QR_TOL, SweepAxis, SweepGrid, sweep, trace_curve
+from .solver import DEFAULT_QR_TOL, GAP_STATUSES, SweepAxis, SweepGrid, sweep, trace_curve
 from .thermo import DEFAULT_REL_TOL, FracStirlingError
 
 _REPORT_COLUMNS = (
@@ -38,6 +38,8 @@ _AXIS_FLAGS = {"la": "width_a", "lb": "width_b", "alpha1": "alpha_1", "alpha2": 
 
 
 _CYCLE_ROW = ",".join("%s" if c == "regime" else "%.17g" for c in _CYCLE_COLUMNS)
+# a trace row: the grid value, the root and the residual, nan at a gap, and ok or gap
+_TRACE_ROW = "%.17g,%.17g,%.17g,%s"
 # a sweep error row holds x, y, these fields and the message
 _ERROR_FIELDS = ",".join(["nan"] * 9 + ["error"] + ["nan"] * 8)
 
@@ -123,9 +125,11 @@ def _sweep_csv(grid: SweepGrid):
 
     Every field is an (nx, ny) array in CSV order, which `_sweep_fields`
     builds one at a time.  A field whose bits repeat along y (x) is formatted
-    per x (y) value, a grid constant once, and any other once per node.  Each
-    field fills fixed byte slots padded with NUL, so an item's rows are one
-    uint8 matrix, and deleting its NULs leaves their text (`_sweep_rows`).
+    per x (y) value, a grid constant once, and any other once per node; the
+    floats of all fields formatted per axis value or once go through one
+    `g17.slots` call, as each call has a fixed cost.  Each field fills fixed
+    byte slots padded with NUL, so an item's rows are one uint8 matrix, and
+    deleting its NULs leaves their text (`_sweep_rows`).
     Item m holds nodes m * _ROWS .. (m + 1) * _ROWS - 1 of the flat index
     i * ny + j, whatever the grid's shape, so the arrays formatted and held
     at a time are bounded: an axis field is formatted once per value where
@@ -136,6 +140,7 @@ def _sweep_csv(grid: SweepGrid):
     nx, ny = grid.axis_x.count, grid.axis_y.count
     xs, ys = grid.axis_x.values(), grid.axis_y.values()
     fields = []  # per field: the axis it follows ("x", "y", "grid") or None, and its values or texts
+    once = []  # the fields of floats formatted once per axis value, or once for the grid
     for field in _sweep_fields(grid, xs, ys):
         bits = field.view("int64") if field.dtype == float else field  # 0.0 == -0.0, but they print apart
         if (bits == bits[:, :1]).all():
@@ -144,7 +149,17 @@ def _sweep_csv(grid: SweepGrid):
             axis, values = "y", field[0]
         else:
             axis, values = None, field.reshape(-1)
-        fields.append((axis, _slots(values) if axis and values.size <= _ROWS else values))
+        if axis and values.size <= _ROWS and values.dtype == float:
+            once.append(len(fields))
+            values = values.copy()  # not a view that holds the whole field
+        elif axis and values.size <= _ROWS:
+            values = _slots(values)
+        fields.append((axis, values))
+    if once:  # one `g17.slots` call, as each call has a fixed cost
+        ends = np.cumsum([fields[k][1].size for k in once])
+        texts = np.split(_slots(np.concatenate([fields[k][1] for k in once])), ends[:-1])
+        for k, text in zip(once, texts):
+            fields[k] = fields[k][0], text
     errors = sorted((i * ny + j, message) for (i, j), message in grid.errors.items())
     k = 0  # the next error row; a row is formatted where it is written
     for start in range(0, nx * ny, _ROWS):
@@ -227,23 +242,23 @@ def cmd_trace(args, parser) -> int:
         bracket = (1.000001, 2.0)
     else:
         parser.error("--bracket lo:hi is required when solving for a width")
-    grid = sweep_axis.values()
     with warnings.catch_warnings(record=True) as caught:  # worded as the CLI's own warnings
         warnings.simplefilter("always")
-        points = trace_curve(
-            _params_from_args(args), sweep_axis.parameter, solve_param, grid, bracket,
+        trace = trace_curve(
+            _params_from_args(args), sweep_axis.parameter, solve_param, sweep_axis.values(), bracket,
             tol=args.tol, rel_tol=args.rtol, levels=args.levels,
         )
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
+    status = trace.status.tolist()
+    words = ["ok" if s == "root" else "gap" for s in status]
     lines = [f"{sweep_axis.parameter},{solve_param},residual,status"]
-    for g, point in zip(grid, points):
-        if point is None:
-            lines.append(f"{_fmt(g)},nan,nan,gap")
-        else:
-            solved = getattr(point.params, solve_param)
-            lines.append(f"{_fmt(g)},{_fmt(solved)},{_fmt(point.residual)},ok")
+    lines += map(_TRACE_ROW.__mod__, zip(trace.grid.tolist(), trace.root.tolist(), trace.residual.tolist(), words))
     _write(lines, args.out)
+    gaps = {reason: status.count(reason) for reason in GAP_STATUSES}
+    if any(gaps.values()):  # once the CSV is written: why each gap is one, counted by status
+        counts = ", ".join(f"{reason} {n}" for reason, n in gaps.items())
+        print(f"warning: {sum(gaps.values())} of {len(status)} grid nodes are gaps ({counts})", file=sys.stderr)
     return 0
 
 

@@ -205,8 +205,9 @@ def _corner_summaries(base: CycleParams, nodes, rel_tol, levels):
     over the broadcast of its own two columns only, so it holds one state
     per value the axes that move it take, and no sort finds them.  Both
     wells are summed at both temperatures in one `summarize_many` call.
-    Returns its table, with the width, alpha, mass and temperature of each
-    state, and a (4, nodes) array of indices into it for corners A, B, C, D.
+    Returns its table, trimmed to n_cut, U, S, F and C, with the width,
+    alpha, mass and temperature of each state, and a (4, nodes) array of
+    indices into it for corners A, B, C, D.
     """
     columns = {p: np.asarray(nodes.get(p, getattr(base, p)), dtype=float)
                for p in ("width_a", "alpha_2", "width_b", "alpha_1")}
@@ -217,12 +218,12 @@ def _corner_summaries(base: CycleParams, nodes, rel_tol, levels):
         wells.append((width.ravel(), alpha.ravel()))
         states.append(np.broadcast_to(np.arange(count, count + width.size).reshape(width.shape), shape))
         count += width.size
-    width, alpha = (np.tile(np.concatenate(v), 2) for v in zip(*wells))
+    width, alpha = (np.concatenate(v * 2) for v in zip(*wells))  # both wells at t_hot, then at t_cold
     mass, temperature = np.full(2 * count, base.mass), np.repeat([base.t_hot, base.t_cold], count)
-    table = summarize_many(width, alpha, mass, temperature, rel_tol, levels)
+    table = summarize_many(width, alpha, mass, temperature, rel_tol, levels, True)
     ad, bc = (v.ravel() for v in states)
     summed = dict(width=width, alpha=alpha, mass=mass, temperature=temperature)
-    return {**table, **summed}, np.stack((ad, bc, count + bc, count + ad))
+    return {**table, **summed}, np.array((ad, bc, count + bc, count + ad))
 
 
 def _moved(table, rows, quantity, values):

@@ -4,7 +4,8 @@ A sweep and the bracket scan of a trace are both grids of cycle nodes, one
 parameter column per node, whose corner states are summed in one
 `summarize_many` call: a sweep runs the cycle evaluator behind `evaluate` on
 them, a scan forms q_r.  The roots of the locus q_r = 0 are then solved in
-lockstep, one `summarize_many` call per step for all of a scan's brackets.
+lockstep, one `summarize_many` call per step for all of a scan's brackets,
+and a trace returns them as arrays, a `TraceResult`, with a status per node.
 The solver uses no derivative, as q_r is not monotone in the kinetic
 exponents: each solve works on a sign-change bracket by the Anderson-Bjorck
 method, a false position that scales down the value of an end kept twice in
@@ -184,10 +185,47 @@ def sweep(
 
 @dataclass(frozen=True)
 class RegenerationPoint:
-    """One solved point of the q_r = 0 locus with its certified residual."""
+    """One solved point of the q_r = 0 locus with its certified residual.
+
+    `solve_regeneration` returns one; `TraceResult.points` holds one per
+    solved node of a trace.
+    """
 
     params: CycleParams
     residual: float
+
+
+# Why a trace node is a gap: no sign change of q_r on its scan, a failing
+# corner somewhere on it, or a failed solve of its candidate
+GAP_STATUSES = ("no_sign_change", "failing_corner", "solve_failure")
+
+
+@dataclass(frozen=True, eq=False)
+class TraceResult:
+    """The q_r = 0 locus along a grid of one parameter, held as read-only arrays.
+
+    Node i sits at sweep value `grid[i]`.  `status[i]` is "root" where the
+    node is solved: there the solve parameter is `root[i]` and |q_r| is
+    `residual[i]`.  Elsewhere the node is a gap, whose status is one of
+    GAP_STATUSES and whose root and residual are nan.  `points`, built on
+    first use, holds per node the RegenerationPoint of a solved node, with
+    `base` moved to the grid value and the root, or None at a gap.
+    """
+
+    base: CycleParams
+    sweep_parameter: str
+    solve_parameter: str
+    grid: np.ndarray
+    root: np.ndarray
+    residual: np.ndarray
+    status: np.ndarray
+
+    @cached_property
+    def points(self) -> list[RegenerationPoint | None]:
+        swept, solved = self.sweep_parameter, self.solve_parameter
+        nodes = zip(self.grid.tolist(), self.root.tolist(), self.residual.tolist(), self.status.tolist())
+        return [RegenerationPoint(replace(self.base, **{swept: g, solved: x}), residual) if reason == "root"
+                else None for g, x, residual, reason in nodes]
 
 
 def _clip_bracket(parameter: str, lo: float, hi: float) -> tuple[float, float]:
@@ -343,7 +381,7 @@ def _step_heats(table, ids, parameter, rel_tol, levels):
     def q_r(active, x):
         states = _moved(table, rows[:, active].ravel(), _QUANTITIES[parameter], np.concatenate((x, x)))
         u = energies[:, active]
-        u[moving] = summarize_many(*states, rel_tol, levels)["internal_energy"].reshape(2, -1)
+        u[moving] = summarize_many(*states, rel_tol, levels, True)["internal_energy"].reshape(2, -1)
         ua, ub, uc, ud = u
         return (uc - ub) + (ua - ud)
 
@@ -360,7 +398,7 @@ def trace_curve(
     rel_tol: float = DEFAULT_REL_TOL,
     levels: int | None = None,
     scan_points: int = DEFAULT_SCAN_POINTS,
-) -> list[RegenerationPoint | None]:
+) -> TraceResult:
     """Trace the q_r = 0 locus along a grid of one parameter.
 
     At every grid node the solve parameter is scanned at `scan_points`
@@ -375,9 +413,9 @@ def trace_curve(
     solves one bracket; each lockstep step is one `summarize_many` call on
     the well the solve parameter moves.  The candidate nearest the previous
     root counts (nearest the bracket midpoint at the first node), which keeps
-    the trace on one branch when the locus has several.  Nodes without any
-    sign change, nodes with a failing corner anywhere on their scan and nodes
-    whose solve fails are reported as None, preserving order.  A usage error (ValueError), such as
+    the trace on one branch when the locus has several.  A node without any
+    sign change, with a failing corner anywhere on its scan or whose solve
+    fails is a gap, whose status says which; see TraceResult.  A usage error (ValueError), such as
     a bad `tol`, `rel_tol`, `levels`, a `scan_points` that is no integer from
     2 to MAX_NODES, a grid value or bracket outside the validity domain,
     raises before any node, and on an empty grid too.
@@ -406,41 +444,49 @@ def trace_curve(
     _check_cut_args(rel_tol, levels)
     for g in grid[1:]:
         _check_domain(sweep_parameter, g, swept)
+    grid_values, scan = np.array(grid, dtype=float), np.array(xs)
 
-    points: list[RegenerationPoint | None] = []
+    roots, residuals, status = [], [], []
     prev_root = 0.5 * (lo + hi)  # the first node chooses the candidate nearest the bracket midpoint
     rows = max(1, _SCAN_CHUNK // scan_points)
     for start in range(0, len(grid), rows):
-        chunk = grid[start:start + rows]
-        nodes = {sweep_parameter: np.array(chunk)[:, None], solve_parameter: np.array(xs)}
-        table, ids = _corner_summaries(base, nodes, rel_tol, levels)
-        scans = _regenerator_heats(table, ids)[0].reshape(len(chunk), scan_points)  # one row per grid node
+        chunk = grid_values[start:start + rows]
+        table, ids = _corner_summaries(base, {sweep_parameter: chunk[:, None], solve_parameter: scan},
+                                       rel_tol, levels)
+        scans = _regenerator_heats(table, ids)[0].reshape(chunk.size, scan_points)  # one row per grid node
         # a node with a failing corner, a nan q_r, anywhere on its scan has no candidate
-        scans[np.isnan(scans).any(axis=1)] = np.nan
+        failing = np.isnan(scans).any(axis=1)
+        scans[failing] = np.nan
         row, left, right = _sign_changes(scans, tol)
         # every candidate is solved, as the one that counts depends on the root before
-        roots, residuals, failures = _false_position(
+        found, found_residuals, failures = _false_position(
             _step_heats(table, ids[:, row * scan_points + left], solve_parameter, rel_tol, levels),
-            np.take(xs, left), np.take(xs, right), scans[row, left], scans[row, right], tol,
+            scan[left], scan[right], scans[row, left], scans[row, right], tol,
         )
-        middles = (0.5 * (np.take(xs, left) + np.take(xs, right))).tolist()
-        ends = np.searchsorted(row, np.arange(1, len(chunk) + 1)).tolist()
+        middles = (0.5 * (scan[left] + scan[right])).tolist()
+        ends = np.searchsorted(row, np.arange(1, chunk.size + 1)).tolist()
         start = 0
-        for g, end in zip(chunk, ends):
-            point = None
+        for fails, end in zip(failing.tolist(), ends):
+            root, residual, reason = math.nan, math.nan, "failing_corner" if fails else "no_sign_change"
             if end > start:
                 k = min(range(start, end), key=lambda k: abs(middles[k] - prev_root))
+                reason = "solve_failure"
                 if failures[k] is None:  # a failed solve leaves the node a gap
-                    prev_root = roots[k]
-                    params = replace(base, **{sweep_parameter: g, solve_parameter: prev_root})
-                    point = RegenerationPoint(params=params, residual=residuals[k])
-            points.append(point)
+                    root = prev_root = found[k]
+                    residual, reason = found_residuals[k], "root"
+            roots.append(root)
+            residuals.append(residual)
+            status.append(reason)
             start = end
 
-    if points and all(p is None for p in points):
+    if grid and "root" not in status:
         warnings.warn(
             "no regeneration root found at any grid node; the locus does "
             "not intersect the scanned bracket, or every node failed",
             stacklevel=2,
         )
-    return points
+    result = TraceResult(base, sweep_parameter, solve_parameter, grid_values, np.array(roots, dtype=float),
+                         np.array(residuals, dtype=float), np.array(status, dtype=str))
+    for v in (result.grid, result.root, result.residual, result.status):
+        v.flags.writeable = False
+    return result

@@ -166,6 +166,7 @@ def summarize_many(
     temperature,
     rel_tol: float = DEFAULT_REL_TOL,
     levels=None,
+    _trim: bool = False,
 ) -> dict[str, np.ndarray]:
     """Every EnsembleSummary field of many states, as arrays keyed by field name.
 
@@ -190,7 +191,10 @@ def summarize_many(
     states share the call.  The first state outside the validity domain, a
     Python int past the float range too, raises the ValueError
     ThermalState(WellSpec(...), T) raises on it, naming the field; a bad
-    `rel_tol`, `levels` or shape raises ValueError too.
+    `rel_tol`, `levels` or shape raises ValueError too.  The cycle's and the
+    solver's calls pass `_trim`, a private flag: then the table holds n_cut,
+    U, S, F and C, all they read and all that decide a failure, and no Z or
+    tail bound.
     """
     per_state = levels is not None and np.ndim(levels) > 0
     _check_cut_args(rel_tol, None if per_state else levels)
@@ -243,10 +247,11 @@ def summarize_many(
         # a state cut past _HEAD adds levels _HEAD + 1 .. N in closed form to
         # its head; past a head whose last weight underflows every one weighs 0
         closed = (n_cut > _HEAD).nonzero()[0]
-        live = closed[np.exp(-x[closed] * (_HEAD ** alpha[closed] - 1.0)) > 0.0]
-        if live.size:  # a call with no live closed row skips the closure's fixed cost
+        # a call with no closed row, or no live one, skips the closure's fixed cost
+        live = closed[np.exp(-x[closed] * (_HEAD ** alpha[closed] - 1.0)) > 0.0] if closed.size else closed
+        if live.size:
             sums[:, live] += _tail_sums(alpha[live], x[live], n_cut[live])
-        fields = _summary_fields(scale, temperature, alpha, x, n_cut, *sums)
+        fields = _summary_fields(scale, temperature, alpha, x, n_cut, *sums, _trim)
     # no cut, or U, S, F or C past the float range, as T ln T_0 or E_1 (1 + <g>)
     # may be where E_1 or T is near the float maximum, and T_2 is where x underflows
     finite = np.isfinite(fields["internal_energy"]) & np.isfinite(fields["entropy"])
@@ -410,16 +415,25 @@ def _gamma_ratios(s, y):
     return np.array(lower), np.array(upper)
 
 
-def _summary_fields(e1, temperature, alpha, x, n, t0, t1, t2):
+def _summary_fields(e1, temperature, alpha, x, n, t0, t1, t2, trim):
     """The EnsembleSummary fields other than n_cut, from x = E_1/T, the cut N and the T_k.
 
-    Call under np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-    x and x dg may be large enough that a weight is 0, the tail bound may
-    divide by 0, and a state with no cut, N = 0, has nan sums.
+    U, S, F and C alone where `trim` is true.  Call under
+    np.errstate(over="ignore", divide="ignore", invalid="ignore"): x and x dg
+    may be large enough that a weight is 0, the tail bound may divide by 0,
+    and a state with no cut, N = 0, has nan sums.
     """
     log_z = np.log(t0)
     mean = t1 / t0  # <g>, so U - E_1 = E_1 <g>, free of cancellation
     x_mean = x * mean
+    fields = {
+        "internal_energy": e1 + e1 * mean,
+        "entropy": x_mean + log_z,
+        "free_energy": e1 - temperature * log_z,
+        "heat_capacity": x * (x * t2 / t0) - x_mean * x_mean,
+    }
+    if trim:
+        return fields
     power = n**alpha
     # x dg with dg = g_{N+1} - g_N as N^alpha ((1 + 1/N)^alpha - 1), as the
     # plain difference of two powers is 0 once N passes 2^53, and 1 - r as
@@ -427,9 +441,6 @@ def _summary_fields(e1, temperature, alpha, x, n, t0, t1, t2):
     step = x * (power * np.expm1(alpha * np.log1p(1.0 / n)))
     return {
         "partition_function": np.exp(-x) * t0,
-        "internal_energy": e1 + e1 * mean,
-        "entropy": x_mean + log_z,
-        "free_energy": e1 - temperature * log_z,
+        **fields,
         "tail_bound": np.exp(-x * (power - 1.0)) * np.exp(-step) / (-np.expm1(-step) * t0),
-        "heat_capacity": x * (x * t2 / t0) - x_mean * x_mean,
     }

@@ -88,7 +88,7 @@ def test_criterion_3_locus_curves():
         points = trace_curve(
             base, "alpha_2", "alpha_1", grid, (targets[key], 2.0),
             tol=1e-8, levels=BENCH_LEVELS,
-        )
+        ).points
         if any(p is None for p in points):
             failures.append(f"{key}: gap in curve")
             continue

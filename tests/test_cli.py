@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import math
@@ -18,6 +19,7 @@ from fracstirling import (
 )
 from fracstirling.cli import main
 from fracstirling.cycle import carnot_efficiency
+from fracstirling.reference import BENCH_ROWS
 from fracstirling.solver import MAX_NODES, sweep
 from fracstirling.spectrum import level_scale
 
@@ -606,16 +608,55 @@ class TestTraceCommand:
         assert err == (
             "warning: no regeneration root found at any grid node; the locus does "
             "not intersect the scanned bracket, or every node failed\n"
+            "warning: 2 of 2 grid nodes are gaps (no_sign_change 2, failing_corner 0, solve_failure 0)\n"
         )
 
     def test_failing_node_is_a_gap_row(self, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "trace", "--sweep", "lb=1.4:1e200:2", "--solve", "alpha1",
             "--la", "1", "--a2", "1.6", "--bracket", "1.3:2.0",
         )
         assert code == 0
         _, rows = csv_rows(out)
         assert [r[3] for r in rows] == ["ok", "gap"]
+        assert err == "warning: 1 of 2 grid nodes are gaps (no_sign_change 0, failing_corner 1, solve_failure 0)\n"
+
+    def test_failed_solve_is_a_gap_row(self, capsys):
+        # at tol = 0 the bracket of alpha_2 = 1.61 collapses before q_r is exactly 0
+        code, out, err = run_cli(
+            capsys, "trace", "--la", "1", "--lb", "1.4", "--a1", "1.5", "--a2", "1.579",
+            "--sweep", "alpha2=1.55:1.67:5", "--solve", "alpha1", "--tol", "0",
+        )
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert [r[3] for r in rows] == ["ok", "ok", "gap", "ok", "ok"]
+        assert rows[2][:3] == ["1.6099999999999999", "nan", "nan"]
+        assert err == "warning: 1 of 5 grid nodes are gaps (no_sign_change 0, failing_corner 0, solve_failure 1)\n"
+
+    def test_table1_traces_are_pinned(self, capsys):
+        # the twenty traces of the benchmark's trace-table1 workload at seed
+        # 3: each Table-1 width pair, ten-level and adaptive, along 21 alpha_2
+        # values from 0.0010955272231129593 above its row; the sha256 of their
+        # stdout was computed at commit ddaa282, before the trace result became arrays
+        digest = hashlib.sha256()
+        for levels in (["--levels", "10"], []):
+            for row in BENCH_ROWS:
+                lo = row.alpha_2 + 0.0010955272231129593
+                code, out, _ = run_cli(
+                    capsys, "trace", "--sweep", f"alpha2={lo!r}:{lo + 0.1!r}:21", "--solve", "alpha1",
+                    "--la", repr(row.width_a), "--lb", repr(row.width_b), *levels,
+                )
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == "fcd6703e46683da43e827bc63338d59ee8f2e72e36d412eb5d32c6431de7e440"
+
+    def test_a_trace_without_gaps_writes_no_stderr(self, capsys):
+        code, out, err = run_cli(
+            capsys, "trace", "--la", "1", "--lb", "1.4", "--sweep", "alpha2=1.579:1.6:2",
+            "--solve", "alpha1", "--levels", "10",
+        )
+        assert code == 0 and err == ""
+        assert [r[3] for r in csv_rows(out)[1]] == ["ok", "ok"]
 
     def test_exact_root_at_scan_point_is_an_ok_row(self, capsys):
         code, out, _ = run_cli(

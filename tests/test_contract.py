@@ -218,7 +218,7 @@ def test_trace_equals_scan_and_solve_at_every_node(data, row, levels, points, fa
         traced = trace_curve(
             base, sweep_parameter, solve_parameter, grid, (lo, hi),
             levels=levels, scan_points=points,
-        )
+        ).points
     expected = reference_trace(
         base, sweep_parameter, solve_parameter, grid, lo, hi, levels, points
     )
@@ -240,7 +240,7 @@ def assert_only_node_is_a_gap(traced, k, base, grid, bracket, **kwargs):
     # the other nodes equal a trace without node k: a failed solve costs its
     # node only, and the root before it still picks the next node's bracket
     assert traced[k] is None
-    rest = trace_curve(base, "alpha_2", "alpha_1", grid[:k] + grid[k + 1:], bracket, **kwargs)
+    rest = trace_curve(base, "alpha_2", "alpha_1", grid[:k] + grid[k + 1:], bracket, **kwargs).points
     assert repr(traced[:k] + traced[k + 1:]) == repr(rest)
     assert all(p is not None for p in rest)
 
@@ -250,7 +250,7 @@ def test_a_collapsed_solve_leaves_only_its_node_a_gap():
     # alpha_2 = 1.61 collapses first; that of 1.7, one step past this grid,
     # collapses too
     grid, bracket = [1.55 + 0.03 * i for i in range(5)], (1.000001, 2.0)
-    traced = trace_curve(GAP_BASE, "alpha_2", "alpha_1", grid, bracket, tol=0.0)
+    traced = trace_curve(GAP_BASE, "alpha_2", "alpha_1", grid, bracket, tol=0.0).points
     assert_only_node_is_a_gap(traced, 2, GAP_BASE, grid, bracket, tol=0.0)
     node = replace(GAP_BASE, alpha_2=grid[2])
     f = lambda x: regenerator_heat(replace(node, alpha_1=x))
@@ -271,7 +271,7 @@ def test_a_non_finite_step_leaves_only_its_node_a_gap(monkeypatch, levels):
     # the kernel gives nan inside node 2's bracket, as at a failing corner;
     # the scans, which sum through `cycle`, and the other brackets miss it
     grid, bracket = [1.58 + 0.05 * i for i in range(5)], (1.000001, 2.0)
-    whole = trace_curve(GAP_BASE, "alpha_2", "alpha_1", grid, bracket, levels=levels)
+    whole = trace_curve(GAP_BASE, "alpha_2", "alpha_1", grid, bracket, levels=levels).points
     lo, hi = chosen_bracket(whole, 2, _scan_points(*bracket, 64))
     kernel = solver.summarize_many
 
@@ -281,7 +281,7 @@ def test_a_non_finite_step_leaves_only_its_node_a_gap(monkeypatch, levels):
         return table
 
     monkeypatch.setattr(solver, "summarize_many", poisoned)
-    traced = trace_curve(GAP_BASE, "alpha_2", "alpha_1", grid, bracket, levels=levels)
+    traced = trace_curve(GAP_BASE, "alpha_2", "alpha_1", grid, bracket, levels=levels).points
     assert repr(traced[:2] + traced[3:]) == repr(whole[:2] + whole[3:])
     assert_only_node_is_a_gap(traced, 2, GAP_BASE, grid, bracket, levels=levels)
     expected = reference_trace(GAP_BASE, "alpha_2", "alpha_1", grid, *bracket, levels, 64)

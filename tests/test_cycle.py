@@ -372,7 +372,7 @@ class TestRegeneratorDeficit:
                     assert grid.reports[i][j].q_h.hex() == want.hex(), (x, y)
 
 
-def fake_corner_table(width, alpha, mass, temperature, rel_tol=1e-12, levels=None):
+def fake_corner_table(width, alpha, mass, temperature, rel_tol=1e-12, levels=None, _trim=False):
     """Crafted corner ensembles: q_ab = 0 yet the cycle nets work."""
     hot, wide = np.asarray(temperature) == 4.0, np.asarray(width) > 1.0
     u = np.select([hot & ~wide, hot & wide, ~hot & wide], [4.0, 5.0, 2.0], 3.0)
@@ -453,7 +453,7 @@ class TestCrossingSearch:
     def test_capacities_whose_gaps_multiply_to_zero_are_searched(self, monkeypatch):
         # heat capacity gaps of -1e-200 at t_hot and 1e-200 at t_cold: their
         # product underflows to -0.0, which is not below 0, their signs cross
-        def tiny_gaps(width, alpha, mass, temperature, rel_tol=1e-12, levels=None):
+        def tiny_gaps(width, alpha, mass, temperature, rel_tol=1e-12, levels=None, _trim=False):
             hot, wide = np.asarray(temperature) == 4.0, np.asarray(width) > 1.0
             ones = np.ones(hot.size)
             return {"n_cut": ones, "internal_energy": ones, "entropy": ones,

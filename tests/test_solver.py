@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import sys
@@ -20,6 +21,7 @@ from fracstirling import (
     NoRootError,
     RegenerationPoint,
     SweepAxis,
+    TraceResult,
     cycle,
     evaluate,
     find_brackets,
@@ -451,7 +453,7 @@ class TestRootCertificate:
         grid = [getattr(base, sweep_parameter) * (1.0 + 0.004 * i) for i in range(3)]
         points += trace_curve(
             base, sweep_parameter, parameter, grid, domain, tol=1e-11, levels=levels
-        )
+        ).points
         assert all(p is not None for p in points)
         for p in points:
             assert p.residual == abs(regenerator_heat(p.params, levels=levels)) <= 1e-11
@@ -497,7 +499,7 @@ class TestTraceCurve:
         )
         traced = trace_curve(
             BASE, "alpha_2", "alpha_1", [1.579], (1.47, 1.56), tol=1e-9, levels=10
-        )
+        ).points
         assert len(traced) == 1
         assert traced[0].params.alpha_2 == solved.params.alpha_2
         assert traced[0].params.alpha_1 == pytest.approx(
@@ -510,7 +512,7 @@ class TestTraceCurve:
         # the solve takes the end as a root, and so does the trace's scan
         solved = solve_regeneration(BASE, "alpha_1", 1.502, 1.9, tol=1e-4, levels=10)
         traced = trace_curve(BASE, "alpha_2", "alpha_1", [1.579], (1.502, 1.9), tol=1e-4, levels=10,
-                             scan_points=2)
+                             scan_points=2).points
         assert 0.0 < solved.residual <= 1e-4 and solved.params.alpha_1 == 1.502
         assert repr(traced) == repr([solved])
 
@@ -518,13 +520,13 @@ class TestTraceCurve:
         # the scan points that overflow are the end itself; every point past
         # the first fails its level sum, so the node is a gap, not a ValueError
         with pytest.warns(UserWarning, match="no regeneration root"):
-            assert trace_curve(BASE, "alpha_2", "width_a", [1.579], (1.0, MAX)) == [None]
+            assert trace_curve(BASE, "alpha_2", "width_a", [1.579], (1.0, MAX)).points == [None]
 
     def test_follows_upper_branch_monotonically(self):
         grid = [1.579 + 0.05 * i for i in range(4)]
         points = trace_curve(
             BASE, "alpha_2", "alpha_1", grid, (1.482, 2.0), tol=1e-8, levels=10
-        )
+        ).points
         assert all(isinstance(p, RegenerationPoint) for p in points)
         alphas = [p.params.alpha_1 for p in points]
         assert all(b > a for a, b in zip(alphas, alphas[1:]))
@@ -541,7 +543,7 @@ class TestTraceCurve:
             base = CycleParams(la, lb, 1.5, 1.8, **BATHS)
             (pt,) = trace_curve(
                 base, "alpha_2", "alpha_1", [1.8], (lo, 2.0), tol=1e-8, levels=10
-            )
+            ).points
             at[(la, lb)] = pt.params.alpha_1
         assert at[(1.0, 1.4)] > at[(1.2, 1.6)] > at[(1.4, 1.8)]
 
@@ -551,21 +553,21 @@ class TestTraceCurve:
         with pytest.warns(UserWarning, match="no regeneration root"):
             points = trace_curve(
                 BASE, "alpha_2", "alpha_1", grid, (1.3, 2.0), tol=1e-8, levels=10
-            )
+            ).points
         assert points == [None, None, None]
 
     def test_mixed_gaps_preserve_order(self):
         grid = [1.50, 1.60, 1.70]
         points = trace_curve(
             BASE, "alpha_2", "alpha_1", grid, (1.482, 2.0), tol=1e-8, levels=10
-        )
+        ).points
         assert points[0] is None
         assert points[1] is not None and points[2] is not None
 
     def test_failing_node_becomes_gap(self):
         # at L_B = 1e200 the level sum leaves the float range; only that node is lost
         base = CycleParams(1.0, 1.4, 1.5, 1.6, **BATHS)
-        points = trace_curve(base, "width_b", "alpha_1", [1.4, 1e200], (1.3, 2.0))
+        points = trace_curve(base, "width_b", "alpha_1", [1.4, 1e200], (1.3, 2.0)).points
         assert isinstance(points[0], RegenerationPoint)
         assert points[1] is None
 
@@ -575,10 +577,10 @@ class TestTraceCurve:
         # further along the scan; a bracket that stops short of them has a root
         base = CycleParams(1.0, 1.4, 1.502, 1.579, **BATHS)
         with pytest.warns(UserWarning, match="no regeneration root"):
-            points = trace_curve(base, "alpha_2", "width_b", [1.579], (1.0, 1e78))
+            points = trace_curve(base, "alpha_2", "width_b", [1.579], (1.0, 1e78)).points
         assert points == [None]
         for hi in (1e3, 3e76):
-            (point,) = trace_curve(base, "alpha_2", "width_b", [1.579], (1.0, hi))
+            (point,) = trace_curve(base, "alpha_2", "width_b", [1.579], (1.0, hi)).points
             assert abs(regenerator_heat(point.params)) <= 1e-8
 
     @pytest.mark.parametrize(
@@ -616,7 +618,7 @@ class TestTraceCurve:
         grid = [1.58 + 0.02 * i for i in range(6)]
         points = trace_curve(
             BASE, "alpha_2", "alpha_1", grid, (1.000001, 2.0), levels=levels
-        )
+        ).points
         assert all(p is not None for p in points)
         assert scalar == []
         assert 1 <= len(steps) <= 10, steps
@@ -640,13 +642,13 @@ class TestTraceCurve:
         monkeypatch.setattr(solver, "summarize_many", counting(solver.summarize_many, steps))
         grid = [1.45, 1.5, 1.55, 1.6, 1.65]
         args = (BASE, "alpha_2", "alpha_1", grid, (1.3, 2.0))
-        whole = trace_curve(*args, levels=levels)
+        whole = trace_curve(*args, levels=levels).points
         assert len(scans) == 1 and 1 <= len(steps) <= 10
         whole_steps = len(steps)
         scans.clear()
         steps.clear()
         monkeypatch.setattr(solver, "_SCAN_CHUNK", 1)
-        assert repr(trace_curve(*args, levels=levels)) == repr(whole)
+        assert repr(trace_curve(*args, levels=levels).points) == repr(whole)
         assert len(scans) == len(grid)
         solved = sum(p is not None for p in whole)
         assert solved >= 2 and whole_steps < len(steps) <= 10 * solved
@@ -669,7 +671,7 @@ class TestTraceCurve:
         base = CycleParams(1.0, 1.0, 2.0, 2.0, **BATHS)
         points = trace_curve(
             base, "alpha_2", "alpha_1", [1.9, 2.0], (1.000001, 2.0), levels=10
-        )
+        ).points
         assert points[1] == RegenerationPoint(params=base, residual=0.0)
 
     @pytest.mark.parametrize(
@@ -755,6 +757,71 @@ class TestTraceCurve:
         # a float count would reach the scan's reshape as a TypeError
         with pytest.raises(ValueError, match="need an integer number of scan points, got 9"):
             trace_curve(BASE, "alpha_2", "alpha_1", [1.6, 1.7], (1.4, 2.0), scan_points=scan_points)
+
+
+# traces with every kind of node: roots, and gaps of each status, ten-level
+# and adaptive, with alpha and width solves
+TRACES = {
+    "fold": (BASE, "alpha_2", "alpha_1", [1.40, 1.45, 1.5, 1.6, 1.7], (1.3, 2.0), dict(levels=10)),
+    "failing corner": (replace(BASE, alpha_2=1.6), "width_b", "alpha_1", [1.4, 1e200], (1.3, 2.0), {}),
+    "collapsed solve": (BASE, "alpha_2", "alpha_1", [1.55 + 0.03 * i for i in range(5)], (1.000001, 2.0),
+                        dict(tol=0.0)),
+    "width solve": (replace(BASE, alpha_1=1.502), "alpha_2", "width_b", [1.579, 1.6, 1.65], (1.0, 1e3), {}),
+    "alpha sweep": (BASE, "alpha_1", "width_a", [1.45, 1.5, 1.55], (0.3, 3.0), dict(levels=10)),
+}
+STATUSES = {
+    "fold": ["no_sign_change"] * 3 + ["root"] * 2,
+    "failing corner": ["root", "failing_corner"],
+    "collapsed solve": ["root", "root", "solve_failure", "root", "root"],
+    "width solve": ["root", "root", "no_sign_change"],
+    "alpha sweep": ["no_sign_change", "no_sign_change", "root"],
+}
+
+
+def run_trace(name):
+    base, sweep_parameter, solve_parameter, grid, bracket, kwargs = TRACES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return trace_curve(base, sweep_parameter, solve_parameter, grid, bracket, **kwargs)
+
+
+class TestTraceResult:
+    def test_points_repr_is_pinned(self):
+        # the sha256 of the reprs of the lists `trace_curve` returned at
+        # commit ddaa282, before the result became arrays
+        digest = hashlib.sha256()
+        for name in TRACES:
+            digest.update(repr(run_trace(name).points).encode())
+        assert digest.hexdigest() == "56e1a9dfd5caa97a66060d4fd1b63a0862b85641d84aba7596c4824b14872240"
+
+    @pytest.mark.parametrize("name", TRACES)
+    def test_arrays_agree_with_points(self, name):
+        result = run_trace(name)
+        base, sweep_parameter, solve_parameter, grid, _, _ = TRACES[name]
+        assert isinstance(result, TraceResult) and result.base is base
+        assert (result.sweep_parameter, result.solve_parameter) == (sweep_parameter, solve_parameter)
+        assert result.grid.tolist() == grid and result.status.tolist() == STATUSES[name]
+        gap = result.status != "root"
+        assert (np.isnan(result.root) == gap).all() and (np.isnan(result.residual) == gap).all()
+        for g, x, residual, point in zip(grid, result.root.tolist(), result.residual.tolist(), result.points,
+                                         strict=True):
+            if point is None:
+                continue
+            assert point == RegenerationPoint(replace(base, **{sweep_parameter: g, solve_parameter: x}), residual)
+        assert result.points is result.points  # built once
+        for v in (result.grid, result.root, result.residual, result.status):
+            assert not v.flags.writeable
+
+    def test_a_failing_scan_point_is_a_failing_corner(self):
+        # the scan's widths past about 4e76 fail their level sums, though q_r
+        # changes sign before them
+        with pytest.warns(UserWarning, match="no regeneration root"):
+            result = trace_curve(replace(BASE, alpha_1=1.502), "alpha_2", "width_b", [1.579], (1.0, 1e78))
+        assert result.status.tolist() == ["failing_corner"] and result.points == [None]
+
+    def test_an_empty_grid_has_empty_arrays(self):
+        result = trace_curve(BASE, "alpha_2", "alpha_1", [], (1.3, 2.0))
+        assert result.points == [] and all(v.size == 0 for v in (result.grid, result.root, result.status))
 
 
 class TestSweepAxis:

@@ -4,7 +4,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracstirling import (
@@ -377,6 +377,10 @@ def plain_sums(alpha, x, n_cut):
     return float(np.sum(weights)), float(np.dot(g, weights))
 
 
+# an adaptive state whose level sums hold but for T_2, the sum behind C
+C_ONLY = (1e62, 2.0, 1.0, None)
+
+
 class TestSummarizeMany:
     @pytest.mark.parametrize("levels", [None, 10])
     def test_every_field_matches_summarize_bitwise(self, levels):
@@ -447,17 +451,23 @@ class TestSummarizeMany:
                   st.floats(math.log10(thermo._T_MIN), 308.0).map(lambda e: max(10.0**e, thermo._T_MIN))),
         st.one_of(st.none(), st.integers(1, MAX_LEVELS)),
     ), min_size=1, max_size=8))
+    @example([C_ONLY, (1.0, 1.5, 4.0, None), (1e62, 2.0, 1.0, 10)])
     def test_a_state_fails_exactly_where_its_u_is_nan(self, states):
         # over the whole domain, one example holding adaptive and fixed cuts:
         # a state has failed exactly where U is nan, and there S, F and C are
-        # nan, n_cut is 0 and `summarize` raises; elsewhere all four are finite
+        # nan, n_cut is 0 and `summarize` raises; elsewhere all four are finite.
+        # The cycle's trimmed call, with no Z or tail bound, fails the same
+        # states, C_ONLY among them, and gives the same bits
         for levels in (None, "fixed"):
             group = [s for s in states if (s[3] is None) == (levels is None)]
             if not group:
                 continue
             width, alpha, temperature, cuts = zip(*group)
-            table = summarize_many(width, alpha, [1.0] * len(group), temperature,
-                                   levels=None if levels is None else cuts)
+            args = (width, alpha, [1.0] * len(group), temperature, thermo.DEFAULT_REL_TOL, None if levels is None else cuts)
+            table, trimmed = summarize_many(*args), summarize_many(*args, True)
+            assert sorted(trimmed) == ["entropy", "free_energy", "heat_capacity", "internal_energy", "n_cut"]
+            for name, v in trimmed.items():
+                assert v.tobytes() == table[name].tobytes(), name
             failed = np.isnan(table["internal_energy"])
             for name in ("entropy", "free_energy", "heat_capacity"):
                 assert (np.isnan(table[name]) == failed).all(), name
@@ -471,6 +481,25 @@ class TestSummarizeMany:
                         summarize(state, levels=cut)
                 else:
                     assert math.isfinite(summarize(state, levels=cut).internal_energy)
+
+    def test_a_state_can_fail_on_c_alone(self, monkeypatch):
+        # at C_ONLY, x ~ 1e-124, T_2 overflows while T_0 and T_1 do not: U, S
+        # and F are finite, C alone is not, and the state fails, trimmed too
+        raw, formed = [], thermo._summary_fields
+
+        def recording(*args):
+            fields = formed(*args)
+            raw.append({name: v.copy() for name, v in fields.items()})
+            return fields
+
+        monkeypatch.setattr(thermo, "_summary_fields", recording)
+        width, alpha, temperature, _ = C_ONLY
+        for trim in (False, True):
+            table = summarize_many([width], [alpha], [1.0], [temperature], thermo.DEFAULT_REL_TOL, None, trim)
+            assert np.isnan(table["internal_energy"][0]) and table["n_cut"][0] == 0
+            finite = {name: bool(np.isfinite(v[0])) for name, v in raw.pop().items()}
+            assert {name: finite[name] for name in ("internal_energy", "entropy", "free_energy", "heat_capacity")} == {
+                "internal_energy": True, "entropy": True, "free_energy": True, "heat_capacity": False}
 
     def test_an_overflowing_top_level_weighs_nothing(self):
         # E_1 ~ 1e308 is finite but E_2 overflows: the state is kept in its
