@@ -14,11 +14,11 @@ columns that move it in one `summarize_many` call, forms every report
 quantity as an array and steps the crossing searches of all nodes as array
 columns, with no loop over nodes; `_reports` builds CycleReports from those
 arrays.  `evaluate` runs both on one node, `solver.sweep` the array stage on
-a grid.  `_regenerator_heats` forms q_r there and for `regenerator_heat`,
-`solve_regeneration` and the scan of `trace_curve`.  The corner table holds
-each state's width, alpha, mass and temperature: a lockstep search, of a
-heat-capacity crossing here or of a root in `solver`, re-sums its rows with
-one of them moved (`_moved`).
+a grid.  `_regenerator_heats` forms q_r there, for `regenerator_heat` and
+for the scans of `solver`, where a solve is the one-node trace.  The corner
+table holds each state's width, alpha, mass and temperature: a lockstep
+search, of a heat-capacity crossing here or of a root in `solver`, re-sums
+its rows with one of them moved (`_moved`).
 """
 
 from __future__ import annotations
@@ -235,9 +235,9 @@ def _regenerator_heats(table, ids):
     """q_r = (U_C - U_B) + (U_A - U_D) of the nodes of `_corner_summaries`.
 
     Returns q_r per node and the (4, nodes) array of U at corners A, B, C,
-    D.  A failing corner's U is nan, and q_r is nan exactly there: elsewhere
-    it adds two differences of finite positive energies, which may overflow
-    but never to nan.
+    D.  A failing corner's U is nan, and q_r is nan exactly there; elsewhere
+    U rises with T, so U_A - U_D >= 0 >= U_C - U_B up to rounding, and q_r,
+    a sum of two finite values of opposite sign, is finite.
     """
     ua, ub, uc, ud = energies = table["internal_energy"][ids]
     return (uc - ub) + (ua - ud), energies
@@ -336,7 +336,8 @@ def _h_at_crossings(table, ad, bc, lo, hi):
         if not active.size:
             break
         states, t_a = np.concatenate((ad[active], bc[active])), t[active]
-        s = summarize_many(*_moved(table, states, "temperature", np.tile(t_a, 2)), levels=table["n_cut"][states])
+        s = summarize_many(*_moved(table, states, "temperature", np.tile(t_a, 2)), levels=table["n_cut"][states],
+                           _trim=True)
         u, c = (np.split(s[name], 2) for name in ("internal_energy", "heat_capacity"))
         h[active] = h_a = u[0] - u[1]
         g = c[0] - c[1]

@@ -5,11 +5,11 @@ parameter column per node, whose corner states are summed in one
 `summarize_many` call: a sweep runs the cycle evaluator behind `evaluate` on
 them, a scan forms q_r.  The roots of the locus q_r = 0 are then solved in
 lockstep, one `summarize_many` call per step for all of a scan's brackets,
-and a trace returns them as arrays, a `TraceResult`, with a status per node.
-The solver uses no derivative, as q_r is not monotone in the kinetic
-exponents: each solve works on a sign-change bracket by the Anderson-Bjorck
-method, a false position that scales down the value of an end kept twice in
-a row.
+and a trace returns them as arrays, a `TraceResult`, with a status per node;
+a solve of one bracket is the one-node trace, the bracket ends its scan.  The
+solver uses no derivative, as q_r is not monotone in the kinetic exponents:
+each solve works on a sign-change bracket by the Anderson-Bjorck method, a
+false position that scales down the value of an end kept twice in a row.
 """
 
 from __future__ import annotations
@@ -332,34 +332,29 @@ def solve_regeneration(
 ) -> RegenerationPoint:
     """Solve q_r = 0 for one cycle parameter inside a sign-change bracket.
 
-    The bracket endpoints, which may coincide, must give q_r of opposite
-    signs or a root; otherwise a NoRootError carrying both endpoint
-    residuals is raised.  The solver never evaluates outside the bracket
-    clipped to the parameter's validity domain.  Failures raise a
-    FracStirlingError, invalid arguments (a `tol` outside [0, inf)) a ValueError.
+    A solve is the one-node trace whose two scan points are the ends of the
+    bracket clipped to the parameter's validity domain, outside which it never
+    evaluates.  The ends, which may coincide, must give q_r of opposite signs
+    or a root, else a NoRootError carrying both end residuals is raised.  A
+    failing corner raises its error, the lower end's first, a failed solve a
+    SolverError and a `tol` outside [0, inf) a ValueError.
     """
     if parameter not in SWEEPABLE:
         raise ValueError(f"cannot solve for {parameter!r}; choose one of {SWEEPABLE}")
     _check_tol(tol)
     lo, hi = _clip_bracket(parameter, bracket_lo, bracket_hi)
     ends = [replace(base, **{parameter: x}) for x in (lo, hi)]  # CycleParams checks both
-    table, ids = _corner_summaries(base, {parameter: np.array([lo, hi])}, rel_tol, levels)
-    q_r, energies = _regenerator_heats(table, ids)
-    f_lo, f_hi = q_r.tolist()
-    for params, f, u in zip(ends, (f_lo, f_hi), energies.T):
-        if math.isnan(f):  # a corner fails
-            raise _node_error(params, {}, u)
-    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
-        raise SolverError(f"non-finite q_r at bracket endpoints [{lo}, {hi}]")
-    if np.sign(f_lo) * np.sign(f_hi) > 0 and abs(f_lo) > tol and abs(f_hi) > tol:
+    ((reason, root, residual, failure),), scans, energies = _scan_and_solve(
+        base, {}, parameter, np.array([lo, hi]), 0.5 * (lo + hi), tol, rel_tol, levels)
+    if reason == "failing_corner":  # the lower end raises first
+        raise next(_node_error(p, {}, u) for p, u in zip(ends, energies.T) if np.isnan(u).any())
+    if reason == "no_sign_change":
+        f_lo, f_hi = scans[0].tolist()
         raise NoRootError(
             f"q_r has the same sign at both ends of [{lo}, {hi}]: "
             f"q_r({lo})={f_lo}, q_r({hi})={f_hi}",
-            residual_lo=f_lo,
-            residual_hi=f_hi,
+            residual_lo=f_lo, residual_hi=f_hi,
         )
-    step = _step_heats(table, ids[:, :1], parameter, rel_tol, levels)  # from the corners of the lower end
-    (root,), (residual,), (failure,) = _false_position(step, [lo], [hi], [f_lo], [f_hi], tol)
     params = replace(base, **{parameter: root})
     if failure:
         regenerator_heat(params, rel_tol, levels)  # a failing corner raises its own error
@@ -367,25 +362,50 @@ def solve_regeneration(
     return RegenerationPoint(params=params, residual=residual)
 
 
-def _step_heats(table, ids, parameter, rel_tol, levels):
-    """q_r(active, x), q_r of the problems `active` at values x of the solve parameter.
+def _scan_and_solve(base, nodes, parameter, scan, prev_root, tol, rel_tol, levels):
+    """The scan and lockstep solve of a chunk of trace nodes, or of a solve as one node.
 
-    `ids` holds the rows of corners A, B, C, D of a point of each problem in
-    `table`, a corner table of `_corner_summaries`.  A step re-sums only the
-    rows of the well the parameter moves, A and D or B and C, with its width
-    or alpha set to x.
+    The corners of every node, `base` moved by the columns `nodes` (none for
+    one node), at every value `scan` of `parameter` are summed in one
+    `summarize_many` call.  Each sign-change interval and each scan point with
+    |q_r| <= tol is a candidate, none on a node with a failing corner (a nan
+    q_r) on its scan.  All are solved in lockstep, as the one that counts, the
+    one nearest the previous root (`prev_root` at the first node), depends on
+    the root before; a step re-sums only the rows of the well `parameter` moves.
+    Returns per node (status, root, |q_r|, None or the failure message), the
+    root a failed solve's last point and nan without a candidate; then the
+    (nodes, scan points) q_r rows and the (4, nodes * scan points) U at A .. D.
     """
+    table, ids = _corner_summaries(base, {**nodes, parameter: scan}, rel_tol, levels)
+    q_r, energies = _regenerator_heats(table, ids)
+    scans = q_r.reshape(-1, scan.size)  # one row per node
+    failing = np.isnan(scans).any(axis=1)
+    scans[failing] = np.nan
+    row, left, right = _sign_changes(scans, tol)
     moving = [k for k, fields in enumerate(_CORNER_FIELDS) if parameter in fields]
-    energies, rows = table["internal_energy"][ids], ids[moving]
+    # the corners each candidate starts from, those of its left scan point
+    start_energies, rows = (v[:, row * scan.size + left] for v in (energies, ids[moving]))
 
-    def q_r(active, x):
+    def step(active, x):
         states = _moved(table, rows[:, active].ravel(), _QUANTITIES[parameter], np.concatenate((x, x)))
-        u = energies[:, active]
+        u = start_energies[:, active]
         u[moving] = summarize_many(*states, rel_tol, levels, True)["internal_energy"].reshape(2, -1)
         ua, ub, uc, ud = u
         return (uc - ub) + (ua - ud)
 
-    return q_r
+    found, found_residuals, failures = _false_position(
+        step, scan[left], scan[right], scans[row, left], scans[row, right], tol)
+    middles = (0.5 * (scan[left] + scan[right])).tolist()
+    ends = np.searchsorted(row, np.arange(1, len(scans) + 1)).tolist()
+    solved = []
+    for fails, start, end in zip(failing.tolist(), [0, *ends], ends):
+        if end == start:
+            solved.append(("failing_corner" if fails else "no_sign_change", math.nan, math.nan, None))
+            continue
+        k = min(range(start, end), key=lambda k: abs(middles[k] - prev_root))
+        prev_root = found[k] if failures[k] is None else prev_root
+        solved.append(("solve_failure" if failures[k] else "root", found[k], found_residuals[k], failures[k]))
+    return solved, scans, energies
 
 
 def trace_curve(
@@ -402,23 +422,19 @@ def trace_curve(
     """Trace the q_r = 0 locus along a grid of one parameter.
 
     At every grid node the solve parameter is scanned at `scan_points`
-    uniform points across `bracket`.  Each sign-change interval is a root
-    candidate, and so is each scan point with |q_r| <= tol, which
-    `solve_regeneration` accepts as a root.  The scans of all nodes form one
-    sweep grid, grid values times scan points, whose corner states are summed by one
-    `summarize_many` call per chunk of at most _SCAN_CHUNK scan nodes, so
-    every scan value equals `regenerator_heat` at its point bit for bit.
-    All candidates of a chunk are solved in lockstep from the scan values at
-    their ends by the Anderson-Bjorck false position, as `solve_regeneration`
-    solves one bracket; each lockstep step is one `summarize_many` call on
-    the well the solve parameter moves.  The candidate nearest the previous
-    root counts (nearest the bracket midpoint at the first node), which keeps
-    the trace on one branch when the locus has several.  A node without any
-    sign change, with a failing corner anywhere on its scan or whose solve
-    fails is a gap, whose status says which; see TraceResult.  A usage error (ValueError), such as
-    a bad `tol`, `rel_tol`, `levels`, a `scan_points` that is no integer from
-    2 to MAX_NODES, a grid value or bracket outside the validity domain,
-    raises before any node, and on an empty grid too.
+    uniform points across `bracket`, and of its root candidates the one
+    nearest the previous root (nearest the bracket midpoint at the first node)
+    is solved, which keeps the trace on one branch when the locus has several.
+    The grid is scanned and solved in chunks of at most _SCAN_CHUNK scan
+    nodes, each one call of the core whose one-node case is
+    `solve_regeneration`; see `_scan_and_solve`.  A one-node trace whose two
+    scan points are a bracket's ends thus returns the solve's point, or a gap
+    whose status names the error the solve raises.  A node without any sign
+    change, with a failing corner anywhere on its scan or whose solve fails is
+    a gap, whose status says which; see TraceResult.  A usage error
+    (ValueError), such as a bad `tol`, `rel_tol`, `levels`, a `scan_points`
+    that is no integer from 2 to MAX_NODES, a grid value or bracket outside
+    the validity domain, raises before any node, and on an empty grid too.
     """
     if sweep_parameter not in SWEEPABLE or solve_parameter not in SWEEPABLE:
         raise ValueError(f"parameters must be among {SWEEPABLE}")
@@ -450,34 +466,16 @@ def trace_curve(
     prev_root = 0.5 * (lo + hi)  # the first node chooses the candidate nearest the bracket midpoint
     rows = max(1, _SCAN_CHUNK // scan_points)
     for start in range(0, len(grid), rows):
-        chunk = grid_values[start:start + rows]
-        table, ids = _corner_summaries(base, {sweep_parameter: chunk[:, None], solve_parameter: scan},
-                                       rel_tol, levels)
-        scans = _regenerator_heats(table, ids)[0].reshape(chunk.size, scan_points)  # one row per grid node
-        # a node with a failing corner, a nan q_r, anywhere on its scan has no candidate
-        failing = np.isnan(scans).any(axis=1)
-        scans[failing] = np.nan
-        row, left, right = _sign_changes(scans, tol)
-        # every candidate is solved, as the one that counts depends on the root before
-        found, found_residuals, failures = _false_position(
-            _step_heats(table, ids[:, row * scan_points + left], solve_parameter, rel_tol, levels),
-            scan[left], scan[right], scans[row, left], scans[row, right], tol,
-        )
-        middles = (0.5 * (scan[left] + scan[right])).tolist()
-        ends = np.searchsorted(row, np.arange(1, chunk.size + 1)).tolist()
-        start = 0
-        for fails, end in zip(failing.tolist(), ends):
-            root, residual, reason = math.nan, math.nan, "failing_corner" if fails else "no_sign_change"
-            if end > start:
-                k = min(range(start, end), key=lambda k: abs(middles[k] - prev_root))
-                reason = "solve_failure"
-                if failures[k] is None:  # a failed solve leaves the node a gap
-                    root = prev_root = found[k]
-                    residual, reason = found_residuals[k], "root"
+        nodes = {sweep_parameter: grid_values[start:start + rows, None]}
+        for reason, root, residual, _ in _scan_and_solve(base, nodes, solve_parameter, scan, prev_root, tol,
+                                                         rel_tol, levels)[0]:
+            if reason == "root":
+                prev_root = root
+            else:  # a gap, a failed solve too
+                root = residual = math.nan
             roots.append(root)
             residuals.append(residual)
             status.append(reason)
-            start = end
 
     if grid and "root" not in status:
         warnings.warn(

@@ -393,7 +393,7 @@ class TestDegenerateError:
             cycle_mod.evaluate(CycleParams(0.8, 1.2, 1.5, 1.5, **BATHS))
 
 
-def closed_form_isochores(width, alpha, mass, temperature, rel_tol=1e-12, levels=None):
+def closed_form_isochores(width, alpha, mass, temperature, rel_tol=1e-12, levels=None, _trim=False):
     """Crafted isochore states whose U(T) and C(T) = dU/dT are polynomials in T.
 
     alpha 1 marks a state with U = C = 0, alpha 2 one with U = (T - w)^2,
@@ -435,10 +435,13 @@ class TestCrossingSearch:
             for k, node in enumerate(ad.tolist())
         ]
         active = []
-        monkeypatch.setattr(
-            cycle_mod, "summarize_many",
-            lambda width, *args, **kwargs: active.append(len(width) // 2) or closed_form_isochores(width, *args),
-        )
+
+        def kernel(width, *args, **kwargs):
+            assert kwargs["_trim"]  # a step forms no Z or tail bound
+            active.append(len(width) // 2)
+            return closed_form_isochores(width, *args, **kwargs)
+
+        monkeypatch.setattr(cycle_mod, "summarize_many", kernel)
         got = cycle_mod._h_at_crossings(table, ad, bc, lo, hi)
         assert [v.hex() for v in got.tolist()] == [h.hex() for h, _, _ in want]
         # one call per step, on the nodes whose scalar search had not stopped

@@ -5,7 +5,7 @@ formula of E_1, and, where the cut is short enough to sum, its level sums as
 one plain numpy row.  The kernel's failed states, those whose U is nan,
 and the messages worded from them by `summarize`, `evaluate`,
 `regenerator_heat` and `sweep`, must match it type for type and byte for
-byte.
+byte.  Where no corner fails, q_r is finite.
 """
 
 import math
@@ -175,3 +175,19 @@ def test_all_failing_sweep_makes_one_kernel_call(monkeypatch):
         with pytest.raises(FracStirlingError) as err:
             evaluate(CycleParams(ax.values()[i], 1.0, 2.0, ay.values()[j], 4.0, 3.0))
         assert message == str(err.value)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(st.tuples(widths, widths), st.tuples(alphas, alphas), positive, st.tuples(temperatures, temperatures),
+       rel_tols, st.sampled_from([None, 10]))
+def test_finite_corners_give_a_finite_q_r(widths_, alphas_, mass, baths, rel_tol, levels):
+    # U rises with T, so U_A - U_D >= 0 >= U_C - U_B up to a few ulps: q_r adds
+    # two finite values of opposite sign and cannot overflow, so a solve
+    # whose bracket ends have finite corners scans a finite q_r at both
+    t_cold, t_hot = sorted(baths)
+    if not t_hot > t_cold:
+        return
+    params = CycleParams(*widths_, *alphas_, t_hot, t_cold, mass)
+    if any(fails(s, rel_tol, levels) for s in corners(params)):
+        return
+    assert math.isfinite(regenerator_heat(params, rel_tol, levels))

@@ -19,6 +19,7 @@ from fracstirling import (
     corners,
     NodeError,
     NoRootError,
+    SolverError,
     RegenerationPoint,
     SweepAxis,
     TraceResult,
@@ -298,6 +299,18 @@ class TestSolveAlpha1:
         assert err.value.residual_lo < 0.0 and err.value.residual_hi < 0.0
         assert err.value.residual_lo * err.value.residual_hi == 0.0
 
+    @pytest.mark.parametrize("levels", [10, None])
+    def test_a_solve_scans_its_exact_bracket_ends(self, levels):
+        # lo + (hi - lo) rounds below hi here, and q_r there differs from
+        # q_r(hi): a solve that scanned two uniform points would show it
+        lo, hi = 2.843846066906133, 21.12976136239565
+        q_r = lambda x: regenerator_heat(replace(BASE, width_a=x), levels=levels)
+        assert lo + (hi - lo) != hi and q_r(lo + (hi - lo)) != q_r(hi)
+        with pytest.raises(NoRootError) as err:
+            solve_regeneration(BASE, "width_a", lo, hi, levels=levels)
+        assert err.value.residual_lo.hex() == q_r(lo).hex()
+        assert err.value.residual_hi.hex() == q_r(hi).hex()
+
     def test_bracket_clipped_to_admissible_alphas(self):
         with pytest.raises(ValueError):
             solve_regeneration(BASE, "alpha_1", 2.5, 3.0)
@@ -492,20 +505,37 @@ class TestRootCertificate:
         assert count > 0
 
 
+def one_node_trace(node, parameter, lo, hi, **kwargs):
+    """`trace_curve` of `parameter` at the single node `node`, whose two scan points are exactly lo and hi."""
+    assert lo + (hi - lo) == hi  # the trace's upper scan point is hi itself
+    sweep_parameter = "alpha_2" if parameter != "alpha_2" else "alpha_1"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a trace without any root warns
+        return trace_curve(node, sweep_parameter, parameter, [getattr(node, sweep_parameter)], (lo, hi),
+                           scan_points=2, **kwargs)
+
+
 class TestTraceCurve:
     def test_single_node_reduces_to_solve(self):
-        solved = solve_regeneration(
-            replace(BASE, alpha_2=1.579), "alpha_1", 1.47, 1.56, tol=1e-9, levels=10
-        )
-        traced = trace_curve(
-            BASE, "alpha_2", "alpha_1", [1.579], (1.47, 1.56), tol=1e-9, levels=10
-        ).points
-        assert len(traced) == 1
-        assert traced[0].params.alpha_2 == solved.params.alpha_2
-        assert traced[0].params.alpha_1 == pytest.approx(
-            solved.params.alpha_1, abs=1e-6
-        )
-        assert traced[0].residual <= 1e-9 and solved.residual <= 1e-9
+        # a solve is the one-node trace whose two scan points are its bracket ends
+        node, lo, hi = replace(BASE, alpha_2=1.579), 1.47, 1.56
+        solved = solve_regeneration(node, "alpha_1", lo, hi, tol=1e-9, levels=10)
+        traced = one_node_trace(node, "alpha_1", lo, hi, tol=1e-9, levels=10)
+        assert traced.status.tolist() == ["root"] and solved.residual <= 1e-9
+        assert repr(traced.points) == repr([solved])
+
+    @pytest.mark.parametrize("status, node, parameter, lo, hi, kwargs, error", [
+        ("failing_corner", replace(BASE, alpha_2=1.05), "width_a", 1.0, 1e200, {}, FracStirlingError),
+        ("no_sign_change", BASE, "alpha_1", 1.95, 2.0, dict(levels=10), NoRootError),
+        # at tol = 0 this bracket collapses before q_r reaches 0 exactly
+        ("solve_failure", replace(BASE, alpha_2=1.61), "alpha_1", 1.587302, 1.603175, dict(tol=0.0), SolverError),
+    ])
+    def test_single_node_gap_is_the_error_of_a_solve(self, status, node, parameter, lo, hi, kwargs, error):
+        traced = one_node_trace(node, parameter, lo, hi, **kwargs)
+        with pytest.raises(FracStirlingError) as err:
+            solve_regeneration(node, parameter, lo, hi, **kwargs)
+        assert traced.status.tolist() == [status] and traced.points == [None]
+        assert type(err.value) is error
 
     def test_a_scan_point_within_tol_is_the_root_a_solve_accepts(self):
         # q_r(1.502) = 4.5e-5 <= tol and q_r keeps its sign across the bracket:
