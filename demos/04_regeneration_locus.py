@@ -45,7 +45,6 @@ for g, root, residual, status in zip(trace.grid, trace.root, trace.residual, tra
         print(f"  {g:8.4f} {status:>9}")
 print("  the curve rises monotonically: weaker fractional character at the")
 print("  wide well must be matched by weaker character at the narrow one")
-print(f"  trace.points holds each solved node as a cycle: {trace.points[-1].params}")
 
 print("\nBelow a fold in alpha_2 the locus does not exist for this width")
 print("pair; those nodes come back as gaps rather than errors, each with")

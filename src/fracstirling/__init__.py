@@ -19,7 +19,6 @@ from .cycle import (
     regenerator_heat,
 )
 from .solver import (
-    NodeError,
     NoRootError,
     RegenerationPoint,
     SolverError,
@@ -52,7 +51,6 @@ __all__ = [
     "EnsembleSummary",
     "FracStirlingError",
     "MAX_LEVELS",
-    "NodeError",
     "NoRootError",
     "REGIME_ENGINE",
     "REGIME_NON_ENGINE",

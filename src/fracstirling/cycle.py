@@ -12,9 +12,9 @@ There is one cycle evaluator.  Its array stage, `_node_arrays`, takes the
 cycle nodes as parameter columns, sums each well once per value of the
 columns that move it in one `summarize_many` call, forms every report
 quantity as an array and steps the crossing searches of all nodes as array
-columns, with no loop over nodes; `_reports` builds CycleReports from those
-arrays.  `evaluate` runs both on one node, `solver.sweep` the array stage on
-a grid.  `_regenerator_heats` forms q_r there, for `regenerator_heat` and
+columns, with no loop over nodes.  `evaluate` runs it on one node and reads
+its CycleReport off the arrays, `solver.sweep` runs it on a grid and keeps
+the arrays.  `_regenerator_heats` forms q_r there, for `regenerator_heat` and
 for the scans of `solver`, where a solve is the one-node trace.  The corner
 table holds each state's width, alpha, mass and temperature: a lockstep
 search, of a heat-capacity crossing here or of a root in `solver`, re-sums
@@ -165,10 +165,15 @@ def evaluate(
     with net work raises DegenerateCycleError.
     """
     table, ids, columns, failed = _node_arrays(params, {}, rel_tol, levels)
-    energy, entropy = table["internal_energy"], table["entropy"]
+    energies, entropies = (table[name][ids[:, 0]] for name in ("internal_energy", "entropy"))
     if failed[0]:
-        raise _node_error(params, {}, energy[ids[:, 0]], columns, 0)
-    return next(_reports(energy, entropy, ids, columns, carnot_efficiency(params), 1))[0]
+        raise _node_error(params, {}, energies, columns, 0)
+    values = {name: v[0].item() for name, v in columns.items()}
+    return CycleReport(
+        **values, carnot=carnot_efficiency(params),
+        regime=REGIME_ENGINE if values["work"] > 0 else REGIME_NON_ENGINE,
+        corner_entropies=tuple(entropies.tolist()), corner_energies=tuple(energies.tolist()),
+    )
 
 
 def _node_error(base: CycleParams, node, energies, columns=None, k=0) -> FracStirlingError:
@@ -285,30 +290,6 @@ def _node_arrays(base: CycleParams, nodes, rel_tol, levels):
     # positive energies, and an overflowing q_ab or q_cd leaves the work non-finite
     finite = np.isfinite(work) & np.isfinite(q_h) & np.isfinite(efficiency)
     return table, ids, columns, degenerate | ~finite
-
-
-def _reports(energy, entropy, ids, columns, carnot: float, row: int):
-    """The report builder: the CycleReports of `_node_arrays`' nodes, a tuple per `row`.
-
-    `energy` and `entropy` hold U and S of the table's states; `ids` and the
-    `columns` may hold their nodes in any shape, read in C order.
-    """
-    # each state's floats are shared by its nodes
-    energy, entropy = energy.tolist(), entropy.tolist()
-    ids, outputs = ids.reshape(4, -1), [v.ravel() for v in columns.values()]
-    for start in range(0, ids.shape[1], row):
-        part = slice(start, start + row)
-        values = zip(*(v[part].tolist() for v in outputs), zip(*ids[:, part].tolist()))
-        yield tuple(
-            CycleReport(
-                q_ab=qab, q_bc=qbc, q_cd=qcd, q_da=qda, work=w, q_r=qr, q_h=qh,
-                efficiency=eta, carnot=carnot,
-                regime=REGIME_ENGINE if w > 0 else REGIME_NON_ENGINE,
-                corner_entropies=(entropy[a], entropy[b], entropy[c], entropy[d]),
-                corner_energies=(energy[a], energy[b], energy[c], energy[d]),
-            )
-            for qab, qbc, qcd, qda, w, qr, qh, eta, (a, b, c, d) in values
-        )
 
 
 def _h_at_crossings(table, ad, bc, lo, hi):

@@ -18,13 +18,12 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .cycle import (  # evaluate: tracer-only import, bench/tracer.py rebinds solver.evaluate
-    _CORNER_FIELDS, _QUANTITIES, CycleParams, CycleReport, _corner_summaries, _moved, _node_arrays, _node_error,
-    _regenerator_heats, _reports, carnot_efficiency, evaluate, regenerator_heat,
+    _CORNER_FIELDS, _QUANTITIES, CycleParams, _corner_summaries, _moved, _node_arrays, _node_error,
+    _regenerator_heats, evaluate, regenerator_heat,
 )
 from .spectrum import _DOMAIN, _INF, _check_domain
 from .thermo import DEFAULT_REL_TOL, FracStirlingError, _check_cut_args, summarize_many
@@ -102,13 +101,6 @@ def _uniform(lo: float, hi: float, count: int) -> list[float]:
     return [lo + 0.0, *(hi if x == _INF else x for x in (lo + i * step for i in range(1, count)))]
 
 
-@dataclass(frozen=True)
-class NodeError:
-    """Marker stored in a sweep grid where evaluation raised."""
-
-    message: str
-
-
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
     """Rectangular sweep over two cycle parameters, held as read-only arrays.
@@ -118,10 +110,9 @@ class SweepGrid:
     arrays.  The grid's corner states, each well's once per value of the axes
     that move it, have U `state_energy` and S `state_entropy`;
     `corner_states[k, i, j]` indexes them for corner k (A, B, C, D) of node
-    (i, j).  `errors[i, j]` is the message of a node whose
-    evaluation failed, where the arrays hold no meaningful value.
-    `reports[i][j]`, built on first use, is the CycleReport of node (i, j),
-    equal to `evaluate` there, or a NodeError.
+    (i, j).  At a node that evaluates, each equals the field of `evaluate`'s
+    report there bit for bit.  `errors[i, j]` is the message `evaluate`
+    raises at a node that fails, where the arrays hold no meaningful value.
     """
 
     axis_x: SweepAxis
@@ -132,13 +123,6 @@ class SweepGrid:
     state_entropy: np.ndarray
     corner_states: np.ndarray
     errors: dict[tuple[int, int], str]
-
-    @cached_property
-    def reports(self) -> tuple[tuple[CycleReport | NodeError, ...], ...]:
-        errors = {ij: NodeError(message) for ij, message in self.errors.items()}
-        rows = _reports(self.state_energy, self.state_entropy, self.corner_states, self.columns,
-                        carnot_efficiency(self.base), self.axis_y.count)
-        return tuple(tuple(errors.get((i, j), r) for j, r in enumerate(row)) for i, row in enumerate(rows))
 
 
 def sweep(
@@ -153,7 +137,7 @@ def sweep(
     All nodes go through the array stage of the cycle evaluator that
     `evaluate` runs on one node: their corner states are summed in one
     `summarize_many` call and their heat-capacity crossings searched in
-    lockstep, so a report equals `evaluate` at its node bit for bit.  A node
+    lockstep, so a node's values equal `evaluate` there bit for bit.  A node
     that fails keeps the message `evaluate` raises there, worded from the
     table the sweep holds (its first corner with a nan U, else its q_h and
     work), rather than aborting the grid.  A usage error
@@ -185,11 +169,7 @@ def sweep(
 
 @dataclass(frozen=True)
 class RegenerationPoint:
-    """One solved point of the q_r = 0 locus with its certified residual.
-
-    `solve_regeneration` returns one; `TraceResult.points` holds one per
-    solved node of a trace.
-    """
+    """One solved point of the q_r = 0 locus with its certified residual, as `solve_regeneration` returns it."""
 
     params: CycleParams
     residual: float
@@ -207,25 +187,13 @@ class TraceResult:
     Node i sits at sweep value `grid[i]`.  `status[i]` is "root" where the
     node is solved: there the solve parameter is `root[i]` and |q_r| is
     `residual[i]`.  Elsewhere the node is a gap, whose status is one of
-    GAP_STATUSES and whose root and residual are nan.  `points`, built on
-    first use, holds per node the RegenerationPoint of a solved node, with
-    `base` moved to the grid value and the root, or None at a gap.
+    GAP_STATUSES and whose root and residual are nan.
     """
 
-    base: CycleParams
-    sweep_parameter: str
-    solve_parameter: str
     grid: np.ndarray
     root: np.ndarray
     residual: np.ndarray
     status: np.ndarray
-
-    @cached_property
-    def points(self) -> list[RegenerationPoint | None]:
-        swept, solved = self.sweep_parameter, self.solve_parameter
-        nodes = zip(self.grid.tolist(), self.root.tolist(), self.residual.tolist(), self.status.tolist())
-        return [RegenerationPoint(replace(self.base, **{swept: g, solved: x}), residual) if reason == "root"
-                else None for g, x, residual, reason in nodes]
 
 
 def _clip_bracket(parameter: str, lo: float, hi: float) -> tuple[float, float]:
@@ -248,8 +216,9 @@ def find_brackets(f, lo: float, hi: float, points: int = DEFAULT_SCAN_POINTS):
 
 
 def _scan_points(lo: float, hi: float, points: int) -> list[float]:
+    """`_uniform`'s points but the last, which is hi itself, as lo + (points - 1) * step may round off it."""
     _check_count(points, "scan points")
-    return _uniform(lo, hi, points)
+    return [*_uniform(lo, hi, points)[:-1], hi + 0.0]
 
 
 def _sign_changes(scans: np.ndarray, tol: float = 0.0):
@@ -344,10 +313,11 @@ def solve_regeneration(
     _check_tol(tol)
     lo, hi = _clip_bracket(parameter, bracket_lo, bracket_hi)
     ends = [replace(base, **{parameter: x}) for x in (lo, hi)]  # CycleParams checks both
-    ((reason, root, residual, failure),), scans, energies = _scan_and_solve(
-        base, {}, parameter, np.array([lo, hi]), 0.5 * (lo + hi), tol, rel_tol, levels)
-    if reason == "failing_corner":  # the lower end raises first
-        raise next(_node_error(p, {}, u) for p, u in zip(ends, energies.T) if np.isnan(u).any())
+    ((reason, root, residual, failure),), scans = _scan_and_solve(
+        base, {}, parameter, np.array(_scan_points(lo, hi, 2)), 0.5 * (lo + hi), tol, rel_tol, levels)
+    if reason == "failing_corner":
+        for params in ends:  # the lower end raises first
+            regenerator_heat(params, rel_tol, levels)
     if reason == "no_sign_change":
         f_lo, f_hi = scans[0].tolist()
         raise NoRootError(
@@ -374,17 +344,17 @@ def _scan_and_solve(base, nodes, parameter, scan, prev_root, tol, rel_tol, level
     the root before; a step re-sums only the rows of the well `parameter` moves.
     Returns per node (status, root, |q_r|, None or the failure message), the
     root a failed solve's last point and nan without a candidate; then the
-    (nodes, scan points) q_r rows and the (4, nodes * scan points) U at A .. D.
+    (nodes, scan points) q_r rows.
     """
     table, ids = _corner_summaries(base, {**nodes, parameter: scan}, rel_tol, levels)
-    q_r, energies = _regenerator_heats(table, ids)
-    scans = q_r.reshape(-1, scan.size)  # one row per node
+    scans = _regenerator_heats(table, ids)[0].reshape(-1, scan.size)  # one row per node
     failing = np.isnan(scans).any(axis=1)
     scans[failing] = np.nan
     row, left, right = _sign_changes(scans, tol)
     moving = [k for k, fields in enumerate(_CORNER_FIELDS) if parameter in fields]
     # the corners each candidate starts from, those of its left scan point
-    start_energies, rows = (v[:, row * scan.size + left] for v in (energies, ids[moving]))
+    starts = ids[:, row * scan.size + left]
+    start_energies, rows = table["internal_energy"][starts], starts[moving]
 
     def step(active, x):
         states = _moved(table, rows[:, active].ravel(), _QUANTITIES[parameter], np.concatenate((x, x)))
@@ -405,7 +375,7 @@ def _scan_and_solve(base, nodes, parameter, scan, prev_root, tol, rel_tol, level
         k = min(range(start, end), key=lambda k: abs(middles[k] - prev_root))
         prev_root = found[k] if failures[k] is None else prev_root
         solved.append(("solve_failure" if failures[k] else "root", found[k], found_residuals[k], failures[k]))
-    return solved, scans, energies
+    return solved, scans
 
 
 def trace_curve(
@@ -483,8 +453,8 @@ def trace_curve(
             "not intersect the scanned bracket, or every node failed",
             stacklevel=2,
         )
-    result = TraceResult(base, sweep_parameter, solve_parameter, grid_values, np.array(roots, dtype=float),
-                         np.array(residuals, dtype=float), np.array(status, dtype=str))
+    result = TraceResult(grid_values, np.array(roots, dtype=float), np.array(residuals, dtype=float),
+                         np.array(status, dtype=str))
     for v in (result.grid, result.root, result.residual, result.status):
         v.flags.writeable = False
     return result

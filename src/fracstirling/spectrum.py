@@ -68,7 +68,7 @@ class WellSpec:
 class FracStirlingError(RuntimeError):
     """A computation failed on valid inputs; invalid ones raise ValueError.
 
-    A sweep records it as a NodeError, a trace as a gap, the CLI as exit 1.
+    A sweep records its message in `errors`, a trace a gap, the CLI exit 1.
     """
 
 

@@ -8,16 +8,17 @@ converged ensemble.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fracstirling import (
     CycleParams,
-    REGIME_ENGINE,
     SweepAxis,
     ThermalState,
     WellSpec,
+    carnot_efficiency,
     evaluate,
     occupations,
     summarize,
@@ -85,21 +86,22 @@ def test_criterion_3_locus_curves():
             continue
         base = CycleParams(row.width_a, row.width_b, 1.5, row.alpha_2, **BATHS)
         grid = [row.alpha_2 + 0.15 * i / 5 for i in range(6)]
-        points = trace_curve(
+        trace = trace_curve(
             base, "alpha_2", "alpha_1", grid, (targets[key], 2.0),
             tol=1e-8, levels=BENCH_LEVELS,
-        ).points
-        if any(p is None for p in points):
+        )
+        if (trace.status != "root").any():
             failures.append(f"{key}: gap in curve")
             continue
-        alphas = [p.params.alpha_1 for p in points]
+        alphas = trace.root.tolist()
         if not all(b > a for a, b in zip(alphas, alphas[1:])):
             failures.append(f"{key}: curve not monotone")
         if abs(alphas[0] - row.alpha_1) > 5e-3:
             failures.append(
                 f"{key}: alpha_1 = {alphas[0]:.5f} vs table {row.alpha_1}"
             )
-        recheck = max(abs(evaluate(p.params, levels=BENCH_LEVELS).q_r) for p in points)
+        recheck = max(abs(evaluate(replace(base, alpha_2=g, alpha_1=x), levels=BENCH_LEVELS).q_r)
+                      for g, x in zip(grid, alphas))
         if recheck > 1e-8:
             failures.append(f"{key}: re-evaluated |q_r| = {recheck:.2e}")
     ok = not failures
@@ -165,26 +167,28 @@ def test_criterion_5_perfect_regeneration_carnot():
     locus_failures = []
     bound_failures = []
     for name, (base, ax, ay) in grids.items():
-        grid = sweep(base, ax, ay)
+        grid, carnot = sweep(base, ax, ay), carnot_efficiency(base)
+        if grid.errors:
+            locus_failures.append(f"{name}: {len(grid.errors)} nodes failed")
         excess_count, max_excess = 0, 0.0
-        for row in grid.reports:
-            for rep in row:
-                # nodes with width_a = width_b and alpha_1 = alpha_2 up to
-                # rounding collapse to a cycle that moves no heat at all;
-                # their 0/0 efficiency is reported as 0 and says nothing
-                # about regeneration, so only heat-moving nodes count
-                if abs(rep.q_r) < 1e-6 and abs(rep.q_h) >= 1e-15:
-                    if abs(rep.efficiency - rep.carnot) >= 1e-4:
-                        locus_failures.append(
-                            f"{name}: |eta - eta_C| = "
-                            f"{abs(rep.efficiency - rep.carnot):.2e} "
-                            f"at q_r = {rep.q_r:.2e}"
-                        )
-                if rep.regime == REGIME_ENGINE:
-                    excess = rep.efficiency - (rep.carnot + 1e-9)
-                    if excess > 0:
-                        excess_count += 1
-                        max_excess = max(max_excess, excess)
+        nodes = zip(*(grid.columns[name].ravel().tolist() for name in ("q_r", "q_h", "efficiency", "work")))
+        for q_r, q_h, efficiency, work in nodes:
+            # nodes with width_a = width_b and alpha_1 = alpha_2 up to
+            # rounding collapse to a cycle that moves no heat at all;
+            # their 0/0 efficiency is reported as 0 and says nothing
+            # about regeneration, so only heat-moving nodes count
+            if abs(q_r) < 1e-6 and abs(q_h) >= 1e-15:
+                if abs(efficiency - carnot) >= 1e-4:
+                    locus_failures.append(
+                        f"{name}: |eta - eta_C| = "
+                        f"{abs(efficiency - carnot):.2e} "
+                        f"at q_r = {q_r:.2e}"
+                    )
+            if work > 0:  # an engine
+                excess = efficiency - (carnot + 1e-9)
+                if excess > 0:
+                    excess_count += 1
+                    max_excess = max(max_excess, excess)
         if excess_count:
             bound_failures.append(
                 f"{name}: {excess_count} engine nodes exceed carnot, "

@@ -337,12 +337,6 @@ class TestSweepCommand:
     def test_csv_equals_evaluate_on_known_grids(self, axes, fixed, levels):
         check_sweep_against_reference(axes, {"la": 1.0, "lb": 1.0, "a1": 2.0, "a2": 2.0, **fixed}, levels)
 
-    def test_never_builds_reports(self, capsys, monkeypatch):
-        # the CSV comes from the grid's arrays, not from its CycleReports
-        monkeypatch.setattr(SweepGrid, "reports", property(lambda self: pytest.fail("reports read")))
-        code, out, _ = run_cli(capsys, "sweep", "--x", "la=1e-200:1:3", "--y", "alpha2=1.3:1.6:2")
-        assert code == 0 and len(csv_rows(out)[1]) == 6
-
     def test_reader_that_stops_early(self):
         # `fracstirling sweep ... | head -1`: exit 0 with nothing on stderr
         proc = subprocess.Popen(

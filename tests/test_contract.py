@@ -22,7 +22,6 @@ from fracstirling import (
     CycleParams,
     DegenerateCycleError,
     FracStirlingError,
-    NodeError,
     NoRootError,
     SolverError,
     SweepAxis,
@@ -37,6 +36,7 @@ import fracstirling
 from fracstirling.reference import BENCH_ROWS
 from fracstirling import solver
 from fracstirling.solver import SWEEPABLE, _scan_points
+from test_solver import assert_node_is, solved_nodes
 
 
 @pytest.mark.parametrize(
@@ -143,13 +143,18 @@ def test_sweep_equals_evaluate_at_every_node(
             try:
                 direct = evaluate(replace(base, **{px: x, py: y}), levels=levels)
             except FracStirlingError as exc:
-                direct = NodeError(str(exc))
-            # repr tells every float apart bit for bit, -0.0 from 0.0 too
-            assert repr(grid.reports[i][j]) == repr(direct), (px, x, py, y)
+                assert grid.errors[i, j] == str(exc), (px, x, py, y)
+            else:
+                # repr tells every float apart bit for bit, -0.0 from 0.0 too
+                assert (i, j) not in grid.errors, (px, x, py, y)
+                assert_node_is(grid, i, j, direct)
 
 
 def reference_trace(base, sweep_parameter, solve_parameter, grid, lo, hi, levels, points):
-    """The trace node by node: a scalar scan, then a solve of the nearest bracket."""
+    """The trace node by node: a scalar scan, then a solve of the nearest bracket.
+
+    Returns per node (root, residual) where it is solved, else None.
+    """
     out, prev_root = [], None
     for g in grid:
         node = replace(base, **{sweep_parameter: g})
@@ -168,9 +173,10 @@ def reference_trace(base, sweep_parameter, solve_parameter, grid, lo, hi, levels
                 point = solve_regeneration(node, solve_parameter, blo, bhi, levels=levels)
         except FracStirlingError:
             pass
-        out.append(point)
         if point is not None:
             prev_root = getattr(point.params, solve_parameter)
+            point = (prev_root, point.residual)
+        out.append(point)
     return out
 
 
@@ -218,11 +224,12 @@ def test_trace_equals_scan_and_solve_at_every_node(data, row, levels, points, fa
         traced = trace_curve(
             base, sweep_parameter, solve_parameter, grid, (lo, hi),
             levels=levels, scan_points=points,
-        ).points
+        )
     expected = reference_trace(
         base, sweep_parameter, solve_parameter, grid, lo, hi, levels, points
     )
-    for g, got, want in zip(grid, traced, expected, strict=True):
+    assert traced.grid.tolist() == grid
+    for g, got, want in zip(grid, solved_nodes(traced), expected, strict=True):
         assert repr(got) == repr(want), (sweep_parameter, g, solve_parameter)
     assert len(caught) == all(p is None for p in expected)
 
@@ -230,9 +237,9 @@ def test_trace_equals_scan_and_solve_at_every_node(data, row, levels, points, fa
 GAP_BASE = CycleParams(1.0, 1.4, 1.5, 1.579, t_hot=4.0, t_cold=3.0)
 
 
-def chosen_bracket(points, k, xs):
+def chosen_bracket(traced, k, xs):
     """The scan interval that holds the root node k had in an unbroken trace."""
-    root = points[k].params.alpha_1
+    root = traced[k][0]
     return next((a, b) for a, b in zip(xs, xs[1:]) if a < root < b)
 
 
@@ -240,7 +247,7 @@ def assert_only_node_is_a_gap(traced, k, base, grid, bracket, **kwargs):
     # the other nodes equal a trace without node k: a failed solve costs its
     # node only, and the root before it still picks the next node's bracket
     assert traced[k] is None
-    rest = trace_curve(base, "alpha_2", "alpha_1", grid[:k] + grid[k + 1:], bracket, **kwargs).points
+    rest = solved_nodes(trace_curve(base, "alpha_2", "alpha_1", grid[:k] + grid[k + 1:], bracket, **kwargs))
     assert repr(traced[:k] + traced[k + 1:]) == repr(rest)
     assert all(p is not None for p in rest)
 
@@ -250,7 +257,7 @@ def test_a_collapsed_solve_leaves_only_its_node_a_gap():
     # alpha_2 = 1.61 collapses first; that of 1.7, one step past this grid,
     # collapses too
     grid, bracket = [1.55 + 0.03 * i for i in range(5)], (1.000001, 2.0)
-    traced = trace_curve(GAP_BASE, "alpha_2", "alpha_1", grid, bracket, tol=0.0).points
+    traced = solved_nodes(trace_curve(GAP_BASE, "alpha_2", "alpha_1", grid, bracket, tol=0.0))
     assert_only_node_is_a_gap(traced, 2, GAP_BASE, grid, bracket, tol=0.0)
     node = replace(GAP_BASE, alpha_2=grid[2])
     f = lambda x: regenerator_heat(replace(node, alpha_1=x))
@@ -271,7 +278,7 @@ def test_a_non_finite_step_leaves_only_its_node_a_gap(monkeypatch, levels):
     # the kernel gives nan inside node 2's bracket, as at a failing corner;
     # the scans, which sum through `cycle`, and the other brackets miss it
     grid, bracket = [1.58 + 0.05 * i for i in range(5)], (1.000001, 2.0)
-    whole = trace_curve(GAP_BASE, "alpha_2", "alpha_1", grid, bracket, levels=levels).points
+    whole = solved_nodes(trace_curve(GAP_BASE, "alpha_2", "alpha_1", grid, bracket, levels=levels))
     lo, hi = chosen_bracket(whole, 2, _scan_points(*bracket, 64))
     kernel = solver.summarize_many
 
@@ -281,7 +288,7 @@ def test_a_non_finite_step_leaves_only_its_node_a_gap(monkeypatch, levels):
         return table
 
     monkeypatch.setattr(solver, "summarize_many", poisoned)
-    traced = trace_curve(GAP_BASE, "alpha_2", "alpha_1", grid, bracket, levels=levels).points
+    traced = solved_nodes(trace_curve(GAP_BASE, "alpha_2", "alpha_1", grid, bracket, levels=levels))
     assert repr(traced[:2] + traced[3:]) == repr(whole[:2] + whole[3:])
     assert_only_node_is_a_gap(traced, 2, GAP_BASE, grid, bracket, levels=levels)
     expected = reference_trace(GAP_BASE, "alpha_2", "alpha_1", grid, *bracket, levels, 64)

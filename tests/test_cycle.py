@@ -369,7 +369,7 @@ class TestRegeneratorDeficit:
             for j, y in enumerate(ay.values()):
                 want = reference_crossing_q_h(replace(base, alpha_1=x, alpha_2=y), levels)
                 if want is not None:
-                    assert grid.reports[i][j].q_h.hex() == want.hex(), (x, y)
+                    assert grid.columns["q_h"][i, j].item().hex() == want.hex(), (x, y)
 
 
 def fake_corner_table(width, alpha, mass, temperature, rel_tol=1e-12, levels=None, _trim=False):

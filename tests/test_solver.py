@@ -3,7 +3,7 @@ import itertools
 import math
 import sys
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,13 +14,12 @@ from scipy.optimize import brentq
 from fracstirling import (
     MAX_LEVELS,
     CycleParams,
+    CycleReport,
     DegenerateCycleError,
     FracStirlingError,
     corners,
-    NodeError,
     NoRootError,
     SolverError,
-    RegenerationPoint,
     SweepAxis,
     TraceResult,
     cycle,
@@ -40,6 +39,22 @@ from fracstirling.solver import DEFAULT_REL_TOL, MAX_NODES, _false_position
 BATHS = dict(t_hot=4.0, t_cold=3.0)
 BASE = CycleParams(1.0, 1.4, 1.5, 1.579, **BATHS)
 MAX = sys.float_info.max
+
+
+def solved_nodes(result):
+    """Per node of a trace, (root, residual) where it is solved, else None."""
+    nodes = zip(result.root.tolist(), result.residual.tolist(), result.status.tolist(), strict=True)
+    return [(x, residual) if status == "root" else None for x, residual, status in nodes]
+
+
+def assert_node_is(grid, i, j, report):
+    """Sweep node (i, j)'s columns and corner S and U equal `report`'s fields by repr, so bit for bit."""
+    ids = grid.corner_states[:, i, j]
+    got = ([grid.columns[name][i, j].item() for name in grid.columns],
+           grid.state_entropy[ids].tolist(), grid.state_energy[ids].tolist())
+    want = ([getattr(report, name) for name in grid.columns],
+            list(report.corner_entropies), list(report.corner_energies))
+    assert repr(got) == repr(want), (i, j)
 
 
 def crosses(params, levels=None):
@@ -461,15 +476,17 @@ class TestRootCertificate:
         domain = (1.000001, 2.0) if parameter.startswith("alpha") else (0.3, 3.0)
         f = lambda x: regenerator_heat(replace(base, **{parameter: x}), levels=levels)
         lo, hi = find_brackets(f, *domain)[-1]
-        points = [solve_regeneration(base, parameter, lo, hi, tol=1e-11, levels=levels)]
+        solved = solve_regeneration(base, parameter, lo, hi, tol=1e-11, levels=levels)
         sweep_parameter = "width_a" if parameter == "alpha_1" else "alpha_1"
         grid = [getattr(base, sweep_parameter) * (1.0 + 0.004 * i) for i in range(3)]
-        points += trace_curve(
-            base, sweep_parameter, parameter, grid, domain, tol=1e-11, levels=levels
-        ).points
-        assert all(p is not None for p in points)
-        for p in points:
-            assert p.residual == abs(regenerator_heat(p.params, levels=levels)) <= 1e-11
+        traced = trace_curve(base, sweep_parameter, parameter, grid, domain, tol=1e-11, levels=levels)
+        assert traced.status.tolist() == ["root"] * 3
+        nodes = [(solved.params, solved.residual)] + [
+            (replace(base, **{sweep_parameter: g, parameter: x}), residual)
+            for g, (x, residual) in zip(grid, solved_nodes(traced))
+        ]
+        for params, residual in nodes:
+            assert residual == abs(regenerator_heat(params, levels=levels)) <= 1e-11
 
     @pytest.mark.parametrize("levels", [10, None])
     @pytest.mark.parametrize("sweep_parameter, parameter", itertools.permutations(solver.SWEEPABLE, 2))
@@ -507,7 +524,6 @@ class TestRootCertificate:
 
 def one_node_trace(node, parameter, lo, hi, **kwargs):
     """`trace_curve` of `parameter` at the single node `node`, whose two scan points are exactly lo and hi."""
-    assert lo + (hi - lo) == hi  # the trace's upper scan point is hi itself
     sweep_parameter = "alpha_2" if parameter != "alpha_2" else "alpha_1"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a trace without any root warns
@@ -522,7 +538,7 @@ class TestTraceCurve:
         solved = solve_regeneration(node, "alpha_1", lo, hi, tol=1e-9, levels=10)
         traced = one_node_trace(node, "alpha_1", lo, hi, tol=1e-9, levels=10)
         assert traced.status.tolist() == ["root"] and solved.residual <= 1e-9
-        assert repr(traced.points) == repr([solved])
+        assert repr(solved_nodes(traced)) == repr([(solved.params.alpha_1, solved.residual)])
 
     @pytest.mark.parametrize("status, node, parameter, lo, hi, kwargs, error", [
         ("failing_corner", replace(BASE, alpha_2=1.05), "width_a", 1.0, 1e200, {}, FracStirlingError),
@@ -534,35 +550,53 @@ class TestTraceCurve:
         traced = one_node_trace(node, parameter, lo, hi, **kwargs)
         with pytest.raises(FracStirlingError) as err:
             solve_regeneration(node, parameter, lo, hi, **kwargs)
-        assert traced.status.tolist() == [status] and traced.points == [None]
+        assert traced.status.tolist() == [status] and np.isnan(traced.root).all()
         assert type(err.value) is error
+
+    @pytest.mark.parametrize("scan_points", [2, 64])
+    def test_the_last_scan_point_is_the_bracket_end(self, monkeypatch, scan_points):
+        # lo + (scan_points - 1) * step rounds below hi on this width bracket;
+        # the scan still ends at hi itself, as a solve's does
+        lo, hi = 2.843846066906133, 21.12976136239565
+        assert solver._uniform(lo, hi, scan_points)[-1] != hi
+        scans, summaries = [], solver._corner_summaries
+
+        def recording(base, nodes, *args):
+            scans.append(nodes["width_a"].tolist())
+            return summaries(base, nodes, *args)
+
+        monkeypatch.setattr(solver, "_corner_summaries", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a trace without any root warns
+            trace_curve(BASE, "alpha_2", "width_a", [1.579], (lo, hi), levels=10, scan_points=scan_points)
+        (scan,) = scans
+        assert len(scan) == scan_points and scan[0] == lo and scan[-1] == hi
 
     def test_a_scan_point_within_tol_is_the_root_a_solve_accepts(self):
         # q_r(1.502) = 4.5e-5 <= tol and q_r keeps its sign across the bracket:
         # the solve takes the end as a root, and so does the trace's scan
         solved = solve_regeneration(BASE, "alpha_1", 1.502, 1.9, tol=1e-4, levels=10)
         traced = trace_curve(BASE, "alpha_2", "alpha_1", [1.579], (1.502, 1.9), tol=1e-4, levels=10,
-                             scan_points=2).points
+                             scan_points=2)
         assert 0.0 < solved.residual <= 1e-4 and solved.params.alpha_1 == 1.502
-        assert repr(traced) == repr([solved])
+        assert repr(solved_nodes(traced)) == repr([(1.502, solved.residual)])
 
     def test_a_width_bracket_up_to_the_float_maximum_scans(self):
         # the scan points that overflow are the end itself; every point past
         # the first fails its level sum, so the node is a gap, not a ValueError
         with pytest.warns(UserWarning, match="no regeneration root"):
-            assert trace_curve(BASE, "alpha_2", "width_a", [1.579], (1.0, MAX)).points == [None]
+            traced = trace_curve(BASE, "alpha_2", "width_a", [1.579], (1.0, MAX))
+        assert traced.status.tolist() == ["failing_corner"]
 
     def test_follows_upper_branch_monotonically(self):
         grid = [1.579 + 0.05 * i for i in range(4)]
-        points = trace_curve(
-            BASE, "alpha_2", "alpha_1", grid, (1.482, 2.0), tol=1e-8, levels=10
-        ).points
-        assert all(isinstance(p, RegenerationPoint) for p in points)
-        alphas = [p.params.alpha_1 for p in points]
+        traced = trace_curve(BASE, "alpha_2", "alpha_1", grid, (1.482, 2.0), tol=1e-8, levels=10)
+        assert traced.status.tolist() == ["root"] * len(grid)
+        alphas = traced.root.tolist()
         assert all(b > a for a, b in zip(alphas, alphas[1:]))
         assert alphas[0] == pytest.approx(1.502, abs=5e-3)
-        for p in points:
-            assert abs(evaluate(p.params, levels=10).q_r) <= 1e-8
+        for g, x in zip(grid, alphas):
+            assert abs(evaluate(replace(BASE, alpha_2=g, alpha_1=x), levels=10).q_r) <= 1e-8
 
     def test_wider_wells_shift_the_locus_down_in_alpha1(self):
         # at a shared alpha_2 the upper branch sits lower in alpha_1 when
@@ -571,35 +605,28 @@ class TestTraceCurve:
         at = {}
         for la, lb, lo in [(1.0, 1.4, 1.482), (1.2, 1.6, 1.545), (1.4, 1.8, 1.640)]:
             base = CycleParams(la, lb, 1.5, 1.8, **BATHS)
-            (pt,) = trace_curve(
-                base, "alpha_2", "alpha_1", [1.8], (lo, 2.0), tol=1e-8, levels=10
-            ).points
-            at[(la, lb)] = pt.params.alpha_1
+            traced = trace_curve(base, "alpha_2", "alpha_1", [1.8], (lo, 2.0), tol=1e-8, levels=10)
+            assert traced.status.tolist() == ["root"]
+            at[(la, lb)] = traced.root[0]
         assert at[(1.0, 1.4)] > at[(1.2, 1.6)] > at[(1.4, 1.8)]
 
     def test_gap_nodes_below_the_fold(self):
         # the locus is born at a fold in alpha_2; below it there is no root
         grid = [1.40, 1.45, 1.50]
         with pytest.warns(UserWarning, match="no regeneration root"):
-            points = trace_curve(
-                BASE, "alpha_2", "alpha_1", grid, (1.3, 2.0), tol=1e-8, levels=10
-            ).points
-        assert points == [None, None, None]
+            traced = trace_curve(BASE, "alpha_2", "alpha_1", grid, (1.3, 2.0), tol=1e-8, levels=10)
+        assert traced.status.tolist() == ["no_sign_change"] * 3
 
     def test_mixed_gaps_preserve_order(self):
         grid = [1.50, 1.60, 1.70]
-        points = trace_curve(
-            BASE, "alpha_2", "alpha_1", grid, (1.482, 2.0), tol=1e-8, levels=10
-        ).points
-        assert points[0] is None
-        assert points[1] is not None and points[2] is not None
+        traced = trace_curve(BASE, "alpha_2", "alpha_1", grid, (1.482, 2.0), tol=1e-8, levels=10)
+        assert traced.status.tolist() == ["no_sign_change", "root", "root"]
 
     def test_failing_node_becomes_gap(self):
         # at L_B = 1e200 the level sum leaves the float range; only that node is lost
         base = CycleParams(1.0, 1.4, 1.5, 1.6, **BATHS)
-        points = trace_curve(base, "width_b", "alpha_1", [1.4, 1e200], (1.3, 2.0)).points
-        assert isinstance(points[0], RegenerationPoint)
-        assert points[1] is None
+        traced = trace_curve(base, "width_b", "alpha_1", [1.4, 1e200], (1.3, 2.0))
+        assert traced.status.tolist() == ["root", "failing_corner"]
 
     def test_failing_scan_point_makes_the_node_a_gap(self):
         # q_r changes sign between the first two scan points, 1 and 1.6e76,
@@ -607,11 +634,12 @@ class TestTraceCurve:
         # further along the scan; a bracket that stops short of them has a root
         base = CycleParams(1.0, 1.4, 1.502, 1.579, **BATHS)
         with pytest.warns(UserWarning, match="no regeneration root"):
-            points = trace_curve(base, "alpha_2", "width_b", [1.579], (1.0, 1e78)).points
-        assert points == [None]
+            traced = trace_curve(base, "alpha_2", "width_b", [1.579], (1.0, 1e78))
+        assert traced.status.tolist() == ["failing_corner"]
         for hi in (1e3, 3e76):
-            (point,) = trace_curve(base, "alpha_2", "width_b", [1.579], (1.0, hi)).points
-            assert abs(regenerator_heat(point.params)) <= 1e-8
+            traced = trace_curve(base, "alpha_2", "width_b", [1.579], (1.0, hi))
+            assert traced.status.tolist() == ["root"]
+            assert abs(regenerator_heat(replace(base, width_b=traced.root[0]))) <= 1e-8
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -646,10 +674,8 @@ class TestTraceCurve:
         for module in (cycle, thermo):
             monkeypatch.setattr(module, "summarize", lambda *args: scalar.append(args) or summarize(*args))
         grid = [1.58 + 0.02 * i for i in range(6)]
-        points = trace_curve(
-            BASE, "alpha_2", "alpha_1", grid, (1.000001, 2.0), levels=levels
-        ).points
-        assert all(p is not None for p in points)
+        traced = trace_curve(BASE, "alpha_2", "alpha_1", grid, (1.000001, 2.0), levels=levels)
+        assert traced.status.tolist() == ["root"] * len(grid)
         assert scalar == []
         assert 1 <= len(steps) <= 10, steps
         assert steps[0] >= len(grid) and steps == sorted(steps, reverse=True)
@@ -672,15 +698,17 @@ class TestTraceCurve:
         monkeypatch.setattr(solver, "summarize_many", counting(solver.summarize_many, steps))
         grid = [1.45, 1.5, 1.55, 1.6, 1.65]
         args = (BASE, "alpha_2", "alpha_1", grid, (1.3, 2.0))
-        whole = trace_curve(*args, levels=levels).points
+        whole = trace_curve(*args, levels=levels)
         assert len(scans) == 1 and 1 <= len(steps) <= 10
         whole_steps = len(steps)
         scans.clear()
         steps.clear()
         monkeypatch.setattr(solver, "_SCAN_CHUNK", 1)
-        assert repr(trace_curve(*args, levels=levels).points) == repr(whole)
+        chunked = trace_curve(*args, levels=levels)
+        assert repr(solved_nodes(chunked)) == repr(solved_nodes(whole))
+        assert chunked.status.tolist() == whole.status.tolist()
         assert len(scans) == len(grid)
-        solved = sum(p is not None for p in whole)
+        solved = sum(p is not None for p in solved_nodes(whole))
         assert solved >= 2 and whole_steps < len(steps) <= 10 * solved
 
     @pytest.mark.parametrize("levels", [10, None])
@@ -699,10 +727,8 @@ class TestTraceCurve:
     def test_exact_root_at_scan_point_is_solved(self):
         # equal widths and exponents make q_r vanish exactly at the scan's end
         base = CycleParams(1.0, 1.0, 2.0, 2.0, **BATHS)
-        points = trace_curve(
-            base, "alpha_2", "alpha_1", [1.9, 2.0], (1.000001, 2.0), levels=10
-        ).points
-        assert points[1] == RegenerationPoint(params=base, residual=0.0)
+        traced = trace_curve(base, "alpha_2", "alpha_1", [1.9, 2.0], (1.000001, 2.0), levels=10)
+        assert solved_nodes(traced)[1] == (base.alpha_1, 0.0)
 
     @pytest.mark.parametrize(
         "sweep_parameter, solve_parameter, grid, bracket, levels",
@@ -816,29 +842,31 @@ def run_trace(name):
 
 
 class TestTraceResult:
-    def test_points_repr_is_pinned(self):
-        # the sha256 of the reprs of the lists `trace_curve` returned at
-        # commit ddaa282, before the result became arrays
+    def test_arrays_are_pinned(self):
+        # the sha256 of the four arrays, computed at commit 3a85dd2, where the
+        # reprs of the traces' `points` lists still had the pin of ddaa282
         digest = hashlib.sha256()
         for name in TRACES:
-            digest.update(repr(run_trace(name).points).encode())
-        assert digest.hexdigest() == "56e1a9dfd5caa97a66060d4fd1b63a0862b85641d84aba7596c4824b14872240"
+            result = run_trace(name)
+            for v in (result.grid, result.root, result.residual):
+                digest.update(v.tobytes())
+            digest.update(",".join(result.status.tolist()).encode())
+        assert digest.hexdigest() == "d88da146884a76c2efa14cb3fb34196aade8d04d65d2e883f8f266be7c614c76"
 
     @pytest.mark.parametrize("name", TRACES)
     def test_arrays_agree_with_points(self, name):
+        # a solved node's root and residual are a point of the locus: its
+        # residual is the scalar |q_r| there bit for bit
         result = run_trace(name)
-        base, sweep_parameter, solve_parameter, grid, _, _ = TRACES[name]
-        assert isinstance(result, TraceResult) and result.base is base
-        assert (result.sweep_parameter, result.solve_parameter) == (sweep_parameter, solve_parameter)
+        base, sweep_parameter, solve_parameter, grid, _, kwargs = TRACES[name]
+        assert isinstance(result, TraceResult)
         assert result.grid.tolist() == grid and result.status.tolist() == STATUSES[name]
         gap = result.status != "root"
         assert (np.isnan(result.root) == gap).all() and (np.isnan(result.residual) == gap).all()
-        for g, x, residual, point in zip(grid, result.root.tolist(), result.residual.tolist(), result.points,
-                                         strict=True):
-            if point is None:
-                continue
-            assert point == RegenerationPoint(replace(base, **{sweep_parameter: g, solve_parameter: x}), residual)
-        assert result.points is result.points  # built once
+        for g, node in zip(grid, solved_nodes(result)):
+            if node is not None:
+                params = replace(base, **{sweep_parameter: g, solve_parameter: node[0]})
+                assert node[1] == abs(regenerator_heat(params, levels=kwargs.get("levels")))
         for v in (result.grid, result.root, result.residual, result.status):
             assert not v.flags.writeable
 
@@ -847,11 +875,11 @@ class TestTraceResult:
         # changes sign before them
         with pytest.warns(UserWarning, match="no regeneration root"):
             result = trace_curve(replace(BASE, alpha_1=1.502), "alpha_2", "width_b", [1.579], (1.0, 1e78))
-        assert result.status.tolist() == ["failing_corner"] and result.points == [None]
+        assert result.status.tolist() == ["failing_corner"]
 
     def test_an_empty_grid_has_empty_arrays(self):
         result = trace_curve(BASE, "alpha_2", "alpha_1", [], (1.3, 2.0))
-        assert result.points == [] and all(v.size == 0 for v in (result.grid, result.root, result.status))
+        assert all(v.size == 0 for v in (result.grid, result.root, result.residual, result.status))
 
 
 class TestSweepAxis:
@@ -902,9 +930,9 @@ class TestSweepAxis:
         assert values == [v if v < math.inf else ends[1] for v in (ends[0] + i * step for i in range(count))]
         assert all(0.0 < v <= MAX for v in values)
         grid = sweep(BASE, axis, SweepAxis("alpha_2", 1.5, 1.6, 2), levels=10)
-        for i, row in enumerate(grid.reports):
-            for j, report in enumerate(row):
-                assert isinstance(report, NodeError) == ((i, j) in grid.errors)
+        for i, j in itertools.product(range(count), range(2)):
+            finite = all(math.isfinite(v[i, j]) for v in grid.columns.values())
+            assert finite == ((i, j) not in grid.errors)
 
 
 class TestSweep:
@@ -913,30 +941,19 @@ class TestSweep:
         ax = SweepAxis("alpha_1", 1.2, 1.8, 2)
         ay = SweepAxis("alpha_2", 1.3, 1.9, 2)
         grid = sweep(base, ax, ay)
-        from dataclasses import replace
-
         for i, x in enumerate(ax.values()):
             for j, y in enumerate(ay.values()):
-                direct = evaluate(replace(base, alpha_1=x, alpha_2=y))
-                assert grid.reports[i][j] == direct
+                assert_node_is(grid, i, j, evaluate(replace(base, alpha_1=x, alpha_2=y)))
 
     def test_row_major_shape(self):
         base = CycleParams(1.0, 1.0, 1.5, 1.5, **BATHS)
-        grid = sweep(
-            base,
-            SweepAxis("width_a", 0.8, 1.2, 3),
-            SweepAxis("width_b", 0.9, 1.3, 2),
-        )
-        assert len(grid.reports) == 3
-        assert all(len(row) == 2 for row in grid.reports)
+        ax, ay = SweepAxis("width_a", 0.8, 1.2, 3), SweepAxis("width_b", 0.9, 1.3, 2)
+        grid = sweep(base, ax, ay)
         assert {v.shape for v in grid.columns.values()} == {(3, 2)}
         assert grid.corner_states.shape == (4, 3, 2)
-        for i, j in itertools.product(range(3), range(2)):
-            report = grid.reports[i][j]
-            assert [grid.columns[name][i, j] for name in grid.columns] == list(astuple(report)[:8])
-            corners = grid.corner_states[:, i, j]
-            assert tuple(grid.state_energy[corners]) == report.corner_energies
-            assert tuple(grid.state_entropy[corners]) == report.corner_entropies
+        assert list(grid.columns) == [field.name for field in fields(CycleReport)[:8]]
+        for (i, x), (j, y) in itertools.product(enumerate(ax.values()), enumerate(ay.values())):
+            assert_node_is(grid, i, j, evaluate(replace(base, width_a=x, width_b=y)))
         with pytest.raises(ValueError, match="read-only"):
             grid.columns["q_r"][0, 0] = 0.0
 
@@ -948,8 +965,8 @@ class TestSweep:
             SweepAxis("width_a", 0.6, 1.0, 2),
             SweepAxis("width_b", 0.9, 1.3, 2),
         )
-        assert grid.reports[0][0].q_r < 0  # (0.6, 0.9)
-        assert grid.reports[1][1].q_r > 0  # (1.0, 1.3)
+        assert grid.columns["q_r"][0, 0] < 0  # (0.6, 0.9)
+        assert grid.columns["q_r"][1, 1] > 0  # (1.0, 1.3)
 
     @pytest.mark.parametrize(
         "kwargs", [{"rel_tol": 0.5}, {"levels": 0}, {"levels": MAX_LEVELS + 1}, {"levels": 10.5}]
@@ -985,10 +1002,9 @@ class TestSweep:
         ay = SweepAxis("alpha_2", 1.4, 1.6, 2)
         grid = sweep(base, ax, ay)
         for j, y in enumerate(ay.values()):
-            direct = evaluate(replace(base, width_b=1.0, alpha_2=y))
-            assert repr(grid.reports[0][j]) == repr(direct)
-            assert isinstance(grid.reports[1][j], NodeError)
-            assert "float range" in grid.reports[1][j].message
+            assert_node_is(grid, 0, j, evaluate(replace(base, width_b=1.0, alpha_2=y)))
+            assert (0, j) not in grid.errors
+            assert "float range" in grid.errors[1, j]
         assert crosses(replace(base, alpha_2=ay.values()[1]))
 
     def test_unrepresentable_level_scale_is_an_error_node(self):
@@ -996,12 +1012,11 @@ class TestSweep:
         ax = SweepAxis("width_a", 1e-200, 1.0, 3)
         ay = SweepAxis("alpha_2", 1.3, 1.6, 2)
         grid = sweep(base, ax, ay)
-        assert "float range" in grid.reports[0][1].message
+        assert list(grid.errors) == [(0, 1)] and "float range" in grid.errors[0, 1]
         for i, x in enumerate(ax.values()):
             for j, y in enumerate(ay.values()):
                 if (i, j) != (0, 1):
-                    direct = evaluate(replace(base, width_a=x, alpha_2=y))
-                    assert repr(grid.reports[i][j]) == repr(direct)
+                    assert_node_is(grid, i, j, evaluate(replace(base, width_a=x, alpha_2=y)))
         # the (0.5, 1.6) node takes the heat-capacity crossing search
         assert crosses(replace(base, width_a=ax.values()[1], alpha_2=ay.values()[1]))
 
@@ -1018,12 +1033,13 @@ class TestSweep:
         assert evaluated == []
         monkeypatch.undo()
         nodes = [
-            (replace(base, alpha_1=x, alpha_2=y), grid.reports[i][j])
+            (replace(base, alpha_1=x, alpha_2=y), i, j)
             for i, x in enumerate(ax.values()) for j, y in enumerate(ay.values())
         ]
-        assert sum(crosses(params, levels) for params, _ in nodes) >= 9
-        for params, report in nodes:
-            assert repr(report) == repr(evaluate(params, levels=levels))
+        assert sum(crosses(params, levels) for params, _, _ in nodes) >= 9
+        assert grid.errors == {}
+        for params, i, j in nodes:
+            assert_node_is(grid, i, j, evaluate(params, levels=levels))
 
     def test_failing_corner_is_worded_without_evaluate(self, monkeypatch):
         # corner B, (width_b, alpha_1) at t_hot, has an E_1 that underflows
@@ -1060,7 +1076,7 @@ class TestSweep:
             for j, y in enumerate(ay.values()):
                 with pytest.raises(DegenerateCycleError) as err:
                     evaluate(replace(base, width_b=x, alpha_2=y))
-                assert grid.reports[i][j] == NodeError(str(err.value))
+                assert grid.errors[i, j] == str(err.value)
 
     def test_block_cap_splits_a_same_cut_grid(self, monkeypatch):
         # with ten levels every corner state shares one padded length, so the
@@ -1082,4 +1098,8 @@ class TestSweep:
         monkeypatch.setattr(thermo, "_BLOCK_ENTRIES", 1)
         capped = sweep(base, ax, ay, levels=10)
         assert len(rows) >= 2 * 20 * 20 + 2 and max(rows) == 1
-        assert repr(capped.reports) == repr(default.reports)
+        for name in default.columns:
+            assert repr(capped.columns[name].tolist()) == repr(default.columns[name].tolist())
+        for name in ("state_energy", "state_entropy", "corner_states"):
+            assert repr(getattr(capped, name).tolist()) == repr(getattr(default, name).tolist())
+        assert capped.errors == default.errors == {}
