@@ -129,7 +129,11 @@ def _sweep_csv(grid: SweepGrid):
     floats of all fields formatted per axis value or once go through one
     `g17.slots` call, as each call has a fixed cost.  Each field fills fixed
     byte slots padded with NUL, so an item's rows are one uint8 matrix, and
-    deleting its NULs leaves their text (`_sweep_rows`).
+    deleting its NULs leaves their text.  `_templates` lays the fields
+    formatted per axis value and the grid constants out once per sweep, as
+    one text template per axis, so an item's matrix starts as the OR of the
+    template rows of its nodes' x and y values, and only its other fields are
+    formatted and copied in (`_sweep_rows`).
     Item m holds nodes m * _ROWS .. (m + 1) * _ROWS - 1 of the flat index
     i * ny + j, whatever the grid's shape, so the arrays formatted and held
     at a time are bounded: an axis field is formatted once per value where
@@ -160,11 +164,12 @@ def _sweep_csv(grid: SweepGrid):
         texts = np.split(_slots(np.concatenate([fields[k][1] for k in once])), ends[:-1])
         for k, text in zip(once, texts):
             fields[k] = fields[k][0], text
+    templates, per_item = _templates(fields, nx, ny)
     errors = sorted((i * ny + j, message) for (i, j), message in grid.errors.items())
     k = 0  # the next error row; a row is formatted where it is written
     for start in range(0, nx * ny, _ROWS):
         stop = min(start + _ROWS, nx * ny)
-        text = _sweep_rows(fields, start, stop, ny)
+        text = _sweep_rows(templates, per_item, start, stop, ny)
         if k < len(errors) and errors[k][0] < stop:
             rows = text.split("\n")
             while k < len(errors) and errors[k][0] < stop:
@@ -176,31 +181,64 @@ def _sweep_csv(grid: SweepGrid):
         yield text
 
 
-def _sweep_rows(fields, start, stop, ny):
+def _templates(fields, nx, ny):
+    """The row layout of the sweep CSV: a text template per axis, and the fields formatted per item.
+
+    A row is each field's span of columns and a comma, then a newline.  A
+    field formatted once, per axis value or for the grid, spans only the
+    columns its texts use, as the columns NUL in all of them would be deleted
+    anyway; any other spans a full slot.  The template of an axis with at
+    most _ROWS values is an (n, width) uint8 matrix whose row k holds that
+    axis's fields at its k-th value, the grid constants, the commas and the
+    newline, so the OR of a node's x and y rows holds all its text but the
+    fields formatted per item; that of a longer axis is its one row of grid
+    constants, commas and newline.  Returns the templates keyed "x" and "y",
+    and per field formatted per item (one per node, or of an axis longer than
+    _ROWS) its axis, its values and its slice of columns.
+    """
+    from .g17 import SLOT
+
+    layout, width = [], 0  # per field: its axis, its values or texts, its columns
+    for axis, values in fields:
+        if values.ndim == 2:  # texts: cut to the columns they use
+            used = values.any(axis=0).nonzero()[0]
+            values = values[:, used[0]:used[-1] + 1]
+            size = values.shape[1]
+        else:
+            size = SLOT if values.dtype == float else values.itemsize // 4
+        layout.append((axis, values, slice(width, width + size)))
+        width += size + 1
+    base = np.zeros((1, width + 1), np.uint8)
+    base[0, [span.stop for _, _, span in layout]] = ord(",")
+    base[0, -1] = ord("\n")
+    for axis, values, span in layout:
+        if axis == "grid":
+            base[:, span] = values
+    templates = {axis: np.repeat(base, n, axis=0) if n <= _ROWS else base for axis, n in (("x", nx), ("y", ny))}
+    for axis, values, span in layout:
+        if values.ndim == 2 and axis != "grid":
+            templates[axis][:, span] = values
+    return templates, [field for field in layout if field[1].ndim == 1]
+
+
+def _sweep_rows(templates, per_item, start, stop, ny):
     """The rows of nodes start .. stop - 1 of the flat index i * ny + j but error rows, as one text.
 
-    All per-node floats there, an axis field's too where its axis has more
-    than _ROWS values, go through one `_slots` call.  The rows are one uint8
-    matrix, each field's slot and a comma and then a newline; the last
-    newline is left to `_write`.  The arrays live in this call alone, so none
-    outlives the text.
+    The rows start as the OR of the x and the y template rows of their
+    nodes; the per-item fields are copied into their columns, all their
+    floats formatted by one `_slots` call.  The last newline is left to
+    `_write`.  The arrays live in this call alone, so none outlives the text.
     """
     i, j = np.divmod(np.arange(start, stop), ny)
-    at = {None: slice(start, stop), "x": i, "y": j}  # each field's values of the item's nodes
-    floats = [values[at[axis]] for axis, values in fields if values.ndim == 1 and values.dtype == float]
+    # a template of one row, that of an axis longer than _ROWS, serves every node: "clip" maps each index to it
+    block = templates["x"].take(i, axis=0, mode="clip")
+    block |= templates["y"].take(j, axis=0, mode="clip")
+    at = {None: slice(start, stop), "x": i, "y": j}  # each per-item field's values of the item's nodes
+    floats = [values[at[axis]] for axis, values, _ in per_item if values.dtype == float]
     slotted = iter(_slots(np.concatenate(floats)).reshape(len(floats), stop - start, -1) if floats else ())
-    texts = []  # per field, its slots row by row, or one row for all
-    for axis, values in fields:
-        if values.ndim == 2:  # texts formatted once per axis value, or once for the grid
-            texts.append(values if axis == "grid" else values.take(at[axis], axis=0))
-        else:
-            texts.append(next(slotted) if values.dtype == float else _slots(values[at[axis]]))
-    ends = np.cumsum([t.shape[1] + 1 for t in texts])
-    block = np.zeros((stop - start, ends[-1] + 1), np.uint8)
-    for t, end in zip(texts, ends):
-        block[:, end - 1 - t.shape[1]:end - 1] = t
-    block[:, ends - 1] = ord(",")
-    block[:-1, -1] = ord("\n")
+    for axis, values, span in per_item:
+        block[:, span] = next(slotted) if values.dtype == float else _slots(values[at[axis]])
+    block[-1, -1] = 0
     return block.tobytes().translate(None, b"\0").decode("ascii")
 
 

@@ -13,8 +13,13 @@ wherever N < 10^17: about 1.2e-15 each from the table's error and from
 rounding |v| lo, and 2.1e-15 from adding that to Dekker's error term.  The
 rounding edges are the half-integers, so wherever |f - 1/2| >= _MARGIN,
 2e5 times that bound, the exact product rounds as N + f does: up where
-f > 1/2.  No tie reaches the arrays.  The digits are read four at a time
-from a table of the 10 000 four-digit groups.
+f > 1/2.  Where 10^k is itself a float, 0 <= k <= 22 and the table's error
+is 0, N + f is the exact product: it has at most 105 significant bits, the
+last no finer than 2^-48 below 10^17, so f and each step forming it are exact.
+There the arrays decide every rounding, a tie f = 1/2 to the even N.  N
+splits into its top nine digits, by one int64 floor division, and its low
+eight; both are below 2^31, so int32 arithmetic splits each further, and the
+digits are read four at a time from a table of the 10 000 four-digit groups.
 
 Layout.  A slot is a sign byte and 23 columns.  The digits sit unshifted
 (d.ddd and ddd.ddd), shifted one column right of a point, or shifted five
@@ -26,11 +31,12 @@ by the exponent and the sign.
 
 Fallback.  Python's "%" (`_fmt`) formats only nan, +-inf, +-0, |v| outside
 (1e-250, 1e250), where the power table ends, a product with
-|f - 1/2| < _MARGIN, which holds every exact tie, and one whose integer part
-N lies outside [10^16, 10^17 - 1): log10 rounded across an integer, within
-an ulp or so of a power of ten, or N + f might round up to 10^17 and carry
-into the exponent.  N is tested before the round-up: 1e-248 has
-N = 9999999999999999, and rounded first it would read 10^16 and print as
+|f - 1/2| < _MARGIN where 10^k is not a float (k < 0 or k > 22, so |v| below
+1e-6 or from 1e17 up), which holds every exact tie there, and one whose
+integer part N lies outside [10^16, 10^17 - 1): log10 rounded across an
+integer, within an ulp or so of a power of ten, or N + f might round up to
+10^17 and carry into the exponent.  N is tested before the round-up: 1e-248
+has N = 9999999999999999, and rounded first it would read 10^16 and print as
 1e-248 where "%" prints 9.9999999999999998e-249.
 """
 
@@ -157,25 +163,30 @@ def slots(values) -> np.ndarray:
     below = np.floor(rest)
     n = whole.astype(np.int64) + below.astype(np.int64)  # the integer part N
     rest -= below  # the fraction f
-    # N has 17 digits and rounds to 17 digits: below 10^17 - 1 it carries into no exponent
-    fast &= (n >= 10**16) & (n < 10**17 - 1) & (np.abs(rest - 0.5) >= _MARGIN)
+    # N has 17 digits and rounds to 17 digits: below 10^17 - 1 it carries into
+    # no exponent; f is exact where 10^k is, and else decides only off a tie
+    fast &= (n >= 10**16) & (n < 10**17 - 1) & ((lo == 0.0) | (np.abs(rest - 0.5) >= _MARGIN))
     n[~fast] = 10**16  # any 17-digit number: "%" rewrites these rows
-    n += rest > 0.5
+    n += (rest > 0.5) | ((rest == 0.5) & (n % 2 == 1))  # a tie, exact, to the even N
 
-    # per value six words: NULs, the lead digit, then the 16 digits after it
-    words = np.empty((v.size, 6), np.int64)
+    # per value six words: NULs, the lead digit, then the 16 digits after it;
+    # the top nine digits and the low eight are each below 2^31
+    top = n // 10**8
+    low = n.astype(np.int32)
+    top = top.astype(np.int32)
+    low -= top * np.int32(10**8)  # exact modulo 2^32, and so exact
+    words = np.empty((v.size, 6), np.int32)
     words[:, 0] = _NUL_WORD
-    lead, low = np.divmod(n, 10**16)
+    lead, high = np.divmod(top, np.int32(10**8))
     words[:, 1] = lead + _LEAD_WORD
-    high, low = np.divmod(low, 10**8)
-    np.divmod(high, 10**4, out=(words[:, 2], words[:, 3]))
-    np.divmod(low, 10**4, out=(words[:, 4], words[:, 5]))
+    np.divmod(high, np.int32(10**4), out=(words[:, 2], words[:, 3]))
+    np.divmod(low, np.int32(10**4), out=(words[:, 4], words[:, 5]))
     significant = _SIGNIFICANT[0].take(words[:, 2])
     for k in (1, 2, 3):
         np.maximum(significant, _SIGNIFICANT[k].take(words[:, 2 + k]), out=significant)
     size = v.size * SLOT
     digits = np.zeros(size + 6, np.uint8)  # SLOT bytes a value: d0 at byte 7, d16 at 23
-    _WORDS.take(words, out=digits[:size].view(np.uint32).reshape(-1, 6))
+    _WORDS.take(words, out=digits[:size].view(np.uint32).reshape(-1, 6), mode="clip")
     # the digits as the slot places them: after the sign, one byte later (past
     # a point), and after the sign and "0.000"
     fixed, shifted, small = digits[6:size + 6], digits[5:size + 5], digits[1:size + 1]
@@ -184,11 +195,11 @@ def slots(values) -> np.ndarray:
     out &= fixed.reshape(-1, SLOT)
     part = np.empty_like(out)
     for mask, source in ((_MASK_SHIFTED, shifted), (_MASK_SMALL, small)):
-        mask.take(cls, axis=0, out=part)
+        mask.take(cls, axis=0, out=part, mode="clip")
         part &= source.reshape(-1, SLOT)
         out |= part
-    out |= _DOT.take(cls, axis=0, out=part)
-    out |= _EXPONENT_TEXT.take(2 * row + np.signbit(v), axis=0, out=part)
+    out |= _DOT.take(cls, axis=0, out=part, mode="clip")
+    out |= _EXPONENT_TEXT.take(2 * row + np.signbit(v), axis=0, out=part, mode="clip")
     slow = (~fast).nonzero()[0]
     if slow.size:
         texts = [_fmt(x) for x in v[slow].tolist()]

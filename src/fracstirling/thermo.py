@@ -23,9 +23,10 @@ E_1 is `spectrum.level_scale`, numpy's power, which `summarize_many` calls
 once on the arrays of all its states, so the kernel, `energy_levels` and
 `occupations` share one formula bit for bit.
 `summarize_many` pads each state's row of explicit levels, min(N, _HEAD) of
-them, with zero weights to the multiple of _PAD above that count, and sums
-all states of one padded length in one capped block, so a call holding
-dozens of distinct cuts sums a few blocks; `summarize` is it on one state.
+them, with zero weights to the multiple of _PAD above that count, orders its
+states once by that padded length and sums each run of one length as capped
+slices, so a call holding dozens of distinct cuts sums a few blocks, each
+with no gather or scatter of its own; `summarize` is it on one state.
 A row's length depends on its own cut alone, every reduction runs along a
 row and the closure is elementwise, so a state's sums do not depend on the
 block it lands in or the states beside it.  Nothing is memoised;
@@ -183,18 +184,20 @@ def summarize_many(
     and elsewhere U, S, F and C are finite.  Levels above a finite E_1 that
     pass the float range weigh 0 and fail nothing.  A state sums min(N,
     _HEAD) levels explicitly, as a row padded to the multiple of _PAD above
-    that count; the states are grouped by that padded length, so a call sums
-    a few blocks however many distinct cuts it holds, and each group in
-    blocks of at most _BLOCK_ENTRIES entries (or one row), so the memory held
-    is bounded for any number of states.  A state's row depends on that
-    state alone, so its fields are the same bit for bit whatever other
-    states share the call.  The first state outside the validity domain, a
-    Python int past the float range too, raises the ValueError
-    ThermalState(WellSpec(...), T) raises on it, naming the field; a bad
-    `rel_tol`, `levels` or shape raises ValueError too.  The cycle's and the
-    solver's calls pass `_trim`, a private flag: then the table holds n_cut,
-    U, S, F and C, all they read and all that decide a failure, and no Z or
-    tail bound.
+    that count.  The call orders its states by that padded length once, a
+    stable sort that a call of one length skips, so each run of one length
+    is a slice, summed as blocks of at most _BLOCK_ENTRIES entries (or one
+    row) that are slices too and write their sums by slice; the sums return
+    to the call's order in one scatter.  So a call sums a few blocks however
+    many distinct cuts it holds, and the memory held is bounded for any
+    number of states.  A state's row depends on that state alone, so its
+    fields are the same bit for bit whatever other states share the call.
+    The first state outside the validity domain, a Python int past the float
+    range too, raises the ValueError ThermalState(WellSpec(...), T) raises
+    on it, naming the field; a bad `rel_tol`, `levels` or shape raises
+    ValueError too.  The cycle's and the solver's calls pass `_trim`, a
+    private flag: then the table holds n_cut, U, S, F and C, all they read
+    and all that decide a failure, and no Z or tail bound.
     """
     per_state = levels is not None and np.ndim(levels) > 0
     _check_cut_args(rel_tol, None if per_state else levels)
@@ -229,21 +232,30 @@ def summarize_many(
             n_cut = np.where(np.isnan(scale), np.nan, fixed if per_state else levels)
         n_cut[~np.isfinite(n_cut)] = 0.0  # no level is summed, and every field is nan
 
-        # per state: T_0, T_1, T_2
-        sums = np.full((3, count), np.nan)
         kept = np.minimum(n_cut, _HEAD).astype(np.int64)
         # a row's length fixes the pairwise tree of its sums, so this rule, the
         # multiple of _PAD (a power of 2) above the kept count, keeps their bits
         padded = np.where(kept > 0, (kept | (_PAD - 1)) + 1, 0)
-        for length in sorted(set(padded.tolist()) - {0}):
-            group = (padded == length).nonzero()[0]
+        # the states in order of padded length, once per call, so that each
+        # block is a slice of them; a call of one length is in that order already
+        one_length = (padded == padded[:1]).all()
+        order = slice(None) if one_length else np.argsort(padded, kind="stable")
+        lengths, alpha_in_order, x_in_order, kept_in_order = padded[order], alpha[order], x[order], kept[order]
+        sums = np.full((3, count), np.nan)  # per state in that order: T_0, T_1, T_2
+        starts = ((lengths[1:] != lengths[:-1]).nonzero()[0] + 1).tolist()  # where each later length starts
+        for first, end in zip([0, *starts], [*starts, count]):
+            length = int(lengths[first]) if end else 0  # a call of no state has none
+            if length == 0:  # failed states sum no level
+                continue
             ladder = np.arange(1.0, length + 1.0)
             rows = max(1, _BLOCK_ENTRIES // length)
-            for start in range(0, group.size, rows):
-                idx = group[start:start + rows]
-                g = np.power(ladder, alpha[idx, None])
+            for start in range(first, end, rows):
+                block = slice(start, min(start + rows, end))
+                g = np.power(ladder, alpha_in_order[block, None])
                 g -= 1.0
-                sums[:, idx] = _row_sums(g, x[idx, None], kept[idx])
+                sums[:, block] = _row_sums(g, x_in_order[block, None], kept_in_order[block])
+        if not one_length:  # back in the call's order
+            sums[:, order] = sums.copy()
         # a state cut past _HEAD adds levels _HEAD + 1 .. N in closed form to
         # its head; past a head whose last weight underflows every one weighs 0
         closed = (n_cut > _HEAD).nonzero()[0]

@@ -441,6 +441,59 @@ class TestSweepCommand:
         )
         assert "\n".join(cli._sweep_csv(grid)) + "\n" == rowwise_sweep_csv(grid)
 
+    def test_axis_templates_cut_to_their_texts_match_a_row_by_row_writer(self, monkeypatch):
+        # both axes within cli._ROWS, so every axis field is in a template; one
+        # field per x value mixes exponent forms, negatives, nan, +-inf and
+        # -0.0, one per y value holds short positives, so their column spans
+        # are cut to different widths; error rows sit on both sides of the
+        # item edge at node cli._ROWS, mid x-row
+        nx, ny = 24, 20
+        assert max(nx, ny) <= cli._ROWS < nx * ny and cli._ROWS % ny
+        rng = np.random.default_rng(34)
+        mixed = np.array([-1.5e-300, 2.5e17, -0.0, np.nan, np.inf, -np.inf, 1e-5, -123.456, 0.1, 7e22, -3e-7, 0.0])
+        per_x = np.broadcast_to(np.resize(mixed, nx)[:, None], (nx, ny))
+        per_y = np.broadcast_to(rng.choice([0.5, 1.0, 2.0, 3.25, 4.0, 8.5], ny), (nx, ny))
+        work = rng.normal(size=(nx, ny))
+        columns = dict(zip(REPORT_FIELDS, [
+            per_x, per_y, rng.normal(size=(nx, ny)), np.full((nx, ny), 2.5), work,
+            per_x[::-1], rng.normal(size=(nx, ny)), per_y * 2.0,
+        ]))
+        energy = np.array([1.0, -0.0, np.nan, np.inf, -np.inf, 0.1, 1e300, -2.5e-8])
+        entropy = rng.permutation(energy)
+        corners = np.stack([
+            np.broadcast_to(rng.integers(0, energy.size, (nx, 1)), (nx, ny)),  # per x value
+            np.broadcast_to(rng.integers(0, energy.size, ny), (nx, ny)),  # per y value
+            rng.integers(0, energy.size, (nx, ny)), np.full((nx, ny), 5),
+        ])
+        nodes = {0, cli._ROWS - 2, cli._ROWS - 1, cli._ROWS, cli._ROWS + 1, nx * ny - 1}
+        errors = {divmod(n, ny): f"node {n}, at 5% of %s" for n in nodes}
+        grid = SweepGrid(
+            SweepAxis("alpha_1", 1.1, 1.9, nx), SweepAxis("alpha_2", 1.2, 2.0, ny),
+            CycleParams(1.0, 1.5, 1.5, 2.0, 4.0, 3.0), columns, energy, entropy, corners, errors,
+        )
+        layouts, templates = [], cli._templates
+        monkeypatch.setattr(cli, "_templates", lambda *args: layouts.append(templates(*args)) or layouts[-1])
+        items = list(cli._sweep_csv(grid))
+        assert "\n".join(items) + "\n" == rowwise_sweep_csv(grid)
+        assert [item.count("\n") + 1 for item in items[1:]] == [cli._ROWS, nx * ny - cli._ROWS]
+
+        def span(values):  # the columns from the first to the last that any text uses
+            used = g17.slots(np.asarray(values)).any(axis=0).nonzero()[0]
+            return used[-1] - used[0] + 1
+
+        assert span(mixed) > span(per_y[0]) + 10
+        # an axis field spans the columns its texts use; a per-node float a
+        # full slot, the per-node regime the 10 bytes of "non_engine"
+        axis_fields = [grid.axis_x.values(), grid.axis_y.values(), per_x[:, 0], per_y[0], [2.5], per_x[::-1, 0],
+                       per_y[0] * 2.0, [carnot_efficiency(grid.base)]]
+        for values in (entropy, energy):
+            axis_fields += [values[corners[0, :, 0]], values[corners[1, 0]], values[[5]]]
+        per_node = 5 * g17.SLOT + 10  # q_cd, work, q_h, s_c and u_c, and the regime
+        (axis_templates, per_item), = layouts
+        assert [axis for axis, _, _ in per_item] == [None] * 6
+        assert axis_templates["x"].shape == (nx, sum(map(span, axis_fields)) + per_node + 20 + 1)  # 20 commas, a newline
+        assert axis_templates["y"].shape == (ny, axis_templates["x"].shape[1])
+
     @pytest.mark.parametrize("nx, ny", [(5, 500), (500, 7)])
     def test_items_that_end_mid_row_match_a_row_by_row_writer(self, nx, ny):
         # items end mid x-row here, and one axis is longer than cli._ROWS, so

@@ -1,6 +1,7 @@
 """`g17.slots` gives exactly the bytes of "%.17g" % v, from arrays or through "%"."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,11 +83,30 @@ def test_each_fallback_class_and_no_other_value_goes_through_percent(monkeypatch
     fallback = [
         math.nan, math.inf, -math.inf, 0.0, -0.0,  # not finite, or zero
         1e-250, 5e-324, 1e250, -1.7976931348623157e308,  # outside (1e-250, 1e250)
-        2.0**-25,  # 2.98023223876953125e-08, an exact tie at the 18th digit
+        2.0**-25,  # 2.98023223876953125e-08, an exact tie at the 18th digit, and 10^24 is no float
         1e-248,  # N = 9999999999999999, 16 digits
     ]
     rng = np.random.default_rng(3)
     ordinary = rng.normal(size=10000) * 10.0 ** rng.integers(-200, 12, 10000)
-    values = np.concatenate([ordinary[:5000], fallback, ordinary[5000:]])
+    # exact ties where 10^k is a float, at k = 3, 1 and 22, each to an even
+    # and an odd N: 12345678901234.5625 10^3 = 12345678901234562.5
+    ties = [12345678901234.5625, 12345678901234.1875, 1234567890123456.25, -1234567890123456.75,
+            9 * 2.0**-23, -11 * 2.0**-23]
+    values = np.concatenate([ordinary[:5000], fallback, ties, ordinary[5000:]])
     assert texts(values) == ["%.17g" % v for v in values.tolist()]
     assert [repr(v) for v in calls] == [repr(v) for v in fallback]
+
+
+def test_exact_ties_where_the_power_is_a_float_stay_in_the_arrays(monkeypatch):
+    # in [1e13, 1e16) k is 1 to 3, so 10^k is a float and f is exact; with at
+    # most 9 fraction bits one value in about 64 is an exact tie, rounded to
+    # the even N without "%"
+    calls = []
+    monkeypatch.setattr(g17, "_fmt", lambda v: calls.append(v) or "%.17g" % v)
+    rng = np.random.default_rng(34)
+    values = np.floor(10.0 ** rng.uniform(13.0, 16.0, 100000) * 512.0) / 512.0
+    values[::2] *= -1.0
+    product = [Fraction(abs(v)) * 10 ** (16 - math.floor(math.log10(abs(v)))) for v in values.tolist()]
+    assert sum(p.denominator == 2 for p in product) > 1000
+    assert texts(values) == ["%.17g" % v for v in values.tolist()]
+    assert calls == []

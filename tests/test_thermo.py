@@ -381,14 +381,56 @@ def plain_sums(alpha, x, n_cut):
 C_ONLY = (1e62, 2.0, 1.0, None)
 
 
+def assert_each_state_as_alone(width, alpha, mass, temperature, levels, rng):
+    """Check that a state's fields do not depend on the states beside it, and return the call's table.
+
+    A batch, the same batch shuffled, the batch split over several calls and
+    `summarize` on each state alone agree bit for bit; a state that fails
+    has n_cut 0, every other field nan, and `summarize` raises on it.
+    `levels` is None, one count, or one count per state.
+    """
+    count = len(width)
+    per_state = np.ndim(levels) > 0
+
+    def call(i):
+        return summarize_many(width[i], alpha[i], mass[i], temperature[i], levels=levels[i] if per_state else levels)
+
+    table = call(np.arange(count))
+    shuffle = rng.permutation(count)
+    shuffled = call(shuffle)
+    cuts = np.sort(rng.choice(np.arange(1, count), min(7, count - 1), replace=False))
+    parts = [call(i) for i in np.split(np.arange(count), cuts)]
+    for name, column in table.items():
+        assert shuffled[name].tobytes() == column[shuffle].tobytes(), name
+        assert np.concatenate([part[name] for part in parts]).tobytes() == column.tobytes(), name
+    for i in range(count):
+        state = ThermalState(WellSpec(width[i], alpha[i], mass[i]), temperature[i])
+        cut = int(levels[i]) if per_state else levels
+        if np.isnan(table["internal_energy"][i]):  # the state failed
+            assert table["n_cut"][i] == 0
+            assert all(np.isnan(table[name][i]) for name in table if name != "n_cut")
+            with pytest.raises(FracStirlingError) as err:
+                summarize(state, levels=cut)
+            assert type(err.value) is FracStirlingError
+            continue
+        single = summarize(state, levels=cut)
+        for field in fields(EnsembleSummary):
+            got = np.float64(getattr(single, field.name)).tobytes()
+            assert got == np.float64(table[field.name][i]).tobytes(), (state, field.name)
+    return table
+
+
+def padded_lengths(table):
+    """Per state, the length of its padded row of explicit levels, 0 where it failed."""
+    kept = np.minimum(table["n_cut"], thermo._HEAD).astype(int)
+    return np.where(kept > 0, (kept | (thermo._PAD - 1)) + 1, 0)
+
+
 class TestSummarizeMany:
     @pytest.mark.parametrize("levels", [None, 10])
     def test_every_field_matches_summarize_bitwise(self, levels):
-        # a state's fields do not depend on the states beside it: a batch, the
-        # same batch shuffled, the batch split over several calls and
-        # `summarize` on each state alone agree bit for bit.  450 ordinary
-        # states and 50 across the float range, some of which fail; cut past
-        # the head or not
+        # 450 ordinary states and 50 across the float range, some of which
+        # fail; cut past the head or not
         rng = np.random.default_rng(31)
         count = 500
         width = 10.0 ** np.concatenate(
@@ -397,31 +439,60 @@ class TestSummarizeMany:
         alpha = np.where(rng.random(count) < 0.1, 2.0, rng.uniform(1.0001, 2.0, count))
         mass = 10.0 ** rng.uniform(-1.0, 1.0, count)
         temperature = 10.0 ** rng.uniform(-2.0, 2.0, count)
-        table = summarize_many(width, alpha, mass, temperature, levels=levels)
-        shuffle = rng.permutation(count)
-        shuffled = summarize_many(width[shuffle], alpha[shuffle], mass[shuffle], temperature[shuffle], levels=levels)
-        cuts = np.sort(rng.choice(np.arange(1, count), 7, replace=False))
-        parts = [summarize_many(width[i], alpha[i], mass[i], temperature[i], levels=levels)
-                 for i in np.split(np.arange(count), cuts)]
-        for name, column in table.items():
-            assert shuffled[name].tobytes() == column[shuffle].tobytes(), name
-            assert np.concatenate([part[name] for part in parts]).tobytes() == column.tobytes(), name
-        for i in range(count):
-            state = ThermalState(WellSpec(width[i], alpha[i], mass[i]), temperature[i])
-            if np.isnan(table["internal_energy"][i]):  # the state failed
-                assert table["n_cut"][i] == 0
-                assert all(np.isnan(table[name][i]) for name in table if name != "n_cut")
-                with pytest.raises(FracStirlingError) as err:
-                    summarize(state, levels=levels)
-                assert type(err.value) is FracStirlingError
-                continue
-            single = summarize(state, levels=levels)
-            for field in fields(EnsembleSummary):
-                got = np.float64(getattr(single, field.name)).tobytes()
-                assert got == np.float64(table[field.name][i]).tobytes(), (state, field.name)
+        table = assert_each_state_as_alone(width, alpha, mass, temperature, levels, rng)
         n_cut = table["n_cut"]
         assert 0 < (n_cut == 0).sum() < 50
         assert (n_cut > thermo._HEAD).any() == (levels is None) and (n_cut > 0).sum() > 400
+
+    def test_per_state_cuts_as_the_crossing_search_passes_them(self):
+        # the crossing search re-sums table rows at another temperature with
+        # their cut kept: `levels` is the table's float n_cut, one per state,
+        # within and past the head
+        rng = np.random.default_rng(34)
+        count = 300
+        width = 10.0 ** rng.uniform(-1.0, 1.0, count)
+        alpha = rng.uniform(1.0001, 2.0, count)
+        mass = 10.0 ** rng.uniform(-1.0, 1.0, count)
+        temperature = 10.0 ** rng.uniform(-1.0, 1.5, count)
+        cuts = summarize_many(width, alpha, mass, temperature)["n_cut"]
+        assert cuts.dtype == float and (cuts > 0).all() and (cuts <= MAX_LEVELS).all()
+        assert (cuts > thermo._HEAD).sum() > 20 and (cuts <= thermo._HEAD).sum() > 100
+        table = assert_each_state_as_alone(width, alpha, mass, temperature * rng.uniform(0.5, 1.0, count), cuts, rng)
+        assert (table["n_cut"] == cuts).all() and len(set(padded_lengths(table).tolist())) > 5
+
+    def test_one_length_over_several_blocks_among_others(self):
+        # 600 states of padded length 256 fill more than two blocks of
+        # _BLOCK_ENTRIES entries, shuffled among states of other lengths
+        rng = np.random.default_rng(35)
+        count = 700
+        width = 10.0 ** rng.uniform(-1.0, 1.0, count)
+        alpha = rng.uniform(1.0001, 2.0, count)
+        temperature = 10.0 ** rng.uniform(-1.0, 1.5, count)
+        cuts = np.where(np.arange(count) < 600, 250, rng.integers(1, 400, count))
+        cuts = cuts[rng.permutation(count)]
+        table = assert_each_state_as_alone(width, alpha, np.ones(count), temperature, cuts, rng)
+        lengths = padded_lengths(table)
+        assert (lengths == 256).sum() * 256 > 2 * thermo._BLOCK_ENTRIES
+        assert len(set(lengths.tolist())) > 10
+
+    @pytest.mark.parametrize("levels", [None, 10])
+    def test_a_call_whose_states_all_fail(self, levels):
+        # every E_1 leaves the float range: no state sums a level
+        rng = np.random.default_rng(36)
+        count = 40
+        width = 10.0 ** rng.uniform(-300.0, -200.0, count)
+        table = assert_each_state_as_alone(width, np.full(count, 2.0), np.ones(count), np.full(count, 4.0), levels, rng)
+        assert (table["n_cut"] == 0).all()
+
+    @pytest.mark.parametrize("levels", [10, 200])
+    def test_a_call_of_one_length(self, levels):
+        rng = np.random.default_rng(levels)
+        count = 120
+        width = 10.0 ** rng.uniform(-1.0, 1.0, count)
+        alpha = rng.uniform(1.0001, 2.0, count)
+        temperature = 10.0 ** rng.uniform(-1.0, 1.5, count)
+        table = assert_each_state_as_alone(width, alpha, np.ones(count), temperature, levels, rng)
+        assert len(set(padded_lengths(table).tolist())) == 1
 
     def test_padded_rows_sum_the_kept_levels(self):
         # the entries past a row's own cut weigh nothing: U and S of every
