@@ -303,33 +303,31 @@ def _h_at_crossings(table, ad, bc, lo, hi):
     temperature in between.  A cut past the kernel's head is closed in form
     whether fixed or adaptive, so at the corners these sums equal the table's
     bit for bit.  `lo` and `hi` are (3, nodes) arrays of T, h and slope at the
-    ends of brackets whose slopes have opposite signs; each step writes the
-    new point over the end it replaces.  A step evaluates h at the
-    stationary point of the cubic Hermite interpolant and keeps the end that
-    preserves the sign change.  h is stationary at the crossing, so its error
+    ends of brackets whose slopes have opposite signs.  A step evaluates h at
+    the stationary point of the cubic Hermite interpolant and puts the new
+    point in place of the end whose slope has its sign.  The rows, T and
+    brackets are held for the live nodes only; the caller's `lo` and `hi`
+    are not written.  h is stationary at the crossing, so its error
     is quadratic in that of T; a node stops at a slope of exactly 0, or once
     its next step would move T by less than _CROSSING_T_TOL relative.
     """
-    t = _stationary_point(lo, hi)
-    h = np.zeros(t.size)
-    active = np.arange(t.size)
+    h = np.zeros(ad.size)
+    active, t = np.arange(ad.size), _stationary_point(lo, hi)
     for _ in range(_CROSSING_MAX_STEPS):
         if not active.size:
             break
-        states, t_a = np.concatenate((ad[active], bc[active])), t[active]
-        s = summarize_many(*_moved(table, states, "temperature", np.tile(t_a, 2)), levels=table["n_cut"][states],
+        states = np.concatenate((ad, bc))
+        s = summarize_many(*_moved(table, states, "temperature", np.tile(t, 2)), levels=table["n_cut"][states],
                            _trim=True)
         u, c = (np.split(s[name], 2) for name in ("internal_energy", "heat_capacity"))
-        h[active] = h_a = u[0] - u[1]
+        h[active] = h_t = u[0] - u[1]
         g = c[0] - c[1]
-        point = np.stack((t_a, h_a, g))
-        left = (g < 0.0) == (lo[2, active] < 0.0)
-        lo[:, active] = np.where(left, point, lo[:, active])
-        hi[:, active] = np.where(left, hi[:, active], point)
-        t_next = _stationary_point(lo[:, active], hi[:, active])
-        going = (g != 0.0) & (abs(t_next - t_a) > _CROSSING_T_TOL * t_a)
-        active = active[going]
-        t[active] = t_next[going]
+        point = np.stack((t, h_t, g))
+        left = (g < 0.0) == (lo[2] < 0.0)
+        lo, hi = np.where(left, point, lo), np.where(left, hi, point)
+        t_next = _stationary_point(lo, hi)
+        going = (g != 0.0) & (abs(t_next - t) > _CROSSING_T_TOL * t)
+        active, ad, bc, t, lo, hi = active[going], ad[going], bc[going], t_next[going], lo[:, going], hi[:, going]
     return h
 
 

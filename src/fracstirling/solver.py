@@ -242,44 +242,43 @@ def _false_position(q_r, a, b, fa, fb, tol, max_iter=200):
     Problem k is the bracket [a[k], b[k]] with finite q_r values fa[k] and
     fb[k] at its ends; `q_r(active, x)` gives q_r of the problems `active`
     at the points x.  A problem stops at |q_r| <= tol, or fails at a
-    non-finite q_r, a collapsed bracket or after max_iter steps.  Returns
-    per problem the root (a failure's last point), |q_r| there and None or
-    the failure message.
+    non-finite q_r, a collapsed bracket or after max_iter steps.  The bracket
+    state, its ends, their values and which end the last step kept, is held
+    for the live problems only, in the order of `active`.  Returns per
+    problem the root (a failure's last point), |q_r| there and None or the
+    failure message.
     """
-    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     # Anderson & Bjorck (BIT 13, 1973): false position that scales the stored
     # value of an end kept a second step in a row by m = 1 - f(x) / f(replaced
     # end), or by 1/2 where m <= 0 so the value keeps its sign; neither end stalls.
-    # kept is +1 after a step that kept a, -1 after one that kept b, and a
-    # counts as kept once before the first step
-    kept = np.ones(a.size, dtype=int)
+    a, b, fa, fb = (np.asarray(v, dtype=float) for v in (a, b, fa, fb))
     at_a = abs(fa) <= tol
     root, residual = np.where(at_a, a, b), np.where(at_a, abs(fa), abs(fb))
-    failure = [None] * a.size
-    active = np.flatnonzero(~at_a & (abs(fb) > tol))
+    failure = [None] * root.size
+    going = ~at_a & (abs(fb) > tol)
+    active, lo, hi, f_lo, f_hi = (v[going] for v in (np.arange(root.size), a, b, fa, fb))
+    kept_lo = np.ones(active.size, dtype=bool)  # the lower end counts as kept once before the first step
     for _ in range(max_iter):
         if not active.size:
             break
-        lo, hi, f_lo, f_hi, k = a[active], b[active], fa[active], fb[active], kept[active]
         step = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        x = np.where(step > lo, step, lo)  # max(a, step); x <= b holds by itself
+        x = np.where(step > lo, step, lo)  # max(lo, step); x <= hi holds by itself
         fx = q_r(active, x)
         root[active], residual[active] = x, abs(fx)
         left = np.sign(f_lo) * np.sign(fx) < 0  # x becomes the upper end
         with np.errstate(divide="ignore", invalid="ignore"):
             m = 1.0 - fx / np.where(left, f_hi, f_lo)
         m = np.where(m > 0, m, 0.5)
-        a[active] = lo = np.where(left, lo, x)
-        b[active] = hi = np.where(left, x, hi)
-        fa[active] = np.where(left, np.where(k > 0, m * f_lo, f_lo), fx)
-        fb[active] = np.where(left, fx, np.where(k < 0, m * f_hi, f_hi))
-        kept[active] = np.where(left, 1, -1)
+        f_lo, f_hi = (np.where(left, np.where(kept_lo, m * f_lo, f_lo), fx),
+                      np.where(left, fx, np.where(kept_lo, f_hi, m * f_hi)))
+        lo, hi, kept_lo = np.where(left, lo, x), np.where(left, x, hi), left
         done = abs(fx) <= tol
         failed = ~np.isfinite(fx) | ~done & (hi - lo <= 1e-15 * np.maximum(abs(lo), abs(hi)))
         for i, xi, fi in zip(active[failed].tolist(), x[failed].tolist(), fx[failed].tolist()):
             failure[i] = (f"bracket collapsed at {xi} with residual {fi} above tol={tol}"
                           if math.isfinite(fi) else f"q_r evaluated to a non-finite value at {xi}")
-        active = active[~(done | failed)]
+        going = ~(done | failed)
+        active, lo, hi, f_lo, f_hi, kept_lo = (v[going] for v in (active, lo, hi, f_lo, f_hi, kept_lo))
     for i in active.tolist():
         failure[i] = f"no convergence within {max_iter} iterations"
     return root.tolist(), residual.tolist(), failure
@@ -313,7 +312,7 @@ def solve_regeneration(
     _check_tol(tol)
     lo, hi = _clip_bracket(parameter, bracket_lo, bracket_hi)
     ends = [replace(base, **{parameter: x}) for x in (lo, hi)]  # CycleParams checks both
-    ((reason, root, residual, failure),), scans = _scan_and_solve(
+    ((reason, root, residual, failure),), scans, _ = _scan_and_solve(
         base, {}, parameter, np.array(_scan_points(lo, hi, 2)), 0.5 * (lo + hi), tol, rel_tol, levels)
     if reason == "failing_corner":
         for params in ends:  # the lower end raises first
@@ -344,7 +343,8 @@ def _scan_and_solve(base, nodes, parameter, scan, prev_root, tol, rel_tol, level
     the root before; a step re-sums only the rows of the well `parameter` moves.
     Returns per node (status, root, |q_r|, None or the failure message), the
     root a failed solve's last point and nan without a candidate; then the
-    (nodes, scan points) q_r rows.
+    (nodes, scan points) q_r rows, and the last root solved, `prev_root` if
+    none, from which the next chunk of a trace chooses.
     """
     table, ids = _corner_summaries(base, {**nodes, parameter: scan}, rel_tol, levels)
     scans = _regenerator_heats(table, ids)[0].reshape(-1, scan.size)  # one row per node
@@ -375,7 +375,7 @@ def _scan_and_solve(base, nodes, parameter, scan, prev_root, tol, rel_tol, level
         k = min(range(start, end), key=lambda k: abs(middles[k] - prev_root))
         prev_root = found[k] if failures[k] is None else prev_root
         solved.append(("solve_failure" if failures[k] else "root", found[k], found_residuals[k], failures[k]))
-    return solved, scans
+    return solved, scans, prev_root
 
 
 def trace_curve(
@@ -432,29 +432,23 @@ def trace_curve(
         _check_domain(sweep_parameter, g, swept)
     grid_values, scan = np.array(grid, dtype=float), np.array(xs)
 
-    roots, residuals, status = [], [], []
-    prev_root = 0.5 * (lo + hi)  # the first node chooses the candidate nearest the bracket midpoint
+    solved, prev_root = [], 0.5 * (lo + hi)  # the first node chooses the candidate nearest the bracket midpoint
     rows = max(1, _SCAN_CHUNK // scan_points)
     for start in range(0, len(grid), rows):
         nodes = {sweep_parameter: grid_values[start:start + rows, None]}
-        for reason, root, residual, _ in _scan_and_solve(base, nodes, solve_parameter, scan, prev_root, tol,
-                                                         rel_tol, levels)[0]:
-            if reason == "root":
-                prev_root = root
-            else:  # a gap, a failed solve too
-                root = residual = math.nan
-            roots.append(root)
-            residuals.append(residual)
-            status.append(reason)
+        chunk, _, prev_root = _scan_and_solve(base, nodes, solve_parameter, scan, prev_root, tol, rel_tol, levels)
+        solved += chunk
+    status = np.array([reason for reason, *_ in solved], dtype=str)
+    gap = status != "root"  # a failed solve too
+    root, residual = (np.where(gap, math.nan, [node[k] for node in solved]) for k in (1, 2))
 
-    if grid and "root" not in status:
+    if grid and gap.all():
         warnings.warn(
             "no regeneration root found at any grid node; the locus does "
             "not intersect the scanned bracket, or every node failed",
             stacklevel=2,
         )
-    result = TraceResult(grid_values, np.array(roots, dtype=float), np.array(residuals, dtype=float),
-                         np.array(status, dtype=str))
+    result = TraceResult(grid_values, root, residual, status)
     for v in (result.grid, result.root, result.residual, result.status):
         v.flags.writeable = False
     return result

@@ -237,9 +237,8 @@ def summarize_many(
         # multiple of _PAD (a power of 2) above the kept count, keeps their bits
         padded = np.where(kept > 0, (kept | (_PAD - 1)) + 1, 0)
         # the states in order of padded length, once per call, so that each
-        # block is a slice of them; a call of one length is in that order already
-        one_length = (padded == padded[:1]).all()
-        order = slice(None) if one_length else np.argsort(padded, kind="stable")
+        # block is a slice of them
+        order = np.argsort(padded, kind="stable")
         lengths, alpha_in_order, x_in_order, kept_in_order = padded[order], alpha[order], x[order], kept[order]
         sums = np.full((3, count), np.nan)  # per state in that order: T_0, T_1, T_2
         starts = ((lengths[1:] != lengths[:-1]).nonzero()[0] + 1).tolist()  # where each later length starts
@@ -254,13 +253,12 @@ def summarize_many(
                 g = np.power(ladder, alpha_in_order[block, None])
                 g -= 1.0
                 sums[:, block] = _row_sums(g, x_in_order[block, None], kept_in_order[block])
-        if not one_length:  # back in the call's order
-            sums[:, order] = sums.copy()
+        sums[:, order] = sums.copy()  # back in the call's order
         # a state cut past _HEAD adds levels _HEAD + 1 .. N in closed form to
         # its head; past a head whose last weight underflows every one weighs 0
         closed = (n_cut > _HEAD).nonzero()[0]
-        # a call with no closed row, or no live one, skips the closure's fixed cost
-        live = closed[np.exp(-x[closed] * (_HEAD ** alpha[closed] - 1.0)) > 0.0] if closed.size else closed
+        # a call with no live closed row skips the closure's fixed cost
+        live = closed[np.exp(-x[closed] * (_HEAD ** alpha[closed] - 1.0)) > 0.0]
         if live.size:
             sums[:, live] += _tail_sums(alpha[live], x[live], n_cut[live])
         fields = _summary_fields(scale, temperature, alpha, x, n_cut, *sums, _trim)

@@ -739,6 +739,19 @@ class TestTraceCommand:
         )
         assert (code, out, err) == (1, "", "error: width_a must be positive and finite, got 0.0\n")
 
+    @pytest.mark.parametrize("bracket", ["1.3", "a:2", "1:2:3"])
+    def test_bad_bracket_exits_2(self, capsys, bracket):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--sweep", "alpha2=1.579:1.6:2", "--solve", "alpha1", "--bracket", bracket])
+        assert exc.value.code == 2
+        assert f"bad bracket {bracket!r} (want lo:hi)" in capsys.readouterr().err
+
+    def test_unknown_solve_parameter_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--sweep", "alpha2=1.579:1.6:2", "--solve", "m"])
+        assert exc.value.code == 2
+        assert "unknown solve parameter 'm'" in capsys.readouterr().err
+
     def test_width_solve_requires_bracket(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["trace", "--sweep", "lb=1.0:1.4:2", "--solve", "la"])

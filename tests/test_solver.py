@@ -658,6 +658,11 @@ class TestTraceCurve:
         with pytest.raises(ValueError):
             trace_curve(BASE, "alpha_2", "alpha_1", [1.6, 1.7], (1.4, 2.0), **kwargs)
 
+    @pytest.mark.parametrize("sweep_parameter, solve_parameter", [("mass", "alpha_1"), ("alpha_2", "t_hot")])
+    def test_parameter_outside_the_sweepable_ones_raises(self, sweep_parameter, solve_parameter):
+        with pytest.raises(ValueError, match="parameters must be among"):
+            trace_curve(BASE, sweep_parameter, solve_parameter, [1.6, 1.7], (1.4, 2.0))
+
     @pytest.mark.parametrize("levels", [10, None])
     def test_scan_makes_no_scalar_q_r_call(self, monkeypatch, levels):
         # the 64-point scans and the false-position steps run in the batched
@@ -710,6 +715,21 @@ class TestTraceCurve:
         assert len(scans) == len(grid)
         solved = sum(p is not None for p in solved_nodes(whole))
         assert solved >= 2 and whole_steps < len(steps) <= 10 * solved
+
+    def test_a_chunk_chooses_from_the_root_before_it(self, monkeypatch):
+        # two branches cross the bracket at every node; the upper one lies
+        # nearest the bracket midpoint at the first node and the lower one at
+        # the last, so only a root carried from chunk to chunk keeps the trace
+        # on the upper branch
+        args = (BASE, "alpha_2", "alpha_1", [1.6, 1.7, 1.8, 1.9, 2.0], (1.06, 2.0))
+        whole = trace_curve(*args, levels=10)
+        roots = whole.root.tolist()
+        assert whole.status.tolist() == ["root"] * 5 and roots == sorted(roots)
+        for node, branch in ((1.6, roots[0]), (2.0, 1.21)):  # a one-node trace chooses nearest the midpoint
+            lone = trace_curve(BASE, "alpha_2", "alpha_1", [node], (1.06, 2.0), levels=10).root[0]
+            assert lone == pytest.approx(branch, abs=5e-3)
+        monkeypatch.setattr(solver, "_SCAN_CHUNK", 1)
+        assert repr(trace_curve(*args, levels=10).root.tolist()) == repr(roots)
 
     @pytest.mark.parametrize("levels", [10, None])
     def test_every_scan_value_is_regenerator_heat_bitwise(self, monkeypatch, levels):
