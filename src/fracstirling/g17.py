@@ -167,7 +167,7 @@ def slots(values) -> np.ndarray:
     # no exponent; f is exact where 10^k is, and else decides only off a tie
     fast &= (n >= 10**16) & (n < 10**17 - 1) & ((lo == 0.0) | (np.abs(rest - 0.5) >= _MARGIN))
     n[~fast] = 10**16  # any 17-digit number: "%" rewrites these rows
-    n += (rest > 0.5) | ((rest == 0.5) & (n % 2 == 1))  # a tie, exact, to the even N
+    n += (rest > 0.5) | ((rest == 0.5) & (n & 1))  # a tie, exact, to the even N
 
     # per value six words: NULs, the lead digit, then the 16 digits after it;
     # the top nine digits and the low eight are each below 2^31
@@ -177,10 +177,16 @@ def slots(values) -> np.ndarray:
     low -= top * np.int32(10**8)  # exact modulo 2^32, and so exact
     words = np.empty((v.size, 6), np.int32)
     words[:, 0] = _NUL_WORD
-    lead, high = np.divmod(top, np.int32(10**8))
+    # each split is a quotient and a multiply-subtract; every value is nonnegative
+    lead = top // np.int32(10**8)
     words[:, 1] = lead + _LEAD_WORD
-    np.divmod(high, np.int32(10**4), out=(words[:, 2], words[:, 3]))
-    np.divmod(low, np.int32(10**4), out=(words[:, 4], words[:, 5]))
+    high = top - lead * np.int32(10**8)
+    quotient = high // np.int32(10**4)
+    words[:, 2] = quotient
+    words[:, 3] = high - quotient * np.int32(10**4)
+    quotient = low // np.int32(10**4)
+    words[:, 4] = quotient
+    words[:, 5] = low - quotient * np.int32(10**4)
     significant = _SIGNIFICANT[0].take(words[:, 2])
     for k in (1, 2, 3):
         np.maximum(significant, _SIGNIFICANT[k].take(words[:, 2 + k]), out=significant)

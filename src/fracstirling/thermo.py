@@ -22,11 +22,16 @@ and no energy E_n is formed: levels past the float range weigh 0.  S = x <g>
 E_1 is `spectrum.level_scale`, numpy's power, which `summarize_many` calls
 once on the arrays of all its states, so the kernel, `energy_levels` and
 `occupations` share one formula bit for bit.
-`summarize_many` pads each state's row of explicit levels, min(N, _HEAD) of
-them, with zero weights to the multiple of _PAD above that count, orders its
-states once by that padded length and sums each run of one length as capped
-slices, so a call holding dozens of distinct cuts sums a few blocks, each
-with no gather or scatter of its own; `summarize` is it on one state.
+`summarize_many` pads each state's row of explicit levels, all N of a state
+cut at N <= _HEAD, with zero weights to the multiple of _PAD above that
+count, orders its states once by that padded length and sums each run of
+one length as capped slices, so a call holding dozens of distinct cuts sums
+a few blocks, each with no gather or scatter of its own; `summarize` is it
+on one state.  The states cut past _HEAD have a pass of their own
+(`_closed_sums`): ordered by alpha, each block of them forms the power row
+of levels 1 .. _HEAD + _PAD once per distinct alpha, so a sweep over alpha
+pays one power row per alpha, not per state, and the closure evaluates each
+incomplete gamma only on its own side of the split (`_gamma_ratios`).
 A row's length depends on its own cut alone, every reduction runs along a
 row and the closure is elementwise, so a state's sums do not depend on the
 block it lands in or the states beside it.  Nothing is memoised;
@@ -182,16 +187,20 @@ def summarize_many(
     behind C, is the first to overflow, at x below about 1e-103); there n_cut
     is 0 and every other field nan, so a failed state is one whose U is nan,
     and elsewhere U, S, F and C are finite.  Levels above a finite E_1 that
-    pass the float range weigh 0 and fail nothing.  A state sums min(N,
-    _HEAD) levels explicitly, as a row padded to the multiple of _PAD above
-    that count.  The call orders its states by that padded length once, a
-    stable sort that a call of one length skips, so each run of one length
-    is a slice, summed as blocks of at most _BLOCK_ENTRIES entries (or one
-    row) that are slices too and write their sums by slice; the sums return
-    to the call's order in one scatter.  So a call sums a few blocks however
-    many distinct cuts it holds, and the memory held is bounded for any
-    number of states.  A state's row depends on that state alone, so its
-    fields are the same bit for bit whatever other states share the call.
+    pass the float range weigh 0 and fail nothing.  A state cut at N <=
+    _HEAD sums its N levels explicitly, as a row padded to the multiple of
+    _PAD above that count.  The call orders these states by that padded
+    length once, with a stable sort, so each run of one length is a slice,
+    summed as blocks of at most _BLOCK_ENTRIES entries (or one row) that
+    are slices too and write their sums by slice; the sums return to the
+    call's order in one scatter.  A state cut past _HEAD keeps no level in
+    that loop, as a failed state does, and `_closed_sums` sums its head and
+    tail in a pass of its own, one power row per distinct alpha in each
+    block; a call with no such state skips that pass.  So a call sums a few
+    blocks however many distinct cuts it holds, and the memory held is
+    bounded for any number of states.  A state's row depends on that state
+    alone, so its fields are the same bit for bit whatever other states
+    share the call.
     The first state outside the validity domain, a Python int past the float
     range too, raises the ValueError ThermalState(WellSpec(...), T) raises
     on it, naming the field; a bad `rel_tol`, `levels` or shape raises
@@ -232,7 +241,11 @@ def summarize_many(
             n_cut = np.where(np.isnan(scale), np.nan, fixed if per_state else levels)
         n_cut[~np.isfinite(n_cut)] = 0.0  # no level is summed, and every field is nan
 
-        kept = np.minimum(n_cut, _HEAD).astype(np.int64)
+        # a state cut past _HEAD keeps none here, as a failed state does:
+        # `_closed_sums` sums its head and closes its tail
+        closed = (n_cut > _HEAD).nonzero()[0]
+        kept = n_cut.astype(np.int64)  # past the int64 range only where closed, and zeroed there
+        kept[closed] = 0
         # a row's length fixes the pairwise tree of its sums, so this rule, the
         # multiple of _PAD (a power of 2) above the kept count, keeps their bits
         padded = np.where(kept > 0, (kept | (_PAD - 1)) + 1, 0)
@@ -254,13 +267,8 @@ def summarize_many(
                 g -= 1.0
                 sums[:, block] = _row_sums(g, x_in_order[block, None], kept_in_order[block])
         sums[:, order] = sums.copy()  # back in the call's order
-        # a state cut past _HEAD adds levels _HEAD + 1 .. N in closed form to
-        # its head; past a head whose last weight underflows every one weighs 0
-        closed = (n_cut > _HEAD).nonzero()[0]
-        # a call with no live closed row skips the closure's fixed cost
-        live = closed[np.exp(-x[closed] * (_HEAD ** alpha[closed] - 1.0)) > 0.0]
-        if live.size:
-            sums[:, live] += _tail_sums(alpha[live], x[live], n_cut[live])
+        if closed.size:  # a call with no closed row skips the closed pass
+            _closed_sums(sums, closed, alpha, x, n_cut)
         fields = _summary_fields(scale, temperature, alpha, x, n_cut, *sums, _trim)
     # no cut, or U, S, F or C past the float range, as T ln T_0 or E_1 (1 + <g>)
     # may be where E_1 or T is near the float maximum, and T_2 is where x underflows
@@ -319,9 +327,9 @@ def _row_sums(g: np.ndarray, x, n):
 
     Row i of the (rows, P) block holds g_m = m^alpha - 1 of levels 1 .. P of
     a state, of which the first n[i] < P are kept, with weights e^(-x g_m);
-    the entries past them weigh exactly 0.  For a state cut past _HEAD
-    levels this is its head, n[i] = _HEAD.  `x` is E_1/T, a column of one
-    per row.  Returns per row T_k = sum g_m^k w_m, k = 0, 1, 2.  Every
+    the entries past them weigh exactly 0; `n` may be one count for every
+    row, as it is for the heads of `_closed_sums`, n = _HEAD.  `x` is E_1/T,
+    a column of one per row.  Returns per row T_k = sum g_m^k w_m, k = 0, 1, 2.  Every
     reduction runs along a row of P entries, so a row sums bit for bit as it
     would alone, in whatever block it is.
     """
@@ -335,51 +343,90 @@ def _row_sums(g: np.ndarray, x, n):
     return t0, t1, np.vecdot(weights, g)
 
 
-def _tail_sums(alpha, x, n):
+def _closed_sums(sums, closed, alpha, x, n_cut):
+    """Add the T_k of the states cut past _HEAD, whose indices `closed` holds, into `sums`.
+
+    Each such state sums its head, levels 1 .. _HEAD, as a row of _HEAD +
+    _PAD entries, the length a cut of _HEAD levels pads to, and adds
+    `_tail_sums` where the head's last weight is positive; past a head whose
+    last weight underflows every level weighs 0.  The states are ordered by
+    alpha once and summed in blocks of at most _BLOCK_ENTRIES entries (or
+    one row): a block raises the ladder 1 .. _HEAD + _PAD to each of its
+    distinct alphas once and gathers that row for every state of that alpha,
+    and Gamma(1/alpha) is formed once per distinct alpha too.  Every row has
+    one length, so its sums keep their bits in whatever block it lands.
+    """
+    closed = closed[np.argsort(alpha[closed], kind="stable")]
+    a, x = alpha[closed], x[closed]
+    new = np.empty(a.size, dtype=bool)  # where a distinct alpha starts
+    new[0] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    distinct = a[new]
+    which = distinct.searchsorted(a)  # per state, its alpha's place among the distinct ones
+    ladder = np.arange(1.0, _HEAD + _PAD + 1.0)
+    rows = max(1, _BLOCK_ENTRIES // ladder.size)
+    for start in range(0, a.size, rows):
+        block = slice(start, start + rows)
+        first, last = which[start], which[min(start + rows, a.size) - 1]
+        g = np.power(ladder, distinct[first:last + 1, None])
+        g -= 1.0
+        sums[:, closed[block]] = _row_sums(g.take(which[block] - first, axis=0), x[block, None], _HEAD)
+    live = (np.exp(-x * (_HEAD**a - 1.0)) > 0.0).nonzero()[0]
+    if live.size:
+        gamma = np.array([math.gamma(v) for v in (1.0 / distinct).tolist()])
+        closed = closed[live]
+        sums[:, closed] += _tail_sums(a[live], x[live], n_cut[closed], gamma.take(which[live]))
+
+
+def _tail_sums(alpha, x, n, gamma):
     """T_k, the sum of g^k e^(-x g) over levels _HEAD + 1 .. n with g = level^alpha - 1.
 
     Returns T_0, T_1, T_2 as rows.  The arguments are 1-D arrays, one state
-    each, with x = beta E_1 finite and nonnegative and n > _HEAD.  This is
-    Euler-Maclaurin on [H, N], H = _HEAD: the sum of f over H + 1 .. N is the
-    integral of f plus, at N less at H, f/2 + f'/12 - f'''/720, with the
-    derivatives of f_k = g^k e^(-x g) by the product rule.  Expanding g^k
-    leaves the integrals
+    each, with x = beta E_1 finite and nonnegative, n > _HEAD and `gamma`
+    the complete Gamma(1/alpha).  This is Euler-Maclaurin on [H, N], H =
+    _HEAD: the sum of f over H + 1 .. N is the integral of f plus, at N less
+    at H, f/2 + f'/12 - f'''/720, with the derivatives of f_k = g^k e^(-x g)
+    by the product rule.  Expanding g^k leaves the integrals
 
         J_j = e^x int_H^N t^(j alpha) e^(-x t^alpha) dt
             = e^x x^(-s) / alpha [Gamma(s, x H^alpha) - Gamma(s, x N^alpha)],
 
     s = j + 1/alpha.  Multiplied by e^x x^(-s) y^s e^(-y) = t^(j alpha) t f_0
-    at y = x t^alpha, the ratios of `_gamma_ratios` give each end's
-    incomplete gamma: the lower one where both ends lie below the split, the
-    upper one where both lie above, and the complete Gamma(s) less both where
-    the interval crosses it.  Each difference then errs by rounding of its
-    larger term only, at most of the order of the sum over levels 1 .. N, and
-    the result is within about 1e-15 of the explicit sum relative to it.
+    at y = x t^alpha, the one array of `_gamma_ratios` gives each end's
+    incomplete gamma on its side of the split, in three cases: the lower
+    gammas where both ends lie below the split, the upper ones where both
+    lie above, and the complete Gamma(s) less the lower gamma at H and the
+    upper one at N where the interval crosses it.  Each difference then errs
+    by rounding of its larger term only, at most of the order of the sum
+    over levels 1 .. N, and the result is within about 1e-15 of the explicit
+    sum relative to it.
     """
     s = 1.0 / alpha
     t = np.array((np.full(x.shape, float(_HEAD)), n), dtype=float)  # rows: H, N
     p = t**alpha
     y = x * p
     g = p - 1.0
-    f0 = np.exp(-x * g)
-    lower, upper = _gamma_ratios(s, y)
+    minus_x = -x
+    f0 = np.exp(minus_x * g)
+    ratios = _gamma_ratios(s, y)
     scale = t * f0
-    scale = np.array((scale, scale * p, scale * p * p))
-    lower *= scale
-    upper *= scale
+    ratios *= np.array((scale, scale * p, scale * p * p))
+    head, end = ratios[:, 0], ratios[:, 1]
     # e^x x^(-s) Gamma(s), used only where x N^alpha passes the split
     xc = np.maximum(x, _GAMMA_SPLIT / p[1])
-    complete = np.exp(xc) * xc**-s * np.array([math.gamma(v) for v in s.tolist()])
-    complete = np.array((complete, complete * s / xc, complete * s / xc * (s + 1.0) / xc))
+    complete = np.exp(xc) * xc**-s * gamma
+    complete_1 = complete * s / xc
+    complete = np.array((complete, complete_1, complete_1 * (s + 1.0) / xc))
     head_low, end_low = y < _GAMMA_SPLIT
-    across = np.where(head_low, complete - lower[:, 0] - upper[:, 1], upper[:, 0] - upper[:, 1])
-    j0, j1, j2 = np.where(end_low, lower[:, 1] - lower[:, 0], across) / alpha
+    across = np.where(head_low, complete - head - end, head - end)
+    j0, j1, j2 = np.where(end_low, end - head, across) / alpha
     # derivatives in t of g, of f_0 = e^u with u = -x g, and of g^0, g^1, g^2
     g1 = alpha * p / t
     g2 = g1 * (alpha - 1.0) / t
     g3 = g2 * (alpha - 2.0) / t
-    u1, u2, u3 = -x * g1, -x * g2, -x * g3
-    w1, w2, w3 = u1 * f0, (u2 + u1 * u1) * f0, (u3 + 3.0 * u1 * u2 + u1 * u1 * u1) * f0
+    u1, u2, u3 = minus_x * g1, minus_x * g2, minus_x * g3
+    square = u1 * u1
+    w1, w2, w3 = u1 * f0, (u2 + square) * f0, (u3 + 3.0 * u1 * u2 + square * u1) * f0
     one, zero = np.ones_like(g), np.zeros_like(g)
     d0 = np.array((one, g, g * g))
     d1 = np.array((zero, g1, 2.0 * g * g1))
@@ -393,36 +440,43 @@ def _tail_sums(alpha, x, n):
 
 
 def _gamma_ratios(s, y):
-    """The incomplete gammas of s + j at y over y^(s+j) e^(-y), j = 0, 1, 2.
+    """The incomplete gamma of s + j at y over y^(s+j) e^(-y), j = 0, 1, 2, each on its side of the split.
 
-    Returns (lower, upper), each stacked over j: the lower gamma's ratios
-    gamma(s + j, y) e^y y^-(s+j) at min(y, _GAMMA_SPLIT) and the upper ones
-    Gamma(s + j, y) e^y y^-(s+j) at max(y, _GAMMA_SPLIT), so both are finite
-    for any y >= 0; a caller takes each on its own side of the split.  For
-    s in (0.5, 1.5] both are within 1e-15 relative there.  The lower ratio of
-    s + 2 is the series of DLMF 8.7.1, the sum of y^m / ((s+2)(s+3) ..
-    (s+2+m)) to _SERIES_TERMS terms, and gamma(s + 1, y) = s gamma(s, y) -
-    y^s e^(-y) carries it down.  The upper ratio of s is Legendre's
+    `s` broadcasts against `y`.  Returns one array of shape (3, *y.shape),
+    stacked over j: where y < _GAMMA_SPLIT the lower gamma's ratio
+    gamma(s + j, y) e^y y^-(s+j), elsewhere the upper gamma's, Gamma(s + j,
+    y) e^y y^-(s+j).  Each is computed on the entries of its own side only;
+    for s in (0.5, 1.5] both are within 1e-15 relative there.  The lower
+    ratio of s + 2 is the series of DLMF 8.7.1, the sum of y^m / ((s+2)(s+3)
+    .. (s+2+m)) to _SERIES_TERMS terms, and gamma(s + 1, y) = s gamma(s, y)
+    - y^s e^(-y) carries it down.  The upper ratio of s is Legendre's
     continued fraction (DLMF 8.9.2), summed from its _FRACTION_TERMS-th level
     back, and Gamma(s + 1, y) = s Gamma(s, y) + y^s e^(-y) carries it up.
     Either recurrence adds positive terms.
     """
-    low, high = np.minimum(y, _GAMMA_SPLIT), np.maximum(y, _GAMMA_SPLIT)
-    # the series' terms along a last axis: a product and a sum per state
-    steps = s[:, None] + (2.0 + np.arange(1.0, _SERIES_TERMS))
-    terms = np.cumprod(low[..., None] / steps, axis=-1)
-    lower = [(1.0 + np.add.reduce(terms, axis=-1)) / (s + 2.0)]
-    for j in (1.0, 0.0):
-        lower.insert(0, (1.0 + low * lower[0]) / (s + j))
+    ratios = np.empty((3, *y.shape))
+    low = y < _GAMMA_SPLIT
+    high = ~low
+    s = np.broadcast_to(s, y.shape)
+    s_low, y_low, s_high, y_high = s[low], y[low], s[high], y[high]
+    # the series' terms along a last axis: a product and a sum per entry
+    steps = s_low[:, None] + (2.0 + np.arange(1.0, _SERIES_TERMS))
+    terms = np.cumprod(y_low[:, None] / steps, axis=-1)
+    lower = [(1.0 + np.add.reduce(terms, axis=-1)) / (s_low + 2.0)]
+    for s_j in (s_low + 1.0, s_low):
+        lower.insert(0, (1.0 + y_low * lower[0]) / s_j)
+    ratios[:, low] = lower
     levels = np.arange(_FRACTION_TERMS, 0.0, -1.0)[:, None]
-    base, numerators = high + 1.0 - s, levels * (levels - s)
+    base = y_high + 1.0 - s_high
+    numerators, denominators = levels * (levels - s_high), base + 2.0 * levels
     fraction = 0.0
-    for level, numerator in zip(levels[:, 0].tolist(), numerators):
-        fraction = numerator / (base + 2.0 * level - fraction)
+    for numerator, denominator in zip(numerators, denominators):
+        fraction = numerator / (denominator - fraction)
     upper = [1.0 / (base - fraction)]
-    for j in (0.0, 1.0):
-        upper.append(((s + j) * upper[-1] + 1.0) / high)
-    return np.array(lower), np.array(upper)
+    for s_j in (s_high, s_high + 1.0):
+        upper.append((s_j * upper[-1] + 1.0) / y_high)
+    ratios[:, high] = upper
+    return ratios
 
 
 def _summary_fields(e1, temperature, alpha, x, n, t0, t1, t2, trim):

@@ -494,6 +494,69 @@ class TestSummarizeMany:
         table = assert_each_state_as_alone(width, alpha, np.ones(count), temperature, levels, rng)
         assert len(set(padded_lengths(table).tolist())) == 1
 
+    def test_closed_rows_over_two_blocks_repeat_an_alpha_across_the_edge(self, monkeypatch):
+        # 370 states cut past the head share 12 exponents: the closed pass sums
+        # them in two blocks, and the rows of one exponent lie on both sides of
+        # the block edge, so each block gathers from power rows of its own
+        rng = np.random.default_rng(50)
+        count = 400
+        alpha = rng.choice(rng.uniform(1.05, 2.0, 12), count)
+        width = 10.0 ** rng.uniform(0.5, 1.5, count)
+        temperature = 10.0 ** rng.uniform(1.0, 3.0, count)
+        table = assert_each_state_as_alone(width, alpha, np.ones(count), temperature, None, rng)
+        closed = np.sort(alpha[table["n_cut"] > thermo._HEAD])
+        edge = thermo._BLOCK_ENTRIES // (thermo._HEAD + thermo._PAD)
+        assert closed.size > edge and closed[edge - 1] == closed[edge]
+        blocks = count_blocks(monkeypatch)
+        summarize_many(width, alpha, np.ones(count), temperature)
+        assert blocks[-2:] == [edge, closed.size - edge]
+
+    def test_closed_rows_among_head_rows_failed_states_and_cuts_at_the_head(self):
+        # per-state cuts of exactly _HEAD, which pad to the closed rows' length
+        # but are summed as head rows, beside cuts within and past the head and
+        # states whose E_1 leaves the float range; the exponents repeat
+        rng = np.random.default_rng(51)
+        count = 300
+        head = thermo._HEAD
+        alpha = rng.choice(rng.uniform(1.05, 2.0, 8), count)
+        width = 10.0 ** np.where(rng.random(count) < 0.1, -300.0, rng.uniform(0.5, 1.5, count))
+        temperature = 10.0 ** rng.uniform(1.0, 3.0, count)
+        cuts = rng.choice([10, head - 16, head - 1, head, head, head + 1, head + 16, 3000, 40000], count)
+        table = assert_each_state_as_alone(width, alpha, np.ones(count), temperature, cuts.astype(float), rng)
+        failed = table["n_cut"] == 0
+        assert 10 < failed.sum() < 60
+        at_head = ~failed & (cuts == head)
+        assert at_head.sum() > 20 and (~failed & (cuts > head)).sum() > 100 and (~failed & (cuts < head)).sum() > 50
+        assert (padded_lengths(table)[at_head] == head + thermo._PAD).all()
+
+    def test_a_fixed_cut_past_the_head(self):
+        # every state is closed at 5000 levels, 12 exponents among 400 states;
+        # the closure's ends lie below, across and above the gammas' split
+        rng = np.random.default_rng(52)
+        count = 400
+        alpha = rng.choice(rng.uniform(1.05, 2.0, 12), count)
+        width = 10.0 ** rng.uniform(0.5, 1.5, count)
+        temperature = 10.0 ** rng.uniform(1.0, 3.0, count)
+        table = assert_each_state_as_alone(width, alpha, np.ones(count), temperature, 5000, rng)
+        assert (table["n_cut"] == 5000).all()
+        x = level_scale(width, alpha, 1.0) / temperature
+        head_low, end_low = (x * np.array([[thermo._HEAD], [5000.0]]) ** alpha) < thermo._GAMMA_SPLIT
+        assert end_low.sum() > 10 and (head_low & ~end_low).sum() > 10 and (~head_low).sum() > 10
+
+    def test_closed_cuts_as_the_crossing_search_passes_them(self):
+        # the table's float n_cut, nearly all past the head, re-summed at
+        # another temperature with the cut kept, as the crossing search does
+        rng = np.random.default_rng(53)
+        count = 300
+        alpha = rng.choice(rng.uniform(1.05, 2.0, 10), count)
+        width = 10.0 ** rng.uniform(0.5, 1.5, count)
+        temperature = 10.0 ** rng.uniform(1.0, 3.0, count)
+        cuts = summarize_many(width, alpha, np.ones(count), temperature)["n_cut"]
+        assert (cuts > thermo._HEAD).sum() > 250
+        cooler = temperature * rng.uniform(0.5, 1.0, count)
+        table = assert_each_state_as_alone(width, alpha, np.ones(count), cooler, cuts, rng)
+        assert (table["n_cut"] == cuts).all()
+
     def test_padded_rows_sum_the_kept_levels(self):
         # the entries past a row's own cut weigh nothing: U and S of every
         # state cut within the head match a plain sum of its kept levels
@@ -903,9 +966,12 @@ class TestClosure:
                             np.geomspace(thermo._GAMMA_SPLIT, 700.0, 15)))
         s, y = (v.ravel() for v in np.meshgrid(base, y))
         below = y < thermo._GAMMA_SPLIT
-        lower, upper = thermo._gamma_ratios(s, y)
+        ratios = thermo._gamma_ratios(s, y)
+        # a call whose entries all lie on one side leaves the other side empty
+        for side in (below, ~below):
+            assert thermo._gamma_ratios(s[side], y[side]).tobytes() == ratios[:, side].tobytes()
         for j in range(3):
-            got = np.where(below, lower[j], upper[j])
+            got = ratios[j]
             for s_i, y_i, got_i, low in zip((s + j).tolist(), y.tolist(), got.tolist(), below.tolist()):
                 with mpmath.workdps(50):
                     scale = mpmath.mpf(y_i) ** s_i * mpmath.exp(-mpmath.mpf(y_i))
